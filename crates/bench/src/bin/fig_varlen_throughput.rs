@@ -3,7 +3,7 @@
 //! classes and memory budgets, against the fixed-size pod-value sorter on
 //! the same keys (which isolates the cost of the length-prefixed format).
 //! Spill-bound rows are measured in three spill modes — **synchronous**
-//! (`StreamConfig::synchronous_spill`), **pipelined** (background writer +
+//! (`StreamConfig::spill_pipeline_depth = 0`), **pipelined** (background writer +
 //! read-ahead, the default) and **compressed** (pipelined +
 //! `SpillCompression::DeltaLz`) — with the spill-phase wall time, bytes
 //! written and achieved compression ratio reported per row.  Each mode is
@@ -136,7 +136,8 @@ fn stream_sort_strings_phases(
 ) -> Phases {
     let cfg = StreamConfig {
         memory_budget_bytes: budget,
-        synchronous_spill: mode.sync,
+        spill_pipeline_depth: usize::from(!mode.sync),
+        merge_read_ahead: mode.sync.then_some(false),
         spill_compression: mode.compression,
         spill_io: mode.io,
         ..StreamConfig::default()

@@ -165,8 +165,8 @@ pub enum SpillIoMode {
     /// One blocking `std::fs` call per read/write on the calling thread
     /// (buffered).  This is the code path every release so far has run,
     /// kept byte-for-byte as the reference side of the backend
-    /// differential tests — the same role `synchronous_spill` plays for
-    /// the pipeline stage.
+    /// differential tests — the same role `spill_pipeline_depth = 0` plays
+    /// for the pipeline stage.
     Blocking,
     /// A fixed pool of I/O worker threads driving a bounded
     /// submission/completion queue over pooled, recycled buffers: writes
@@ -360,14 +360,15 @@ impl BudgetHandle {
 /// Spill I/O is **pipelined** by default: sorted runs are handed to a
 /// dedicated writer thread (so run `N + 1` is sorted while run `N` streams
 /// to disk) and the final merge reads ahead of the loser tree through
-/// bounded channels.  `synchronous_spill` turns both stages off.
+/// bounded channels.  `spill_pipeline_depth = 0` turns the writer stage
+/// off and `merge_read_ahead = Some(false)` the read-ahead.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Total working-set budget in bytes, split into
     /// [`StreamConfig::spill_shares`] equal shares: one buffers incoming
-    /// records, one is the sort's ping-pong scratch, and (when spilling is
-    /// pipelined) `spill_pipeline_depth` shares bound the sorted runs in
-    /// flight to the writer thread.  One run therefore holds about
+    /// records, one is the sort's ping-pong scratch, and
+    /// `spill_pipeline_depth` shares bound the sorted runs in flight to the
+    /// writer thread.  One run therefore holds about
     /// `memory_budget_bytes / (spill_shares · record_size)` records.
     ///
     /// `record_size` is the *inline* struct size (`size_of::<(K, V)>()`).
@@ -396,16 +397,14 @@ pub struct StreamConfig {
     /// Total bytes of read buffering shared by all runs during the final
     /// streaming merge.
     pub merge_read_buffer_bytes: usize,
-    /// Disable the spill pipeline: `push` sorts *and* writes each run
-    /// inline on the calling thread, and the final merge issues blocking
-    /// reads from inside the loser tree — the pre-pipelining behavior,
-    /// kept as an escape hatch (and as the reference side of the
-    /// pipelined-vs-synchronous differential tests).
-    pub synchronous_spill: bool,
     /// Maximum number of sorted runs in flight to the spill-writer thread
     /// (queued plus being written), each counting one budget share; the
-    /// producer blocks once the pipeline is full (backpressure).  Clamped
-    /// to at least 1.  Ignored when `synchronous_spill` is set.
+    /// producer blocks once the pipeline is full (backpressure).
+    ///
+    /// `0` disables the writer thread: `push` sorts *and* writes each run
+    /// inline on the calling thread — the path a pipelined engine also
+    /// takes while on probation after a writer failure, and the reference
+    /// side of the pipelined-vs-synchronous differential tests.
     ///
     /// The default of 1 is classic double buffering: run `N + 1` sorts
     /// while run `N` writes.  Each extra unit of depth smooths over
@@ -413,17 +412,18 @@ pub struct StreamConfig {
     /// share — and smaller runs mean a wider final merge fan-in, which is
     /// usually the worse trade.
     pub spill_pipeline_depth: usize,
-    /// Prefetch decoded record blocks ahead of the final k-way merge, one
-    /// reader thread per spilled run, through a channel bounded by the
-    /// per-run share of `merge_read_buffer_bytes` — so the loser tree
-    /// never blocks on a cold read.
+    /// Prefetch decoded record blocks ahead of the final k-way merge —
+    /// one reader thread per spilled run under [`SpillIoMode::Blocking`],
+    /// decode tasks on the shared I/O workers under
+    /// [`SpillIoMode::Batched`] — bounded by the per-run share of
+    /// `merge_read_buffer_bytes`, so the loser tree never blocks on a cold
+    /// read.
     ///
     /// `None` (the default) auto-tunes: read-ahead engages when the host
     /// reports more than one unit of available parallelism, because on a
     /// single CPU the decode thread cannot run concurrently with the merge
     /// and page-cache-warm reads make it pure overhead.  `Some(true)` /
-    /// `Some(false)` force it.  Ignored (off) when `synchronous_spill` is
-    /// set.
+    /// `Some(false)` force it.
     pub merge_read_ahead: Option<bool>,
     /// On-disk encoding of spilled runs: [`SpillCompression::Off`] (the
     /// default) writes the flat reference format, while
@@ -438,8 +438,8 @@ pub struct StreamConfig {
     /// (a fixed I/O-worker pool behind a bounded submission queue; see
     /// [`StreamConfig::spill_io_workers`] /
     /// [`StreamConfig::spill_io_queue_depth`]).  Orthogonal to
-    /// `synchronous_spill`, which picks *who calls into* the backend, not
-    /// how the bytes move.  Defaults from the `PISORT_SPILL_IO`
+    /// `spill_pipeline_depth`, which picks *who calls into* the backend,
+    /// not how the bytes move.  Defaults from the `PISORT_SPILL_IO`
     /// environment variable ([`SpillIoMode::env_default`]).
     pub spill_io: SpillIoMode,
     /// Number of I/O worker threads the [`SpillIoMode::Batched`] backend
@@ -486,7 +486,6 @@ impl Default for StreamConfig {
             max_carried_heavy_keys: 1024,
             spill_dir: None,
             merge_read_buffer_bytes: 8 << 20,
-            synchronous_spill: false,
             spill_pipeline_depth: 1,
             merge_read_ahead: None,
             spill_compression: SpillCompression::default(),
@@ -505,16 +504,6 @@ impl StreamConfig {
     pub fn with_memory_budget(bytes: usize) -> Self {
         Self {
             memory_budget_bytes: bytes,
-            ..Self::default()
-        }
-    }
-
-    /// [`StreamConfig::with_memory_budget`] with the spill pipeline and
-    /// merge read-ahead disabled (the pre-pipelining behavior).
-    pub fn synchronous_with_memory_budget(bytes: usize) -> Self {
-        Self {
-            memory_budget_bytes: bytes,
-            synchronous_spill: true,
             ..Self::default()
         }
     }
@@ -542,14 +531,10 @@ impl StreamConfig {
 
     /// Number of equal budget shares the record memory is split into: one
     /// filling buffer + one sort scratch, plus one per possible in-flight
-    /// run when spilling is pipelined.  In-flight runs buffer real bytes,
-    /// so they must be paid for out of the same budget.
+    /// run ([`StreamConfig::spill_pipeline_depth`]).  In-flight runs buffer
+    /// real bytes, so they must be paid for out of the same budget.
     pub fn spill_shares(&self) -> usize {
-        if self.synchronous_spill {
-            2
-        } else {
-            2 + self.spill_pipeline_depth.max(1)
-        }
+        2 + self.spill_pipeline_depth
     }
 
     /// Number of records of `record_size` bytes one run may hold.
@@ -571,9 +556,6 @@ impl StreamConfig {
     /// [`StreamConfig::merge_read_ahead`] resolved against the host's
     /// available parallelism (see that field for the auto rule).
     pub fn wants_merge_read_ahead(&self) -> bool {
-        if self.synchronous_spill {
-            return false;
-        }
         self.merge_read_ahead
             .unwrap_or_else(|| std::thread::available_parallelism().is_ok_and(|p| p.get() > 1))
     }
@@ -646,24 +628,22 @@ mod tests {
 
     #[test]
     fn stream_config_run_capacity() {
-        // Synchronous: half the budget buffers records (the rest is sort
-        // scratch).
-        let sync = StreamConfig::synchronous_with_memory_budget(1 << 20);
+        // Synchronous (depth 0): half the budget buffers records (the rest
+        // is sort scratch).
+        let sync = StreamConfig {
+            spill_pipeline_depth: 0,
+            ..StreamConfig::with_memory_budget(1 << 20)
+        };
         assert_eq!(sync.spill_shares(), 2);
         assert_eq!(sync.run_capacity(8), (1 << 20) / 16);
         // Pipelined (default depth 1, double buffering): one more share
         // pays for the run in flight to the writer thread.
         let piped = StreamConfig::with_memory_budget(1 << 20);
-        assert!(!piped.synchronous_spill);
+        assert_eq!(piped.spill_pipeline_depth, 1);
         assert_eq!(piped.spill_shares(), 3);
         assert_eq!(piped.run_capacity(8), (1 << 20) / 24);
-        // A degenerate depth clamps to 1 in-flight run; deeper pipelines
-        // pay one share each; degenerate budgets clamp to a record floor.
-        let shallow = StreamConfig {
-            spill_pipeline_depth: 0,
-            ..StreamConfig::default()
-        };
-        assert_eq!(shallow.spill_shares(), 3);
+        // Deeper pipelines pay one share each; degenerate budgets clamp to
+        // a record floor.
         let deep = StreamConfig {
             spill_pipeline_depth: 2,
             ..StreamConfig::default()
@@ -681,7 +661,7 @@ mod tests {
         // is now one record per share.
         for record_size in [1usize, 8, 64, 1024, 64 << 10] {
             for budget in [0usize, 1, 100, 4096, 1 << 20] {
-                for depth in [1usize, 2, 8] {
+                for depth in [0usize, 1, 2, 8] {
                     let cfg = StreamConfig {
                         memory_budget_bytes: budget,
                         spill_pipeline_depth: depth,
@@ -705,7 +685,7 @@ mod tests {
         let cfg = StreamConfig {
             memory_budget_bytes: 64, // must be ignored while a handle is attached
             budget: Some(handle.clone()),
-            synchronous_spill: true,
+            spill_pipeline_depth: 0,
             ..StreamConfig::default()
         };
         assert_eq!(cfg.effective_budget_bytes(), 1 << 20);
@@ -847,13 +827,6 @@ mod tests {
             ..StreamConfig::default()
         };
         assert!(!forced_off.wants_merge_read_ahead());
-        // Synchronous mode disables read-ahead even when forced on.
-        let sync = StreamConfig {
-            synchronous_spill: true,
-            merge_read_ahead: Some(true),
-            ..StreamConfig::default()
-        };
-        assert!(!sync.wants_merge_read_ahead());
         // Auto mode follows the host's available parallelism.
         let auto = StreamConfig::default();
         let multicore = std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);

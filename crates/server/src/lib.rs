@@ -2,10 +2,12 @@
 //!
 //! DTSort (PPoPP 2024) is framed as the sort primitive underneath larger
 //! data systems; this crate is that system's front end.  A [`SortServer`]
-//! hosts many concurrent **sessions**, each owning one streaming engine
-//! ([`stream::StreamSorter`], [`stream::StreamGroupBy`], or the
-//! string-keyed variant), all multiplexed over the process-wide
-//! work-stealing pool.  Two shared resource managers arbitrate what the
+//! hosts many concurrent **sessions** — one [`Session`] type over any
+//! [`SessionEngine`]: [`stream::StreamSorter`], [`stream::StreamGroupBy`],
+//! or the string-keyed sorter — all multiplexed over the process-wide
+//! work-stealing pool.  Every session routes its engine's failures through
+//! one quarantine ([`SessionError`]) and charges its spills to one disk
+//! quota.  Two shared resource managers arbitrate what the
 //! single-caller library used to assume it owned outright:
 //!
 //! * [`MemoryGovernor`] — one byte ceiling across all sessions.
@@ -31,7 +33,7 @@ mod spillmgr;
 
 pub use governor::{AdmissionPolicy, BudgetLease, GovernorConfig, MemoryGovernor, TenantCounters};
 pub use session::{
-    GroupSession, GroupSessionStream, ServerConfig, SessionError, SessionStream, SortServer,
-    SortSession, StringSessionStream, StringSortSession,
+    GroupSession, ServerConfig, Session, SessionEngine, SessionError, SessionStream, SortServer,
+    SortSession, StringSortSession,
 };
 pub use spillmgr::{SpillDirLease, SpillDirManager, SpillManagerConfig};

@@ -95,7 +95,7 @@ pub struct ServerConfig {
 
 /// A multi-session sort service over the streaming engines.
 ///
-/// Each opened session owns one engine ([`StreamSorter`],
+/// Each opened [`Session`] owns one engine ([`StreamSorter`],
 /// [`StreamGroupBy`] or [`StringStreamSorter`]) wired to two leases: a
 /// [`BudgetLease`] from the global [`MemoryGovernor`] (a *live* grant —
 /// admitting more sessions shrinks it, and the engine reacts by spilling
@@ -143,46 +143,45 @@ impl SortServer {
         &self.spill
     }
 
-    /// Admits a session and leases its resources; blocks or fails per the
-    /// governor's admission policy.
-    fn open_core(&self, tenant: &str, requested_bytes: usize) -> io::Result<SessionCore> {
+    /// Admits a session (blocking or failing per the governor's admission
+    /// policy), leases its spill directory, and builds its engine from the
+    /// base config with the leased budget handle and directory wired in.
+    /// With `faults`, the engine spills through a fault-injecting view of
+    /// the shared I/O backend; the decorator is per *handle*, so a faulted
+    /// session cannot leak faults (or broken state) into its neighbors.
+    fn open<E: SessionEngine>(
+        &self,
+        tenant: &str,
+        requested_bytes: usize,
+        faults: Option<FaultPlan>,
+        engine: impl FnOnce(StreamConfig, SpillIoHandle) -> E,
+    ) -> io::Result<Session<E>> {
         let lease = self.governor.admit(tenant, requested_bytes)?;
         let id = self.session_seq.fetch_add(1, Ordering::Relaxed);
         let dir = self.spill.lease(id)?;
         if obs::enabled() {
             m().sessions_opened.incr();
         }
-        Ok(SessionCore {
-            id,
-            tenant: tenant.to_string(),
-            lease,
-            dir,
-            charged: 0,
-            failed: false,
-            opened: Instant::now(),
-        })
-    }
-
-    /// The session's view of the shared spill I/O backend — the clean
-    /// pool, or a fault-injecting decorator over it.  The decorator is
-    /// per *handle*, so a faulted session cannot leak faults (or broken
-    /// state) into its neighbors.
-    fn session_io(&self, core: &SessionCore, faults: Option<FaultPlan>) -> SpillIoHandle {
-        let io = core.dir.io().clone();
-        match faults {
-            Some(plan) => io.with_faults(plan),
-            None => io,
-        }
-    }
-
-    /// The session's engine config: the base template with the leased
-    /// budget handle and private spill directory wired in.
-    fn session_config(&self, core: &SessionCore) -> StreamConfig {
         let mut cfg = self.base.clone();
-        cfg.memory_budget_bytes = core.lease.handle().get();
-        cfg.budget = Some(core.lease.handle());
-        cfg.spill_dir = Some(core.dir.path().to_path_buf());
-        cfg
+        cfg.memory_budget_bytes = lease.handle().get();
+        cfg.budget = Some(lease.handle());
+        cfg.spill_dir = Some(dir.path().to_path_buf());
+        let io = match faults {
+            Some(plan) => dir.io().with_faults(plan),
+            None => dir.io().clone(),
+        };
+        Ok(Session {
+            engine: engine(cfg, io),
+            core: SessionCore {
+                id,
+                tenant: tenant.to_string(),
+                lease,
+                dir,
+                charged: 0,
+                failed: false,
+                opened: Instant::now(),
+            },
+        })
     }
 
     /// Opens a sorting session over integer keys (values may be pod or
@@ -192,7 +191,12 @@ impl SortServer {
         tenant: &str,
         requested_bytes: usize,
     ) -> io::Result<SortSession<K, V>> {
-        self.open_sort_inner(tenant, requested_bytes, None)
+        self.open(
+            tenant,
+            requested_bytes,
+            None,
+            StreamSorter::with_config_and_io,
+        )
     }
 
     /// [`open_sort`](Self::open_sort) with a deterministic [`FaultPlan`]
@@ -206,19 +210,12 @@ impl SortServer {
         requested_bytes: usize,
         plan: FaultPlan,
     ) -> io::Result<SortSession<K, V>> {
-        self.open_sort_inner(tenant, requested_bytes, Some(plan))
-    }
-
-    fn open_sort_inner<K: IntegerKey, V: SpillValue>(
-        &self,
-        tenant: &str,
-        requested_bytes: usize,
-        faults: Option<FaultPlan>,
-    ) -> io::Result<SortSession<K, V>> {
-        let core = self.open_core(tenant, requested_bytes)?;
-        let io = self.session_io(&core, faults);
-        let sorter = StreamSorter::with_config_and_io(self.session_config(&core), io);
-        Ok(SortSession { sorter, core })
+        self.open(
+            tenant,
+            requested_bytes,
+            Some(plan),
+            StreamSorter::with_config_and_io,
+        )
     }
 
     /// Opens a streaming group-by session.
@@ -228,32 +225,9 @@ impl SortServer {
         agg: G,
         requested_bytes: usize,
     ) -> io::Result<GroupSession<K, G>> {
-        self.open_group_inner(tenant, agg, requested_bytes, None)
-    }
-
-    /// [`open_group`](Self::open_group) with a session-scoped
-    /// [`FaultPlan`] (see [`open_sort_with_faults`](Self::open_sort_with_faults)).
-    pub fn open_group_with_faults<K: IntegerKey, G: Aggregator>(
-        &self,
-        tenant: &str,
-        agg: G,
-        requested_bytes: usize,
-        plan: FaultPlan,
-    ) -> io::Result<GroupSession<K, G>> {
-        self.open_group_inner(tenant, agg, requested_bytes, Some(plan))
-    }
-
-    fn open_group_inner<K: IntegerKey, G: Aggregator>(
-        &self,
-        tenant: &str,
-        agg: G,
-        requested_bytes: usize,
-        faults: Option<FaultPlan>,
-    ) -> io::Result<GroupSession<K, G>> {
-        let core = self.open_core(tenant, requested_bytes)?;
-        let io = self.session_io(&core, faults);
-        let gb = StreamGroupBy::with_config_and_io(agg, self.session_config(&core), io);
-        Ok(GroupSession { gb, core })
+        self.open(tenant, requested_bytes, None, |cfg, io| {
+            StreamGroupBy::with_config_and_io(agg, cfg, io)
+        })
     }
 
     /// Opens a sorting session over string keys (`String` / `Vec<u8>`).
@@ -262,37 +236,93 @@ impl SortServer {
         tenant: &str,
         requested_bytes: usize,
     ) -> io::Result<StringSortSession<K, V>> {
-        self.open_string_sort_inner(tenant, requested_bytes, None)
-    }
-
-    /// [`open_string_sort`](Self::open_string_sort) with a session-scoped
-    /// [`FaultPlan`] (see [`open_sort_with_faults`](Self::open_sort_with_faults)).
-    pub fn open_string_sort_with_faults<K: StringKey, V: SpillValue>(
-        &self,
-        tenant: &str,
-        requested_bytes: usize,
-        plan: FaultPlan,
-    ) -> io::Result<StringSortSession<K, V>> {
-        self.open_string_sort_inner(tenant, requested_bytes, Some(plan))
-    }
-
-    fn open_string_sort_inner<K: StringKey, V: SpillValue>(
-        &self,
-        tenant: &str,
-        requested_bytes: usize,
-        faults: Option<FaultPlan>,
-    ) -> io::Result<StringSortSession<K, V>> {
-        let core = self.open_core(tenant, requested_bytes)?;
-        let io = self.session_io(&core, faults);
-        let sorter = StringStreamSorter::with_config_and_io(self.session_config(&core), io);
-        Ok(StringSortSession { sorter, core })
+        self.open(
+            tenant,
+            requested_bytes,
+            None,
+            StringStreamSorter::with_config_and_io,
+        )
     }
 }
 
-/// The leases + accounting every session kind shares.  Dropping it ends
-/// the session: the budget returns to the governor's pool (waking queued
-/// admissions), the spill subdirectory is removed, and the session's
-/// open-to-end latency is recorded.
+/// What a [`Session`] needs from the streaming engine it wraps.
+/// Implemented for [`StreamSorter`], [`StreamGroupBy`] and
+/// [`StringStreamSorter`].
+pub trait SessionEngine {
+    /// Key of a pushed record.
+    type Key;
+    /// Value of a pushed record.
+    type Value;
+    /// One record of the finished output.
+    type Item;
+    /// The engine's counters.
+    type Stats;
+    /// The finished, streaming output.
+    type Stream: Iterator<Item = Self::Item>;
+
+    fn push(&mut self, records: &[(Self::Key, Self::Value)]) -> io::Result<()>;
+    fn push_record(&mut self, key: Self::Key, value: Self::Value) -> io::Result<()>;
+    fn shrink_to_budget(&mut self) -> io::Result<()>;
+    fn flush_spills(&mut self) -> io::Result<()>;
+    fn stats(&self) -> &Self::Stats;
+    /// Durable spill bytes so far (the amount charged to the disk quota).
+    fn spilled_bytes(&self) -> u64;
+    fn finish(self) -> io::Result<Self::Stream>;
+    fn finish_vec(self) -> io::Result<Vec<Self::Item>>;
+}
+
+macro_rules! session_engine {
+    ([$($params:tt)*] $engine:ty, $key:ty, $value:ty, $item:ty, $stats:ty, $stream:ty) => {
+        impl<$($params)*> SessionEngine for $engine {
+            type Key = $key;
+            type Value = $value;
+            type Item = $item;
+            type Stats = $stats;
+            type Stream = $stream;
+
+            fn push(&mut self, records: &[($key, $value)]) -> io::Result<()> {
+                <$engine>::push(self, records)
+            }
+            fn push_record(&mut self, key: $key, value: $value) -> io::Result<()> {
+                <$engine>::push_record(self, key, value)
+            }
+            fn shrink_to_budget(&mut self) -> io::Result<()> {
+                <$engine>::shrink_to_budget(self)
+            }
+            fn flush_spills(&mut self) -> io::Result<()> {
+                <$engine>::flush_spills(self)
+            }
+            fn stats(&self) -> &$stats {
+                <$engine>::stats(self)
+            }
+            fn spilled_bytes(&self) -> u64 {
+                <$engine>::stats(self).spilled_bytes
+            }
+            fn finish(self) -> io::Result<$stream> {
+                <$engine>::finish(self)
+            }
+            fn finish_vec(self) -> io::Result<Vec<$item>> {
+                <$engine>::finish_vec(self)
+            }
+        }
+    };
+}
+
+session_engine!([K: IntegerKey, V: SpillValue] StreamSorter<K, V>, K, V, (K, V), StreamStats, SortedStream<K, V>);
+session_engine!([K: IntegerKey, G: Aggregator] StreamGroupBy<K, G>, K, G::Input, (K, G::Acc), GroupByStats, GroupedStream<K, G>);
+session_engine!([K: StringKey, V: SpillValue] StringStreamSorter<K, V>, K, V, (K, V), StreamStats, StringSortedStream<K, V>);
+
+/// A sorting session over integer keys.
+pub type SortSession<K, V> = Session<StreamSorter<K, V>>;
+/// A streaming group-by session.
+pub type GroupSession<K, G> = Session<StreamGroupBy<K, G>>;
+/// A sorting session over string keys.
+pub type StringSortSession<K, V> = Session<StringStreamSorter<K, V>>;
+
+/// The leases + accounting of one session.  Dropping it ends the session:
+/// the budget returns to the governor's pool (waking queued admissions),
+/// the spill subdirectory is removed, and the session's open-to-end
+/// latency is recorded.
 struct SessionCore {
     id: u64,
     tenant: String,
@@ -325,9 +355,11 @@ impl SessionCore {
         SessionError::new(self.id, self.tenant.clone(), source).into_io()
     }
 
-    /// Charges the growth of the engine's durable spill bytes against the
+    /// Routes an engine call's outcome through the quarantine, then
+    /// charges the growth of the engine's durable spill bytes against the
     /// shared disk quota.
-    fn charge_spill(&mut self, spilled_bytes: u64) -> io::Result<()> {
+    fn settle(&mut self, result: io::Result<()>, spilled_bytes: u64) -> io::Result<()> {
+        result.map_err(|e| self.fail(e))?;
         if spilled_bytes > self.charged {
             if let Err(e) = self.dir.charge(spilled_bytes - self.charged) {
                 return Err(self.fail(e));
@@ -346,37 +378,35 @@ impl Drop for SessionCore {
     }
 }
 
-/// A sorting session: a [`StreamSorter`] bound to its leases.
-pub struct SortSession<K: IntegerKey, V: SpillValue> {
-    sorter: StreamSorter<K, V>,
+/// One session: a streaming engine bound to its leases.  Every engine call
+/// that can fail goes through the session's quarantine — an I/O failure
+/// comes back as a [`SessionError`] with the source kind preserved, and
+/// sibling sessions on the shared backend are unaffected — and every call
+/// that can spill charges the new durable bytes to the disk quota.
+pub struct Session<E: SessionEngine> {
+    engine: E,
     core: SessionCore,
 }
 
-impl<K: IntegerKey, V: SpillValue> SortSession<K, V> {
-    /// Appends a batch; spilled bytes are charged to the disk quota.  An
-    /// I/O failure quarantines *this* session (the error comes back as a
-    /// [`SessionError`] with the source kind preserved); sibling sessions
-    /// on the shared backend are unaffected.
-    pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
-        if let Err(e) = self.sorter.push(records) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)
+impl<E: SessionEngine> Session<E> {
+    /// Appends a batch.
+    pub fn push(&mut self, records: &[(E::Key, E::Value)]) -> io::Result<()> {
+        let result = self.engine.push(records);
+        self.core.settle(result, self.engine.spilled_bytes())
     }
 
     /// Appends one record.
-    pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
-        if let Err(e) = self.sorter.push_record(key, value) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)
+    pub fn push_record(&mut self, key: E::Key, value: E::Value) -> io::Result<()> {
+        let result = self.engine.push_record(key, value);
+        self.core.settle(result, self.engine.spilled_bytes())
     }
 
     /// Applies a shrunk grant right now (see
     /// [`StreamSorter::shrink_to_budget`]); `push` re-checks per chunk
     /// anyway.
     pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.sorter.shrink_to_budget()
+        let result = self.engine.shrink_to_budget();
+        self.core.settle(result, self.engine.spilled_bytes())
     }
 
     /// The session's current grant in bytes (live: may shrink).
@@ -384,19 +414,23 @@ impl<K: IntegerKey, V: SpillValue> SortSession<K, V> {
         self.core.lease.granted_bytes()
     }
 
-    /// Engine counters (see [`StreamStats`]).
-    pub fn stats(&self) -> &StreamStats {
-        self.sorter.stats()
+    /// Engine counters ([`StreamStats`] or [`GroupByStats`]).
+    pub fn stats(&self) -> &E::Stats {
+        self.engine.stats()
     }
 
-    /// Finishes the sort; the leases ride inside the returned stream and
+    /// Settles the in-flight spills so every durable byte is charged
+    /// before the engine is consumed.
+    fn flush(&mut self) -> io::Result<()> {
+        let result = self.engine.flush_spills();
+        self.core.settle(result, self.engine.spilled_bytes())
+    }
+
+    /// Finishes the engine; the leases ride inside the returned stream and
     /// are released when it drops.
-    pub fn finish(mut self) -> io::Result<SessionStream<K, V>> {
-        if let Err(e) = self.sorter.flush_spills() {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)?;
-        match self.sorter.finish() {
+    pub fn finish(mut self) -> io::Result<SessionStream<E>> {
+        self.flush()?;
+        match self.engine.finish() {
             Ok(inner) => Ok(SessionStream {
                 inner,
                 _core: self.core,
@@ -405,27 +439,23 @@ impl<K: IntegerKey, V: SpillValue> SortSession<K, V> {
         }
     }
 
-    /// [`SortSession::finish`], materialized via the parallel merge.
-    pub fn finish_vec(mut self) -> io::Result<Vec<(K, V)>> {
-        if let Err(e) = self.sorter.flush_spills() {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)?;
-        self.sorter.finish_vec().map_err(|e| self.core.fail(e))
+    /// Finishes into a vector (the sorters merge in parallel).
+    pub fn finish_vec(mut self) -> io::Result<Vec<E::Item>> {
+        self.flush()?;
+        self.engine.finish_vec().map_err(|e| self.core.fail(e))
     }
 }
 
-/// Sorted output of a [`SortSession`]; holds the session's leases until
-/// dropped.
-pub struct SessionStream<K: IntegerKey, V: SpillValue> {
-    inner: SortedStream<K, V>,
+/// Output of a [`Session`]; holds the session's leases until dropped.
+pub struct SessionStream<E: SessionEngine> {
+    inner: E::Stream,
     _core: SessionCore,
 }
 
-impl<K: IntegerKey, V: SpillValue> Iterator for SessionStream<K, V> {
-    type Item = (K, V);
+impl<E: SessionEngine> Iterator for SessionStream<E> {
+    type Item = E::Item;
 
-    fn next(&mut self) -> Option<(K, V)> {
+    fn next(&mut self) -> Option<E::Item> {
         self.inner.next()
     }
 
@@ -434,157 +464,7 @@ impl<K: IntegerKey, V: SpillValue> Iterator for SessionStream<K, V> {
     }
 }
 
-impl<K: IntegerKey, V: SpillValue> ExactSizeIterator for SessionStream<K, V> {}
-
-/// A group-by session: a [`StreamGroupBy`] bound to its leases.
-pub struct GroupSession<K: IntegerKey, G: Aggregator> {
-    gb: StreamGroupBy<K, G>,
-    core: SessionCore,
-}
-
-impl<K: IntegerKey, G: Aggregator> GroupSession<K, G> {
-    /// Appends a batch; failures quarantine this session only (see
-    /// [`SortSession::push`]).
-    pub fn push(&mut self, records: &[(K, G::Input)]) -> io::Result<()> {
-        if let Err(e) = self.gb.push(records) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.gb.stats().spilled_bytes)
-    }
-
-    pub fn push_record(&mut self, key: K, value: G::Input) -> io::Result<()> {
-        if let Err(e) = self.gb.push_record(key, value) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.gb.stats().spilled_bytes)
-    }
-
-    /// See [`StreamGroupBy::shrink_to_budget`].
-    pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.gb.shrink_to_budget()
-    }
-
-    /// The session's current grant in bytes (live: may shrink).
-    pub fn granted_bytes(&self) -> usize {
-        self.core.lease.granted_bytes()
-    }
-
-    /// Engine counters (see [`GroupByStats`]).
-    pub fn stats(&self) -> &GroupByStats {
-        self.gb.stats()
-    }
-
-    /// Finishes the group-by; leases ride inside the returned stream.
-    pub fn finish(mut self) -> io::Result<GroupSessionStream<K, G>> {
-        if let Err(e) = self.gb.flush_spills() {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.gb.stats().spilled_bytes)?;
-        match self.gb.finish() {
-            Ok(inner) => Ok(GroupSessionStream {
-                inner,
-                _core: self.core,
-            }),
-            Err(e) => Err(self.core.fail(e)),
-        }
-    }
-
-    pub fn finish_vec(self) -> io::Result<Vec<(K, G::Acc)>> {
-        Ok(self.finish()?.collect())
-    }
-}
-
-/// Grouped output of a [`GroupSession`]; holds the session's leases until
-/// dropped.
-pub struct GroupSessionStream<K: IntegerKey, G: Aggregator> {
-    inner: GroupedStream<K, G>,
-    _core: SessionCore,
-}
-
-impl<K: IntegerKey, G: Aggregator> Iterator for GroupSessionStream<K, G> {
-    type Item = (K, G::Acc);
-
-    fn next(&mut self) -> Option<(K, G::Acc)> {
-        self.inner.next()
-    }
-}
-
-/// A string-keyed sorting session: a [`StringStreamSorter`] bound to its
-/// leases.
-pub struct StringSortSession<K: StringKey, V: SpillValue> {
-    sorter: StringStreamSorter<K, V>,
-    core: SessionCore,
-}
-
-impl<K: StringKey, V: SpillValue> StringSortSession<K, V> {
-    /// Appends a batch; failures quarantine this session only (see
-    /// [`SortSession::push`]).
-    pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
-        if let Err(e) = self.sorter.push(records) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)
-    }
-
-    pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
-        if let Err(e) = self.sorter.push_record(key, value) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)
-    }
-
-    /// See [`StringStreamSorter::shrink_to_budget`].
-    pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.sorter.shrink_to_budget()
-    }
-
-    /// The session's current grant in bytes (live: may shrink).
-    pub fn granted_bytes(&self) -> usize {
-        self.core.lease.granted_bytes()
-    }
-
-    pub fn stats(&self) -> &StreamStats {
-        self.sorter.stats()
-    }
-
-    /// Finishes the sort; leases ride inside the returned stream.
-    pub fn finish(mut self) -> io::Result<StringSessionStream<K, V>> {
-        if let Err(e) = self.sorter.flush_spills() {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)?;
-        match self.sorter.finish() {
-            Ok(inner) => Ok(StringSessionStream {
-                inner,
-                _core: self.core,
-            }),
-            Err(e) => Err(self.core.fail(e)),
-        }
-    }
-
-    pub fn finish_vec(self) -> io::Result<Vec<(K, V)>> {
-        Ok(self.finish()?.collect())
-    }
-}
-
-/// Sorted output of a [`StringSortSession`]; holds the session's leases
-/// until dropped.
-pub struct StringSessionStream<K: StringKey, V: SpillValue> {
-    inner: StringSortedStream<K, V>,
-    _core: SessionCore,
-}
-
-impl<K: StringKey, V: SpillValue> Iterator for StringSessionStream<K, V> {
-    type Item = (K, V);
-
-    fn next(&mut self) -> Option<(K, V)> {
-        self.inner.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
+impl<E: SessionEngine> ExactSizeIterator for SessionStream<E> where E::Stream: ExactSizeIterator {}
 
 #[cfg(test)]
 mod tests {

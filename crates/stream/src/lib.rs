@@ -73,8 +73,11 @@
 //! bounded deterministic backoff before any of that
 //! ([`dtsort::SpillRetryPolicy`]), and errors that survive the retries
 //! are typed [`SpillError`]s naming the run file, run index and bytes
-//! attempted.  [`dtsort::StreamConfig::synchronous_spill`] turns the
-//! whole stage off (the reference behavior for the differential tests).
+//! attempted.  [`dtsort::StreamConfig::spill_pipeline_depth`] `= 0`
+//! writes every run inline on the pushing thread — the path probation
+//! takes, and the reference behavior for the differential tests.  The
+//! crate-private `spiller` module owns this whole lifecycle once for both
+//! engines.
 //!
 //! ## Spill I/O backends
 //!
@@ -172,6 +175,7 @@ mod obs_tests;
 mod pipeline;
 mod sorter;
 mod spill;
+mod spiller;
 mod spillio;
 mod strkey;
 

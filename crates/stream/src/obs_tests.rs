@@ -101,7 +101,7 @@ fn pipelined_spill_trace_shows_sort_write_overlap() {
         ..StreamConfig::default()
     };
     let mut sorter: StreamSorter<u64, SlowValue> = StreamSorter::with_config(cfg);
-    let capacity = sorter.run_capacity;
+    let capacity = sorter.core.run_capacity;
     // Start from a clean slate so the assertions below only see this
     // sorter's spans (concurrent tests may add spans, never remove ours).
     let _ = obs::drain_spans();
@@ -159,7 +159,7 @@ fn backpressure_spans_and_histogram_agree() {
         ..StreamConfig::default()
     };
     let mut sorter: StreamSorter<u64, SlowValue> = StreamSorter::with_config(cfg);
-    let capacity = sorter.run_capacity;
+    let capacity = sorter.core.run_capacity;
     let _ = obs::drain_spans();
     // Enough runs that submission outpaces the delayed writer and blocks
     // on the bounded channel at least once.

@@ -1,15 +1,14 @@
 //! The bounded-memory streaming sorter.
 
-use crate::pipeline::{PrefetchSource, RunPrefetcher, SpillPipeline};
+use crate::pipeline::{PrefetchSource, RunPrefetcher};
 use crate::spill::{
-    per_run_reader_budget, var_payload_bytes, var_payload_should_spill, with_transient_retry,
-    wrap_spill_err, write_run_with_retry, PodValue, RunReader, SpillSpace, SpillValue, SpilledRun,
-    VarValue,
+    per_run_reader_budget, with_transient_retry, wrap_spill_err, PodValue, RunReader, SpillValue,
+    SpilledRun, VarValue,
 };
+use crate::spiller::{RunBuilder, RunMerge, Spiller};
 use crate::spillio::SpillIoHandle;
 use dtsort::{sort_run_pairs_with, IntegerKey, RunReport, SortConfig, SpillIoMode, StreamConfig};
-use parlay::kway::{kway_merge_into, BlockSource, LoserTree, RunSource};
-use std::collections::VecDeque;
+use parlay::kway::{kway_merge_into, BlockSource, RunSource};
 use std::io;
 use std::marker::PhantomData;
 
@@ -67,8 +66,8 @@ pub struct StreamStats {
     /// Whether the spill counters are exact right now: `false` while runs
     /// are in flight to the background spill writer (their bytes are not
     /// yet in `spilled_runs` / `spilled_bytes`), `true` once reconciliation
-    /// has caught up.  Always `true` under
-    /// [`StreamConfig::synchronous_spill`];
+    /// has caught up.  Always `true` with
+    /// [`StreamConfig::spill_pipeline_depth`] `= 0`;
     /// [`StreamSorter::flush_spills`] forces it back to `true`.
     pub is_settled: bool,
 }
@@ -126,50 +125,63 @@ impl Default for StreamStats {
 /// assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0));
 /// ```
 pub struct StreamSorter<K: IntegerKey, V: SpillValue = ()> {
-    cfg: StreamConfig,
-    /// The spill I/O backend every read and write goes through
-    /// ([`dtsort::StreamConfig::spill_io`]); possibly shared with sibling
-    /// engines by [`StreamSorter::with_config_and_io`].
-    io: SpillIoHandle,
-    pub(crate) run_capacity: usize,
-    buffer: Vec<(K, V)>,
-    /// Spilled payload bytes currently buffered (tracked only for
-    /// variable-length values; always 0 on the pod path).
-    buffered_value_bytes: usize,
-    runs: Vec<SpilledRun>,
-    /// Sorted runs whose spill write failed, reclaimed with their records
-    /// intact (in run order): retried by the next spill, merged from
-    /// memory by `finish` otherwise.
-    pending_runs: VecDeque<Vec<(K, V)>>,
-    /// Records currently in flight to the spill-writer thread.
-    in_flight_records: usize,
-    /// Runs currently in flight to the spill-writer thread.
-    in_flight_runs: usize,
-    /// Distinct name counter for synchronously written run files (the
-    /// pipelined writer numbers its own `run-p*` namespace).
-    sync_run_seq: usize,
-    /// `Some(n)` after a writer-side error surfaced: the sorter is on
-    /// *probation*, spilling synchronously (the error path converges onto
-    /// one code path) until `n` more clean synchronous spills have
-    /// succeeded, after which pipelining is re-enabled
-    /// ([`dtsort::SpillRetryPolicy::probation_spills`]).  `None` while
-    /// pipelining is allowed.
-    degraded: Option<u32>,
+    pub(crate) core: Spiller<SortRuns<K, V>>,
+}
+
+/// The sorter's half of the spill lifecycle: a full buffer becomes a run
+/// by a stable DovetailSort seeded with the heavy keys the previous run
+/// confirmed.
+pub(crate) struct SortRuns<K, V> {
+    carry: Vec<u64>,
     /// Runs sorted so far (labels the `sort_run` trace spans).
     runs_sorted: usize,
-    /// Pipeline incarnations started so far.  Each gets its own run-file
-    /// namespace (`run-p{generation}-NNNNNN.bin`), so a pipeline restarted
-    /// after probation cannot collide with a previous incarnation's files.
-    pipeline_generation: usize,
-    carry: Vec<u64>,
-    // Field order matters: the pipeline must drop (joining its writer)
-    // before the spill space deletes the directory under it.
-    pipeline: Option<SpillPipeline<K, V>>,
-    space: Option<SpillSpace>,
-    stats: StreamStats,
-    /// Scoped obs enable for [`StreamConfig::trace`]; transferred to the
-    /// finished stream so recording covers the merge drain too.
-    trace_guard: Option<obs::EnableGuard>,
+    _records: PhantomData<fn() -> (K, V)>,
+}
+
+impl<K: IntegerKey, V: SpillValue> RunBuilder for SortRuns<K, V> {
+    type Key = K;
+    type Value = V;
+    type RunKey = K;
+    type RunValue = V;
+    type Stats = StreamStats;
+    const FILE_STEM: &'static str = "run";
+
+    fn run_capacity(cfg: &StreamConfig) -> usize {
+        cfg.run_capacity(std::mem::size_of::<(K, V)>())
+    }
+
+    /// Sorts the buffer in place, updates the carry from the sort's
+    /// report, and hands the sorted buffer over as the run (`out` becomes
+    /// the new buffer).
+    fn build_run(
+        &mut self,
+        cfg: &StreamConfig,
+        run_capacity: usize,
+        buffer: &mut Vec<(K, V)>,
+        out: Vec<(K, V)>,
+        stats: &mut StreamStats,
+    ) -> Vec<(K, V)> {
+        let traced = obs::enabled() && !buffer.is_empty();
+        let start = traced.then(std::time::Instant::now);
+        let report = {
+            let _span = traced.then(|| obs::span!("sort_run", run = self.runs_sorted));
+            V::sort_spill_run(buffer, &cfg.sort, &self.carry)
+        };
+        if let Some(start) = start {
+            let metrics = crate::metrics::m();
+            metrics.sort_ns.record_duration(start.elapsed());
+            metrics
+                .run_fill_pct
+                .record((buffer.len() * 100 / run_capacity.max(1)) as u64);
+        }
+        if !buffer.is_empty() {
+            self.runs_sorted += 1;
+        }
+        self.carry = report.heavy_keys;
+        self.carry.truncate(cfg.max_carried_heavy_keys);
+        stats.carried_heavy_keys = self.carry.len();
+        std::mem::replace(buffer, out)
+    }
 }
 
 impl<K: IntegerKey, V: SpillValue> Default for StreamSorter<K, V> {
@@ -194,39 +206,13 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// shares one batched worker pool (and its queue-depth budget) across
     /// every engine instead of giving each session its own pool.
     pub fn with_config_and_io(cfg: StreamConfig, io: SpillIoHandle) -> Self {
-        // Scoped, not sticky: tracing reverts when this engine (and any
-        // stream it returns) is dropped.
-        let trace_guard = cfg.trace.then(obs::scoped_enable);
-        let run_capacity = cfg.run_capacity(std::mem::size_of::<(K, V)>());
-        Self {
-            cfg,
-            io,
-            run_capacity,
-            buffer: Vec::new(),
-            buffered_value_bytes: 0,
-            runs: Vec::new(),
-            pending_runs: VecDeque::new(),
-            in_flight_records: 0,
-            in_flight_runs: 0,
-            sync_run_seq: 0,
-            degraded: None,
-            runs_sorted: 0,
-            pipeline_generation: 0,
+        let builder = SortRuns {
             carry: Vec::new(),
-            pipeline: None,
-            space: None,
-            stats: StreamStats::default(),
-            trace_guard,
-        }
-    }
-
-    /// Re-reads the budget (which a live [`dtsort::BudgetHandle`] may have
-    /// resized since the last check) into the run capacity.  Called on
-    /// every push chunk, so a shrunk grant takes effect mid-stream as an
-    /// early spill instead of an over-budget buffer.
-    fn refresh_run_capacity(&mut self) {
-        if self.cfg.budget.is_some() {
-            self.run_capacity = self.cfg.run_capacity(std::mem::size_of::<(K, V)>());
+            runs_sorted: 0,
+            _records: PhantomData,
+        };
+        Self {
+            core: Spiller::new(cfg, io, builder),
         }
     }
 
@@ -236,20 +222,17 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// chunk anyway; this hook exists for granters (e.g. a memory
     /// governor) reclaiming from a session that is idle between pushes.
     pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.refresh_run_capacity();
-        if self.should_spill() {
-            self.spill_run()?;
-        }
-        Ok(())
+        self.core.shrink_to_budget()
     }
 
     /// Total records accepted so far (buffered, in flight to the writer,
     /// pending retry, or spilled).
     pub fn len(&self) -> usize {
-        self.runs.iter().map(|r| r.len).sum::<usize>()
-            + self.in_flight_records
-            + self.pending_runs.iter().map(|r| r.len()).sum::<usize>()
-            + self.buffer.len()
+        let core = &self.core;
+        core.runs.iter().map(|r| r.len).sum::<usize>()
+            + core.in_flight_records
+            + core.pending_runs.iter().map(Vec::len).sum::<usize>()
+            + core.buffer.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -260,10 +243,7 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// those still in flight to the writer), runs pending a spill retry,
     /// plus the in-memory tail, if any records are currently buffered.
     pub fn run_count(&self) -> usize {
-        self.runs.len()
-            + self.in_flight_runs
-            + self.pending_runs.len()
-            + usize::from(!self.buffer.is_empty())
+        self.core.run_count()
     }
 
     /// Counters (spills, carried heavy keys, ...).
@@ -273,37 +253,20 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// [`StreamStats::is_settled`] tells whether they are exact right now,
     /// and [`StreamSorter::flush_spills`] makes them exact.
     pub fn stats(&self) -> &StreamStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Blocks until every run handed to the background spill writer is
     /// durable on disk, surfacing any writer-side error.  Afterwards
-    /// [`StreamSorter::stats`] is exact.  A no-op under
-    /// [`StreamConfig::synchronous_spill`].
+    /// [`StreamSorter::stats`] is exact.  A no-op with
+    /// [`StreamConfig::spill_pipeline_depth`] `= 0`.
     pub fn flush_spills(&mut self) -> io::Result<()> {
-        if let Some(pipeline) = &self.pipeline {
-            pipeline.flush();
-        }
-        self.reconcile_pipeline()
+        self.core.flush_spills()
     }
 
     /// Heavy keys (ordered-`u64` domain) carried into the next run.
     pub fn carried_heavy_keys(&self) -> &[u64] {
-        &self.carry
-    }
-
-    fn buffer_needs_spill(&self) -> bool {
-        !self.buffer.is_empty()
-            && (self.buffer.len() >= self.run_capacity
-                || var_payload_should_spill::<V>(
-                    self.buffered_value_bytes,
-                    self.cfg.effective_budget_bytes(),
-                    self.cfg.spill_shares(),
-                ))
-    }
-
-    fn should_spill(&self) -> bool {
-        !self.pending_runs.is_empty() || self.buffer_needs_spill()
+        &self.core.builder.carry
     }
 
     /// Appends a batch of records, spilling full runs to disk as needed.
@@ -314,292 +277,12 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// so a caller that treats the error as transient and keeps pushing
     /// never loses the records it already handed over.
     pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
-        let mut rest = records;
-        loop {
-            self.refresh_run_capacity();
-            if self.should_spill() {
-                if let Err(e) = self.spill_run() {
-                    // A failed spill parks its run in the pending queue,
-                    // but must not cost the caller the rest of the slice:
-                    // absorb it, then report.  The next successful spill
-                    // drains the excess.
-                    self.buffer_chunk(rest);
-                    return Err(e);
-                }
-            }
-            if rest.is_empty() {
-                return Ok(());
-            }
-            // A shrunk grant can put the buffer over the new capacity; the
-            // saturating space is then 0 and the spill above drains it on
-            // the next iteration.
-            let space = self.run_capacity.saturating_sub(self.buffer.len());
-            let take = space.min(rest.len());
-            let (chunk, tail) = rest.split_at(take);
-            self.buffer_chunk(chunk);
-            rest = tail;
-        }
-    }
-
-    /// Moves `chunk` into the run buffer, keeping byte and record
-    /// accounting exact (`records_pushed == len()` even on error paths).
-    fn buffer_chunk(&mut self, chunk: &[(K, V)]) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.buffer.extend_from_slice(chunk);
-        self.buffered_value_bytes += var_payload_bytes(chunk);
-        self.stats.records_pushed += chunk.len() as u64;
-        if obs::enabled() {
-            crate::metrics::m().records_pushed.add(chunk.len() as u64);
-        }
+        self.core.push(records)
     }
 
     /// Appends a single record (no clone of the value).
     pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
-        // Buffer the record *before* any spill attempt: on a spill error
-        // the caller's (possibly only) copy of the value is then owned by
-        // the sorter rather than dropped on the error return.
-        if V::SPILL_FIXED_SIZE.is_none() {
-            self.buffered_value_bytes += value.spill_size();
-        }
-        self.buffer.push((key, value));
-        self.stats.records_pushed += 1;
-        if obs::enabled() {
-            crate::metrics::m().records_pushed.incr();
-        }
-        self.refresh_run_capacity();
-        if self.should_spill() {
-            self.spill_run()?;
-        }
-        Ok(())
-    }
-
-    /// Sorts the buffered run (seeding detection with the carried heavy
-    /// keys) and updates the carry from its report.
-    fn sort_buffer(&mut self) {
-        let traced = obs::enabled() && !self.buffer.is_empty();
-        let start = traced.then(std::time::Instant::now);
-        let report = {
-            let _span = traced.then(|| obs::span!("sort_run", run = self.runs_sorted));
-            V::sort_spill_run(&mut self.buffer, &self.cfg.sort, &self.carry)
-        };
-        if let Some(start) = start {
-            let metrics = crate::metrics::m();
-            metrics.sort_ns.record_duration(start.elapsed());
-            metrics
-                .run_fill_pct
-                .record((self.buffer.len() * 100 / self.run_capacity.max(1)) as u64);
-        }
-        if !self.buffer.is_empty() {
-            self.runs_sorted += 1;
-        }
-        self.carry = report.heavy_keys;
-        self.carry.truncate(self.cfg.max_carried_heavy_keys);
-        self.stats.carried_heavy_keys = self.carry.len();
-    }
-
-    /// Secures the spill directory, creating it on first use.
-    fn ensure_space(&mut self) -> io::Result<()> {
-        if self.space.is_none() {
-            self.space = Some(SpillSpace::create(self.cfg.spill_dir.as_ref())?);
-        }
-        Ok(())
-    }
-
-    fn spill_run(&mut self) -> io::Result<()> {
-        // The directory is secured before the buffer is touched, so a
-        // failure here leaves every record buffered (and counted).
-        self.ensure_space()?;
-        // Runs reclaimed from a failed write are retried first, in run
-        // order, so the merge's smaller-index-wins tie rule keeps encoding
-        // push order.
-        self.retry_pending_runs()?;
-        if !self.buffer_needs_spill() {
-            return Ok(());
-        }
-        if self.cfg.synchronous_spill || self.degraded.is_some() {
-            self.sort_buffer();
-            let run = std::mem::take(&mut self.buffer);
-            self.buffered_value_bytes = 0;
-            self.write_run_sync(run)
-        } else {
-            self.spill_run_pipelined()
-        }
-    }
-
-    /// Retries runs whose earlier spill write failed (synchronously: the
-    /// pipeline is torn down by the time pending runs exist).
-    fn retry_pending_runs(&mut self) -> io::Result<()> {
-        while let Some(run) = self.pending_runs.pop_front() {
-            if let Err(e) = self.write_run_sync_inner(&run) {
-                self.pending_runs.push_front(run);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes one sorted run inline on the calling thread; on failure the
-    /// run's records are reclaimed into the pending queue.
-    fn write_run_sync(&mut self, run: Vec<(K, V)>) -> io::Result<()> {
-        if let Err(e) = self.write_run_sync_inner(&run) {
-            self.pending_runs.push_back(run);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn write_run_sync_inner(&mut self, run: &[(K, V)]) -> io::Result<()> {
-        let dir = &self.space.as_ref().expect("spill space secured").dir;
-        let path = dir.join(format!("run-s{:06}.bin", self.sync_run_seq));
-        let _span = obs::enabled().then(|| obs::span!("spill_write", run = self.sync_run_seq));
-        let spilled = match write_run_with_retry(
-            &self.io,
-            &path,
-            run,
-            self.cfg.spill_compression,
-            &self.cfg.spill_retry,
-        ) {
-            Ok(spilled) => spilled,
-            Err(e) => {
-                std::fs::remove_file(&path).ok();
-                let attempted: u64 = run.iter().map(|(_, v)| 8 + v.spill_size() as u64).sum();
-                return Err(wrap_spill_err(&path, self.sync_run_seq, attempted, e));
-            }
-        };
-        self.sync_run_seq += 1;
-        self.stats.spilled_runs += 1;
-        self.stats.spilled_bytes += spilled.bytes;
-        self.stats.spilled_raw_bytes += spilled.raw_bytes;
-        self.stats.spill_retries += spilled.retries as u64;
-        if obs::enabled() {
-            let metrics = crate::metrics::m();
-            metrics.spilled_runs.incr();
-            metrics.spilled_bytes.add(spilled.bytes);
-        }
-        self.runs.push(spilled);
-        self.note_degraded_sync();
-        Ok(())
-    }
-
-    /// One clean synchronous spill while on probation: count it, and once
-    /// [`dtsort::SpillRetryPolicy::probation_spills`] of them have
-    /// succeeded, lift the probation so the next spill restarts the
-    /// pipeline.  A no-op outside probation (including under
-    /// [`StreamConfig::synchronous_spill`], which is a choice, not a
-    /// degradation).
-    fn note_degraded_sync(&mut self) {
-        let Some(left) = self.degraded else { return };
-        self.stats.degraded_syncs += 1;
-        if obs::enabled() {
-            crate::metrics::m().degraded_syncs.incr();
-        }
-        let left = left.saturating_sub(1);
-        self.degraded = (left > 0).then_some(left);
-    }
-
-    /// Hands the sorted buffer to the background writer and keeps going
-    /// with a recycled buffer: run `N + 1` is sorted while run `N` streams
-    /// to disk.
-    fn spill_run_pipelined(&mut self) -> io::Result<()> {
-        if self.pipeline.is_none() {
-            let dir = self
-                .space
-                .as_ref()
-                .expect("spill space secured")
-                .dir
-                .clone();
-            let generation = self.pipeline_generation;
-            self.pipeline_generation += 1;
-            self.pipeline = Some(SpillPipeline::start(
-                self.io.clone(),
-                dir,
-                self.cfg.spill_pipeline_depth,
-                format!("run-p{generation}-"),
-                self.cfg.spill_compression,
-                self.cfg.spill_retry,
-            ));
-        }
-        self.sort_buffer();
-        let pipeline = self.pipeline.as_mut().expect("pipeline just started");
-        let replacement = pipeline.recycled_buffer().unwrap_or_default();
-        let run = std::mem::replace(&mut self.buffer, replacement);
-        self.buffered_value_bytes = 0;
-        self.in_flight_records += run.len();
-        self.in_flight_runs += 1;
-        // The run's bytes will not reach the spill counters until the
-        // writer confirms them durable.
-        self.stats.is_settled = false;
-        pipeline.submit(run); // blocks while the pipeline is at depth
-        self.reconcile_pipeline()
-    }
-
-    /// Accounts runs the writer has completed and surfaces any writer-side
-    /// error; on error the pipeline is torn down, its unwritten runs are
-    /// reclaimed as pending, and the sorter falls back to synchronous
-    /// spilling.
-    fn reconcile_pipeline(&mut self) -> io::Result<()> {
-        let (completed, error) = match &self.pipeline {
-            None => return Ok(()),
-            Some(p) => (p.drain_completed(), p.poll_error()),
-        };
-        self.account_completed(completed);
-        if let Some(e) = error {
-            self.teardown_pipeline();
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn account_completed(&mut self, completed: Vec<SpilledRun>) {
-        for run in completed {
-            self.in_flight_records -= run.len;
-            self.in_flight_runs -= 1;
-            self.stats.spilled_runs += 1;
-            self.stats.spilled_bytes += run.bytes;
-            self.stats.spilled_raw_bytes += run.raw_bytes;
-            self.stats.spill_retries += run.retries as u64;
-            if obs::enabled() {
-                let metrics = crate::metrics::m();
-                metrics.spilled_runs.incr();
-                metrics.spilled_bytes.add(run.bytes);
-            }
-            self.runs.push(run);
-        }
-        if self.in_flight_runs == 0 {
-            self.stats.is_settled = true;
-        }
-    }
-
-    /// Joins the writer, reclaims everything it did not write, and switches
-    /// to synchronous spilling.  Returns the writer's error if one was
-    /// still unreported.
-    fn teardown_pipeline(&mut self) -> Option<io::Error> {
-        let pipeline = self.pipeline.take()?;
-        let closed = pipeline.close();
-        self.account_completed(closed.completed);
-        for run in closed.failed {
-            self.in_flight_records -= run.len();
-            self.in_flight_runs -= 1;
-            self.pending_runs.push_back(run);
-        }
-        // Nothing is in flight any more: completed runs were accounted
-        // above and failed ones reclaimed as pending.
-        self.stats.is_settled = true;
-        // Probation, not a life sentence: spill synchronously until enough
-        // clean spills prove the fault was transient, then re-pipeline.
-        self.degraded = Some(self.cfg.spill_retry.probation_spills.max(1));
-        closed.error
-    }
-
-    /// Waits out the spill pipeline before a final merge; a writer error
-    /// that never got the chance to surface on a `push` surfaces here.
-    fn close_pipeline(&mut self) -> io::Result<()> {
-        match self.teardown_pipeline() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.core.push_record(key, value)
     }
 
     /// Finishes the sort, returning a streaming sorted iterator.
@@ -607,49 +290,20 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// The iterator holds one read buffer per spilled run (bounded by
     /// [`StreamConfig::merge_read_buffer_bytes`]) plus the final in-memory
     /// run, so its footprint stays within the configured budget no matter
-    /// how large the dataset grew.  Unless
-    /// [`StreamConfig::synchronous_spill`] is set, each spilled run is
-    /// decoded ahead of the merge ([`StreamConfig::merge_read_ahead`]), so
-    /// the loser tree pops from prefetched blocks instead of blocking on
-    /// cold reads.  Past the backend's fan-in cap (64 runs under
-    /// `Blocking`, the in-flight queue depth under `Batched`), or once the
-    /// per-run buffer share drops below 4 KiB, read-ahead falls back to
+    /// how large the dataset grew.  When [`StreamConfig::merge_read_ahead`]
+    /// resolves on, each spilled run is decoded ahead of the merge, so the
+    /// loser tree pops from prefetched blocks instead of blocking on cold
+    /// reads.  Past the backend's fan-in cap (64 runs under `Blocking`,
+    /// the in-flight queue depth under `Batched`), or once the per-run
+    /// buffer share drops below 4 KiB, read-ahead falls back to
     /// synchronous reads — [`SortedStream::read_ahead_disabled`] and
     /// [`SortedStream::prefetch_capped`] report when that happened.
-    pub fn finish(mut self) -> io::Result<SortedStream<K, V>> {
-        self.close_pipeline()?;
-        self.sort_buffer();
-        let total = self.len();
-        let (mut cursors, read_ahead_disabled, prefetch_capped) =
-            open_run_cursors::<V>(&self.runs, &self.cfg, &self.io)?;
-        for run in self.pending_runs.drain(..) {
-            let mem: Vec<(u64, V)> = run
-                .into_iter()
-                .map(|(k, v)| (k.to_ordered_u64(), v))
-                .collect();
-            cursors.push(RunCursor::from_memory(mem));
-        }
-        if !self.buffer.is_empty() {
-            let mem: Vec<(u64, V)> = self
-                .buffer
-                .drain(..)
-                .map(|(k, v)| (k.to_ordered_u64(), v))
-                .collect();
-            cursors.push(RunCursor::from_memory(mem));
-        }
+    pub fn finish(self) -> io::Result<SortedStream<K, V>> {
+        let remaining = self.len();
+        let (merge, _) = self.core.into_merge()?;
         Ok(SortedStream {
-            tree: LoserTree::new(cursors, V::spill_record_lt),
-            remaining: total,
-            read_ahead_disabled,
-            prefetch_capped,
-            // Records the merge phase as one span from here until the
-            // stream is dropped, so prefetch spans can be shown (and
-            // asserted) to overlap it.
-            _merge_span: obs::enabled().then(|| obs::span!("merge")),
-            // The scoped enable moves to the stream so the merge drain
-            // records too; it reverts when the stream drops.
-            _trace: self.trace_guard.take(),
-            _space: self.space.take(),
+            merge,
+            remaining,
             _key: PhantomData,
         })
     }
@@ -672,26 +326,27 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
         // One merge span over run loading + the parallel merge, matching
         // the span the streaming [`StreamSorter::finish`] path records.
         let _merge_span = obs::enabled().then(|| obs::span!("merge"));
-        self.close_pipeline()?;
-        self.sort_buffer();
-        if self.runs.is_empty() && self.pending_runs.is_empty() {
-            for (slot, rec) in out.iter_mut().zip(self.buffer.drain(..)) {
+        let core = &mut self.core;
+        core.close_pipeline()?;
+        let tail = core.build_run();
+        if core.runs.is_empty() && core.pending_runs.is_empty() {
+            for (slot, rec) in out.iter_mut().zip(tail) {
                 *slot = rec;
             }
             return Ok(());
         }
         let reader_budget =
-            per_run_reader_budget(self.cfg.merge_read_buffer_bytes, self.runs.len());
+            per_run_reader_budget(core.cfg.merge_read_buffer_bytes, core.runs.len());
         // Load all spilled runs back in parallel: each run is its own file,
         // so reads are independent and the deserialization fans out across
         // the pool.  Errors are surfaced after the barrier (first one wins).
         let mut results: Vec<io::Result<Vec<(K, V)>>> =
-            (0..self.runs.len()).map(|_| Ok(Vec::new())).collect();
+            (0..core.runs.len()).map(|_| Ok(Vec::new())).collect();
         {
             let cell = parlay::slice::UnsafeSliceCell::new(&mut results);
-            let runs = &self.runs;
-            let io = &self.io;
-            let retry = &self.cfg.spill_retry;
+            let runs = &core.runs;
+            let io = &core.io;
+            let retry = &core.cfg.spill_retry;
             parlay::par::parallel_for_grained(0, runs.len(), 1, &|i| {
                 // Whole-run granularity: a transient read failure anywhere
                 // in the run re-opens and re-reads it from the start.
@@ -704,14 +359,13 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
             });
         }
         let mut loaded: Vec<Vec<(K, V)>> =
-            Vec::with_capacity(self.runs.len() + self.pending_runs.len());
+            Vec::with_capacity(core.runs.len() + core.pending_runs.len());
         for res in results {
             loaded.push(res?);
         }
         // Runs reclaimed from failed writes are already in memory; they
         // follow the disk runs in run order.
-        loaded.extend(self.pending_runs.drain(..));
-        let tail = std::mem::take(&mut self.buffer);
+        loaded.extend(core.pending_runs.drain(..));
         V::merge_spill_runs_into(loaded, tail, out);
         Ok(())
     }
@@ -1000,21 +654,10 @@ impl<V: SpillValue> RunSource for RunCursor<V> {
 /// [`StreamSorter::finish`]; an I/O error in the middle of iteration
 /// panics (the spill files live in a directory this process just wrote).
 pub struct SortedStream<K: IntegerKey, V: SpillValue> {
-    tree: MergeTree<V>,
+    merge: RunMerge<V>,
     remaining: usize,
-    read_ahead_disabled: bool,
-    prefetch_capped: bool,
-    /// Open `merge` trace span; recorded when the stream is dropped.
-    _merge_span: Option<obs::SpanGuard>,
-    /// Keeps [`StreamConfig::trace`]'s scoped enable alive through the
-    /// merge drain (the span above is recorded on drop, while tracing is
-    /// still on: [`obs::SpanGuard`] captures its enable state at start).
-    _trace: Option<obs::EnableGuard>,
-    _space: Option<SpillSpace>,
     _key: PhantomData<K>,
 }
-
-type MergeTree<V> = LoserTree<RunCursor<V>, fn(&(u64, V), &(u64, V)) -> bool>;
 
 impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
     /// Whether this merge *wanted* read-ahead
@@ -1027,7 +670,7 @@ impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
     /// buffer (or the memory budget, to get fewer, larger runs) to re-arm
     /// the read-ahead.
     pub fn read_ahead_disabled(&self) -> bool {
-        self.read_ahead_disabled
+        self.merge.read_ahead_disabled
     }
 
     /// Whether read-ahead was disabled *specifically* by the fan-in cap
@@ -1035,7 +678,7 @@ impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
     /// counted by the `prefetch.capped_merges` metric).  Under `Batched`,
     /// raise [`StreamConfig::spill_io_queue_depth`] to lift the cap.
     pub fn prefetch_capped(&self) -> bool {
-        self.prefetch_capped
+        self.merge.prefetch_capped
     }
 }
 
@@ -1043,7 +686,7 @@ impl<K: IntegerKey, V: SpillValue> Iterator for SortedStream<K, V> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<(K, V)> {
-        let (key, value) = self.tree.pop()?;
+        let (key, value) = self.merge.tree.pop()?;
         self.remaining -= 1;
         Some((K::from_ordered_u64(key), value))
     }
@@ -1300,7 +943,10 @@ mod tests {
         // multi-KiB payloads exceed half the budget many times over; the
         // byte tracker must force spills anyway.
         let mut sorter: StreamSorter<u64, String> = StreamSorter::with_config(tiny_cfg(64 << 10));
-        assert!(sorter.run_capacity > 100, "premise: count would not spill");
+        assert!(
+            sorter.core.run_capacity > 100,
+            "premise: count would not spill"
+        );
         for i in 0..100u64 {
             sorter.push_record(i % 7, "z".repeat(2 << 10)).unwrap();
         }
@@ -1352,12 +998,12 @@ mod tests {
         sorter.flush_spills().unwrap();
         // After a flush nothing is in flight: every spilled run is durable
         // and counted, and the byte meter matches the files on disk.
-        assert_eq!(sorter.in_flight_records, 0);
-        assert_eq!(sorter.in_flight_runs, 0);
-        let on_disk: u64 = sorter.runs.iter().map(|r| r.bytes).sum();
+        assert_eq!(sorter.core.in_flight_records, 0);
+        assert_eq!(sorter.core.in_flight_runs, 0);
+        let on_disk: u64 = sorter.core.runs.iter().map(|r| r.bytes).sum();
         assert_eq!(sorter.stats().spilled_bytes, on_disk);
-        assert_eq!(sorter.stats().spilled_runs, sorter.runs.len());
-        for run in &sorter.runs {
+        assert_eq!(sorter.stats().spilled_runs, sorter.core.runs.len());
+        for run in &sorter.core.runs {
             assert_eq!(std::fs::metadata(&run.path).unwrap().len(), run.bytes);
         }
         let got = sorter.finish_vec().unwrap();
@@ -1384,7 +1030,7 @@ mod tests {
         };
         let record_size = std::mem::size_of::<(u64, u64)>();
         let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config(cfg);
-        let initial_capacity = sorter.run_capacity;
+        let initial_capacity = sorter.core.run_capacity;
         let rng = Rng::new(31);
         let mut pushed: Vec<(u64, u64)> = Vec::new();
         for step in 0..40usize {
@@ -1396,7 +1042,7 @@ mod tests {
                 sorter.shrink_to_budget().unwrap();
                 sorter.flush_spills().unwrap();
                 assert!(
-                    sorter.run_capacity < initial_capacity,
+                    sorter.core.run_capacity < initial_capacity,
                     "capacity must track the shrunk grant"
                 );
             }
@@ -1409,7 +1055,8 @@ mod tests {
             pushed.extend_from_slice(&batch);
             sorter.push(&batch).unwrap();
             if step >= 15 {
-                let held_bytes = (sorter.buffer.len() + sorter.in_flight_records) * record_size;
+                let held_bytes =
+                    (sorter.core.buffer.len() + sorter.core.in_flight_records) * record_size;
                 assert!(
                     held_bytes <= handle.get(),
                     "step {step}: {held_bytes} held bytes exceed the \
@@ -1446,8 +1093,8 @@ mod tests {
             b.push(cb).unwrap();
         }
         assert!(a.stats().spilled_runs > 0 && b.stats().spilled_runs > 0);
-        let dir_a = a.space.as_ref().unwrap().dir.clone();
-        let dir_b = b.space.as_ref().unwrap().dir.clone();
+        let dir_a = a.core.space.as_ref().unwrap().dir.clone();
+        let dir_b = b.core.space.as_ref().unwrap().dir.clone();
         assert_ne!(dir_a, dir_b, "two live sorters must not share a dir");
         // Dropping one sorter's finished stream (deleting its directory)
         // must leave the other's runs readable.
@@ -1554,11 +1201,12 @@ mod tests {
         // The invariant under test: a run the sorter *recorded* as spilled
         // is fully on disk — only the never-recorded run may be partial.
         let cfg = StreamConfig {
-            synchronous_spill: true,
+            spill_pipeline_depth: 0,
+            merge_read_ahead: Some(false),
             ..tiny_cfg(16 << 10)
         };
         let mut sorter: StreamSorter<u64, Grenade> = StreamSorter::with_config(cfg);
-        let capacity = sorter.run_capacity;
+        let capacity = sorter.core.run_capacity;
         // Detonate in the middle of the second run's write.
         let fuse = Arc::new(AtomicI64::new(capacity as i64 + (capacity / 2) as i64));
         let n = 4 * capacity;
@@ -1570,10 +1218,10 @@ mod tests {
         .is_err();
         assert!(panicked, "the fuse must have gone off mid-write");
         assert_eq!(sorter.stats().spilled_runs, 1, "one run recorded");
-        assert_eq!(sorter.runs.len(), 1);
+        assert_eq!(sorter.core.runs.len(), 1);
         // The recorded run reads back completely — byte size, record count
         // and payloads all intact.
-        let run = &sorter.runs[0];
+        let run = &sorter.core.runs[0];
         assert_eq!(std::fs::metadata(&run.path).unwrap().len(), run.bytes);
         let records: Vec<(u64, Grenade)> =
             RunReader::<Grenade>::open(&SpillIoHandle::blocking(), run, 4096)
@@ -1603,7 +1251,7 @@ mod tests {
         // later push or by finish — never a hang — and the failed run's
         // records must still come out of the final merge.
         let mut sorter: StreamSorter<u64, Grenade> = StreamSorter::with_config(tiny_cfg(16 << 10));
-        let capacity = sorter.run_capacity;
+        let capacity = sorter.core.run_capacity;
         let fuse = Arc::new(AtomicI64::new(capacity as i64 + (capacity / 2) as i64));
         let n = 6 * capacity;
         let mut input: Vec<(u64, Grenade)> = Vec::new();
@@ -1619,9 +1267,9 @@ mod tests {
                     // records are reclaimed, none are lost in flight, and
                     // the sorter has fallen back to synchronous spilling
                     // (which will retry the reclaimed runs).
-                    assert!(!sorter.pending_runs.is_empty(), "records reclaimed");
-                    assert_eq!(sorter.in_flight_records, 0);
-                    assert!(sorter.degraded.is_some(), "probation engaged");
+                    assert!(!sorter.core.pending_runs.is_empty(), "records reclaimed");
+                    assert_eq!(sorter.core.in_flight_records, 0);
+                    assert!(sorter.core.degraded.is_some(), "probation engaged");
                     saw_error = true;
                 }
             }
@@ -1692,12 +1340,13 @@ mod tests {
         // backend: the failing spill surfaces on a push, the run's records
         // are reclaimed, and the final merge loses nothing.
         let cfg = StreamConfig {
-            synchronous_spill: true,
+            spill_pipeline_depth: 0,
+            merge_read_ahead: Some(false),
             ..batched_cfg(16 << 10, 2, 8)
         };
         let io = SpillIoHandle::batched(2, 8);
         let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config_and_io(cfg, io.clone());
-        let capacity = sorter.run_capacity;
+        let capacity = sorter.core.run_capacity;
         let run_bytes = (capacity * 16) as u64; // flat: 8B key + 8B value
         io.inject_write_failure_after(run_bytes + run_bytes / 2);
         let n = 4 * capacity;
@@ -1733,7 +1382,7 @@ mod tests {
         let cfg = batched_cfg(16 << 10, 2, 8);
         let io = SpillIoHandle::batched(2, 8);
         let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config_and_io(cfg, io.clone());
-        let capacity = sorter.run_capacity;
+        let capacity = sorter.core.run_capacity;
         let run_bytes = (capacity * 16) as u64; // flat: 8B key + 8B value
         io.inject_write_failure_after(run_bytes + run_bytes / 2);
         let n = 24 * capacity;
@@ -1744,7 +1393,7 @@ mod tests {
                 Ok(()) => {}
                 Err(e) => {
                     assert!(e.to_string().contains("injected"), "unexpected: {e}");
-                    assert!(sorter.degraded.is_some(), "probation engaged");
+                    assert!(sorter.core.degraded.is_some(), "probation engaged");
                     saw_error = true;
                     // Heal the disk: the fault was transient after all.
                     io.clear_write_failures();
@@ -1752,15 +1401,15 @@ mod tests {
             }
         }
         assert!(saw_error, "the fused write must surface on a push");
-        let probation = sorter.cfg.spill_retry.probation_spills as u64;
+        let probation = sorter.core.cfg.spill_retry.probation_spills as u64;
         assert_eq!(
             sorter.stats().degraded_syncs,
             probation,
             "probation served exactly once, then degraded counting stopped"
         );
-        assert!(sorter.degraded.is_none(), "probation lifted");
+        assert!(sorter.core.degraded.is_none(), "probation lifted");
         assert!(
-            sorter.pipeline.is_some(),
+            sorter.core.pipeline.is_some(),
             "pipelining resumed after probation"
         );
         let got = sorter.finish_vec().unwrap();
@@ -1776,7 +1425,7 @@ mod tests {
         // blocking run of this scenario above.
         let mut sorter: StreamSorter<u64, Grenade> =
             StreamSorter::with_config(batched_cfg(16 << 10, 2, 8));
-        let capacity = sorter.run_capacity;
+        let capacity = sorter.core.run_capacity;
         let fuse = Arc::new(AtomicI64::new(capacity as i64 + (capacity / 2) as i64));
         let n = 6 * capacity;
         let mut input: Vec<(u64, Grenade)> = Vec::new();
@@ -1788,8 +1437,8 @@ mod tests {
                 Ok(()) => {}
                 Err(e) => {
                     assert!(e.to_string().contains("panicked"), "unexpected error: {e}");
-                    assert_eq!(sorter.in_flight_records, 0);
-                    assert!(sorter.degraded.is_some(), "probation engaged");
+                    assert_eq!(sorter.core.in_flight_records, 0);
+                    assert!(sorter.core.degraded.is_some(), "probation engaged");
                     saw_error = true;
                 }
             }
@@ -1857,7 +1506,7 @@ mod tests {
         sorter.push(&batch).unwrap();
         sorter.flush_spills().unwrap();
         assert!(sorter.stats().spilled_runs > 0);
-        let victim = sorter.runs[0].path.clone();
+        let victim = sorter.core.runs[0].path.clone();
         let mut bytes = std::fs::read(&victim).unwrap();
         *bytes.last_mut().unwrap() ^= 0x40;
         std::fs::write(&victim, &bytes).unwrap();

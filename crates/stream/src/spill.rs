@@ -764,30 +764,6 @@ pub(crate) fn per_run_reader_budget(total_bytes: usize, runs: usize) -> usize {
     (total_bytes / runs.max(1)).clamp(64, 8 << 20)
 }
 
-/// Whether `buffered_bytes` of variable-length payloads justify spilling a
-/// run: one budget share out of `shares`
-/// ([`dtsort::StreamConfig::spill_shares`] — the rest is sort/aggregation
-/// working space plus, when pipelining, the payload bytes of in-flight
-/// runs).  Always false for fixed-size values, whose footprint the
-/// record-count capacity already bounds.  One policy shared by the sorter
-/// and the group-by, so the two engines cannot drift.
-pub(crate) fn var_payload_should_spill<V: SpillValue>(
-    buffered_bytes: usize,
-    memory_budget_bytes: usize,
-    shares: usize,
-) -> bool {
-    V::SPILL_FIXED_SIZE.is_none() && buffered_bytes >= memory_budget_bytes / shares.max(2)
-}
-
-/// Spilled payload bytes of `chunk`, or 0 for fixed-size values (whose
-/// byte meter is never consulted).
-pub(crate) fn var_payload_bytes<K, V: SpillValue>(chunk: &[(K, V)]) -> usize {
-    if V::SPILL_FIXED_SIZE.is_some() {
-        return 0;
-    }
-    chunk.iter().map(|(_, v)| v.spill_size()).sum()
-}
-
 /// Buffered sequential reader over one spilled run, decoding either
 /// encoding transparently (the merge and the prefetcher never see block
 /// boundaries).

@@ -8,8 +8,8 @@
 //! * [`SpillIoMode::Blocking`] — today's code path, byte-for-byte: a
 //!   `BufWriter` over `File::create` for runs, a `BufReader` over
 //!   `File::open` for merges.  This is the differential reference, the
-//!   same role [`dtsort::StreamConfig::synchronous_spill`] plays for the
-//!   pipeline.
+//!   same role [`dtsort::StreamConfig::spill_pipeline_depth`] `= 0`
+//!   plays for the pipeline.
 //! * [`SpillIoMode::Batched`] — a fixed pool of I/O worker threads
 //!   (`spill_io_workers`) driving one bounded submission queue
 //!   (`spill_io_queue_depth`) of positioned-I/O jobs over pooled,

@@ -39,6 +39,7 @@
 use crate::groupby::{Aggregator, GroupedStream, StreamGroupBy};
 use crate::sorter::{SortedStream, StreamSorter};
 use crate::spill::{sealed::Sealed, SpillValue};
+use crate::spillio::SpillIoHandle;
 use dtsort::{string_key_prefix64, IntegerKey, RunReport, SortConfig, StreamConfig, StringKey};
 use parlay::kway::kway_merge_into;
 use std::io::{self, Read, Write};
@@ -272,16 +273,14 @@ impl<K: StringKey, V: SpillValue> StringStreamSorter<K, V> {
     }
 
     pub fn with_config(cfg: StreamConfig) -> Self {
-        Self {
-            inner: StreamSorter::with_config(cfg),
-            _key: PhantomData,
-        }
+        let io = SpillIoHandle::from_config(&cfg);
+        Self::with_config_and_io(cfg, io)
     }
 
     /// Like [`StringStreamSorter::with_config`] but spilling through the
     /// caller's (possibly shared) I/O backend; see
     /// [`crate::StreamSorter::with_config_and_io`].
-    pub fn with_config_and_io(cfg: StreamConfig, io: crate::spillio::SpillIoHandle) -> Self {
+    pub fn with_config_and_io(cfg: StreamConfig, io: SpillIoHandle) -> Self {
         Self {
             inner: StreamSorter::with_config_and_io(cfg, io),
             _key: PhantomData,
@@ -439,20 +438,14 @@ impl<K: StringKey, G: Aggregator> StringStreamGroupBy<K, G> {
     }
 
     pub fn with_config(agg: G, cfg: StreamConfig) -> Self {
-        Self {
-            inner: StreamGroupBy::with_config(StringAggAdapter(agg), cfg),
-            _key: PhantomData,
-        }
+        let io = SpillIoHandle::from_config(&cfg);
+        Self::with_config_and_io(agg, cfg, io)
     }
 
     /// Like [`StringStreamGroupBy::with_config`] but spilling through the
     /// caller's (possibly shared) I/O backend; see
     /// [`crate::StreamGroupBy::with_config_and_io`].
-    pub fn with_config_and_io(
-        agg: G,
-        cfg: StreamConfig,
-        io: crate::spillio::SpillIoHandle,
-    ) -> Self {
+    pub fn with_config_and_io(agg: G, cfg: StreamConfig, io: SpillIoHandle) -> Self {
         Self {
             inner: StreamGroupBy::with_config_and_io(StringAggAdapter(agg), cfg, io),
             _key: PhantomData,

@@ -98,7 +98,8 @@ fn cfg(base: &Path, compression: SpillCompression, synchronous: bool) -> dtsort:
     dtsort::StreamConfig {
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
-        synchronous_spill: synchronous,
+        spill_pipeline_depth: usize::from(!synchronous),
+        merge_read_ahead: synchronous.then_some(false),
         ..dtsort::StreamConfig::with_memory_budget(16 << 10)
     }
 }
@@ -387,4 +388,199 @@ fn mid_merge_read_faults_are_loud_and_clean_up() {
             assert_empty_and_remove(&base, &ctx);
         }
     }
+}
+
+/// The engine under the lifecycle model: either streaming engine behind
+/// one `(u32, u32)` push surface and one `(key, u64)` output.
+enum ModelEngine {
+    Sort(StreamSorter<u32, u32>),
+    Group(StreamGroupBy<u32, SumAgg>),
+}
+
+impl ModelEngine {
+    fn push(&mut self, records: &[(u32, u32)]) -> io::Result<()> {
+        match self {
+            ModelEngine::Sort(s) => s.push(records),
+            ModelEngine::Group(g) => {
+                let lifted: Vec<(u32, u64)> =
+                    records.iter().map(|&(k, v)| (k, u64::from(v))).collect();
+                g.push(&lifted)
+            }
+        }
+    }
+
+    fn push_record(&mut self, key: u32, value: u32) -> io::Result<()> {
+        match self {
+            ModelEngine::Sort(s) => s.push_record(key, value),
+            ModelEngine::Group(g) => g.push_record(key, u64::from(value)),
+        }
+    }
+
+    fn shrink_to_budget(&mut self) -> io::Result<()> {
+        match self {
+            ModelEngine::Sort(s) => s.shrink_to_budget(),
+            ModelEngine::Group(g) => g.shrink_to_budget(),
+        }
+    }
+
+    fn flush_spills(&mut self) -> io::Result<()> {
+        match self {
+            ModelEngine::Sort(s) => s.flush_spills(),
+            ModelEngine::Group(g) => g.flush_spills(),
+        }
+    }
+
+    /// `(records_pushed, degraded_syncs)`.
+    fn counters(&self) -> (u64, u64) {
+        match self {
+            ModelEngine::Sort(s) => (s.stats().records_pushed, s.stats().degraded_syncs),
+            ModelEngine::Group(g) => (g.stats().records_pushed, g.stats().degraded_syncs),
+        }
+    }
+
+    fn finish(self) -> io::Result<Vec<(u32, u64)>> {
+        match self {
+            ModelEngine::Sort(s) => Ok(s
+                .finish_vec()?
+                .into_iter()
+                .map(|(k, v)| (k, u64::from(v)))
+                .collect()),
+            ModelEngine::Group(g) => g.finish_vec(),
+        }
+    }
+
+    /// The reference output for everything pushed: the stable sort, or
+    /// the per-key sums in key order.
+    fn reference(&self, pushed: &[(u32, u32)]) -> Vec<(u32, u64)> {
+        match self {
+            ModelEngine::Sort(_) => {
+                let mut want: Vec<(u32, u64)> =
+                    pushed.iter().map(|&(k, v)| (k, u64::from(v))).collect();
+                want.sort_by_key(|r| r.0);
+                want
+            }
+            ModelEngine::Group(_) => {
+                let mut sums = std::collections::BTreeMap::new();
+                for &(k, v) in pushed {
+                    *sums.entry(k).or_insert(0u64) += u64::from(v);
+                }
+                sums.into_iter().collect()
+            }
+        }
+    }
+}
+
+/// Model-based test of the shared spill lifecycle: a seeded random
+/// sequence of slice pushes, single-record pushes, grant shrinks through a
+/// live [`dtsort::BudgetHandle`] and flushes, under one single-shot
+/// write-side fault, against both engines at pipeline depth 0 and 1 on
+/// both backends.  After every step the engine must agree with the model:
+/// every record handed over is counted (even on a failed step), and
+/// probation never serves more degraded synchronous spills than the
+/// injected faults can explain.  The finish is exact, or typed and clean.
+#[test]
+fn spill_lifecycle_matches_a_reference_model_under_single_faults() {
+    const WRITE_SIDE: &[FaultKind] = &[
+        FaultKind::CreateTransient,
+        FaultKind::OpenTransient,
+        FaultKind::WriteEnospc,
+        FaultKind::WriteTransient,
+        FaultKind::TornWrite,
+        FaultKind::FsyncTransient,
+    ];
+    const GRANT: usize = 16 << 10;
+    let mut injected_total = 0u64;
+    let mut step_errors = 0usize;
+    for group in [false, true] {
+        for depth in [0usize, 1] {
+            for backend in ["blocking", "batched"] {
+                for (ki, &kind) in WRITE_SIDE.iter().enumerate() {
+                    let seed = (ki as u64) << 8 | (depth as u64) << 4 | u64::from(group);
+                    let rng = parlay::random::Rng::new(0xC4A0_A000 ^ seed);
+                    let mut draws = 0u64;
+                    let mut draw = |n: u64| {
+                        draws += 1;
+                        rng.ith_in(draws, n)
+                    };
+                    let ctx = format!(
+                        "model group={group} depth={depth} backend={backend} kind={kind:?}"
+                    );
+                    let base = case_dir("model");
+                    let plan = FaultPlan::nth(kind, draw(6));
+                    let io = make_io(backend).with_faults(plan.clone());
+                    let handle = dtsort::BudgetHandle::new(GRANT);
+                    let cfg = dtsort::StreamConfig {
+                        spill_dir: Some(base.clone()),
+                        spill_pipeline_depth: depth,
+                        ..dtsort::StreamConfig::with_budget_handle(handle.clone())
+                    };
+                    let probation = u64::from(cfg.spill_retry.probation_spills);
+                    let mut engine = if group {
+                        ModelEngine::Group(StreamGroupBy::with_config_and_io(SumAgg, cfg, io))
+                    } else {
+                        ModelEngine::Sort(StreamSorter::with_config_and_io(cfg, io))
+                    };
+                    let mut pushed: Vec<(u32, u32)> = Vec::new();
+                    for step in 0..60 {
+                        let outcome = match draw(10) {
+                            0..=4 => {
+                                let from = pushed.len();
+                                for _ in 0..1 + draw(700) {
+                                    pushed.push((draw(300) as u32, pushed.len() as u32));
+                                }
+                                engine.push(&pushed[from..])
+                            }
+                            5 | 6 => {
+                                let mut result = Ok(());
+                                for _ in 0..1 + draw(40) {
+                                    let (k, v) = (draw(300) as u32, pushed.len() as u32);
+                                    pushed.push((k, v));
+                                    result = result.and(engine.push_record(k, v));
+                                }
+                                result
+                            }
+                            7 => {
+                                // Reclaim a third of the grant, or hand the
+                                // full grant back.
+                                let grant = if draw(2) == 0 {
+                                    (handle.get() * 2 / 3).max(4 << 10)
+                                } else {
+                                    GRANT
+                                };
+                                handle.set(grant);
+                                engine.shrink_to_budget()
+                            }
+                            _ => engine.flush_spills(),
+                        };
+                        if let Err(e) = outcome {
+                            assert_attributable(&e, &format!("{ctx} step={step}"));
+                            step_errors += 1;
+                        }
+                        let (records_pushed, degraded_syncs) = engine.counters();
+                        assert_eq!(
+                            records_pushed,
+                            pushed.len() as u64,
+                            "every handed-over record is counted [{ctx} step={step}]"
+                        );
+                        assert!(
+                            degraded_syncs <= probation * plan.injected(),
+                            "{degraded_syncs} degraded syncs from {} faults [{ctx} step={step}]",
+                            plan.injected()
+                        );
+                    }
+                    let want = engine.reference(&pushed);
+                    match engine.finish() {
+                        Ok(got) => assert_eq!(got, want, "finish must match the model [{ctx}]"),
+                        Err(e) => assert_attributable(&e, &ctx),
+                    }
+                    assert_empty_and_remove(&base, &ctx);
+                    injected_total += plan.injected();
+                }
+            }
+        }
+    }
+    assert!(
+        injected_total > 0,
+        "the model sweep must inject faults (step errors: {step_errors})"
+    );
 }

@@ -201,7 +201,8 @@ fn spill_cfg(
 ) -> dtsort::StreamConfig {
     dtsort::StreamConfig {
         spill_compression: compression,
-        synchronous_spill: synchronous,
+        spill_pipeline_depth: usize::from(!synchronous),
+        merge_read_ahead: synchronous.then_some(false),
         ..dtsort::StreamConfig::with_memory_budget(budget)
     }
 }

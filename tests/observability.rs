@@ -10,6 +10,7 @@
 
 use pisort::dtsort::{SortConfig, StreamConfig};
 use pisort::obs;
+use pisort::obs::MetricsSnapshot;
 use pisort::stream::{CountAgg, StreamGroupBy, StreamSorter};
 use std::sync::{Mutex, OnceLock};
 
@@ -40,60 +41,101 @@ fn input(n: u32) -> Vec<(u32, u32)> {
     (0..n).map(|i| (i.rotate_left(16), i)).collect()
 }
 
+/// Names under `prefix` of every counter and histogram that recorded
+/// something between the two snapshots.
+fn moved(before: &MetricsSnapshot, after: &MetricsSnapshot, prefix: &str) -> Vec<String> {
+    let counters = after
+        .counters
+        .iter()
+        .filter(|(name, v)| *v != before.counter(name))
+        .map(|(name, _)| name);
+    let histograms = after
+        .histograms
+        .iter()
+        .filter(|(name, h)| h.count != before.histogram(name).map_or(0, |b| b.count))
+        .map(|(name, _)| name);
+    counters
+        .chain(histograms)
+        .filter(|name| name.starts_with(prefix))
+        .cloned()
+        .collect()
+}
+
 #[test]
 fn metrics_mirror_stream_sorter_stats_exactly() {
     let _guard = obs_lock();
     obs::enable();
-    let before = obs::global().snapshot();
-    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg(true));
-    let data = input(60_000);
-    for chunk in data.chunks(997) {
-        sorter.push(chunk).unwrap();
+    for depth in [0, 1] {
+        let before = obs::global().snapshot();
+        let cfg = StreamConfig {
+            spill_pipeline_depth: depth,
+            ..spilling_cfg(true)
+        };
+        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+        let data = input(60_000);
+        for chunk in data.chunks(997) {
+            sorter.push(chunk).unwrap();
+        }
+        // Settle the pipelined writer so the inline stats are exact, then
+        // the registry deltas must match them number for number.
+        sorter.flush_spills().unwrap();
+        let stats = sorter.stats().clone();
+        assert!(stats.is_settled);
+        assert!(
+            stats.spilled_runs > 0,
+            "workload must spill [depth {depth}]"
+        );
+        let after = obs::global().snapshot();
+        let delta = |name: &str| after.counter(name) - before.counter(name);
+        assert_eq!(delta("stream.records_pushed"), stats.records_pushed);
+        assert_eq!(delta("stream.spilled_runs"), stats.spilled_runs as u64);
+        assert_eq!(delta("stream.spilled_bytes"), stats.spilled_bytes);
+        let got: Vec<(u32, u32)> = sorter.finish().unwrap().collect();
+        let mut want = data;
+        want.sort_by_key(|r| r.0);
+        assert_eq!(got, want);
+        let bleed = moved(&before, &obs::global().snapshot(), "groupby.");
+        assert!(bleed.is_empty(), "sorter moved {bleed:?} [depth {depth}]");
     }
-    // Settle the pipelined writer so the inline stats are exact, then
-    // the registry deltas must match them number for number.
-    sorter.flush_spills().unwrap();
-    let stats = sorter.stats().clone();
-    assert!(stats.is_settled);
-    assert!(stats.spilled_runs > 0, "workload must spill");
-    let after = obs::global().snapshot();
-    let delta = |name: &str| after.counter(name) - before.counter(name);
-    assert_eq!(delta("stream.records_pushed"), stats.records_pushed);
-    assert_eq!(delta("stream.spilled_runs"), stats.spilled_runs as u64);
-    assert_eq!(delta("stream.spilled_bytes"), stats.spilled_bytes);
-    let got: Vec<(u32, u32)> = sorter.finish().unwrap().collect();
-    let mut want = data;
-    want.sort_by_key(|r| r.0);
-    assert_eq!(got, want);
 }
 
 #[test]
 fn metrics_mirror_groupby_stats_exactly() {
     let _guard = obs_lock();
     obs::enable();
-    let before = obs::global().snapshot();
-    let mut gb: StreamGroupBy<u32, CountAgg> =
-        StreamGroupBy::with_config(CountAgg, spilling_cfg(true));
-    let n = 4096 * 30u32;
-    for i in 0..n {
-        gb.push_record(i % 4096, ()).unwrap();
+    for depth in [0, 1] {
+        let before = obs::global().snapshot();
+        let cfg = StreamConfig {
+            spill_pipeline_depth: depth,
+            ..spilling_cfg(true)
+        };
+        let mut gb: StreamGroupBy<u32, CountAgg> = StreamGroupBy::with_config(CountAgg, cfg);
+        let n = 4096 * 30u32;
+        for i in 0..n {
+            gb.push_record(i % 4096, ()).unwrap();
+        }
+        gb.flush_spills().unwrap();
+        let stats = gb.stats().clone();
+        assert!(stats.is_settled);
+        assert!(
+            stats.spilled_runs > 0,
+            "workload must spill [depth {depth}]"
+        );
+        let after = obs::global().snapshot();
+        let delta = |name: &str| after.counter(name) - before.counter(name);
+        assert_eq!(delta("groupby.records_pushed"), stats.records_pushed);
+        assert_eq!(delta("groupby.spilled_runs"), stats.spilled_runs as u64);
+        assert_eq!(delta("groupby.spilled_bytes"), stats.spilled_bytes);
+        assert_eq!(
+            delta("groupby.partial_aggregates"),
+            stats.partial_aggregates
+        );
+        let got: Vec<(u32, u64)> = gb.finish().unwrap().collect();
+        assert_eq!(got.len(), 4096);
+        assert!(got.iter().all(|&(_, c)| c == u64::from(n) / 4096));
+        let bleed = moved(&before, &obs::global().snapshot(), "stream.");
+        assert!(bleed.is_empty(), "group-by moved {bleed:?} [depth {depth}]");
     }
-    gb.flush_spills().unwrap();
-    let stats = gb.stats().clone();
-    assert!(stats.is_settled);
-    assert!(stats.spilled_runs > 0, "workload must spill");
-    let after = obs::global().snapshot();
-    let delta = |name: &str| after.counter(name) - before.counter(name);
-    assert_eq!(delta("groupby.records_pushed"), stats.records_pushed);
-    assert_eq!(delta("groupby.spilled_runs"), stats.spilled_runs as u64);
-    assert_eq!(delta("groupby.spilled_bytes"), stats.spilled_bytes);
-    assert_eq!(
-        delta("groupby.partial_aggregates"),
-        stats.partial_aggregates
-    );
-    let got: Vec<(u32, u64)> = gb.finish().unwrap().collect();
-    assert_eq!(got.len(), 4096);
-    assert!(got.iter().all(|&(_, c)| c == u64::from(n) / 4096));
 }
 
 #[test]
@@ -116,7 +158,8 @@ fn stats_settle_only_after_flush() {
 
     // Synchronous mode never has anything in flight.
     let cfg = StreamConfig {
-        synchronous_spill: true,
+        spill_pipeline_depth: 0,
+        merge_read_ahead: Some(false),
         ..spilling_cfg(false)
     };
     let mut sync_sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);

@@ -55,7 +55,8 @@ fn session_inputs() -> Vec<Vec<(u32, u32)>> {
 /// A small base config that spills aggressively at test sizes.
 fn base_config(synchronous: bool, codec: SpillCompression) -> StreamConfig {
     StreamConfig {
-        synchronous_spill: synchronous,
+        spill_pipeline_depth: usize::from(!synchronous),
+        merge_read_ahead: synchronous.then_some(false),
         spill_compression: codec,
         sort: SortConfig {
             base_case_threshold: 64,
@@ -321,4 +322,54 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
         0,
         "charges released"
     );
+}
+
+/// Regression: `shrink_to_budget` called the engine directly, skipping the
+/// session's quota charge and quarantine.  With synchronous spilling, a
+/// forced spill after a reclaim must be charged to the disk quota right
+/// away, and a failed one must come back as a typed [`SessionError`].
+#[test]
+fn shrink_to_budget_charges_the_quota_and_quarantines_failures() {
+    let input: Vec<(u32, u32)> = (0..3_000u32).map(|i| (i.rotate_left(13), i)).collect();
+    for faulted in [false, true] {
+        let server = SortServer::new(ServerConfig {
+            governor: GovernorConfig {
+                global_budget_bytes: 64 << 10,
+                session_floor_bytes: 8 << 10,
+                admission: AdmissionPolicy::Reject,
+            },
+            spill: SpillManagerConfig::default(),
+            base: base_config(true, SpillCompression::Off),
+        })
+        .unwrap();
+        let mut a = if faulted {
+            let plan = FaultPlan::nth(FaultKind::WriteEnospc, 0);
+            server.open_sort_with_faults::<u32, u32>("tenant-a", 64 << 10, plan)
+        } else {
+            server.open_sort::<u32, u32>("tenant-a", 64 << 10)
+        }
+        .unwrap();
+        // 3000 records fit the full 64 KiB grant without spilling.
+        a.push(&input).unwrap();
+        assert_eq!(a.stats().spilled_runs, 0);
+        // Admitting a second session halves A's grant below its buffer.
+        let _b = server.open_sort::<u32, u32>("tenant-b", 64 << 10).unwrap();
+        assert!(a.granted_bytes() < 64 << 10);
+        let shrunk = a.shrink_to_budget();
+        if faulted {
+            let err = shrunk.expect_err("the injected ENOSPC must fail the forced spill");
+            assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+            let session_err = SessionError::from_io(&err).expect("typed SessionError");
+            assert_eq!(session_err.tenant, "tenant-a");
+        } else {
+            shrunk.unwrap();
+            assert_eq!(a.stats().spilled_runs, 1, "the shrink forced a spill");
+            assert_eq!(
+                server.spill_manager().charged_bytes(),
+                a.stats().spilled_bytes,
+                "the forced spill is charged at once, not on the next push"
+            );
+            assert!(server.spill_manager().charged_bytes() > 0);
+        }
+    }
 }

@@ -52,7 +52,8 @@ fn cfg(
     dtsort::StreamConfig {
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
-        synchronous_spill: synchronous,
+        spill_pipeline_depth: usize::from(!synchronous),
+        merge_read_ahead: synchronous.then_some(false),
         spill_io: io,
         spill_io_workers: 2,
         spill_io_queue_depth: 8,
