@@ -16,7 +16,7 @@ pub struct ObsPhaseDeltas {
     pub backpressure_ns: u64,
     /// Time spent in `sync_data` making spilled runs durable.
     pub fsync_ns: u64,
-    /// Time the merge spent waiting on read-ahead prefetcher threads.
+    /// Time the merge spent waiting on read-ahead decode tasks.
     pub prefetch_stall_ns: u64,
 }
 

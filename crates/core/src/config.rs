@@ -168,13 +168,13 @@ pub enum SpillIoMode {
     /// differential tests — the same role `spill_pipeline_depth = 0` plays
     /// for the pipeline stage.
     Blocking,
-    /// A fixed pool of I/O worker threads driving a bounded
-    /// submission/completion queue over pooled, recycled buffers: writes
-    /// are positioned (`write_all_at`) chunk jobs, reads are scheduled
-    /// block decodes — so the merge's read-ahead becomes "one scheduler,
-    /// N in-flight reads" instead of one thread per run, and its fan-in
-    /// cap derives from [`StreamConfig::spill_io_queue_depth`] rather
-    /// than a thread-count limit.
+    /// Positioned-I/O jobs over pooled, recycled buffers on the spill I/O
+    /// pool's bounded submission/completion queue
+    /// ([`StreamConfig::spill_io_workers`] threads,
+    /// [`StreamConfig::spill_io_queue_depth`] slots): writes are
+    /// `write_all_at` chunk jobs fsynced on completion, reads are
+    /// double-buffered `read_exact_at` jobs.  The merge read-ahead runs on
+    /// the same pool under either backend.
     Batched,
 }
 
@@ -359,8 +359,8 @@ impl BudgetHandle {
 ///
 /// Spill I/O is **pipelined** by default: sorted runs are handed to a
 /// dedicated writer thread (so run `N + 1` is sorted while run `N` streams
-/// to disk) and the final merge reads ahead of the loser tree through
-/// bounded channels.  `spill_pipeline_depth = 0` turns the writer stage
+/// to disk) and the final merge decodes each run ahead of the loser tree
+/// on a small worker pool.  `spill_pipeline_depth = 0` turns the writer stage
 /// off and `merge_read_ahead = Some(false)` the read-ahead.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
@@ -413,16 +413,16 @@ pub struct StreamConfig {
     /// usually the worse trade.
     pub spill_pipeline_depth: usize,
     /// Prefetch decoded record blocks ahead of the final k-way merge —
-    /// one reader thread per spilled run under [`SpillIoMode::Blocking`],
-    /// decode tasks on the shared I/O workers under
-    /// [`SpillIoMode::Batched`] — bounded by the per-run share of
+    /// decode tasks on the spill I/O pool
+    /// ([`StreamConfig::spill_io_workers`] threads, whatever the run
+    /// count) under either backend — bounded by the per-run share of
     /// `merge_read_buffer_bytes`, so the loser tree never blocks on a cold
     /// read.
     ///
     /// `None` (the default) auto-tunes: read-ahead engages when the host
     /// reports more than one unit of available parallelism, because on a
-    /// single CPU the decode thread cannot run concurrently with the merge
-    /// and page-cache-warm reads make it pure overhead.  `Some(true)` /
+    /// single CPU the decode tasks cannot run concurrently with the merge
+    /// and page-cache-warm reads make them pure overhead.  `Some(true)` /
     /// `Some(false)` force it.
     pub merge_read_ahead: Option<bool>,
     /// On-disk encoding of spilled runs: [`SpillCompression::Off`] (the
@@ -435,22 +435,24 @@ pub struct StreamConfig {
     /// Backend for the spill-file reads and writes themselves:
     /// [`SpillIoMode::Blocking`] (buffered `std::fs` calls on the calling
     /// thread — the byte-for-byte reference) or [`SpillIoMode::Batched`]
-    /// (a fixed I/O-worker pool behind a bounded submission queue; see
+    /// (positioned-I/O jobs on the spill I/O pool; see
     /// [`StreamConfig::spill_io_workers`] /
     /// [`StreamConfig::spill_io_queue_depth`]).  Orthogonal to
     /// `spill_pipeline_depth`, which picks *who calls into* the backend,
     /// not how the bytes move.  Defaults from the `PISORT_SPILL_IO`
     /// environment variable ([`SpillIoMode::env_default`]).
     pub spill_io: SpillIoMode,
-    /// Number of I/O worker threads the [`SpillIoMode::Batched`] backend
-    /// runs (clamped to at least 1).  Ignored under
-    /// [`SpillIoMode::Blocking`].
+    /// Worker threads of the spill I/O pool (clamped to at least 1),
+    /// under either backend: they run the merge read-ahead's decode tasks
+    /// and, under [`SpillIoMode::Batched`], the positioned reads and
+    /// writes.  The pool starts on its first job, so an engine that never
+    /// merges with read-ahead (or spills through `Batched`) spawns none.
     pub spill_io_workers: usize,
-    /// Bound of the batched backend's submission queue: at most this many
-    /// I/O jobs may be queued or in flight at once — submitters block
-    /// (backpressure) past it — and the merge read-ahead fan-in cap is
-    /// derived from it (one scheduled read per run).  Clamped to at least
-    /// 1.  Ignored under [`SpillIoMode::Blocking`].
+    /// Bound of the spill I/O pool's submission queue (clamped to at least
+    /// 1), under either backend.  A job submitted while the queue is full
+    /// runs inline on the submitting thread instead of blocking, so this
+    /// caps queued work, not merge fan-in: runs past the depth decode on
+    /// the merging thread.
     pub spill_io_queue_depth: usize,
     /// Recovery policy for spill I/O failures: transient-kind retries
     /// with bounded deterministic backoff, and the probation window that

@@ -12,7 +12,7 @@
 /// monotone: `a < b  ⇔  a.to_ordered_u64() < b.to_ordered_u64()`.
 ///
 /// Keys are plain values (`'static`), so records can move to background
-/// spill-writer and prefetch threads in the streaming engine.
+/// spill-writer thread and read-ahead pool workers in the streaming engine.
 pub trait IntegerKey: Copy + Send + Sync + Ord + std::fmt::Debug + 'static {
     /// Number of significant bits of the key type (the `log r` of the paper).
     const BITS: u32;

@@ -3,7 +3,7 @@
 //! The paper's performance study (Section 6.3, the Theorem 4.6/4.7 checks)
 //! is entirely about *observing what the algorithm did*.  This crate is the
 //! shared substrate for that observation at runtime: every subsystem — the
-//! streaming engines, the spill pipeline, the merge prefetchers, the
+//! streaming engines, the spill pipeline, the merge read-ahead, the
 //! work-stealing pool — records into one process-wide [`MetricsRegistry`]
 //! and one span timeline, and anything (tests, benches, a future sort
 //! server) can snapshot or export them without touching the subsystems.

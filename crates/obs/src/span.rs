@@ -9,8 +9,9 @@
 //! grow without bound; each ring counts what it dropped.
 //!
 //! Rings are registered in a global list as `Arc`s, so spans recorded by
-//! short-lived threads (the spill writer, the per-run prefetchers) survive
-//! the thread's exit and still show up in [`drain_spans`].
+//! short-lived threads (the spill writer, the spill I/O pool workers that
+//! run the merge read-ahead) survive the thread's exit and still show up
+//! in [`drain_spans`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -121,9 +121,8 @@ pub struct SortServer {
 
 impl SortServer {
     pub fn new(cfg: ServerConfig) -> io::Result<Self> {
-        // One I/O backend for the whole server: sessions share its worker
-        // pool and queue, and the spill manager re-splits the in-flight
-        // budget as sessions come and go.
+        // One I/O backend for the whole server: every session's merge
+        // read-ahead and batched I/O share its worker pool and queue.
         let io = SpillIoHandle::from_config(&cfg.base);
         Ok(Self {
             governor: MemoryGovernor::new(cfg.governor),

@@ -54,16 +54,15 @@ pub struct SpillDirManager {
     orphans_removed: usize,
     /// The server-wide spill I/O backend every session spills through.
     io: SpillIoHandle,
-    /// Live leases, for the cross-session I/O bandwidth split.
+    /// Spill-directory leases currently alive.
     live: AtomicUsize,
 }
 
 impl SpillDirManager {
     /// Creates (or adopts) the root directory and removes orphaned
     /// `session-*` subdirectories from previous processes.  All sessions
-    /// spill through the shared `io` backend: on the batched backend the
-    /// manager re-splits the in-flight read budget across live leases
-    /// ([`SpillIoHandle`]'s cross-session governor hook).
+    /// spill through the shared `io` backend, so their merges and batched
+    /// I/O share one job pool.
     pub fn new(cfg: SpillManagerConfig, io: SpillIoHandle) -> io::Result<Arc<Self>> {
         let (root, owns_root) = match cfg.root {
             Some(root) => (root, false),
@@ -127,8 +126,7 @@ impl SpillDirManager {
     pub fn lease(self: &Arc<Self>, session_id: u64) -> io::Result<SpillDirLease> {
         let path = self.root.join(format!("session-{session_id:08}"));
         std::fs::create_dir(&path)?;
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.io.rebalance_shared(live);
+        self.live.fetch_add(1, Ordering::Relaxed);
         Ok(SpillDirLease {
             manager: Arc::clone(self),
             path,
@@ -218,8 +216,7 @@ impl Drop for SpillDirLease {
     fn drop(&mut self) {
         std::fs::remove_dir_all(&self.path).ok();
         self.manager.uncharge(self.charged);
-        let live = self.manager.live.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.manager.io.rebalance_shared(live.max(1));
+        self.manager.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

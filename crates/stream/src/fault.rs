@@ -27,9 +27,9 @@
 //!
 //! Because the decorator wraps a *handle* and not the backend, fault
 //! scope is per handle: a server can give one session a faulted view of
-//! the shared batched pool while every other session keeps the clean
-//! view — which is exactly how the cross-session quarantine tests prove
-//! one tenant's disk trouble cannot leak into another's bytes.
+//! the shared backend and job pool while every other session keeps the
+//! clean view — which is exactly how the cross-session quarantine tests
+//! prove one tenant's disk trouble cannot leak into another's bytes.
 //!
 //! CI selects a plan for whole test binaries through the
 //! `PISORT_FAULT_PLAN` environment variable (`"<seed>"` or
@@ -37,7 +37,7 @@
 //! themselves and decorate their engines explicitly — constructing a
 //! handle via `from_config` never injects anything.
 
-use crate::spillio::{sealed_io, JobPool, SpillIo, SpillRead, SpillWrite};
+use crate::spillio::{sealed_io, SpillIo, SpillRead, SpillWrite};
 use dtsort::SpillIoMode;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -214,7 +214,8 @@ impl FaultPlan {
 
 /// The fault-injecting decorator over an inner [`SpillIo`] backend.
 /// Built by [`crate::spillio::SpillIoHandle::with_faults`]; shares the
-/// inner backend (pool, buffers, knobs) and only filters the data paths.
+/// inner backend (buffers, fuses) and the handle's job pool, and only
+/// filters the data paths.
 pub(crate) struct FaultIo {
     inner: Arc<dyn SpillIo>,
     plan: FaultPlan,
@@ -262,26 +263,6 @@ impl SpillIo for FaultIo {
 
     fn mode(&self) -> SpillIoMode {
         self.inner.mode()
-    }
-
-    fn max_inflight(&self) -> usize {
-        self.inner.max_inflight()
-    }
-
-    fn set_max_inflight(&self, n: usize) {
-        self.inner.set_max_inflight(n);
-    }
-
-    fn pool(&self) -> Option<JobPool> {
-        self.inner.pool()
-    }
-
-    fn workers(&self) -> usize {
-        self.inner.workers()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.inner.queue_depth()
     }
 
     fn set_write_fuse(&self, bytes: u64) {
@@ -507,12 +488,13 @@ mod tests {
 
     #[test]
     fn decorator_delegates_backend_shape() {
-        let io = SpillIoHandle::batched(3, 8).with_faults(FaultPlan::seeded(1, 1000));
-        assert_eq!(io.mode(), SpillIoMode::Batched);
-        assert!(io.pool().is_some(), "pool shared through the decorator");
-        assert_eq!(io.max_inflight(), 8);
-        io.rebalance_shared(2);
-        assert_eq!(io.max_inflight(), 4, "rebalance reaches the inner core");
-        io.rebalance_shared(1);
+        for clean in [SpillIoHandle::blocking(), SpillIoHandle::batched(3, 8)] {
+            let io = clean.with_faults(FaultPlan::seeded(1, 1000));
+            assert_eq!(io.mode(), clean.mode());
+            assert!(
+                io.pool().same_pool(clean.pool()),
+                "pool shared through the decorator"
+            );
+        }
     }
 }

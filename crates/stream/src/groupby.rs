@@ -520,12 +520,6 @@ impl<K: IntegerKey, G: Aggregator> GroupedStream<K, G> {
     pub fn read_ahead_disabled(&self) -> bool {
         self.merge.read_ahead_disabled
     }
-
-    /// Whether read-ahead was disabled specifically by the backend's
-    /// fan-in cap; see [`crate::SortedStream::prefetch_capped`].
-    pub fn prefetch_capped(&self) -> bool {
-        self.merge.prefetch_capped
-    }
 }
 
 impl<K: IntegerKey, G: Aggregator> Iterator for GroupedStream<K, G> {

@@ -58,8 +58,10 @@
 //! sorted run is handed to a dedicated **writer thread** through a
 //! bounded channel, so run `N + 1` sorts while run `N` streams to disk
 //! (fsync included — a run recorded as spilled is durably on disk), and
-//! the final merge **reads ahead** of the loser tree with one block
-//! prefetcher per spilled run.  The memory budget is split into *spill
+//! the final merge **reads ahead** of the loser tree: each spilled run's
+//! next block is decoded by a task on the spill I/O pool
+//! ([`dtsort::StreamConfig::spill_io_workers`] threads, whatever the run
+//! count).  The memory budget is split into *spill
 //! shares* ([`dtsort::StreamConfig::spill_shares`]) so in-flight runs are
 //! paid for out of the same budget; the bounded channel is the
 //! backpressure.  Writer-side errors surface on the next `push` or on
@@ -83,20 +85,18 @@
 //!
 //! All spill reads and writes go through the crate-private `SpillIo`
 //! abstraction (re-exported as the opaque [`SpillIoHandle`]), selected by
-//! [`dtsort::StreamConfig::spill_io`]:
+//! [`dtsort::StreamConfig::spill_io`].  Each handle owns one job pool of
+//! [`dtsort::StreamConfig::spill_io_workers`] threads behind a queue of
+//! [`dtsort::StreamConfig::spill_io_queue_depth`] slots, started on first
+//! use; the merge read-ahead runs on it under either backend.
 //!
 //! * [`SpillIoMode::Blocking`] (default) — buffered `File` I/O on the
 //!   calling thread, byte-for-byte the original path and the
 //!   differential reference.
-//! * [`SpillIoMode::Batched`] — a fixed pool of
-//!   [`dtsort::StreamConfig::spill_io_workers`] I/O threads behind a
-//!   submission queue bounded by
-//!   [`dtsort::StreamConfig::spill_io_queue_depth`], with pooled,
-//!   recycled transfer buffers.  Writes are chunked and submitted
-//!   asynchronously (`finish` still syncs before a run is recorded
-//!   durable), reads are double-buffered, and the merge read-ahead
-//!   becomes one scheduler with at most `queue_depth` in-flight
-//!   requests instead of one thread per run.
+//! * [`SpillIoMode::Batched`] — positioned reads and writes as jobs on
+//!   that pool, with pooled, recycled transfer buffers.  Writes are
+//!   chunked and submitted asynchronously (`finish` still syncs before a
+//!   run is recorded durable) and reads are double-buffered.
 //!
 //! Both backends produce byte-identical spill files and sorted output;
 //! the differential suites pin that equivalence.

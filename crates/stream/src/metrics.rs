@@ -1,7 +1,8 @@
 //! Registry handles for the streaming engines' metrics.
 //!
 //! One lazily initialized bundle of handles into [`obs::global`], shared
-//! by the sorter, the group-by, the spill pipeline, and the prefetchers.
+//! by the sorter, the group-by, the spill pipeline, and the read-ahead
+//! feeds.
 //! Every call site gates on [`obs::enabled`] *before* touching [`m`], so a
 //! fully disabled run never registers anything — the first `m()` call is
 //! the registration, and it only happens on an enabled path.
@@ -27,16 +28,15 @@
 //! | `spill.bytes_written` | counter | bytes through `write_run` (both engines, sync + pipelined; post-compression) |
 //! | `spill.raw_bytes` | counter | pre-compression (flat-encoding) bytes through `write_run`; the ratio against `spill.bytes_written` is the compression win |
 //! | `spill.queue_depth` | gauge | runs in flight to the writer thread |
-//! | `prefetch.refill_ns` | histogram | per-block decode latency (reader thread) |
+//! | `prefetch.refill_ns` | histogram | per-block decode latency (read-ahead task, on a pool worker or inline) |
 //! | `prefetch.stall_ns` | histogram | merge-side wait for the next block |
 //! | `prefetch.blocks_prefetched` | counter | blocks decoded ahead of the merge |
 //! | `prefetch.blocks_consumed` | counter | blocks the merge actually took |
-//! | `prefetch.disabled_merges` | counter | merges that wanted read-ahead but ran without it (fan-in above the backend's cap, or per-run budget below `MIN_PREFETCH_RUN_BUDGET`) |
-//! | `prefetch.capped_merges` | counter | merges whose read-ahead was disabled *specifically* by the fan-in cap (`MAX_PREFETCH_RUNS` for `Blocking`, the in-flight cap for `Batched`) |
-//! | `spillio.jobs` | counter | jobs submitted to the batched I/O workers |
-//! | `spillio.queue_depth` | gauge | batched I/O jobs in flight (queued + running) |
+//! | `prefetch.disabled_merges` | counter | merges that wanted read-ahead but ran without it (per-run budget below `MIN_PREFETCH_RUN_BUDGET`) |
+//! | `spillio.jobs` | counter | jobs submitted to the spill I/O pool (read-ahead decode steps, plus `Batched` pwrite/pread) |
+//! | `spillio.queue_depth` | gauge | pool jobs in flight (queued + running) |
 //! | `spillio.inline_jobs` | counter | jobs run inline by their submitter because the queue was at depth (submit never blocks) |
-//! | `spillio.complete_ns` | histogram | per-job service time on the batched I/O workers |
+//! | `spillio.complete_ns` | histogram | per-job service time on the spill I/O pool workers |
 //! | `spill.retries` | counter | transient spill-I/O failures retried (writes and merge-side reads) |
 //! | `spill.degraded_syncs` | counter | synchronous spills performed while pipelining was on probation after a failure |
 //! | `fault.injected` | counter | faults injected by an active [`crate::FaultPlan`] (zero outside chaos runs) |
@@ -68,7 +68,6 @@ pub(crate) struct StreamMetrics {
     pub blocks_prefetched: obs::Counter,
     pub blocks_consumed: obs::Counter,
     pub prefetch_disabled_merges: obs::Counter,
-    pub prefetch_capped_merges: obs::Counter,
 
     pub spillio_jobs: obs::Counter,
     pub spillio_queue_depth: obs::Gauge,
@@ -108,7 +107,6 @@ pub(crate) fn m() -> &'static StreamMetrics {
             blocks_prefetched: reg.counter("prefetch.blocks_prefetched"),
             blocks_consumed: reg.counter("prefetch.blocks_consumed"),
             prefetch_disabled_merges: reg.counter("prefetch.disabled_merges"),
-            prefetch_capped_merges: reg.counter("prefetch.capped_merges"),
             spillio_jobs: reg.counter("spillio.jobs"),
             spillio_queue_depth: reg.gauge("spillio.queue_depth"),
             spillio_inline_jobs: reg.counter("spillio.inline_jobs"),

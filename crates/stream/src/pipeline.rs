@@ -14,14 +14,13 @@
 //!   [`dtsort::StreamConfig::spill_pipeline_depth`] runs are in flight, and
 //!   each one is paid for by a budget share
 //!   ([`dtsort::StreamConfig::spill_shares`]).
-//! * [`RunPrefetcher`] — per-run **merge read-ahead** that decodes record
-//!   blocks ahead of the k-way merge through a bounded channel sized by
-//!   the per-run share of the merge read budget, so the loser tree pops
-//!   from warm memory instead of cold buffered reads.  Under the
-//!   `Blocking` spill-I/O backend this is one thread per run; under
-//!   `Batched` it is a [`BatchedFeed`] — resubmit-on-consume decode tasks
-//!   multiplexed onto the backend's fixed worker pool, so a k-way merge
-//!   needs `spill_io_workers` threads instead of k.
+//! * [`RunFeed`] — per-run **merge read-ahead** that decodes record
+//!   blocks ahead of the k-way merge in steps sized by the per-run share
+//!   of the merge read budget, so the loser tree pops from warm memory
+//!   instead of cold reads.  Decode steps are resubmit-on-consume tasks
+//!   on the spill I/O handle's job pool under either backend, so a k-way
+//!   merge needs `spill_io_workers` threads instead of k; the writer
+//!   thread above is the only thread this module spawns.
 //!
 //! ## Error and ordering contract
 //!
@@ -351,8 +350,7 @@ fn writer_loop<K: IntegerKey, V: SpillValue>(
 
 /// Decodes the next batch of records (roughly `block_bytes` of decoded
 /// payload) from `reader`; returns the batch and whether the run is now
-/// exhausted.  Shared by both read-ahead schedulers so the two backends
-/// produce identical batch streams.
+/// exhausted.
 fn decode_one_block<V: SpillValue>(
     reader: &mut RunReader<V>,
     block_bytes: usize,
@@ -385,25 +383,6 @@ fn decode_one_block<V: SpillValue>(
     Ok((block, end_of_run))
 }
 
-/// Where a merge cursor's read-ahead batches come from: a dedicated
-/// decode thread per run (`Blocking`), or resubmit-on-consume tasks on
-/// the shared batched I/O workers (`Batched`).
-pub(crate) enum PrefetchSource<V: SpillValue> {
-    Thread(Receiver<io::Result<Vec<(u64, V)>>>),
-    Batched(BatchedFeed<V>),
-}
-
-impl<V: SpillValue> PrefetchSource<V> {
-    /// The next decoded batch: `None` is clean end of run, `Some(Err)` a
-    /// read error (terminal — no further batches follow).
-    pub fn recv(&mut self) -> Option<io::Result<Vec<(u64, V)>>> {
-        match self {
-            PrefetchSource::Thread(rx) => rx.recv().ok(),
-            PrefetchSource::Batched(feed) => feed.recv(),
-        }
-    }
-}
-
 /// One message per decode task: the batch, and whether it is the run's
 /// last (error or end of run).
 struct FeedMsg<V> {
@@ -420,26 +399,49 @@ struct FeedWork<V: SpillValue> {
     index: usize,
 }
 
-/// Batched-backend read-ahead for one run: short-lived decode tasks on
-/// the shared I/O workers, **resubmitted on consume** — at most one task
-/// per run is ever in flight, and each task sends exactly one message
-/// into a capacity-1 channel, so a task never blocks a worker on its
-/// output side.  On the input side a decode step may span several read
-/// chunks; the claimable-pread discipline in `spillio.rs` services those
-/// inline on the decoding worker (and `submit` never blocks on a full
-/// queue), so a task cannot wedge the pool waiting on I/O jobs queued
-/// behind it — even with merge fan-in at or above the worker count.
-/// That is what lets a k-way merge run with `spill_io_workers` threads
-/// total where the thread scheduler needed k.
-pub(crate) struct BatchedFeed<V: SpillValue> {
+/// Read-ahead stage of the final merge for one spilled run: short-lived
+/// decode tasks on the spill I/O handle's job pool, **resubmitted on
+/// consume** — at most one task per run is ever in flight, and each task
+/// sends exactly one message into a capacity-1 channel, so a task never
+/// blocks a worker on its output side and at most ~three batches are
+/// alive per run (queued, decoding, being consumed).  On the input side a
+/// `Batched` decode step may span several read chunks; the claimable-pread
+/// discipline in `spillio.rs` services those inline on the decoding worker
+/// (and `submit` never blocks on a full queue), so a task cannot wedge
+/// the pool waiting on I/O jobs queued behind it — even with merge fan-in
+/// at or above the worker count.  A submit that finds the queue at depth
+/// runs the decode step inline on the merge thread instead, so there is
+/// no fan-in cap: past the queue depth, read-ahead degrades to
+/// synchronous decode rather than starving.
+pub(crate) struct RunFeed<V: SpillValue> {
     rx: Receiver<FeedMsg<V>>,
     state: Arc<Mutex<Option<FeedWork<V>>>>,
     pool: JobPool,
     done: bool,
 }
 
-impl<V: SpillValue> BatchedFeed<V> {
-    fn start(pool: JobPool, reader: RunReader<V>, block_bytes: usize, index: usize) -> Self {
+impl<V: SpillValue> RunFeed<V> {
+    /// Opens `run` through `io` (surfacing open-time validation errors
+    /// synchronously) and submits its first decode step.  `reader_budget`
+    /// is this run's share of the merge read budget, split so the total
+    /// stays within the share: half for the underlying buffered reader,
+    /// the rest for the decoded batches — of which up to three are alive
+    /// at once, hence sixths.  `index` is the run's position in the merge,
+    /// used only to label the `prefetch` trace spans.
+    ///
+    /// The floors below keep the reader functional without re-inflating a
+    /// small share: merges only engage read-ahead when the per-run budget
+    /// is at least [`crate::sorter::MIN_PREFETCH_RUN_BUDGET`], so the
+    /// splits here stay within the share the caller granted.
+    pub fn open(
+        io: &SpillIoHandle,
+        run: &SpilledRun,
+        reader_budget: usize,
+        index: usize,
+    ) -> io::Result<Self> {
+        let reader: RunReader<V> = RunReader::open(io, run, (reader_budget / 2).max(64))?;
+        let block_bytes = (reader_budget / 6).max(64);
+        let pool = io.pool().clone();
         let (tx, rx) = sync_channel::<FeedMsg<V>>(1);
         let state = Arc::new(Mutex::new(Some(FeedWork {
             reader,
@@ -449,15 +451,17 @@ impl<V: SpillValue> BatchedFeed<V> {
         })));
         let task_state = Arc::clone(&state);
         pool.submit(Box::new(move || pump_feed(&task_state)));
-        Self {
+        Ok(Self {
             rx,
             state,
             pool,
             done: false,
-        }
+        })
     }
 
-    fn recv(&mut self) -> Option<io::Result<Vec<(u64, V)>>> {
+    /// The next decoded batch: `None` is clean end of run, `Some(Err)` a
+    /// read error (terminal — no further batches follow).
+    pub fn recv(&mut self) -> Option<io::Result<Vec<(u64, V)>>> {
         if self.done {
             return None;
         }
@@ -486,7 +490,8 @@ impl<V: SpillValue> BatchedFeed<V> {
     }
 }
 
-/// One decode step of a [`BatchedFeed`], run on an I/O worker.  A panic
+/// One decode step of a [`RunFeed`], run on a pool worker (or inline on
+/// the merge thread when the queue is at depth).  A panic
 /// inside a value deserializer is converted to an error message (the
 /// worker survives; the consumer sees `Some(Err)`).
 fn pump_feed<V: SpillValue>(state: &Mutex<Option<FeedWork<V>>>) {
@@ -535,83 +540,6 @@ fn pump_feed<V: SpillValue>(state: &Mutex<Option<FeedWork<V>>>) {
     // Capacity-1 channel with exactly one task in flight per run: this
     // send never blocks the worker.
     let _ = tx.send(msg);
-}
-
-/// Read-ahead stage of the final merge: decodes one spilled run into
-/// record batches ahead of the consumer.  Under the `Blocking` backend
-/// this is a dedicated thread per run (bounded to one queued batch, so at
-/// most ~three are in flight: queued, decoding, being consumed); under
-/// `Batched` it is a [`BatchedFeed`] on the shared I/O workers.
-///
-/// The producer stops when the run is exhausted, on the first read error
-/// (which it forwards), or when the consumer hangs up.
-pub(crate) struct RunPrefetcher<V: SpillValue> {
-    source: PrefetchSource<V>,
-}
-
-impl<V: SpillValue> RunPrefetcher<V> {
-    /// Opens `run` through `io` (surfacing open-time validation errors
-    /// synchronously) and starts the read-ahead producer.  `reader_budget`
-    /// is this run's share of the merge read budget, split so the total
-    /// stays within the share: half for the underlying buffered reader,
-    /// the rest for the decoded batches — of which up to three are alive
-    /// at once (one queued, one decoding, one being consumed), hence
-    /// sixths.  `index` is the run's position in the merge, used only to
-    /// label the prefetcher's trace spans.
-    ///
-    /// The floors below keep the reader functional without re-inflating a
-    /// small share: merges only engage read-ahead when the per-run budget
-    /// is at least [`crate::sorter::MIN_PREFETCH_RUN_BUDGET`], so the
-    /// splits here stay within the share the caller granted.
-    pub fn spawn(
-        io: &SpillIoHandle,
-        run: &SpilledRun,
-        reader_budget: usize,
-        index: usize,
-    ) -> io::Result<Self> {
-        let mut reader: RunReader<V> = RunReader::open(io, run, (reader_budget / 2).max(64))?;
-        let block_bytes = (reader_budget / 6).max(64);
-        if let Some(pool) = io.pool() {
-            let feed = BatchedFeed::start(pool, reader, block_bytes, index);
-            return Ok(Self {
-                source: PrefetchSource::Batched(feed),
-            });
-        }
-        let (tx, rx) = sync_channel::<io::Result<Vec<(u64, V)>>>(1);
-        std::thread::Builder::new()
-            .name("pisort-run-prefetch".to_string())
-            .spawn(move || {
-                // One span covering the prefetcher's whole life: overlap
-                // with the consumer's `merge` span is the read-ahead
-                // actually running ahead.
-                let _run_span = obs::span!("prefetch", run = index);
-                loop {
-                    match decode_one_block(&mut reader, block_bytes) {
-                        Ok((block, end_of_run)) => {
-                            if !block.is_empty() && tx.send(Ok(block)).is_err() {
-                                return; // consumer hung up (stream dropped early)
-                            }
-                            if end_of_run {
-                                return; // dropping tx signals a clean end of run
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            })
-            .expect("failed to spawn prefetch thread");
-        Ok(Self {
-            source: PrefetchSource::Thread(rx),
-        })
-    }
-
-    /// The batch source the merge cursor pulls from.
-    pub fn into_source(self) -> PrefetchSource<V> {
-        self.source
-    }
 }
 
 #[cfg(test)]
@@ -721,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetcher_streams_a_run_in_blocks() {
+    fn feed_streams_a_run_in_blocks() {
         let dir = tmp_dir("prefetch");
         let path: &Path = &dir.join("run.bin");
         let records: Vec<(u64, u64)> = (0..10_000u64).map(|i| (i, i * 3)).collect();
@@ -730,9 +658,7 @@ mod tests {
             for compression in [SpillCompression::Off, SpillCompression::DeltaLz] {
                 let run = write_run(&io, path, &records, compression).unwrap();
                 // A tiny budget forces many small blocks through the channel.
-                let mut src = RunPrefetcher::<u64>::spawn(&io, &run, 8 << 10, 0)
-                    .unwrap()
-                    .into_source();
+                let mut src = RunFeed::<u64>::open(&io, &run, 8 << 10, 0).unwrap();
                 let mut got: Vec<(u64, u64)> = Vec::new();
                 let mut blocks = 0usize;
                 while let Some(block) = src.recv() {
@@ -747,14 +673,14 @@ mod tests {
     }
 
     #[test]
-    fn prefetcher_forwards_read_errors() {
+    fn feed_forwards_read_errors() {
         for io in [bio(), SpillIoHandle::batched(1, 4)] {
             let dir = tmp_dir("prefetch-err");
             let path = dir.join("run.bin");
             let records: Vec<(u64, u64)> = (0..1000u64).map(|i| (i, i)).collect();
             let good = write_run(&io, &path, &records, SpillCompression::Off).unwrap();
             // Lie about the record count: the reader must hit the in-stream
-            // guard and the prefetcher must forward it (not hang or panic).
+            // guard and the feed must forward it (not hang or panic).
             let run = SpilledRun {
                 path,
                 len: records.len() + 1,
@@ -763,10 +689,9 @@ mod tests {
                 compression: SpillCompression::Off,
                 retries: 0,
             };
-            match RunPrefetcher::<u64>::spawn(&io, &run, 4096, 0) {
+            match RunFeed::<u64>::open(&io, &run, 4096, 0) {
                 Err(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
-                Ok(p) => {
-                    let mut src = p.into_source();
+                Ok(mut src) => {
                     let mut saw_error = false;
                     while let Some(block) = src.recv() {
                         if block.is_err() {

@@ -1,28 +1,23 @@
 //! The bounded-memory streaming sorter.
 
-use crate::pipeline::{PrefetchSource, RunPrefetcher};
+use crate::pipeline::RunFeed;
 use crate::spill::{
     per_run_reader_budget, with_transient_retry, wrap_spill_err, PodValue, RunReader, SpillValue,
     SpilledRun, VarValue,
 };
 use crate::spiller::{RunBuilder, RunMerge, Spiller};
 use crate::spillio::SpillIoHandle;
-use dtsort::{sort_run_pairs_with, IntegerKey, RunReport, SortConfig, SpillIoMode, StreamConfig};
+use dtsort::{sort_run_pairs_with, IntegerKey, RunReport, SortConfig, StreamConfig};
 use parlay::kway::{kway_merge_into, BlockSource, RunSource};
 use std::io;
 use std::marker::PhantomData;
 
-/// Above this merge fan-in the read-ahead stage is skipped (one prefetch
-/// thread per run would be a thread explosion; the per-run buffer shares
-/// are tiny at that point anyway) and the merge reads synchronously.
-pub(crate) const MAX_PREFETCH_RUNS: usize = 64;
-
 /// Below this per-run share of [`StreamConfig::merge_read_buffer_bytes`]
-/// the read-ahead stage is also skipped: a prefetch thread double-buffers
-/// its budget, and at a few hundred bytes per buffer the channel overhead
-/// dwarfs the read it hides.  Merges that wanted read-ahead but lost it to
-/// either gate bump the `prefetch.disabled_merges` metric and are flagged
-/// on the returned stream ([`SortedStream::read_ahead_disabled`]).
+/// the read-ahead stage is skipped: a run's feed double-buffers its
+/// budget, and at a few hundred bytes per buffer the task overhead dwarfs
+/// the read it hides.  Merges that wanted read-ahead but lost it to this
+/// floor bump the `prefetch.disabled_merges` metric and are flagged on
+/// the returned stream ([`SortedStream::read_ahead_disabled`]).
 pub(crate) const MIN_PREFETCH_RUN_BUDGET: usize = 4096;
 
 /// Counters describing what a [`StreamSorter`] did.
@@ -291,13 +286,14 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// [`StreamConfig::merge_read_buffer_bytes`]) plus the final in-memory
     /// run, so its footprint stays within the configured budget no matter
     /// how large the dataset grew.  When [`StreamConfig::merge_read_ahead`]
-    /// resolves on, each spilled run is decoded ahead of the merge, so the
-    /// loser tree pops from prefetched blocks instead of blocking on cold
-    /// reads.  Past the backend's fan-in cap (64 runs under `Blocking`,
-    /// the in-flight queue depth under `Batched`), or once the per-run
-    /// buffer share drops below 4 KiB, read-ahead falls back to
-    /// synchronous reads — [`SortedStream::read_ahead_disabled`] and
-    /// [`SortedStream::prefetch_capped`] report when that happened.
+    /// resolves on, each spilled run is decoded ahead of the merge by
+    /// tasks on the spill I/O pool ([`StreamConfig::spill_io_workers`]
+    /// threads, whatever the run count), so the loser tree pops from
+    /// prefetched blocks instead of blocking on cold reads.  Runs beyond
+    /// the pool's queue depth decode inline on the merging thread.  Once
+    /// the per-run buffer share drops below 4 KiB, read-ahead falls back
+    /// to synchronous reads — [`SortedStream::read_ahead_disabled`]
+    /// reports when that happened.
     pub fn finish(self) -> io::Result<SortedStream<K, V>> {
         let remaining = self.len();
         let (merge, _) = self.core.into_merge()?;
@@ -467,64 +463,46 @@ pub(crate) fn var_merge_runs_into<K: IntegerKey, V: VarValue>(
 
 /// Opens one merge cursor per spilled run, splitting
 /// [`StreamConfig::merge_read_buffer_bytes`] across them.  With read-ahead
-/// resolved on ([`StreamConfig::wants_merge_read_ahead`]) and a sane
-/// fan-in, each run gets a read-ahead producer decoding blocks ahead of
-/// the merge; otherwise the cursors read synchronously.  Shared by the
-/// sorter and the group-by so the two merge paths cannot drift.
+/// resolved on ([`StreamConfig::wants_merge_read_ahead`]), each run gets a
+/// [`RunFeed`] decoding blocks ahead of the merge on the spill I/O pool;
+/// otherwise the cursors read synchronously.  Shared by the sorter and the
+/// group-by so the two merge paths cannot drift.
 ///
-/// Read-ahead is silently a no-op in two regimes, both reported through
-/// the returned flags (and the `prefetch.disabled_merges` /
-/// `prefetch.capped_merges` metrics) rather than only through slower
-/// merges: a fan-in above the backend's cap ([`MAX_PREFETCH_RUNS`] under
-/// `Blocking`, where one thread per run would be a thread explosion; the
-/// in-flight cap under `Batched`, where more runs than queue slots would
-/// starve each other), and a per-run budget share below
+/// Read-ahead is silently a no-op when the per-run budget share is below
 /// [`MIN_PREFETCH_RUN_BUDGET`] (the double-buffered blocks would be too
-/// small to hide any read latency).  Returns `(cursors,
-/// read_ahead_disabled, capped_by_fan_in)`; the second flag covers both
-/// regimes, the third specifically the fan-in cap.
+/// small to hide any read latency); the returned flag (and the
+/// `prefetch.disabled_merges` metric) reports that rather than only a
+/// slower merge.  Returns `(cursors, read_ahead_disabled)`.
 pub(crate) fn open_run_cursors<V: SpillValue>(
     runs: &[SpilledRun],
     cfg: &StreamConfig,
     io: &SpillIoHandle,
-) -> io::Result<(Vec<RunCursor<V>>, bool, bool)> {
+) -> io::Result<(Vec<RunCursor<V>>, bool)> {
     let reader_budget = per_run_reader_budget(cfg.merge_read_buffer_bytes, runs.len());
     let wants = cfg.wants_merge_read_ahead() && !runs.is_empty();
-    let fan_in_cap = match io.mode() {
-        SpillIoMode::Blocking => MAX_PREFETCH_RUNS,
-        // One in-flight read per run: more runs than queue slots would
-        // leave some feeds permanently starved, so cap at the depth.
-        SpillIoMode::Batched => io.max_inflight().max(1),
-    };
-    let capped = wants && runs.len() > fan_in_cap;
-    let prefetch = wants && !capped && reader_budget >= MIN_PREFETCH_RUN_BUDGET;
+    let prefetch = wants && reader_budget >= MIN_PREFETCH_RUN_BUDGET;
     let read_ahead_disabled = wants && !prefetch;
-    if obs::enabled() {
-        if read_ahead_disabled {
-            crate::metrics::m().prefetch_disabled_merges.incr();
-        }
-        if capped {
-            crate::metrics::m().prefetch_capped_merges.incr();
-        }
+    if read_ahead_disabled && obs::enabled() {
+        crate::metrics::m().prefetch_disabled_merges.incr();
     }
     let mut cursors: Vec<RunCursor<V>> = Vec::with_capacity(runs.len() + 2);
     if prefetch {
-        // Spawn every producer before priming any cursor, so all the
-        // first blocks decode in parallel.  Open-time failures (the only
-        // ones with a clean retry point) are retried per the policy.
-        let prefetchers: Vec<RunPrefetcher<V>> = runs
+        // Submit every feed before priming any cursor, so all the first
+        // blocks decode in parallel.  Open-time failures (the only ones
+        // with a clean retry point) are retried per the policy.
+        let feeds: Vec<RunFeed<V>> = runs
             .iter()
             .enumerate()
             .map(|(i, run)| {
                 with_transient_retry(&cfg.spill_retry, || {
-                    RunPrefetcher::spawn(io, run, reader_budget, i)
+                    RunFeed::open(io, run, reader_budget, i)
                 })
-                .map(|(p, _)| p)
+                .map(|(feed, _)| feed)
                 .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))
             })
             .collect::<io::Result<_>>()?;
-        for p in prefetchers {
-            cursors.push(RunCursor::from_prefetch(p.into_source())?);
+        for feed in feeds {
+            cursors.push(RunCursor::from_feed(feed)?);
         }
     } else {
         for (i, run) in runs.iter().enumerate() {
@@ -536,7 +514,7 @@ pub(crate) fn open_run_cursors<V: SpillValue>(
             cursors.push(cursor);
         }
     }
-    Ok((cursors, read_ahead_disabled, capped))
+    Ok((cursors, read_ahead_disabled))
 }
 
 type Refill<V> = Box<dyn FnMut() -> Option<Vec<(u64, V)>> + Send>;
@@ -577,12 +555,12 @@ impl<V: SpillValue> RunCursor<V> {
         }
     }
 
-    /// A cursor fed by a [`RunPrefetcher`]'s batch source.  The first
-    /// block is received here, so early read errors surface as a `Result`
-    /// exactly like [`RunCursor::open_disk`]'s eager first read; errors in
-    /// later blocks panic mid-merge (documented on [`SortedStream`]).
-    pub(crate) fn from_prefetch(mut src: PrefetchSource<V>) -> io::Result<Self> {
-        let mut first = match src.recv() {
+    /// A cursor fed by a run's read-ahead [`RunFeed`].  The first block is
+    /// received here, so early read errors surface as a `Result` exactly
+    /// like [`RunCursor::open_disk`]'s eager first read; errors in later
+    /// blocks panic mid-merge (documented on [`SortedStream`]).
+    pub(crate) fn from_feed(mut feed: RunFeed<V>) -> io::Result<Self> {
+        let mut first = match feed.recv() {
             Some(res) => Some(res?),
             None => None, // empty run
         };
@@ -597,7 +575,7 @@ impl<V: SpillValue> RunCursor<V> {
             // is not actually ahead; record the wait so the prefetch
             // stage's effectiveness is measurable.
             let stall_start = obs::enabled().then(std::time::Instant::now);
-            let received = src.recv();
+            let received = feed.recv();
             if let Some(start) = stall_start {
                 crate::metrics::m()
                     .prefetch_stall_ns
@@ -662,23 +640,15 @@ pub struct SortedStream<K: IntegerKey, V: SpillValue> {
 impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
     /// Whether this merge *wanted* read-ahead
     /// ([`StreamConfig::wants_merge_read_ahead`]) but ran synchronously
-    /// anyway: the fan-in exceeded the backend's cap (64 runs under
-    /// `Blocking`, the in-flight queue depth under `Batched`), or the
-    /// per-run share of [`StreamConfig::merge_read_buffer_bytes`] fell
-    /// below the 4 KiB floor where double-buffering stops paying.  Also
-    /// counted by the `prefetch.disabled_merges` metric.  Widen the read
-    /// buffer (or the memory budget, to get fewer, larger runs) to re-arm
-    /// the read-ahead.
+    /// anyway because the per-run share of
+    /// [`StreamConfig::merge_read_buffer_bytes`] fell below the 4 KiB
+    /// floor where double-buffering stops paying.  The run count alone
+    /// never disables read-ahead: runs past the pool's queue depth decode
+    /// inline instead.  Also counted by the `prefetch.disabled_merges`
+    /// metric.  Widen the read buffer (or the memory budget, to get fewer,
+    /// larger runs) to re-arm the read-ahead.
     pub fn read_ahead_disabled(&self) -> bool {
         self.merge.read_ahead_disabled
-    }
-
-    /// Whether read-ahead was disabled *specifically* by the fan-in cap
-    /// (the first regime of [`SortedStream::read_ahead_disabled`]; also
-    /// counted by the `prefetch.capped_merges` metric).  Under `Batched`,
-    /// raise [`StreamConfig::spill_io_queue_depth`] to lift the cap.
-    pub fn prefetch_capped(&self) -> bool {
-        self.merge.prefetch_capped
     }
 }
 
@@ -701,6 +671,7 @@ impl<K: IntegerKey, V: SpillValue> ExactSizeIterator for SortedStream<K, V> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtsort::SpillIoMode;
     use parlay::random::Rng;
 
     fn tiny_cfg(budget: usize) -> StreamConfig {
@@ -1287,7 +1258,7 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Batched spill-I/O backend: fan-in capping, failure injection.
+    // Spill-I/O backends: read-ahead fan-in, failure injection.
     // -----------------------------------------------------------------
 
     fn batched_cfg(budget: usize, workers: usize, depth: usize) -> StreamConfig {
@@ -1300,38 +1271,32 @@ mod tests {
     }
 
     #[test]
-    fn batched_backend_merges_correctly_and_caps_fan_in_at_the_queue_depth() {
+    fn read_ahead_runs_past_the_queue_depth_on_both_backends() {
+        // One worker, two queue slots, many more runs: read-ahead stays on
+        // (feeds past the depth decode inline on the merge thread instead
+        // of being capped off) and the output is the std stable sort.
         let rng = Rng::new(51);
         let input: Vec<(u32, u32)> = (0..50_000usize)
             .map(|i| (rng.ith(i as u64) as u32, i as u32))
             .collect();
         let mut want = input.clone();
         want.sort_by_key(|r| r.0);
-        // Ample queue depth: the merge read-ahead runs as batched feeds on
-        // the shared workers, and the output matches the reference sort.
-        let mut roomy: StreamSorter<u32, u32> =
-            StreamSorter::with_config(batched_cfg(32 << 10, 2, 64));
-        for chunk in input.chunks(997) {
-            roomy.push(chunk).unwrap();
+        for spill_io in [SpillIoMode::Blocking, SpillIoMode::Batched] {
+            let cfg = StreamConfig {
+                spill_io,
+                ..batched_cfg(32 << 10, 1, 2)
+            };
+            let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+            for chunk in input.chunks(997) {
+                sorter.push(chunk).unwrap();
+            }
+            sorter.flush_spills().unwrap();
+            assert!(sorter.stats().spilled_runs > 2, "{spill_io:?}");
+            let stream = sorter.finish().unwrap();
+            assert!(!stream.read_ahead_disabled(), "{spill_io:?}");
+            let got: Vec<(u32, u32)> = stream.collect();
+            assert_eq!(got, want, "{spill_io:?}");
         }
-        assert!(roomy.stats().spilled_runs > 5);
-        let stream = roomy.finish().unwrap();
-        assert!(!stream.prefetch_capped(), "fan-in fits the queue depth");
-        let got: Vec<(u32, u32)> = stream.collect();
-        assert_eq!(got, want);
-        // Queue depth below the fan-in: read-ahead must be disabled (no
-        // starved feeds), reported through both flags, output unchanged.
-        let mut narrow: StreamSorter<u32, u32> =
-            StreamSorter::with_config(batched_cfg(32 << 10, 1, 2));
-        for chunk in input.chunks(997) {
-            narrow.push(chunk).unwrap();
-        }
-        assert!(narrow.stats().spilled_runs > 2);
-        let stream = narrow.finish().unwrap();
-        assert!(stream.prefetch_capped(), "fan-in above the in-flight cap");
-        assert!(stream.read_ahead_disabled());
-        let got: Vec<(u32, u32)> = stream.collect();
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1455,41 +1420,46 @@ mod tests {
 
     #[test]
     fn batched_deltalz_merge_survives_fan_in_above_the_worker_count() {
-        // Regression for a pool deadlock: batched decode tasks run on the
-        // same bounded workers as the preads they wait on, and with a
+        // Regression for a pool deadlock: decode tasks run on the same
+        // bounded workers as the batched preads they wait on, and with a
         // merge read buffer this tight every DeltaLz block decode spans
         // several read chunks, so each task needs preads submitted
         // mid-task.  With fan-in above the worker count, every worker
         // could once block on a queued pread no worker was free to run —
         // the claimable-pread discipline must service them inline and
-        // finish the merge.
-        let cfg = StreamConfig {
-            spill_compression: dtsort::SpillCompression::DeltaLz,
-            merge_read_buffer_bytes: 128 << 10,
-            ..batched_cfg(32 << 10, 2, 32)
-        };
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+        // finish the merge.  The blocking backend's decode tasks share the
+        // pool too, so both backends must finish.
         let rng = Rng::new(87);
         let input: Vec<(u32, u32)> = (0..30_000usize)
             .map(|i| (rng.ith(i as u64) as u32, i as u32))
             .collect();
-        for chunk in input.chunks(997) {
-            sorter.push(chunk).unwrap();
-        }
-        assert!(
-            sorter.stats().spilled_runs > 2,
-            "the deadlock regime needs fan-in above the 2 workers, got {}",
-            sorter.stats().spilled_runs
-        );
-        let stream = sorter.finish().unwrap();
-        assert!(
-            !stream.read_ahead_disabled(),
-            "the deadlock regime needs engaged read-ahead (widen the read buffer?)"
-        );
         let mut want = input.clone();
         want.sort_by_key(|r| r.0);
-        let got: Vec<(u32, u32)> = stream.collect();
-        assert_eq!(got, want);
+        for spill_io in [SpillIoMode::Batched, SpillIoMode::Blocking] {
+            let cfg = StreamConfig {
+                spill_io,
+                spill_compression: dtsort::SpillCompression::DeltaLz,
+                merge_read_buffer_bytes: 128 << 10,
+                ..batched_cfg(32 << 10, 2, 32)
+            };
+            let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+            for chunk in input.chunks(997) {
+                sorter.push(chunk).unwrap();
+            }
+            sorter.flush_spills().unwrap();
+            assert!(
+                sorter.stats().spilled_runs > 2,
+                "the deadlock regime needs fan-in above the 2 workers, got {} [{spill_io:?}]",
+                sorter.stats().spilled_runs
+            );
+            let stream = sorter.finish().unwrap();
+            assert!(
+                !stream.read_ahead_disabled(),
+                "the deadlock regime needs engaged read-ahead [{spill_io:?}]"
+            );
+            let got: Vec<(u32, u32)> = stream.collect();
+            assert_eq!(got, want, "{spill_io:?}");
+        }
     }
 
     #[test]

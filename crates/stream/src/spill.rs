@@ -765,7 +765,7 @@ pub(crate) fn per_run_reader_budget(total_bytes: usize, runs: usize) -> usize {
 }
 
 /// Buffered sequential reader over one spilled run, decoding either
-/// encoding transparently (the merge and the prefetcher never see block
+/// encoding transparently (the merge and its read-ahead never see block
 /// boundaries).
 pub(crate) struct RunReader<V: SpillValue> {
     reader: Box<dyn SpillRead>,

@@ -476,7 +476,7 @@ impl<B: RunBuilder> Spiller<B> {
     pub(crate) fn into_merge(mut self) -> io::Result<(RunMerge<B::RunValue>, B)> {
         self.close_pipeline()?;
         let tail = self.build_run();
-        let (mut cursors, read_ahead_disabled, prefetch_capped) =
+        let (mut cursors, read_ahead_disabled) =
             open_run_cursors::<B::RunValue>(&self.runs, &self.cfg, &self.io)?;
         let in_memory = self.pending_runs.drain(..).chain(Some(tail));
         for run in in_memory.filter(|run| !run.is_empty()) {
@@ -489,7 +489,6 @@ impl<B: RunBuilder> Spiller<B> {
         let merge = RunMerge {
             tree: LoserTree::new(cursors, B::RunValue::spill_record_lt),
             read_ahead_disabled,
-            prefetch_capped,
             _merge_span: obs::enabled().then(|| obs::span!("merge")),
             _trace: self.trace_guard.take(),
             _space: self.space.take(),
@@ -506,7 +505,6 @@ type MergeTree<V> = LoserTree<RunCursor<V>, fn(&(u64, V), &(u64, V)) -> bool>;
 pub(crate) struct RunMerge<V: SpillValue> {
     pub(crate) tree: MergeTree<V>,
     pub(crate) read_ahead_disabled: bool,
-    pub(crate) prefetch_capped: bool,
     /// Open `merge` span over the stream's lifetime, so prefetch spans can
     /// be shown (and asserted) to overlap it; recorded when it drops.
     _merge_span: Option<obs::SpanGuard>,

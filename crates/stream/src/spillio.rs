@@ -10,24 +10,30 @@
 //!   `File::open` for merges.  This is the differential reference, the
 //!   same role [`dtsort::StreamConfig::spill_pipeline_depth`] `= 0`
 //!   plays for the pipeline.
-//! * [`SpillIoMode::Batched`] — a fixed pool of I/O worker threads
-//!   (`spill_io_workers`) driving one bounded submission queue
-//!   (`spill_io_queue_depth`) of positioned-I/O jobs over pooled,
-//!   recycled buffers, in the queue-pair discipline of userspace-NVMe
-//!   runtimes: bounded queue depth, poll completions, recycle buffers.
-//!   Writers chunk their stream into `pwrite` jobs and fsync on
+//! * [`SpillIoMode::Batched`] — positioned-I/O jobs over pooled, recycled
+//!   buffers, in the queue-pair discipline of userspace-NVMe runtimes:
+//!   bounded queue depth, poll completions, recycle buffers.  Writers
+//!   chunk their stream into `pwrite` jobs and fsync on
 //!   [`SpillWrite::finish`]; readers double-buffer `pread` jobs one chunk
-//!   ahead.  The merge read-ahead scheduler in `pipeline.rs` rides the
-//!   same pool, so a k-way merge runs with at most `spill_io_workers`
-//!   I/O threads regardless of the run count.
+//!   ahead.
+//!
+//! Every handle owns one [`JobPool`] — `spill_io_workers` threads behind
+//! one bounded queue of `spill_io_queue_depth` jobs — started on its first
+//! submit, so an engine that never merges with read-ahead (and never
+//! spills through `Batched`) spawns no I/O threads.  The merge read-ahead
+//! of `pipeline.rs` runs on this pool under *both* backends, so a k-way
+//! merge uses at most `spill_io_workers` decode threads regardless of the
+//! run count; `Batched` adds its `pwrite`/`pread` jobs to the same queue.
+//! [`SpillIoHandle::with_faults`] views share the pool of the handle they
+//! wrap.
 //!
 //! ## No pool thread ever blocks on pool work
 //!
-//! Because the merge read-ahead tasks of `pipeline.rs` run *on* the I/O
-//! workers and themselves read through [`BatchedRead`], the backend must
-//! guarantee that a pool thread never waits for a job that only another
-//! pool thread could run — with fan-in at or above the worker count that
-//! wait is a permanent deadlock.  Two rules enforce it:
+//! Because the merge read-ahead tasks of `pipeline.rs` run *on* the pool
+//! and, under `Batched`, themselves read through [`BatchedRead`], a pool
+//! thread must never wait for a job that only another pool thread could
+//! run — with fan-in at or above the worker count that wait is a
+//! permanent deadlock.  Two rules enforce it:
 //!
 //! * `pread` jobs are **claimable**: whichever thread needs the result
 //!   first — a worker dequeuing the job or the consumer calling
@@ -37,7 +43,9 @@
 //! * [`JobPool::submit`] never blocks: when the bounded queue is at
 //!   depth, the submitter runs the job inline on its own thread
 //!   (backpressure by inline execution), so worker-originated
-//!   submissions cannot wedge the pool either.
+//!   submissions cannot wedge the pool either — and a merge with more
+//!   runs than queue slots decodes the overflow synchronously instead of
+//!   starving it.
 //!
 //! ## Error contract
 //!
@@ -58,7 +66,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Bytes a batched writer accumulates before handing one positioned-write
@@ -81,8 +89,7 @@ pub(crate) trait SpillWrite: Write + Send {
 /// Buffered sequential source over one spill run.
 pub(crate) trait SpillRead: Read + Send {}
 
-/// The sealed backend interface: open/create files for spill traffic and
-/// describe the backend's concurrency envelope.
+/// The sealed backend interface: open/create files for spill traffic.
 pub(crate) trait SpillIo: Send + Sync + sealed_io::Sealed {
     fn create(&self, path: &Path) -> io::Result<Box<dyn SpillWrite>>;
     /// Opens `path` for sequential reading with roughly `buffer_bytes` of
@@ -90,15 +97,6 @@ pub(crate) trait SpillIo: Send + Sync + sealed_io::Sealed {
     /// (for the caller's truncation check).
     fn open(&self, path: &Path, buffer_bytes: usize) -> io::Result<(Box<dyn SpillRead>, u64)>;
     fn mode(&self) -> SpillIoMode;
-    /// How many prefetch streams may be in flight at once (the merge
-    /// fan-in cap for read-ahead).  Unbounded for `Blocking` (the caller
-    /// applies its own thread-count cap).
-    fn max_inflight(&self) -> usize;
-    fn set_max_inflight(&self, _n: usize) {}
-    /// The shared job pool, for the batched merge read-ahead scheduler.
-    fn pool(&self) -> Option<JobPool>;
-    fn workers(&self) -> usize;
-    fn queue_depth(&self) -> usize;
     /// Failure injection: error every write after `bytes` more bytes
     /// (no-op on `Blocking`).  Only reachable from `#[cfg(test)]` code.
     #[cfg_attr(not(test), allow(dead_code))]
@@ -109,12 +107,16 @@ pub(crate) trait SpillIo: Send + Sync + sealed_io::Sealed {
     fn set_write_fuse_panics(&self, _on: bool) {}
 }
 
-/// A cloneable, shareable handle to one spill I/O backend.  Engines
-/// default to [`SpillIoHandle::from_config`]; the server shares one
-/// handle across sessions so the governor can arbitrate the queue.
+/// A cloneable, shareable handle to one spill I/O backend and its job
+/// pool.  Engines default to [`SpillIoHandle::from_config`]; the server
+/// shares one handle across sessions, so every session's merges and
+/// batched I/O run on one set of workers.
 #[derive(Clone)]
 pub struct SpillIoHandle {
     inner: Arc<dyn SpillIo>,
+    /// Merge read-ahead (both backends) and `Batched`'s positioned I/O;
+    /// started on first submit.
+    pool: JobPool,
 }
 
 impl std::fmt::Debug for SpillIoHandle {
@@ -126,27 +128,35 @@ impl std::fmt::Debug for SpillIoHandle {
 }
 
 impl SpillIoHandle {
-    /// The blocking backend (today's `BufWriter`/`BufReader` path).
+    /// The blocking backend (today's `BufWriter`/`BufReader` path), with
+    /// the default read-ahead pool size.
     pub fn blocking() -> Self {
-        Self {
-            inner: Arc::new(BlockingIo),
-        }
+        Self::from_config(&StreamConfig {
+            spill_io: SpillIoMode::Blocking,
+            ..StreamConfig::default()
+        })
     }
 
     /// The batched backend: `workers` I/O threads behind one bounded
     /// queue of `queue_depth` jobs.
     pub fn batched(workers: usize, queue_depth: usize) -> Self {
-        Self {
-            inner: Arc::new(BatchedIo::new(workers.max(1), queue_depth.max(1))),
-        }
+        Self::from_config(&StreamConfig {
+            spill_io: SpillIoMode::Batched,
+            spill_io_workers: workers,
+            spill_io_queue_depth: queue_depth,
+            ..StreamConfig::default()
+        })
     }
 
-    /// The backend `cfg` selects (`spill_io` + its worker/depth knobs).
+    /// The backend `cfg` selects (`spill_io`), over a pool of
+    /// `spill_io_workers` threads and `spill_io_queue_depth` queue slots.
     pub fn from_config(cfg: &StreamConfig) -> Self {
-        match cfg.spill_io {
-            SpillIoMode::Blocking => Self::blocking(),
-            SpillIoMode::Batched => Self::batched(cfg.spill_io_workers, cfg.spill_io_queue_depth),
-        }
+        let pool = JobPool::new(cfg.spill_io_workers.max(1), cfg.spill_io_queue_depth.max(1));
+        let inner: Arc<dyn SpillIo> = match cfg.spill_io {
+            SpillIoMode::Blocking => Arc::new(BlockingIo),
+            SpillIoMode::Batched => Arc::new(BatchedIo::new(pool.clone())),
+        };
+        Self { inner, pool }
     }
 
     pub fn mode(&self) -> SpillIoMode {
@@ -155,7 +165,8 @@ impl SpillIoHandle {
 
     /// Wraps this handle in a deterministic fault-injection layer (the
     /// crate-private `FaultIo`): the returned handle shares the same
-    /// backend underneath — pool, recycled buffers, queue depth — but
+    /// backend and job pool underneath — workers, recycled buffers, queue
+    /// depth — but
     /// filters every create/open/write/read through `plan`.  Fault scope
     /// is therefore per *handle*: a server can hand one session a faulted
     /// view of the shared pool while every other session keeps the clean
@@ -164,20 +175,8 @@ impl SpillIoHandle {
     pub fn with_faults(&self, plan: crate::fault::FaultPlan) -> Self {
         Self {
             inner: Arc::new(crate::fault::FaultIo::new(Arc::clone(&self.inner), plan)),
+            pool: self.pool.clone(),
         }
-    }
-
-    /// Re-splits the backend's in-flight read budget across `sessions`
-    /// concurrent sessions (the cross-session spill-bandwidth hook: each
-    /// live session's merges get an equal share of the queue depth, never
-    /// below the worker count).  No-op on `Blocking`.
-    pub fn rebalance_shared(&self, sessions: usize) {
-        let depth = self.inner.queue_depth();
-        if depth == 0 {
-            return;
-        }
-        let share = (depth / sessions.max(1)).max(self.inner.workers()).max(1);
-        self.inner.set_max_inflight(share);
     }
 
     pub(crate) fn create(&self, path: &Path) -> io::Result<Box<dyn SpillWrite>> {
@@ -192,12 +191,9 @@ impl SpillIoHandle {
         self.inner.open(path, buffer_bytes)
     }
 
-    pub(crate) fn max_inflight(&self) -> usize {
-        self.inner.max_inflight()
-    }
-
-    pub(crate) fn pool(&self) -> Option<JobPool> {
-        self.inner.pool()
+    /// The job pool merge read-ahead runs on.
+    pub(crate) fn pool(&self) -> &JobPool {
+        &self.pool
     }
 
     /// Failure injection for tests: every batched write past `bytes` more
@@ -250,22 +246,6 @@ impl SpillIo for BlockingIo {
     fn mode(&self) -> SpillIoMode {
         SpillIoMode::Blocking
     }
-
-    fn max_inflight(&self) -> usize {
-        usize::MAX
-    }
-
-    fn pool(&self) -> Option<JobPool> {
-        None
-    }
-
-    fn workers(&self) -> usize {
-        0
-    }
-
-    fn queue_depth(&self) -> usize {
-        0
-    }
 }
 
 struct BlockingWriter {
@@ -303,50 +283,76 @@ impl Read for BlockingReader {
 impl SpillRead for BlockingReader {}
 
 // ---------------------------------------------------------------------------
-// Batched backend — a fixed worker pool over one bounded job queue.
+// The job pool, and the batched backend on top of it.
 // ---------------------------------------------------------------------------
 
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// The bounded submission queue plus its worker threads.  Cloning shares
-/// the queue; workers exit when every clone is gone.
+/// A bounded submission queue plus its worker threads, spawned on the
+/// first [`JobPool::submit`].  Cloning shares the queue; workers exit when
+/// every clone is gone.
 #[derive(Clone)]
 pub(crate) struct JobPool {
-    tx: SyncSender<Job>,
+    inner: Arc<PoolInner>,
+}
+
+struct PoolInner {
+    workers: usize,
+    queue_depth: usize,
+    tx: OnceLock<SyncSender<Job>>,
     queued: Arc<AtomicUsize>,
 }
 
 impl JobPool {
-    fn start(workers: usize, queue_depth: usize) -> Self {
-        let (tx, rx) = sync_channel::<Job>(queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let queued = Arc::new(AtomicUsize::new(0));
-        for w in 0..workers {
-            let rx = Arc::clone(&rx);
-            let queued = Arc::clone(&queued);
-            std::thread::Builder::new()
-                .name(format!("pisort-spill-io-{w}"))
-                .spawn(move || loop {
-                    let job = {
-                        let guard = rx.lock().expect("spill io queue");
-                        guard.recv()
-                    };
-                    let Ok(job) = job else { return };
-                    let start = obs::enabled().then(Instant::now);
-                    // A panicking job must not take the worker down: the
-                    // job's owner observes the failure through its own
-                    // channel/state, and the pool keeps serving.
-                    let _ = catch_unwind(AssertUnwindSafe(job));
-                    let left = queued.fetch_sub(1, Ordering::Relaxed) - 1;
-                    if let Some(start) = start {
-                        let metrics = m();
-                        metrics.spillio_complete_ns.record_duration(start.elapsed());
-                        metrics.spillio_queue_depth.set(left as i64);
-                    }
-                })
-                .expect("failed to spawn spill-io worker");
+    fn new(workers: usize, queue_depth: usize) -> Self {
+        Self {
+            inner: Arc::new(PoolInner {
+                workers,
+                queue_depth,
+                tx: OnceLock::new(),
+                queued: Arc::new(AtomicUsize::new(0)),
+            }),
         }
-        Self { tx, queued }
+    }
+
+    /// The queue's sender, starting the workers on first use.
+    fn sender(&self) -> &SyncSender<Job> {
+        self.inner.tx.get_or_init(|| {
+            let (tx, rx) = sync_channel::<Job>(self.inner.queue_depth);
+            let rx = Arc::new(Mutex::new(rx));
+            for w in 0..self.inner.workers {
+                let rx = Arc::clone(&rx);
+                let queued = Arc::clone(&self.inner.queued);
+                std::thread::Builder::new()
+                    .name(format!("pisort-spill-io-{w}"))
+                    .spawn(move || loop {
+                        let job = {
+                            let guard = rx.lock().expect("spill io queue");
+                            guard.recv()
+                        };
+                        let Ok(job) = job else { return };
+                        let start = obs::enabled().then(Instant::now);
+                        // A panicking job must not take the worker down:
+                        // the job's owner observes the failure through its
+                        // own channel/state, and the pool keeps serving.
+                        let _ = catch_unwind(AssertUnwindSafe(job));
+                        let left = queued.fetch_sub(1, Ordering::Relaxed) - 1;
+                        if let Some(start) = start {
+                            let metrics = m();
+                            metrics.spillio_complete_ns.record_duration(start.elapsed());
+                            metrics.spillio_queue_depth.set(left as i64);
+                        }
+                    })
+                    .expect("failed to spawn spill-io worker");
+            }
+            tx
+        })
+    }
+
+    /// Whether `self` and `other` share one queue.
+    #[cfg(test)]
+    pub(crate) fn same_pool(&self, other: &JobPool) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Enqueues a job.  When the queue is at depth the submitter runs the
@@ -355,16 +361,18 @@ impl JobPool {
     /// ever letting a pool worker (which submits preads and pump resubmits
     /// mid-job) wait on a queue only workers drain.
     pub(crate) fn submit(&self, job: Job) {
-        let depth = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        let tx = self.sender();
+        let queued = &self.inner.queued;
+        let depth = queued.fetch_add(1, Ordering::Relaxed) + 1;
         if obs::enabled() {
             let metrics = m();
             metrics.spillio_jobs.incr();
             metrics.spillio_queue_depth.set(depth as i64);
         }
-        match self.tx.try_send(job) {
+        match tx.try_send(job) {
             Ok(()) => {}
             Err(TrySendError::Full(job)) => {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
+                queued.fetch_sub(1, Ordering::Relaxed);
                 if obs::enabled() {
                     m().spillio_inline_jobs.incr();
                 }
@@ -378,15 +386,10 @@ impl JobPool {
     }
 }
 
-/// State shared by the batched backend's writers, readers and the merge
-/// scheduler: the pool, the buffer pool and the tuning knobs.
+/// State shared by the batched backend's writers and readers: the handle's
+/// job pool, the buffer pool and the failure-injection fuses.
 struct BatchedCore {
     pool: JobPool,
-    workers: usize,
-    queue_depth: usize,
-    /// Fan-in cap for merge read-ahead; the server's rebalance hook
-    /// shrinks it while many sessions share the backend.
-    max_inflight: AtomicUsize,
     /// Cleared chunk buffers recycled between jobs.
     buffers: Mutex<Vec<Vec<u8>>>,
     /// Failure injection: remaining bytes before writes start failing
@@ -409,7 +412,7 @@ impl BatchedCore {
     fn recycle_buffer(&self, mut buf: Vec<u8>) {
         buf.clear();
         let mut pool = self.buffers.lock().expect("spill io buffers");
-        if pool.len() < self.queue_depth + 2 {
+        if pool.len() < self.pool.inner.queue_depth + 2 {
             pool.push(buf);
         }
     }
@@ -440,13 +443,10 @@ struct BatchedIo {
 }
 
 impl BatchedIo {
-    fn new(workers: usize, queue_depth: usize) -> Self {
+    fn new(pool: JobPool) -> Self {
         Self {
             core: Arc::new(BatchedCore {
-                pool: JobPool::start(workers, queue_depth),
-                workers,
-                queue_depth,
-                max_inflight: AtomicUsize::new(queue_depth),
+                pool,
                 buffers: Mutex::new(Vec::new()),
                 write_fuse: AtomicI64::new(i64::MAX),
                 write_fuse_panics: std::sync::atomic::AtomicBool::new(false),
@@ -495,26 +495,6 @@ impl SpillIo for BatchedIo {
 
     fn mode(&self) -> SpillIoMode {
         SpillIoMode::Batched
-    }
-
-    fn max_inflight(&self) -> usize {
-        self.core.max_inflight.load(Ordering::Relaxed).max(1)
-    }
-
-    fn set_max_inflight(&self, n: usize) {
-        self.core.max_inflight.store(n.max(1), Ordering::Relaxed);
-    }
-
-    fn pool(&self) -> Option<JobPool> {
-        Some(self.core.pool.clone())
-    }
-
-    fn workers(&self) -> usize {
-        self.core.workers
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.core.queue_depth
     }
 
     fn set_write_fuse(&self, bytes: u64) {
@@ -893,19 +873,21 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_splits_the_queue_depth_across_sessions() {
-        let io = SpillIoHandle::batched(2, 32);
-        assert_eq!(io.max_inflight(), 32);
-        io.rebalance_shared(4);
-        assert_eq!(io.max_inflight(), 8);
-        io.rebalance_shared(100);
-        assert_eq!(io.max_inflight(), 2, "floored at the worker count");
-        io.rebalance_shared(1);
-        assert_eq!(io.max_inflight(), 32);
-        // Blocking: a no-op, cap stays unbounded.
-        let b = SpillIoHandle::blocking();
-        b.rebalance_shared(4);
-        assert_eq!(b.max_inflight(), usize::MAX);
+    fn pool_starts_on_first_submit() {
+        // Blocking reads and writes never touch the pool, so an engine
+        // that never merges with read-ahead spawns no worker threads.
+        let data = payload(10_000);
+        for (name, io, starts) in [
+            ("blocking", SpillIoHandle::blocking(), false),
+            ("batched", SpillIoHandle::batched(1, 2), true),
+        ] {
+            assert!(io.pool.inner.tx.get().is_none(), "{name}: idle at start");
+            let path = tmp_path(&format!("lazy-{name}.bin"));
+            write_all_then_finish(&io, &path, &data).unwrap();
+            assert_eq!(read_back(&io, &path, 4096).unwrap(), data);
+            assert_eq!(io.pool.inner.tx.get().is_some(), starts, "{name}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     /// Opens `path` through `io` and drains it with a tiny chunk size, so
@@ -927,7 +909,7 @@ mod tests {
         let path = tmp_path("worker-read.bin");
         let data = payload(50_000);
         write_all_then_finish(&io, &path, &data).unwrap();
-        let pool = io.pool().unwrap();
+        let pool = io.pool();
         let (tx, rx) = sync_channel::<io::Result<Vec<u8>>>(1);
         let io2 = io.clone();
         let p = path.clone();
@@ -956,7 +938,7 @@ mod tests {
             write_all_then_finish(&io, &path, &data).unwrap();
             paths.push(path);
         }
-        let pool = io.pool().unwrap();
+        let pool = io.pool();
         let (tx, rx) = sync_channel::<io::Result<Vec<u8>>>(8);
         for path in &paths {
             let io2 = io.clone();
@@ -983,7 +965,7 @@ mod tests {
         // A full queue must never block the submitter: jobs past the
         // depth run inline on the submitting thread.
         let io = SpillIoHandle::batched(1, 1);
-        let pool = io.pool().unwrap();
+        let pool = io.pool();
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         // Park the only worker so the queue cannot drain.
         let g = Arc::clone(&gate);
@@ -1014,7 +996,7 @@ mod tests {
     #[test]
     fn pool_survives_a_panicking_job() {
         let io = SpillIoHandle::batched(1, 2);
-        let pool = io.pool().unwrap();
+        let pool = io.pool();
         pool.submit(Box::new(|| panic!("boom")));
         let (tx, rx) = sync_channel::<u32>(1);
         pool.submit(Box::new(move || {

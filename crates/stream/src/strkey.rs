@@ -370,11 +370,6 @@ impl<K: StringKey, V: SpillValue> StringSortedStream<K, V> {
     pub fn read_ahead_disabled(&self) -> bool {
         self.inner.read_ahead_disabled()
     }
-
-    /// See [`crate::SortedStream::prefetch_capped`].
-    pub fn prefetch_capped(&self) -> bool {
-        self.inner.prefetch_capped()
-    }
 }
 
 impl<K: StringKey, V: SpillValue> Iterator for StringSortedStream<K, V> {
@@ -499,11 +494,6 @@ impl<K: StringKey, G: Aggregator> StringGroupedStream<K, G> {
     /// See [`crate::SortedStream::read_ahead_disabled`].
     pub fn read_ahead_disabled(&self) -> bool {
         self.inner.read_ahead_disabled()
-    }
-
-    /// See [`crate::SortedStream::prefetch_capped`].
-    pub fn prefetch_capped(&self) -> bool {
-        self.inner.prefetch_capped()
     }
 }
 
