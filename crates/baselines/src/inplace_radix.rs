@@ -13,7 +13,7 @@
 //! same).
 
 use crate::dtsort_key::IntegerKey;
-use parlay::par::parallel_for;
+use parlay::par::{parallel_for_grained, work_grain};
 use parlay::slice::UnsafeSliceCell;
 
 /// Tuning parameters of the in-place radix sort.
@@ -124,7 +124,7 @@ where
     // Recurse on buckets in parallel.
     let data_cell = UnsafeSliceCell::new(data);
     let starts_ref = &starts;
-    parallel_for(0, num_buckets, |b| {
+    parallel_for_grained(0, num_buckets, work_grain(num_buckets, n), &|b| {
         let lo = starts_ref[b];
         let hi = starts_ref[b + 1];
         if hi - lo > 1 {

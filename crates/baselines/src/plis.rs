@@ -10,7 +10,7 @@
 
 use crate::dtsort_key::IntegerKey;
 use parlay::counting_sort::counting_sort_by;
-use parlay::par::parallel_for;
+use parlay::par::{parallel_for_grained, work_grain};
 use parlay::slice::UnsafeSliceCell;
 
 /// Tuning parameters of the PLIS baseline.
@@ -105,7 +105,7 @@ where
         let data_cell = UnsafeSliceCell::new(&mut *data);
         let scratch_cell = UnsafeSliceCell::new(&mut *scratch);
         let plan_ref = &plan;
-        parallel_for(0, num_buckets, |b| {
+        parallel_for_grained(0, num_buckets, work_grain(num_buckets, n), &|b| {
             let range = plan_ref.bucket_range(b);
             if range.is_empty() {
                 return;

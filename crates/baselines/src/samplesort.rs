@@ -11,7 +11,7 @@
 
 use crate::dtsort_key::IntegerKey;
 use parlay::counting_sort::counting_sort_by;
-use parlay::par::parallel_for;
+use parlay::par::{parallel_for_grained, work_grain};
 use parlay::random::Rng;
 use parlay::slice::UnsafeSliceCell;
 
@@ -151,7 +151,7 @@ where
         let buf_cell = UnsafeSliceCell::new(&mut buf[..]);
         let plan_ref = &plan;
         let buckets_ref = &buckets;
-        parallel_for(0, num_buckets, |b| {
+        parallel_for_grained(0, num_buckets, work_grain(num_buckets, n), &|b| {
             let range = plan_ref.bucket_range(b);
             if range.is_empty() {
                 return;

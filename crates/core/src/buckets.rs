@@ -13,8 +13,17 @@
 //! Heavy keys are looked up in a small open-addressing hash table `H`; light
 //! keys fall through to a direct-indexed lookup array `L` keyed by the MSD —
 //! exactly the `H`/`L` pair of the paper.
+//!
+//! The distribution caches bucket ids as `u16`, so a table gives heavy keys
+//! buckets only up to [`MAX_ID_BUCKETS`] in total: heavy keys past that cap
+//! (possible only with an enlarged [`crate::SortConfig::sample_factor`] or
+//! carried hints) are left light, which costs them the recursion they would
+//! have skipped but keeps the sort correct.  A radix width of 16 bits or
+//! more exceeds the id range with its zones alone; the distribution then
+//! evaluates bucket ids twice instead of caching them.
 
 use crate::key::low_mask;
+use parlay::counting_sort::MAX_ID_BUCKETS;
 
 /// A minimal open-addressing hash map from `u64` keys to bucket ids.
 ///
@@ -140,7 +149,8 @@ impl BucketTable {
     ///   (`= bits` when the overflow optimization is off).
     /// * `gamma` — radix width for this level.
     /// * `heavy_keys` — detected heavy keys, already masked to `bits` bits,
-    ///   sorted and deduplicated.
+    ///   sorted and deduplicated.  Only the smallest ones that keep the
+    ///   table within [`MAX_ID_BUCKETS`] get a bucket; the rest stay light.
     /// * `with_overflow` — whether to append an overflow bucket.
     pub fn build(
         bits: u32,
@@ -154,6 +164,9 @@ impl BucketTable {
         let num_zones = 1usize << gamma;
         let digit_shift = eff_bits - gamma;
         let eff_mask = low_mask(eff_bits);
+        let with_overflow = with_overflow && eff_bits < bits;
+        let heavy_cap = MAX_ID_BUCKETS.saturating_sub(num_zones + usize::from(with_overflow));
+        let heavy_keys = &heavy_keys[..heavy_keys.len().min(heavy_cap)];
 
         let mut light_ids = vec![0u32; num_zones];
         let mut zone_has_heavy = vec![false; num_zones];
@@ -189,7 +202,7 @@ impl BucketTable {
         }
         debug_assert_eq!(hi, heavy_keys.len(), "all heavy keys must be placed");
 
-        let overflow_id = if with_overflow && eff_bits < bits {
+        let overflow_id = if with_overflow {
             let id = next_id;
             next_id += 1;
             Some(id)
@@ -353,6 +366,23 @@ mod tests {
         let t = BucketTable::build(8, 8, 4, &[], true);
         assert_eq!(t.overflow_id, None);
         assert_eq!(t.num_buckets, 16);
+    }
+
+    #[test]
+    fn heavy_keys_past_the_id_cap_stay_light() {
+        // γ = 12 over 32 effective bits of 40, so with the overflow bucket
+        // 4097 ids are taken before any heavy key.
+        let heavy: Vec<u64> = (0..70_000u64).map(|i| i * 1000).collect();
+        let t = BucketTable::build(40, 32, 12, &heavy, true);
+        assert_eq!(t.num_buckets, MAX_ID_BUCKETS);
+        assert_eq!(t.heavy.len(), MAX_ID_BUCKETS - 4097);
+        let last = t.heavy.last().unwrap();
+        assert_eq!(t.bucket_id(last.key), last.id as usize);
+        // The first key past the cap falls to its zone's light bucket.
+        let dropped = heavy[t.heavy.len()];
+        let zone = (dropped >> t.digit_shift) as usize;
+        assert_eq!(t.bucket_id(dropped), t.light_ids[zone] as usize);
+        assert_eq!(t.bucket_id(u64::MAX >> 24), t.overflow_id.unwrap() as usize);
     }
 
     #[test]

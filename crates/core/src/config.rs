@@ -129,6 +129,11 @@ impl SortConfig {
     }
 }
 
+/// Bytes per record of the bucket-id cache a DovetailSort run holds next
+/// to its scratch buffer (one `u16` per record; see
+/// [`parlay::counting_sort::counting_sort_with_ids`]).
+const RUN_SORT_ID_BYTES: usize = std::mem::size_of::<u16>();
+
 /// On-disk encoding of spilled runs (the `stream` crate).
 ///
 /// Runs are written once and read once (or twice for `finish_into`), so
@@ -365,11 +370,12 @@ impl BudgetHandle {
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Total working-set budget in bytes, split into
-    /// [`StreamConfig::spill_shares`] equal shares: one buffers incoming
-    /// records, one is the sort's ping-pong scratch, and
-    /// `spill_pipeline_depth` shares bound the sorted runs in flight to the
-    /// writer thread.  One run therefore holds about
-    /// `memory_budget_bytes / (spill_shares · record_size)` records.
+    /// [`StreamConfig::spill_shares`] shares: one buffers incoming
+    /// records, one is the sort's ping-pong scratch plus its bucket-id
+    /// cache, and `spill_pipeline_depth` shares bound the sorted runs in
+    /// flight to the writer thread.  One run therefore holds about
+    /// `memory_budget_bytes / (spill_shares · record_size + 2)` records
+    /// ([`StreamConfig::run_capacity`]).
     ///
     /// `record_size` is the *inline* struct size (`size_of::<(K, V)>()`).
     /// For variable-length values (`String`, `Vec<u8>`, `Box<[u8]>`) the
@@ -531,27 +537,32 @@ impl StreamConfig {
         }
     }
 
-    /// Number of equal budget shares the record memory is split into: one
+    /// Number of budget shares the record memory is split into: one
     /// filling buffer + one sort scratch, plus one per possible in-flight
     /// run ([`StreamConfig::spill_pipeline_depth`]).  In-flight runs buffer
-    /// real bytes, so they must be paid for out of the same budget.
+    /// real bytes, so they must be paid for out of the same budget.  The
+    /// sort-scratch share also holds DovetailSort's bucket-id cache (2
+    /// bytes per record), so it is slightly larger than the others; see
+    /// [`StreamConfig::run_capacity`].
     pub fn spill_shares(&self) -> usize {
         2 + self.spill_pipeline_depth
     }
 
-    /// Number of records of `record_size` bytes one run may hold.
-    /// Accounts for pipelined in-flight runs via
-    /// [`StreamConfig::spill_shares`].
+    /// Number of records of `record_size` bytes one run may hold: the
+    /// budget over `spill_shares() · record_size + 2` bytes per record —
+    /// `record_size` per share, plus the `u16` bucket id the run sort
+    /// caches next to its scratch copy.
     ///
     /// The floor is a single record, so a degenerate budget still makes
     /// progress but cannot silently multiply: the worst-case resident
     /// record memory is `max(memory_budget_bytes, spill_shares() ·
-    /// record_size)` — one record per share — never the
-    /// `64 · spill_shares() · record_size` the old `.max(64)` floor
+    /// record_size + 2)` — one record per share — never
+    /// the `64 · spill_shares() · record_size` the old `.max(64)` floor
     /// admitted (e.g. 64 records × 5 shares × a 1 KiB record ≈ 320 KiB
     /// against a 1 KiB budget).
     pub fn run_capacity(&self, record_size: usize) -> usize {
-        (self.effective_budget_bytes() / (self.spill_shares() * record_size.max(1))).max(1)
+        let per_record = self.spill_shares() * record_size.max(1) + RUN_SORT_ID_BYTES;
+        (self.effective_budget_bytes() / per_record).max(1)
     }
 
     /// Whether the final merge should read ahead of the loser tree:
@@ -637,13 +648,13 @@ mod tests {
             ..StreamConfig::with_memory_budget(1 << 20)
         };
         assert_eq!(sync.spill_shares(), 2);
-        assert_eq!(sync.run_capacity(8), (1 << 20) / 16);
+        assert_eq!(sync.run_capacity(8), (1 << 20) / (16 + RUN_SORT_ID_BYTES));
         // Pipelined (default depth 1, double buffering): one more share
         // pays for the run in flight to the writer thread.
         let piped = StreamConfig::with_memory_budget(1 << 20);
         assert_eq!(piped.spill_pipeline_depth, 1);
         assert_eq!(piped.spill_shares(), 3);
-        assert_eq!(piped.run_capacity(8), (1 << 20) / 24);
+        assert_eq!(piped.run_capacity(8), (1 << 20) / (24 + RUN_SORT_ID_BYTES));
         // Deeper pipelines pay one share each; degenerate budgets clamp to
         // a record floor.
         let deep = StreamConfig {
@@ -660,22 +671,28 @@ mod tests {
         // Regression: the old `.max(64)` floor admitted 64 records per
         // budget share under a degenerate budget — buffer + scratch +
         // in-flight runs far above `memory_budget_bytes`.  The worst case
-        // is now one record per share.
-        for record_size in [1usize, 8, 64, 1024, 64 << 10] {
-            for budget in [0usize, 1, 100, 4096, 1 << 20] {
+        // is now one record per share.  Resident bytes at the peak of a
+        // run sort: one share of records per buffer, scratch copy and
+        // in-flight run, plus the sort's `u16` bucket id per record.
+        for record_size in [1usize, 8, 16, 64, 1024, 64 << 10] {
+            for budget in [0usize, 1, 100, 4096, 1 << 20, 3 << 20] {
                 for depth in [0usize, 1, 2, 8] {
                     let cfg = StreamConfig {
                         memory_budget_bytes: budget,
                         spill_pipeline_depth: depth,
                         ..StreamConfig::default()
                     };
-                    let resident = cfg.run_capacity(record_size) * cfg.spill_shares() * record_size;
-                    let worst = budget.max(cfg.spill_shares() * record_size);
+                    let run = cfg.run_capacity(record_size);
+                    let per_record = cfg.spill_shares() * record_size + std::mem::size_of::<u16>();
+                    let resident = run * per_record;
+                    let worst = budget.max(per_record);
                     assert!(
                         resident <= worst,
                         "budget {budget}, record {record_size}, depth {depth}: \
                          resident {resident} > worst-case {worst}"
                     );
+                    // The run is as large as the budget allows.
+                    assert!((run + 1) * per_record > budget);
                 }
             }
         }
@@ -691,13 +708,13 @@ mod tests {
             ..StreamConfig::default()
         };
         assert_eq!(cfg.effective_budget_bytes(), 1 << 20);
-        assert_eq!(cfg.run_capacity(8), (1 << 20) / 16);
+        assert_eq!(cfg.run_capacity(8), (1 << 20) / 18);
         // A shrink through the handle is visible to an existing config
         // (and all its clones) without rebuilding anything.
         let cloned = cfg.clone();
         handle.set(32 << 10);
-        assert_eq!(cfg.run_capacity(8), (32 << 10) / 16);
-        assert_eq!(cloned.run_capacity(8), (32 << 10) / 16);
+        assert_eq!(cfg.run_capacity(8), (32 << 10) / 18);
+        assert_eq!(cloned.run_capacity(8), (32 << 10) / 18);
         assert!(cfg.budget.as_ref().unwrap().same_handle(&handle));
         // Without a handle, the constant is the budget.
         assert_eq!(

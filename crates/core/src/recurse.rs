@@ -5,7 +5,11 @@
 //! 1. **Sampling** — detect heavy keys and the effective key range
 //!    ([`crate::sampling`]).
 //! 2. **Distributing** — stable counting sort by bucket id
-//!    ([`parlay::counting_sort`]).
+//!    ([`parlay::counting_sort`]), classifying each record once: the
+//!    counting pass caches bucket ids in a `u16` array that the scatter
+//!    pass reads back.  One id array of `n` entries, allocated at the root
+//!    next to the scratch buffer, serves every level: each child reuses
+//!    the slice under its own bucket.
 //! 3. **Recursing** — sort each light bucket on the next digit; heavy
 //!    buckets (all records share one key) and the overflow bucket
 //!    (comparison sorted) skip the radix recursion.
@@ -16,6 +20,10 @@
 //! the distribution writes from the current array into the scratch array and
 //! the dovetail merge writes back, so each level moves every record exactly
 //! twice and never copies a bucket back just to recurse on it.
+//!
+//! The zone loops of steps 3 and 4 fork by work ([`parlay::par::work_grain`]),
+//! so the root's zones spread over the pool while subproblems of at most
+//! [`parlay::par::MIN_TASK_WORK`] records stay on one thread.
 
 use crate::buckets::BucketTable;
 use crate::config::{MergeStrategy, SortConfig};
@@ -23,8 +31,8 @@ use crate::dtmerge::{dovetail_merge_across, dovetail_merge_in_place, parallel_me
 use crate::key::{bit_width, low_mask};
 use crate::sampling::sample_and_detect;
 use crate::stats::SortStats;
-use parlay::counting_sort::counting_sort_by;
-use parlay::par::parallel_for;
+use parlay::counting_sort::counting_sort_with_ids;
+use parlay::par::{parallel_for_grained, work_grain};
 use parlay::random::Rng;
 use parlay::slice::UnsafeSliceCell;
 use std::time::Instant;
@@ -83,12 +91,16 @@ where
         return Vec::new();
     }
     let mut buf = data.to_vec();
+    let mut ids = vec![0u16; n];
     let rng = Rng::new(cfg.seed);
-    recurse(data, &mut buf, key, total_bits, cfg, stats, rng, 1, hints)
+    recurse(
+        data, &mut buf, &mut ids, key, total_bits, cfg, stats, rng, 1, hints,
+    )
 }
 
 /// One recursive DTSort call.  The sorted result ends in `data`; `scratch`
-/// is a same-length buffer whose contents are clobbered.
+/// is a same-length buffer whose contents are clobbered, and so is `ids`,
+/// the same-length bucket-id cache of the distribution step.
 ///
 /// `root_hints` (only consulted at `depth == 1`) are externally supplied
 /// heavy-key candidates merged into the root sampling result; the returned
@@ -99,6 +111,7 @@ where
 pub(crate) fn recurse<T, F>(
     data: &mut [T],
     scratch: &mut [T],
+    ids: &mut [u16],
     key: &F,
     bits: u32,
     cfg: &SortConfig,
@@ -113,6 +126,7 @@ where
 {
     let n = data.len();
     debug_assert_eq!(n, scratch.len());
+    debug_assert_eq!(n, ids.len());
     if n <= 1 {
         return Vec::new();
     }
@@ -178,7 +192,7 @@ where
 
     // ---------------- Step 2: distributing ----------------
     let t1 = Instant::now();
-    let plan = counting_sort_by(data, scratch, table.num_buckets, |rec| {
+    let plan = counting_sort_with_ids(data, scratch, ids, table.num_buckets, |rec| {
         table.bucket_id(key(rec) & mask)
     });
     SortStats::add(&stats.distributed_records, n as u64);
@@ -218,11 +232,12 @@ where
     {
         let scratch_cell = UnsafeSliceCell::new(&mut *scratch);
         let data_cell = UnsafeSliceCell::new(&mut *data);
+        let ids_cell = UnsafeSliceCell::new(&mut *ids);
         let table_ref = &table;
         let plan_ref = &plan;
         // One task per MSD zone plus one for the overflow bucket.
         let tasks = num_zones + usize::from(table.overflow_id.is_some());
-        parallel_for(0, tasks, |z| {
+        parallel_for_grained(0, tasks, work_grain(tasks, n), &|z| {
             if z < num_zones {
                 let light_id = table_ref.light_ids[z] as usize;
                 let range = plan_ref.bucket_range(light_id);
@@ -231,9 +246,13 @@ where
                 }
                 let bucket = unsafe { scratch_cell.slice_mut(range.start, range.len()) };
                 let bucket_scratch = unsafe { data_cell.slice_mut(range.start, range.len()) };
+                // SAFETY: light buckets are disjoint ranges of the plan, so
+                // this task alone touches `range` of all three arrays.
+                let bucket_ids = unsafe { ids_cell.slice_mut(range.start, range.len()) };
                 recurse(
                     bucket,
                     bucket_scratch,
+                    bucket_ids,
                     key,
                     child_bits,
                     cfg,
@@ -270,7 +289,7 @@ where
         // do not affect the order).
         let mkey = |r: &T| key(r) & mask;
         let tasks = num_zones + usize::from(table.overflow_id.is_some());
-        parallel_for(0, tasks, |z| {
+        parallel_for_grained(0, tasks, work_grain(tasks, n), &|z| {
             if z >= num_zones {
                 // Overflow bucket: already sorted, copy to its final place.
                 let of = table_ref.overflow_id.expect("overflow task") as usize;
@@ -449,6 +468,31 @@ mod tests {
         want.sort_by_key(|&(k, _)| k);
         assert_eq!(data, want);
         assert!(stats.snapshot().max_depth >= 2, "{:?}", stats.snapshot());
+    }
+
+    #[test]
+    fn more_heavy_keys_than_bucket_ids_still_sort_stably() {
+        // 100k distinct keys, each twice, all carried in as heavy hints: the
+        // root table caps its heavy buckets at the u16 id range, and the
+        // keys past the cap sort as light keys.
+        let n = 200_000usize;
+        let input: Vec<(u32, u32)> = (0..n)
+            .map(|i| (((i * 7919) % 100_000) as u32 * 3, i as u32))
+            .collect();
+        let hints: Vec<u64> = (0..100_000u64).map(|k| k * 3).collect();
+        assert!(hints.len() > parlay::counting_sort::MAX_ID_BUCKETS);
+        let mut data = input.clone();
+        let stats = SortStats::new();
+        let key = |r: &(u32, u32)| r.0 as u64;
+        dtsort_run_impl(&mut data, &key, 32, &SortConfig::default(), &stats, &hints);
+        let mut want = input;
+        want.sort_by_key(|&(k, _)| k);
+        assert_eq!(data, want);
+        let snap = stats.snapshot();
+        assert!(
+            snap.heavy_records > 0 && snap.heavy_records < n as u64,
+            "{snap:?}"
+        );
     }
 
     #[test]

@@ -11,9 +11,25 @@
 //!
 //! Work `O(n + B·b)` where `B` is the number of blocks and `b` the number of
 //! buckets; span `O(b + log n)` — exactly the bounds quoted in the paper.
+//! Blocks hold at least [`MIN_TASK_WORK`] records each, so both block
+//! passes fork one task per block and inputs of at most that size run
+//! sequentially.
+//!
+//! **Classify once.**  [`counting_sort_by`] evaluates `key` twice per
+//! record, once to count and once to scatter, which is right for keys that
+//! are a shift and a mask.  When the bucket id is expensive (DovetailSort's
+//! `GetBucketID` probes a heavy-key hash table),
+//! [`counting_sort_with_ids`] evaluates it once: the counting pass stores
+//! each record's id in a caller-provided `u16` slice and the scatter pass
+//! reads it back, at a cost of `2·n` bytes of id storage.  Both entry
+//! points run the same pass loops.
 
-use crate::par::parallel_for;
+use crate::par::{parallel_for_grained, MIN_TASK_WORK};
 use crate::slice::UnsafeSliceCell;
+
+/// Largest bucket count whose ids fit the `u16` slice of
+/// [`counting_sort_with_ids`].
+pub const MAX_ID_BUCKETS: usize = 1 << 16;
 
 /// Result of planning a counting sort: block layout plus bucket boundaries.
 #[derive(Debug, Clone)]
@@ -40,22 +56,27 @@ impl CountingSortPlan {
     }
 }
 
-/// Chooses the number of blocks for an input of `n` records and `b` buckets.
+/// Chooses the number of blocks for an input of `n` records and `b` buckets
+/// on a pool of `threads` workers.
 ///
 /// Following Appendix B, we keep the counting matrix (`blocks × buckets`
 /// machine words) small enough to stay cache-resident while still exposing
 /// enough blocks for load balancing across the available threads.
-fn choose_num_blocks(n: usize, num_buckets: usize) -> usize {
-    if n == 0 {
-        return 1;
-    }
-    let threads = rayon::current_num_threads();
+fn choose_num_blocks(n: usize, num_buckets: usize, threads: usize) -> usize {
     // At least ~8 blocks per thread for balance, but never more blocks than
     // would make per-block work smaller than the bucket count (each block
-    // must amortize its own histogram).
+    // must amortize its own histogram), nor blocks under MIN_TASK_WORK
+    // records (each block is one forked task).
     let by_parallelism = threads * 8;
     let by_matrix = n / num_buckets.max(256) + 1;
-    by_parallelism.min(by_matrix).clamp(1, n)
+    let by_work = (n / MIN_TASK_WORK).max(1);
+    by_parallelism.min(by_matrix).min(by_work).max(1)
+}
+
+/// The records of block `b` out of `num_blocks` over `n` records.  Block
+/// sizes differ by at most one, so none is below `n / num_blocks`.
+fn block_range(b: usize, n: usize, num_blocks: usize) -> std::ops::Range<usize> {
+    b * n / num_blocks..(b + 1) * n / num_blocks
 }
 
 /// Stable parallel counting sort from `src` into `dst`.
@@ -77,6 +98,70 @@ where
     T: Copy + Send + Sync,
     F: Fn(&T) -> usize + Sync,
 {
+    distribute(src, dst, num_buckets, |_, rec| key(rec), |_, rec| key(rec))
+}
+
+/// [`counting_sort_by`] that evaluates `key` once per record: the counting
+/// pass caches each bucket id in `ids` (indexed like `src`) and the scatter
+/// pass reads it back.  `ids` is scratch; its contents on entry are ignored.
+///
+/// With more than [`MAX_ID_BUCKETS`] buckets the ids do not fit a `u16`,
+/// and `key` is evaluated twice as in [`counting_sort_by`].
+///
+/// # Panics
+/// Panics if `src`, `dst` and `ids` differ in length.
+pub fn counting_sort_with_ids<T, F>(
+    src: &[T],
+    dst: &mut [T],
+    ids: &mut [u16],
+    num_buckets: usize,
+    key: F,
+) -> CountingSortPlan
+where
+    T: Copy + Send + Sync,
+    F: Fn(&T) -> usize + Sync,
+{
+    assert_eq!(
+        src.len(),
+        ids.len(),
+        "counting_sort_with_ids: src and ids must have equal length"
+    );
+    if num_buckets > MAX_ID_BUCKETS {
+        return counting_sort_by(src, dst, num_buckets, key);
+    }
+    let ids = UnsafeSliceCell::new(ids);
+    distribute(
+        src,
+        dst,
+        num_buckets,
+        |i, rec| {
+            let k = key(rec);
+            // SAFETY: `distribute` passes each index `i < src.len() ==
+            // ids.len()` once, from the block that owns it.
+            unsafe { ids.write(i, k as u16) };
+            k
+        },
+        // SAFETY: as above; the counting pass has joined before the
+        // scatter pass reads the id back.
+        |i, _| usize::from(unsafe { ids.read(i) }),
+    )
+}
+
+/// The three passes shared by both entry points.  `classify(i, &src[i])`
+/// gives the bucket id of record `i` in the counting pass, and
+/// `lookup(i, &src[i])` gives the same id again in the scatter pass.
+fn distribute<T, C, L>(
+    src: &[T],
+    dst: &mut [T],
+    num_buckets: usize,
+    classify: C,
+    lookup: L,
+) -> CountingSortPlan
+where
+    T: Copy + Send + Sync,
+    C: Fn(usize, &T) -> usize + Sync,
+    L: Fn(usize, &T) -> usize + Sync,
+{
     assert_eq!(
         src.len(),
         dst.len(),
@@ -95,20 +180,17 @@ where
         };
     }
 
-    let num_blocks = choose_num_blocks(n, num_buckets);
-    let block_size = n.div_ceil(num_blocks);
+    let num_blocks = choose_num_blocks(n, num_buckets, rayon::current_num_threads());
 
     // Pass 1: per-block histograms, stored row-major: counts[block][bucket].
     let mut counts = vec![0usize; num_blocks * num_buckets];
     {
         let counts_cell = UnsafeSliceCell::new(&mut counts);
-        let key = &key;
-        parallel_for(0, num_blocks, |b| {
-            let start = b * block_size;
-            let end = ((b + 1) * block_size).min(n);
+        parallel_for_grained(0, num_blocks, 1, &|b| {
+            let range = block_range(b, n, num_blocks);
             let row = unsafe { counts_cell.slice_mut(b * num_buckets, num_buckets) };
-            for rec in &src[start..end] {
-                let k = key(rec);
+            for (i, rec) in range.clone().zip(&src[range]) {
+                let k = classify(i, rec);
                 debug_assert!(k < num_buckets, "bucket id {k} out of range {num_buckets}");
                 row[k] += 1;
             }
@@ -138,13 +220,11 @@ where
     {
         let dst_cell = UnsafeSliceCell::new(dst);
         let counts_cell = UnsafeSliceCell::new(&mut counts);
-        let key = &key;
-        parallel_for(0, num_blocks, |b| {
-            let start = b * block_size;
-            let end = ((b + 1) * block_size).min(n);
+        parallel_for_grained(0, num_blocks, 1, &|b| {
+            let range = block_range(b, n, num_blocks);
             let row = unsafe { counts_cell.slice_mut(b * num_buckets, num_buckets) };
-            for rec in &src[start..end] {
-                let k = key(rec);
+            for (i, rec) in range.clone().zip(&src[range]) {
+                let k = lookup(i, rec);
                 let pos = row[k];
                 row[k] += 1;
                 unsafe { dst_cell.write(pos, *rec) };
@@ -252,6 +332,73 @@ mod tests {
         want.sort_by_key(|&(k, _)| k);
         counting_sort_inplace_by(&mut data, 32, |&(k, _)| k as usize);
         assert_eq!(data, want);
+    }
+
+    #[test]
+    fn no_block_below_min_task_work() {
+        for threads in [1, 2, 4, 64] {
+            for buckets in [1, 256, 4097, 1 << 16] {
+                for n in [
+                    1,
+                    1000,
+                    MIN_TASK_WORK - 1,
+                    MIN_TASK_WORK,
+                    3 * MIN_TASK_WORK + 1,
+                    1_000_000,
+                    1 << 24,
+                ] {
+                    let blocks = choose_num_blocks(n, buckets, threads);
+                    if n < MIN_TASK_WORK {
+                        assert_eq!(blocks, 1, "n={n} threads={threads}");
+                    }
+                    let covered: usize = (0..blocks)
+                        .map(|b| {
+                            let len = block_range(b, n, blocks).len();
+                            assert!(
+                                len >= MIN_TASK_WORK.min(n),
+                                "block of {len} (n={n} buckets={buckets} threads={threads})"
+                            );
+                            len
+                        })
+                        .sum();
+                    assert_eq!(covered, n);
+                }
+            }
+        }
+        // A 1M-record root distribution on two workers still forks.
+        assert!(choose_num_blocks(1_000_000, 4097, 2) > 1);
+    }
+
+    #[test]
+    fn ids_path_matches_stable_reference_with_max_buckets() {
+        let rng = Rng::new(4);
+        let n = 3 * MIN_TASK_WORK + 17;
+        let b = MAX_ID_BUCKETS;
+        let input: Vec<(u32, u32)> = (0..n)
+            .map(|i| (rng.ith_in(i as u64, b as u64) as u32, i as u32))
+            .collect();
+        let mut want = input.clone();
+        want.sort_by_key(|&(k, _)| k);
+        let key = |&(k, _): &(u32, u32)| k as usize;
+        for threads in [1, 4] {
+            let mut dst = vec![(0u32, 0u32); n];
+            let mut ids = vec![0u16; n];
+            let plan = crate::par::with_threads(threads, || {
+                counting_sort_with_ids(&input, &mut dst, &mut ids, b, key)
+            });
+            assert_eq!(dst, want, "threads={threads}");
+            assert_eq!(plan.bucket_offsets.len(), b + 1);
+            assert!(ids.iter().zip(&input).all(|(&id, r)| id as usize == key(r)));
+        }
+        // Past the u16 range the ids are left alone and keys recomputed.
+        let input: Vec<(u32, u32)> = (0..1000).map(|i| (b as u32 + i % 7, i)).collect();
+        let mut dst = vec![(0, 0); input.len()];
+        let mut ids = vec![0u16; input.len()];
+        counting_sort_with_ids(&input, &mut dst, &mut ids, b + 7, key);
+        let mut want = input.clone();
+        want.sort_by_key(|&(k, _)| k);
+        assert_eq!(dst, want);
+        assert!(ids.iter().all(|&id| id == 0));
     }
 
     #[test]

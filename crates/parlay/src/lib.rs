@@ -46,13 +46,15 @@ pub mod seq;
 pub mod slice;
 
 pub use binsearch::{lower_bound, lower_bound_by, upper_bound, upper_bound_by};
-pub use counting_sort::{counting_sort_by, counting_sort_inplace_by, CountingSortPlan};
+pub use counting_sort::{
+    counting_sort_by, counting_sort_inplace_by, counting_sort_with_ids, CountingSortPlan,
+};
 pub use flip::{par_reverse, par_rotate_left};
 pub use histogram::{histogram, top_k_frequent};
 pub use kway::{kway_merge_by, kway_merge_into, LoserTree, RunSource, SliceSource};
 pub use merge::{par_merge_by, par_merge_into};
 pub use pack::{pack, pack_index, pack_ranges};
-pub use par::{num_threads, parallel_for, parallel_for_grained, with_threads};
+pub use par::{num_threads, parallel_for, parallel_for_grained, with_threads, work_grain};
 pub use random::Rng;
 pub use reduce::{par_max, par_min, par_reduce, par_sum};
 pub use sample::sample_indices;
@@ -60,9 +62,11 @@ pub use scan::{scan_exclusive, scan_exclusive_in_place, scan_inclusive};
 pub use scatter::{hash_scatter_into, scatter_by};
 pub use slice::UnsafeSliceCell;
 
-/// Default granularity (number of elements handled sequentially by one task)
-/// used by the primitives when the caller does not override it.
+/// Default granularity (number of loop indices handled sequentially by one
+/// task) used by the primitives when the caller does not override it.
 ///
 /// ParlayLib uses a similar block size (~2048) for its `parallel_for`; the
 /// exact value only affects constant factors, not the work/span bounds.
+/// Loops whose indices each stand for many records (blocks, buckets, MSD
+/// zones) size their grain by work instead: see [`par::work_grain`].
 pub const DEFAULT_GRANULARITY: usize = 2048;

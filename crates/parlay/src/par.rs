@@ -6,6 +6,13 @@
 //! blocks of a *granularity* and recurses with binary forking.  We mirror
 //! that here: the range is divided recursively with [`rayon::join`] until it
 //! is at most `grain` long, then the body runs sequentially.
+//!
+//! The grain counts *loop indices*, not work.  That suits loops whose body
+//! touches one element, but a loop over the blocks of a counting sort or
+//! the buckets of an MSD level has a few hundred indices that each cover
+//! thousands of records, and under the default grain it never forks.  Such
+//! coarse loops size their grain with [`work_grain`] instead, so each task
+//! covers about [`MIN_TASK_WORK`] records.
 
 use crate::DEFAULT_GRANULARITY;
 
@@ -25,6 +32,18 @@ pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R 
         .build()
         .expect("failed to build rayon thread pool");
     pool.install(f)
+}
+
+/// Fewest records a forked task of a coarse loop should cover: below this,
+/// the fork and steal overhead outweighs the work, so inputs of at most
+/// this many records run such loops sequentially.
+pub const MIN_TASK_WORK: usize = 1 << 15;
+
+/// Grain, in loop indices, for a coarse loop of `tasks` iterations that
+/// together cover `work` records: the loop forks into at most
+/// `work / MIN_TASK_WORK` leaves (one when `work < 2 · MIN_TASK_WORK`).
+pub fn work_grain(tasks: usize, work: usize) -> usize {
+    tasks.div_ceil((work / MIN_TASK_WORK).max(1)).max(1)
 }
 
 /// Parallel for-loop over `start..end` with the default granularity.
@@ -117,6 +136,20 @@ mod tests {
             sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2);
+    }
+
+    #[test]
+    fn work_grain_forks_large_loops_only() {
+        // The root zone loop of a 1M-record DTSort level (256 zones plus the
+        // overflow bucket) forks ...
+        let grain = work_grain(257, 1 << 20);
+        assert!(grain < 257);
+        assert!(257usize.div_ceil(grain) <= (1 << 20) / MIN_TASK_WORK);
+        // ... while a 33k-record server run stays one task, as does any
+        // loop over at most MIN_TASK_WORK records.
+        assert!(work_grain(257, 33_000) >= 257);
+        assert!(work_grain(16, MIN_TASK_WORK) >= 16);
+        assert_eq!(work_grain(0, 0), 1);
     }
 
     #[test]

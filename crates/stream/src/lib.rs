@@ -15,9 +15,10 @@
 //!
 //! [`StreamSorter`] buffers pushed records up to the run capacity derived
 //! from [`dtsort::StreamConfig::memory_budget_bytes`], which is split
-//! into equal shares ([`dtsort::StreamConfig::spill_shares`]): one
-//! buffers records, one is DovetailSort's ping-pong scratch, and one per
-//! unit of pipeline depth pays for runs in flight to the spill writer.
+//! into shares ([`dtsort::StreamConfig::spill_shares`]): one buffers
+//! records, one is DovetailSort's ping-pong scratch plus its 2-byte
+//! bucket id per record, and one per unit of pipeline depth pays for runs
+//! in flight to the spill writer.
 //! Each full buffer is stably sorted with the paper's DovetailSort and
 //! written to a spill file; the final partial buffer stays in memory.
 //! [`StreamSorter::finish`] merges all runs with a tournament loser tree

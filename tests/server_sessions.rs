@@ -12,9 +12,9 @@
 //! and asserts the outputs are identical, across the sync/pipelined spill
 //! paths and both spill codecs.
 //!
-//! Thread counts: CI re-runs this suite under `RAYON_NUM_THREADS ∈ {1, 4}`
+//! Thread counts: CI re-runs this suite under `RAYON_NUM_THREADS ∈ {1, 2, 4}`
 //! (the thread-matrix job), which covers schedule-dependence of the shared
-//! pool at both concurrency levels.
+//! pool at each concurrency level.
 
 use dtsort::{SortConfig, StreamConfig};
 use server::{

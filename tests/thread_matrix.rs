@@ -1,7 +1,7 @@
 //! Thread-count determinism matrix: the differential-suite coverage
 //! (distribution sweep × sorters × semisort × streaming, plus the k-way /
 //! stream boundary cases of the edge suite) re-run at every thread count
-//! in `{1, 4}`, asserting **byte-identical** output across counts.
+//! in `{1, 2, 4}`, asserting **byte-identical** output across counts.
 //!
 //! Every parallel primitive in the workspace writes through precomputed
 //! disjoint offsets and all sampling is seeded, so the output of every
@@ -9,18 +9,23 @@
 //! Under the work-stealing pool this is the test that proves it: a worker
 //! count of 4 on any host exercises stealing, parking and run-ahead, and
 //! any scheduling-dependent behaviour shows up as a diff against the
-//! 1-thread run.
+//! 1-thread run.  Most legs use small inputs; the DTSort root leg uses
+//! inputs past [`parlay::par::MIN_TASK_WORK`] and the base-case threshold,
+//! so its distribution blocks and zone loops really fork.
 //!
 //! CI additionally runs the *whole* workspace test suite under
-//! `RAYON_NUM_THREADS ∈ {1, 4}`, which covers the suites this file cannot
-//! re-enter (they use the global pool).
+//! `RAYON_NUM_THREADS ∈ {1, 2, 4}`, which covers the suites this file
+//! cannot re-enter (they use the global pool).
 
 use parlay::par::with_threads;
 use workloads::dist::{bexp_instances, generate_pairs_u32, paper_instances, Distribution};
 
 /// The thread counts of the matrix.
-const THREADS: [usize; 2] = [1, 4];
+const THREADS: [usize; 3] = [1, 2, 4];
 const N: usize = 10_000;
+/// Input size of the DTSort root leg: enough records that the root
+/// distribution forks into several blocks and zone tasks.
+const ROOT_N: usize = 1 << 18;
 
 fn all_instances() -> Vec<Distribution> {
     let mut v = paper_instances();
@@ -71,6 +76,23 @@ fn sorters_are_thread_count_invariant_across_distributions() {
             let ctx = format!("sorter={name} dist={}", dist.label());
             assert_thread_count_invariant(&input, &ctx, run);
         }
+    }
+}
+
+#[test]
+fn dtsort_root_distribution_is_thread_count_invariant() {
+    for dist in [
+        Distribution::Zipfian { s: 1.2 },
+        Distribution::BitExponential { t: 30.0 },
+    ] {
+        let input = generate_pairs_u32(&dist, ROOT_N, 0x5007);
+        let ctx = format!("sorter=dtsort n={ROOT_N} dist={}", dist.label());
+        assert_thread_count_invariant(&input, &ctx, |d| dtsort::sort_pairs(d));
+        let mut want = input.clone();
+        want.sort_by_key(|r| r.0);
+        let mut got = input;
+        dtsort::sort_pairs(&mut got);
+        assert_eq!(got, want, "[{ctx}] must match a stable sort");
     }
 }
 
