@@ -1,7 +1,7 @@
 //! Streaming-sorter throughput: records/sec of `stream::StreamSorter` as
 //! the memory budget shrinks (forcing more spilled runs), against the
 //! in-memory DovetailSort baseline on the same input — measured in three
-//! spill modes: **synchronous** (`StreamConfig::spill_pipeline_depth = 0`, the
+//! spill modes: **synchronous** (`StreamConfig::pipelined_spill = false`, the
 //! pre-pipelining behavior), **pipelined** (background spill writer +
 //! merge read-ahead, the default), and **compressed** (pipelined +
 //! `SpillCompression::DeltaLz` delta/LZ spill blocks), so every run
@@ -128,7 +128,7 @@ struct Phases {
 fn stream_sort_phases(input: &[(u32, u32)], budget: usize, batch: usize, mode: Mode) -> Phases {
     let cfg = StreamConfig {
         memory_budget_bytes: budget,
-        spill_pipeline_depth: usize::from(!mode.sync),
+        pipelined_spill: !mode.sync,
         merge_read_ahead: mode.sync.then_some(false),
         spill_compression: mode.compression,
         spill_io: mode.io,

@@ -3,7 +3,7 @@
 //! classes and memory budgets, against the fixed-size pod-value sorter on
 //! the same keys (which isolates the cost of the length-prefixed format).
 //! Spill-bound rows are measured in three spill modes — **synchronous**
-//! (`StreamConfig::spill_pipeline_depth = 0`), **pipelined** (background writer +
+//! (`StreamConfig::pipelined_spill = false`), **pipelined** (background writer +
 //! read-ahead, the default) and **compressed** (pipelined +
 //! `SpillCompression::DeltaLz`) — with the spill-phase wall time, bytes
 //! written and achieved compression ratio reported per row.  Each mode is
@@ -136,7 +136,7 @@ fn stream_sort_strings_phases(
 ) -> Phases {
     let cfg = StreamConfig {
         memory_budget_bytes: budget,
-        spill_pipeline_depth: usize::from(!mode.sync),
+        pipelined_spill: !mode.sync,
         merge_read_ahead: mode.sync.then_some(false),
         spill_compression: mode.compression,
         spill_io: mode.io,

@@ -170,8 +170,8 @@ pub enum SpillIoMode {
     /// One blocking `std::fs` call per read/write on the calling thread
     /// (buffered).  This is the code path every release so far has run,
     /// kept byte-for-byte as the reference side of the backend
-    /// differential tests — the same role `spill_pipeline_depth = 0` plays
-    /// for the pipeline stage.
+    /// differential tests — the same role `pipelined_spill = false` plays
+    /// for the writer thread.
     Blocking,
     /// Positioned-I/O jobs over pooled, recycled buffers on the spill I/O
     /// pool's bounded submission/completion queue
@@ -362,20 +362,20 @@ impl BudgetHandle {
 /// detection with keys carried from earlier runs), spills runs to
 /// `spill_dir`, and k-way merges all runs at the end.
 ///
-/// Spill I/O is **pipelined** by default: sorted runs are handed to a
+/// Spill I/O is **pipelined** by default: each sorted run is handed to a
 /// dedicated writer thread (so run `N + 1` is sorted while run `N` streams
 /// to disk) and the final merge decodes each run ahead of the loser tree
-/// on a small worker pool.  `spill_pipeline_depth = 0` turns the writer stage
-/// off and `merge_read_ahead = Some(false)` the read-ahead.
+/// on a small worker pool.  `pipelined_spill = false` turns the writer
+/// thread off and `merge_read_ahead = Some(false)` the read-ahead.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Total working-set budget in bytes, split into
     /// [`StreamConfig::spill_shares`] shares: one buffers incoming
     /// records, one is the sort's ping-pong scratch plus its bucket-id
-    /// cache, and `spill_pipeline_depth` shares bound the sorted runs in
-    /// flight to the writer thread.  One run therefore holds about
-    /// `memory_budget_bytes / (spill_shares · record_size + 2)` records
-    /// ([`StreamConfig::run_capacity`]).
+    /// cache, and with [`StreamConfig::pipelined_spill`] one more holds
+    /// the sorted run in flight to the writer thread.  One run therefore
+    /// holds about `memory_budget_bytes / (spill_shares · record_size + 2)`
+    /// records ([`StreamConfig::run_capacity`]).
     ///
     /// `record_size` is the *inline* struct size (`size_of::<(K, V)>()`).
     /// For variable-length values (`String`, `Vec<u8>`, `Box<[u8]>`) the
@@ -393,31 +393,23 @@ pub struct StreamConfig {
     /// Engines re-check capacity on every push chunk, so a shrink
     /// triggers an early spill rather than an error.
     pub budget: Option<BudgetHandle>,
-    /// Upper bound on the number of heavy keys carried from one run's
-    /// sampling into the next (each carried key costs one bucket in the
-    /// next run's root distribution).
-    pub max_carried_heavy_keys: usize,
     /// Directory for spilled runs; `None` uses the system temp directory.
     /// Each sorter creates (and removes on drop) a unique subdirectory.
     pub spill_dir: Option<std::path::PathBuf>,
     /// Total bytes of read buffering shared by all runs during the final
     /// streaming merge.
     pub merge_read_buffer_bytes: usize,
-    /// Maximum number of sorted runs in flight to the spill-writer thread
-    /// (queued plus being written), each counting one budget share; the
-    /// producer blocks once the pipeline is full (backpressure).
+    /// Write spilled runs on a background writer thread (the default):
+    /// double buffering, so run `N + 1` sorts while run `N` writes.  At
+    /// most one run is in flight, and it costs one budget share; the
+    /// producer waits for it to be durable before handing over the next
+    /// (backpressure).
     ///
-    /// `0` disables the writer thread: `push` sorts *and* writes each run
-    /// inline on the calling thread — the path a pipelined engine also
+    /// `false` disables the writer thread: `push` sorts *and* writes each
+    /// run inline on the calling thread — the path a pipelined engine also
     /// takes while on probation after a writer failure, and the reference
     /// side of the pipelined-vs-synchronous differential tests.
-    ///
-    /// The default of 1 is classic double buffering: run `N + 1` sorts
-    /// while run `N` writes.  Each extra unit of depth smooths over
-    /// burstier disk latency but shrinks the run capacity by one budget
-    /// share — and smaller runs mean a wider final merge fan-in, which is
-    /// usually the worse trade.
-    pub spill_pipeline_depth: usize,
+    pub pipelined_spill: bool,
     /// Prefetch decoded record blocks ahead of the final k-way merge —
     /// decode tasks on the spill I/O pool
     /// ([`StreamConfig::spill_io_workers`] threads, whatever the run
@@ -444,7 +436,7 @@ pub struct StreamConfig {
     /// (positioned-I/O jobs on the spill I/O pool; see
     /// [`StreamConfig::spill_io_workers`] /
     /// [`StreamConfig::spill_io_queue_depth`]).  Orthogonal to
-    /// `spill_pipeline_depth`, which picks *who calls into* the backend,
+    /// `pipelined_spill`, which picks *who calls into* the backend,
     /// not how the bytes move.  Defaults from the `PISORT_SPILL_IO`
     /// environment variable ([`SpillIoMode::env_default`]).
     pub spill_io: SpillIoMode,
@@ -491,10 +483,9 @@ impl Default for StreamConfig {
         Self {
             memory_budget_bytes: 256 << 20,
             budget: None,
-            max_carried_heavy_keys: 1024,
             spill_dir: None,
             merge_read_buffer_bytes: 8 << 20,
-            spill_pipeline_depth: 1,
+            pipelined_spill: true,
             merge_read_ahead: None,
             spill_compression: SpillCompression::default(),
             spill_io: SpillIoMode::default(),
@@ -538,14 +529,14 @@ impl StreamConfig {
     }
 
     /// Number of budget shares the record memory is split into: one
-    /// filling buffer + one sort scratch, plus one per possible in-flight
-    /// run ([`StreamConfig::spill_pipeline_depth`]).  In-flight runs buffer
-    /// real bytes, so they must be paid for out of the same budget.  The
-    /// sort-scratch share also holds DovetailSort's bucket-id cache (2
-    /// bytes per record), so it is slightly larger than the others; see
-    /// [`StreamConfig::run_capacity`].
+    /// filling buffer + one sort scratch, plus one for the run in flight
+    /// to the writer when [`StreamConfig::pipelined_spill`] is on — 2 or
+    /// 3.  The in-flight run buffers real bytes, so it must be paid for
+    /// out of the same budget.  The sort-scratch share also holds
+    /// DovetailSort's bucket-id cache (2 bytes per record), so it is
+    /// slightly larger than the others; see [`StreamConfig::run_capacity`].
     pub fn spill_shares(&self) -> usize {
-        2 + self.spill_pipeline_depth
+        2 + usize::from(self.pipelined_spill)
     }
 
     /// Number of records of `record_size` bytes one run may hold: the
@@ -558,7 +549,7 @@ impl StreamConfig {
     /// record memory is `max(memory_budget_bytes, spill_shares() ·
     /// record_size + 2)` — one record per share — never
     /// the `64 · spill_shares() · record_size` the old `.max(64)` floor
-    /// admitted (e.g. 64 records × 5 shares × a 1 KiB record ≈ 320 KiB
+    /// admitted (e.g. 64 records × 3 shares × a 1 KiB record ≈ 192 KiB
     /// against a 1 KiB budget).
     pub fn run_capacity(&self, record_size: usize) -> usize {
         let per_record = self.spill_shares() * record_size.max(1) + RUN_SORT_ID_BYTES;
@@ -641,27 +632,21 @@ mod tests {
 
     #[test]
     fn stream_config_run_capacity() {
-        // Synchronous (depth 0): half the budget buffers records (the rest
-        // is sort scratch).
+        // Synchronous: half the budget buffers records (the rest is sort
+        // scratch).
         let sync = StreamConfig {
-            spill_pipeline_depth: 0,
+            pipelined_spill: false,
             ..StreamConfig::with_memory_budget(1 << 20)
         };
         assert_eq!(sync.spill_shares(), 2);
         assert_eq!(sync.run_capacity(8), (1 << 20) / (16 + RUN_SORT_ID_BYTES));
-        // Pipelined (default depth 1, double buffering): one more share
-        // pays for the run in flight to the writer thread.
+        // Pipelined (the default, double buffering): one more share pays
+        // for the run in flight to the writer thread.
         let piped = StreamConfig::with_memory_budget(1 << 20);
-        assert_eq!(piped.spill_pipeline_depth, 1);
+        assert!(piped.pipelined_spill);
         assert_eq!(piped.spill_shares(), 3);
         assert_eq!(piped.run_capacity(8), (1 << 20) / (24 + RUN_SORT_ID_BYTES));
-        // Deeper pipelines pay one share each; degenerate budgets clamp to
-        // a record floor.
-        let deep = StreamConfig {
-            spill_pipeline_depth: 2,
-            ..StreamConfig::default()
-        };
-        assert_eq!(deep.spill_shares(), 4);
+        // Degenerate budgets clamp to a record floor.
         assert_eq!(StreamConfig::with_memory_budget(0).run_capacity(8), 1);
         assert!(StreamConfig::default().memory_budget_bytes > 0);
     }
@@ -676,10 +661,10 @@ mod tests {
         // in-flight run, plus the sort's `u16` bucket id per record.
         for record_size in [1usize, 8, 16, 64, 1024, 64 << 10] {
             for budget in [0usize, 1, 100, 4096, 1 << 20, 3 << 20] {
-                for depth in [0usize, 1, 2, 8] {
+                for pipelined_spill in [false, true] {
                     let cfg = StreamConfig {
                         memory_budget_bytes: budget,
-                        spill_pipeline_depth: depth,
+                        pipelined_spill,
                         ..StreamConfig::default()
                     };
                     let run = cfg.run_capacity(record_size);
@@ -688,7 +673,7 @@ mod tests {
                     let worst = budget.max(per_record);
                     assert!(
                         resident <= worst,
-                        "budget {budget}, record {record_size}, depth {depth}: \
+                        "budget {budget}, record {record_size}, pipelined {pipelined_spill}: \
                          resident {resident} > worst-case {worst}"
                     );
                     // The run is as large as the budget allows.
@@ -704,7 +689,7 @@ mod tests {
         let cfg = StreamConfig {
             memory_budget_bytes: 64, // must be ignored while a handle is attached
             budget: Some(handle.clone()),
-            spill_pipeline_depth: 0,
+            pipelined_spill: false,
             ..StreamConfig::default()
         };
         assert_eq!(cfg.effective_budget_bytes(), 1 << 20);

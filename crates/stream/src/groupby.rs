@@ -247,7 +247,7 @@ pub struct GroupByStats {
     /// Whether the spill counters are exact right now: `false` while
     /// aggregated runs are in flight to the background spill writer,
     /// `true` once reconciliation has caught up.  Always `true` with
-    /// [`StreamConfig::spill_pipeline_depth`] `= 0`;
+    /// [`StreamConfig::pipelined_spill`] off;
     /// [`StreamGroupBy::flush_spills`] forces it back to `true`.
     pub is_settled: bool,
 }
@@ -298,17 +298,17 @@ impl<K: IntegerKey, G: Aggregator> RunBuilder for AggRuns<K, G> {
         // Peak transient footprint per buffered record: the pushed record
         // itself, plus the `(key, index)` tag pair the semisort moves (and
         // the scratch copy of it the semisort engine allocates), plus the
-        // lifted accumulator slot — plus one in-flight partial-aggregate
-        // slot per pipeline-depth unit (an aggregated run in flight to the
-        // writer holds at most one `(u64, Acc)` record per buffered
-        // record).  Sizing the run from that sum (not just the input
-        // record) keeps aggregation within the configured budget.
+        // lifted accumulator slot — plus, when spills are pipelined, one
+        // partial-aggregate slot for the run in flight (an aggregated run
+        // in flight to the writer holds at most one `(u64, Acc)` record
+        // per buffered record).  Sizing the run from that sum (not just
+        // the input record) keeps aggregation within the configured budget.
         // Variable-length payloads count their inline struct size only
         // (see `StreamConfig`).
         let record_footprint = std::mem::size_of::<(K, G::Input)>()
             + 2 * std::mem::size_of::<(u64, u64)>()
             + std::mem::size_of::<Option<G::Acc>>()
-            + cfg.spill_pipeline_depth * std::mem::size_of::<(u64, G::Acc)>();
+            + usize::from(cfg.pipelined_spill) * std::mem::size_of::<(u64, G::Acc)>();
         // Floor of 1 (not some larger convenience floor): any higher floor
         // would admit `floor × record_footprint` resident bytes under a
         // degenerate budget, silently overshooting it (the same fix as
@@ -457,10 +457,10 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
         &self.core.stats
     }
 
-    /// Blocks until every aggregated run handed to the background spill
+    /// Blocks until the aggregated run in flight to the background spill
     /// writer is durable on disk, surfacing any writer-side error.
     /// Afterwards [`StreamGroupBy::stats`] is exact.  A no-op with
-    /// [`StreamConfig::spill_pipeline_depth`] `= 0`.
+    /// [`StreamConfig::pipelined_spill`] off.
     pub fn flush_spills(&mut self) -> io::Result<()> {
         self.core.flush_spills()
     }
@@ -695,11 +695,11 @@ mod tests {
     }
 
     #[test]
-    fn depth_zero_sizes_runs_without_in_flight_slots() {
+    fn synchronous_spill_sizes_runs_without_in_flight_slots() {
         use std::mem::size_of;
         let budget = 1 << 20;
         let sync = StreamConfig {
-            spill_pipeline_depth: 0,
+            pipelined_spill: false,
             ..StreamConfig::with_memory_budget(budget)
         };
         assert_eq!(sync.spill_shares(), 2);

@@ -17,8 +17,8 @@
 //! from [`dtsort::StreamConfig::memory_budget_bytes`], which is split
 //! into shares ([`dtsort::StreamConfig::spill_shares`]): one buffers
 //! records, one is DovetailSort's ping-pong scratch plus its 2-byte
-//! bucket id per record, and one per unit of pipeline depth pays for runs
-//! in flight to the spill writer.
+//! bucket id per record, and, when spills are pipelined, one pays for the
+//! run in flight to the spill writer.
 //! Each full buffer is stably sorted with the paper's DovetailSort and
 //! written to a spill file; the final partial buffer stays in memory.
 //! [`StreamSorter::finish`] merges all runs with a tournament loser tree
@@ -54,29 +54,30 @@
 //!
 //! ## Pipelined spill I/O
 //!
-//! Spilling is pipelined by default (the crate-private `pipeline`
-//! module): each
-//! sorted run is handed to a dedicated **writer thread** through a
-//! bounded channel, so run `N + 1` sorts while run `N` streams to disk
-//! (fsync included — a run recorded as spilled is durably on disk), and
-//! the final merge **reads ahead** of the loser tree: each spilled run's
-//! next block is decoded by a task on the spill I/O pool
-//! ([`dtsort::StreamConfig::spill_io_workers`] threads, whatever the run
-//! count).  The memory budget is split into *spill
-//! shares* ([`dtsort::StreamConfig::spill_shares`]) so in-flight runs are
-//! paid for out of the same budget; the bounded channel is the
-//! backpressure.  Writer-side errors surface on the next `push` or on
-//! `finish` — never dropped, never a hang — with the failed runs'
-//! records reclaimed and the engine entering **degradation probation**:
-//! it spills synchronously until
+//! Spilling is pipelined by default: each sorted run is handed to a
+//! dedicated **writer thread**, so run `N + 1` sorts while run `N`
+//! streams to disk (fsync included — a run recorded as spilled is durably
+//! on disk).  At most one run is in flight: the writer hands each run
+//! back with its outcome, and the engine settles run `N` before handing
+//! over run `N + 1` — that wait is the backpressure.  The final merge
+//! **reads ahead** of the loser tree (the crate-private `pipeline`
+//! module): each spilled run's next block is decoded by a task on the
+//! spill I/O pool ([`dtsort::StreamConfig::spill_io_workers`] threads,
+//! whatever the run count).  The memory budget is split into *spill
+//! shares* ([`dtsort::StreamConfig::spill_shares`]) so the in-flight run
+//! is paid for out of the same budget.  Writer-side errors surface on the
+//! next `push` or on `finish` — never dropped, never a hang — with the
+//! failed run's records reclaimed and the engine entering **degradation
+//! probation**: it spills synchronously until
 //! [`dtsort::SpillRetryPolicy::probation_spills`] consecutive spills
-//! succeed, then re-enables the pipeline (visible as
+//! succeed, then restarts the writer thread (visible as
 //! `spill.degraded_syncs` / [`StreamStats::degraded_syncs`]).
 //! Transient failures (interrupted/timed-out syscalls) are retried with
 //! bounded deterministic backoff before any of that
 //! ([`dtsort::SpillRetryPolicy`]), and errors that survive the retries
-//! are typed [`SpillError`]s naming the run file, run index and bytes
-//! attempted.  [`dtsort::StreamConfig::spill_pipeline_depth`] `= 0`
+//! are typed [`SpillError`]s naming the run file, run index (the run's
+//! position among the engine's runs, whichever path wrote it) and bytes
+//! attempted.  [`dtsort::StreamConfig::pipelined_spill`] `= false`
 //! writes every run inline on the pushing thread — the path probation
 //! takes, and the reference behavior for the differential tests.  The
 //! crate-private `spiller` module owns this whole lifecycle once for both

@@ -1,7 +1,7 @@
 //! Registry handles for the streaming engines' metrics.
 //!
 //! One lazily initialized bundle of handles into [`obs::global`], shared
-//! by the sorter, the group-by, the spill pipeline, and the read-ahead
+//! by the sorter, the group-by, the spill writer, and the read-ahead
 //! feeds.
 //! Every call site gates on [`obs::enabled`] *before* touching [`m`], so a
 //! fully disabled run never registers anything — the first `m()` call is
@@ -22,12 +22,12 @@
 //! | `groupby.spilled_bytes` | counter | group-by bytes durable on disk |
 //! | `groupby.partial_aggregates` | counter | partials produced (spilled + tail) |
 //! | `groupby.aggregate_ns` | histogram | per-run semisort + fold latency |
-//! | `spill.backpressure_ns` | histogram | producer wait on the full pipeline |
+//! | `spill.backpressure_ns` | histogram | producer wait for the previous run to settle, one sample per pipelined handoff |
 //! | `spill.write_ns` | histogram | per-run write (encode + flush + fsync) |
 //! | `spill.fsync_ns` | histogram | per-run flush + `sync_data` alone |
 //! | `spill.bytes_written` | counter | bytes through `write_run` (both engines, sync + pipelined; post-compression) |
 //! | `spill.raw_bytes` | counter | pre-compression (flat-encoding) bytes through `write_run`; the ratio against `spill.bytes_written` is the compression win |
-//! | `spill.queue_depth` | gauge | runs in flight to the writer thread |
+//! | `spill.queue_depth` | gauge | runs in flight to the writer thread (0 or 1) |
 //! | `prefetch.refill_ns` | histogram | per-block decode latency (read-ahead task, on a pool worker or inline) |
 //! | `prefetch.stall_ns` | histogram | merge-side wait for the next block |
 //! | `prefetch.blocks_prefetched` | counter | blocks decoded ahead of the merge |

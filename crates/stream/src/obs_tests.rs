@@ -1,13 +1,17 @@
 //! Observability tests that need crate internals: a spill value with an
 //! artificially slow serializer proves — from the emitted trace alone —
 //! that the pipelined spill path really overlaps run sorting on the caller
-//! thread with run writing on the background writer thread.
+//! thread with run writing on the background writer thread, and — from
+//! its write counter — that dropping an engine joins that thread.
 
 use crate::sorter::{var_merge_runs_into, var_sort_run, StreamSorter};
 use crate::spill::sealed::Sealed;
 use crate::spill::{SpillValue, VarValue};
+use crate::{FirstAgg, StreamGroupBy};
 use dtsort::{IntegerKey, RunReport, SortConfig, StreamConfig};
 use std::io::{self, Read, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
@@ -21,6 +25,9 @@ fn obs_lock() -> &'static Mutex<()> {
 /// Per-record artificial disk latency.  Large against the cost of sorting
 /// a run (microseconds), small against the test budget.
 const WRITE_DELAY: Duration = Duration::from_micros(20);
+
+/// `SlowValue` records serialized so far, by any test in this module.
+static WRITES: AtomicUsize = AtomicUsize::new(0);
 
 /// A var-length value whose serializer sleeps per record, making spill
 /// writes slow enough that the caller thread demonstrably sorts the next
@@ -57,6 +64,7 @@ impl SpillValue for SlowValue {
     }
     fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
         std::thread::sleep(WRITE_DELAY);
+        WRITES.fetch_add(1, Ordering::SeqCst);
         self.payload.spill_write(w)
     }
     fn spill_read(
@@ -185,4 +193,73 @@ fn backpressure_spans_and_histogram_agree() {
     // integration tests).
     assert!(bp_spans > 0, "pipelined submissions must leave spans");
     assert!(bp_recorded > 0, "pipelined submissions must be recorded");
+}
+
+/// Blocks until the writer thread has serialized a record past `count`,
+/// so the engine is dropped in the middle of a run write.
+fn wait_for_writes_past(count: usize) {
+    while WRITES.load(Ordering::SeqCst) <= count {
+        std::thread::yield_now();
+    }
+}
+
+/// Asserts that an engine's `drop` returned only after its writer wrote
+/// all `run_len` records of the run in flight (counted from `before`),
+/// that no spill write happens afterwards, and that its spill directory
+/// under `base` is gone.
+fn assert_writer_joined(base: &Path, before: usize, run_len: usize, engine: &str) {
+    let at_drop = WRITES.load(Ordering::SeqCst);
+    assert_eq!(
+        at_drop - before,
+        run_len,
+        "{engine}: drop returned before the run in flight was written"
+    );
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(
+        WRITES.load(Ordering::SeqCst),
+        at_drop,
+        "{engine}: the spill writer kept writing after drop returned"
+    );
+    let left = std::fs::read_dir(base).unwrap().count();
+    assert_eq!(left, 0, "{engine}: the spill directory outlived the drop");
+}
+
+#[test]
+fn dropping_an_engine_mid_write_joins_its_writer() {
+    let _guard = obs_lock().lock().unwrap();
+    let base = std::env::temp_dir().join(format!("pisort-drop-join-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    // Runs of about a thousand records, each taking the writer tens of
+    // milliseconds: the engine is dropped while its first run is written.
+    let cfg = StreamConfig {
+        memory_budget_bytes: 96 << 10,
+        spill_dir: Some(base.clone()),
+        ..StreamConfig::default()
+    };
+
+    let mut sorter: StreamSorter<u64, SlowValue> = StreamSorter::with_config(cfg.clone());
+    let before = WRITES.load(Ordering::SeqCst);
+    for i in 0..sorter.core.run_capacity as u64 {
+        sorter.push_record(i, SlowValue::new(i)).unwrap();
+    }
+    let run_len = sorter.core.in_flight_records;
+    assert!(run_len > 0, "a sorter run is in flight");
+    wait_for_writes_past(before);
+    drop(sorter);
+    assert_writer_joined(&base, before, run_len, "sorter");
+
+    let mut gb: StreamGroupBy<u64, FirstAgg<SlowValue>> =
+        StreamGroupBy::with_config(FirstAgg::new(), cfg);
+    let before = WRITES.load(Ordering::SeqCst);
+    let mut i = 0u64;
+    while gb.stats().is_settled {
+        gb.push_record(i, SlowValue::new(i)).unwrap();
+        i += 1;
+    }
+    wait_for_writes_past(before);
+    drop(gb);
+    // Every key is distinct, so the run in flight holds one partial per
+    // record pushed.
+    assert_writer_joined(&base, before, i as usize, "group-by");
+    std::fs::remove_dir_all(&base).ok();
 }

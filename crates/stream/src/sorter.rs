@@ -20,6 +20,11 @@ use std::marker::PhantomData;
 /// the returned stream ([`SortedStream::read_ahead_disabled`]).
 pub(crate) const MIN_PREFETCH_RUN_BUDGET: usize = 4096;
 
+/// Upper bound on the heavy keys carried from one run's sampling into the
+/// next (each carried key costs one bucket in the next run's root
+/// distribution).
+const MAX_CARRIED_HEAVY_KEYS: usize = 1024;
+
 /// Counters describing what a [`StreamSorter`] did.
 ///
 /// `records_pushed` and `carried_heavy_keys` are always exact.  With
@@ -62,7 +67,7 @@ pub struct StreamStats {
     /// are in flight to the background spill writer (their bytes are not
     /// yet in `spilled_runs` / `spilled_bytes`), `true` once reconciliation
     /// has caught up.  Always `true` with
-    /// [`StreamConfig::spill_pipeline_depth`] `= 0`;
+    /// [`StreamConfig::pipelined_spill`] off;
     /// [`StreamSorter::flush_spills`] forces it back to `true`.
     pub is_settled: bool,
 }
@@ -173,7 +178,7 @@ impl<K: IntegerKey, V: SpillValue> RunBuilder for SortRuns<K, V> {
             self.runs_sorted += 1;
         }
         self.carry = report.heavy_keys;
-        self.carry.truncate(cfg.max_carried_heavy_keys);
+        self.carry.truncate(MAX_CARRIED_HEAVY_KEYS);
         stats.carried_heavy_keys = self.carry.len();
         std::mem::replace(buffer, out)
     }
@@ -251,10 +256,10 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
         &self.core.stats
     }
 
-    /// Blocks until every run handed to the background spill writer is
+    /// Blocks until the run in flight to the background spill writer is
     /// durable on disk, surfacing any writer-side error.  Afterwards
     /// [`StreamSorter::stats`] is exact.  A no-op with
-    /// [`StreamConfig::spill_pipeline_depth`] `= 0`.
+    /// [`StreamConfig::pipelined_spill`] off.
     pub fn flush_spills(&mut self) -> io::Result<()> {
         self.core.flush_spills()
     }
@@ -323,8 +328,7 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
         // the span the streaming [`StreamSorter::finish`] path records.
         let _merge_span = obs::enabled().then(|| obs::span!("merge"));
         let core = &mut self.core;
-        core.close_pipeline()?;
-        let tail = core.build_run();
+        let tail = core.finish_spilling()?;
         if core.runs.is_empty() && core.pending_runs.is_empty() {
             for (slot, rec) in out.iter_mut().zip(tail) {
                 *slot = rec;
@@ -970,7 +974,6 @@ mod tests {
         // After a flush nothing is in flight: every spilled run is durable
         // and counted, and the byte meter matches the files on disk.
         assert_eq!(sorter.core.in_flight_records, 0);
-        assert_eq!(sorter.core.in_flight_runs, 0);
         let on_disk: u64 = sorter.core.runs.iter().map(|r| r.bytes).sum();
         assert_eq!(sorter.stats().spilled_bytes, on_disk);
         assert_eq!(sorter.stats().spilled_runs, sorter.core.runs.len());
@@ -1172,7 +1175,7 @@ mod tests {
         // The invariant under test: a run the sorter *recorded* as spilled
         // is fully on disk — only the never-recorded run may be partial.
         let cfg = StreamConfig {
-            spill_pipeline_depth: 0,
+            pipelined_spill: false,
             merge_read_ahead: Some(false),
             ..tiny_cfg(16 << 10)
         };
@@ -1206,7 +1209,7 @@ mod tests {
         // The panicking run's file is the partial one: it was never
         // recorded, and its truncation is visible on disk.
         let dir = run.path.parent().unwrap();
-        let partial = dir.join("run-s000001.bin");
+        let partial = dir.join("run-000001.bin");
         assert!(partial.exists(), "the interrupted write left a file");
         let complete_run_bytes = run.bytes;
         assert!(
@@ -1305,7 +1308,7 @@ mod tests {
         // backend: the failing spill surfaces on a push, the run's records
         // are reclaimed, and the final merge loses nothing.
         let cfg = StreamConfig {
-            spill_pipeline_depth: 0,
+            pipelined_spill: false,
             merge_read_ahead: Some(false),
             ..batched_cfg(16 << 10, 2, 8)
         };
@@ -1336,6 +1339,36 @@ mod tests {
         let mut want = input;
         want.sort_by_key(|r| r.0);
         assert_eq!(got, want, "stable, lossless recovery after short write");
+    }
+
+    #[test]
+    fn failed_sync_retry_names_the_run_the_writer_failed_on() {
+        // Regression: a synchronous write named its file and errors by its
+        // own counter, which starts at 0, so the synchronous retry of the
+        // engine's run k reported run 0.  Run 0 is written; the fuse fails
+        // the pipelined write of run 1 and stays armed, so the synchronous
+        // retry of run 1 fails too — and both errors must name run 1.
+        let cfg = batched_cfg(16 << 10, 2, 8);
+        let io = SpillIoHandle::batched(2, 8);
+        let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config_and_io(cfg, io.clone());
+        let capacity = sorter.core.run_capacity;
+        let run_bytes = (capacity * 16) as u64; // flat: 8B key + 8B value
+        io.inject_write_failure_after(run_bytes + run_bytes / 2);
+        let mut errors = Vec::new();
+        for i in 0..8 * capacity as u64 {
+            if let Err(e) = sorter.push_record(i % 101, i) {
+                errors.push(e);
+                if errors.len() == 2 {
+                    break;
+                }
+            }
+        }
+        assert_eq!(errors.len(), 2, "a writer failure, then a failed retry");
+        assert_eq!(sorter.core.runs.len(), 1, "only run 0 is durable");
+        for e in &errors {
+            let spill = crate::SpillError::from_io(e).expect("typed spill error");
+            assert_eq!(spill.run_index, 1, "{e}");
+        }
     }
 
     #[test]

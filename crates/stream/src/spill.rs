@@ -162,6 +162,15 @@ pub(crate) fn wrap_spill_err(
     SpillError::new(path.to_path_buf(), run_index, bytes_attempted, source).into_io()
 }
 
+/// The message of a caught panic payload (`&str` or `String`).
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Runs `op`, retrying transient failures ([`SpillRetryPolicy::is_transient`])
 /// up to `policy.max_retries` times with the policy's deterministic
 /// backoff.  Returns the value plus the number of retries spent; the

@@ -5,23 +5,33 @@
 //! sorter sorts it with DovetailSort, carrying heavy keys into the next
 //! run; the group-by semisorts it and folds each group into one partial
 //! aggregate.  Everything else lives here, once: the push loop and its
-//! budget checks, the spill directory, the background writer pipeline,
-//! runs reclaimed from failed writes, degradation probation, the retried
+//! budget checks, the spill directory, the background run writer, runs
+//! reclaimed from failed writes, degradation probation, the retried
 //! synchronous write, the spill accounting, and opening the final merge.
 //!
-//! [`StreamConfig::spill_pipeline_depth`] `== 0` writes every run
-//! synchronously on the pushing thread — the same path probation takes
-//! after a writer failure.
+//! With [`StreamConfig::pipelined_spill`] on, at most one run is in flight
+//! to the writer thread: run `N + 1` is built while run `N` is written,
+//! and run `N` settles (accounted, or reclaimed on failure) before run
+//! `N + 1` is handed over.  Turned off, every run is written synchronously
+//! on the pushing thread — the same path probation takes after a writer
+//! failure.
 
-use crate::pipeline::SpillPipeline;
+use crate::metrics::m;
 use crate::sorter::{open_run_cursors, RunCursor};
-use crate::spill::{wrap_spill_err, write_run_with_retry, SpillSpace, SpillValue, SpilledRun};
+use crate::spill::{
+    panic_message, wrap_spill_err, write_run_with_retry, SpillSpace, SpillValue, SpilledRun,
+};
 use crate::spillio::SpillIoHandle;
 use crate::{GroupByStats, StreamStats};
-use dtsort::{IntegerKey, StreamConfig};
+use dtsort::{IntegerKey, SpillCompression, SpillRetryPolicy, StreamConfig};
 use parlay::kway::LoserTree;
 use std::collections::VecDeque;
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// The engine-specific half of the spill lifecycle.
 pub(crate) trait RunBuilder {
@@ -35,9 +45,8 @@ pub(crate) trait RunBuilder {
     type RunValue: SpillValue;
     /// The engine's public counters.
     type Stats: SpillStats;
-    /// File-name stem of the engine's run files (`{stem}-s000000.bin` for
-    /// synchronous writes, `{stem}-p{generation}-000000.bin` for the
-    /// pipeline).
+    /// File-name stem of the engine's run files (`{stem}-000000.bin`, by
+    /// run position).
     const FILE_STEM: &'static str;
 
     /// Records one run may hold under the budget in force right now.
@@ -111,6 +120,90 @@ impl_spill_stats!(
     gb_spilled_bytes
 );
 
+/// A run handed to the writer: its file, its position and its records.
+type WriteJob<K, V> = (PathBuf, usize, Vec<(K, V)>);
+/// The writer's reply: the run's records back, and the durable file or
+/// why there is none.
+type WriteReply<K, V> = (Vec<(K, V)>, io::Result<SpilledRun>);
+
+/// The background spill writer: one thread that writes each run it
+/// receives and hands the run back with the outcome.  It keeps no state;
+/// the [`Spiller`] has at most one run in flight and settles it before
+/// handing over the next, so write order, reclaiming a failed run and
+/// reusing a written run's buffer all follow from who owns the run.
+pub(crate) struct RunWriter<K, V> {
+    jobs: Option<Sender<WriteJob<K, V>>>,
+    replies: Receiver<WriteReply<K, V>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl<K: IntegerKey, V: SpillValue> RunWriter<K, V> {
+    fn start(io: SpillIoHandle, compression: SpillCompression, retry: SpillRetryPolicy) -> Self {
+        let (jobs, job_rx) = channel::<WriteJob<K, V>>();
+        let (reply_tx, replies) = channel();
+        let thread = std::thread::Builder::new()
+            .name("pisort-spill-writer".to_string())
+            .spawn(move || {
+                for (path, index, run) in job_rx {
+                    // A panicking value serializer becomes an error, so the
+                    // run's records still come back to the engine.
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        write_spill_run(&io, &path, index, &run, compression, &retry)
+                    }))
+                    .unwrap_or_else(|panic| {
+                        std::fs::remove_file(&path).ok();
+                        let msg = panic_message(panic.as_ref());
+                        Err(io::Error::other(format!("spill writer panicked: {msg}")))
+                    });
+                    if reply_tx.send((run, result)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("failed to spawn spill-writer thread");
+        Self {
+            jobs: Some(jobs),
+            replies,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl<K, V> Drop for RunWriter<K, V> {
+    fn drop(&mut self) {
+        // Closing the job channel ends the thread after its current write;
+        // joining keeps the spill directory alive until that write is done.
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Writes `run` to `path` as run `index`, retrying transient failures per
+/// `retry`.  A failed write leaves no file behind and surfaces as a typed
+/// [`crate::SpillError`] naming the run.
+fn write_spill_run<K: IntegerKey, V: SpillValue>(
+    io: &SpillIoHandle,
+    path: &Path,
+    index: usize,
+    run: &[(K, V)],
+    compression: SpillCompression,
+    retry: &SpillRetryPolicy,
+) -> io::Result<SpilledRun> {
+    let start = obs::enabled().then(Instant::now);
+    let _span = start.map(|_| obs::span!("spill_write", run = index));
+    let result = write_run_with_retry(io, path, run, compression, retry).map_err(|e| {
+        std::fs::remove_file(path).ok();
+        let attempted = run.iter().map(|(_, v)| 8 + v.spill_size() as u64).sum();
+        wrap_spill_err(path, index, attempted, e)
+    });
+    if let Some(start) = start {
+        m().write_ns.record_duration(start.elapsed());
+    }
+    result
+}
+
 /// One engine's buffer, spilled runs and spill machinery.
 pub(crate) struct Spiller<B: RunBuilder> {
     pub(crate) cfg: StreamConfig,
@@ -128,27 +221,22 @@ pub(crate) struct Spiller<B: RunBuilder> {
     /// (in run order): retried by the next spill, merged from memory by
     /// `finish` otherwise.
     pub(crate) pending_runs: VecDeque<Vec<(B::RunKey, B::RunValue)>>,
-    /// Run records currently in flight to the spill-writer thread.
+    /// Records of the run in flight to the writer thread; 0 when none is
+    /// (a run is never empty).
     pub(crate) in_flight_records: usize,
-    /// Runs currently in flight to the spill-writer thread.
-    pub(crate) in_flight_runs: usize,
-    /// Distinct name counter for synchronously written run files (the
-    /// pipelined writer numbers its own namespace).
-    sync_run_seq: usize,
+    /// The cleared buffer of the last run the writer wrote, reused as the
+    /// next run's storage.
+    recycled: Vec<(B::RunKey, B::RunValue)>,
     /// `Some(n)` after a writer-side error surfaced: the engine is on
     /// *probation*, spilling synchronously until `n` more clean
     /// synchronous spills have succeeded, after which pipelining is
     /// re-enabled ([`dtsort::SpillRetryPolicy::probation_spills`]).
     pub(crate) degraded: Option<u32>,
-    /// Pipeline incarnations started so far.  Each gets its own run-file
-    /// namespace, so a pipeline restarted after probation cannot collide
-    /// with a previous incarnation's files.
-    pipeline_generation: usize,
     pub(crate) builder: B,
     pub(crate) stats: B::Stats,
-    // Field order matters: the pipeline must drop (joining its writer)
+    // Field order matters: the writer must drop (joining its thread)
     // before the spill space deletes the directory under it.
-    pub(crate) pipeline: Option<SpillPipeline<B::RunKey, B::RunValue>>,
+    pub(crate) pipeline: Option<RunWriter<B::RunKey, B::RunValue>>,
     pub(crate) space: Option<SpillSpace>,
     /// Scoped obs enable for [`StreamConfig::trace`]; transferred to the
     /// finished stream so recording covers the merge drain too.
@@ -170,10 +258,8 @@ impl<B: RunBuilder> Spiller<B> {
             runs: Vec::new(),
             pending_runs: VecDeque::new(),
             in_flight_records: 0,
-            in_flight_runs: 0,
-            sync_run_seq: 0,
+            recycled: Vec::new(),
             degraded: None,
-            pipeline_generation: 0,
             builder,
             stats: B::Stats::default(),
             pipeline: None,
@@ -206,18 +292,66 @@ impl<B: RunBuilder> Spiller<B> {
     /// pending a spill retry, and the in-memory tail, if any.
     pub(crate) fn run_count(&self) -> usize {
         self.runs.len()
-            + self.in_flight_runs
+            + usize::from(self.in_flight_records > 0)
             + self.pending_runs.len()
             + usize::from(!self.buffer.is_empty())
     }
 
-    /// Blocks until every run handed to the background writer is durable,
+    /// Blocks until the run in flight to the writer, if any, is durable,
     /// surfacing any writer-side error; afterwards the stats are exact.
     pub(crate) fn flush_spills(&mut self) -> io::Result<()> {
-        if let Some(pipeline) = &self.pipeline {
-            pipeline.flush();
+        self.settle(true)
+    }
+
+    /// Settles the run in flight to the writer, if any, once the writer
+    /// has replied — waiting for the reply if `wait`, else only taking one
+    /// that is ready.  A written run is accounted and its buffer kept for
+    /// the next run.  A failed one is reclaimed as pending, the writer
+    /// stops, and the engine goes on probation.
+    fn settle(&mut self, wait: bool) -> io::Result<()> {
+        if self.in_flight_records == 0 {
+            return Ok(());
         }
-        self.reconcile_pipeline()
+        let writer = self
+            .pipeline
+            .as_ref()
+            .expect("a run in flight has a writer");
+        let reply = if wait {
+            Some(
+                writer
+                    .replies
+                    .recv()
+                    .expect("the writer replies to every run"),
+            )
+        } else {
+            writer.replies.try_recv().ok()
+        };
+        let Some((mut run, result)) = reply else {
+            return Ok(());
+        };
+        self.in_flight_records = 0;
+        self.stats.set_settled(true);
+        if obs::enabled() {
+            m().queue_depth.set(0);
+        }
+        match result {
+            Ok(spilled) => {
+                self.stats.note_spilled(&spilled);
+                self.runs.push(spilled);
+                run.clear();
+                self.recycled = run;
+                Ok(())
+            }
+            Err(e) => {
+                self.pending_runs.push_back(run);
+                self.pipeline = None;
+                // Probation, not a life sentence: spill synchronously until
+                // enough clean spills prove the fault was transient, then
+                // restart the writer.
+                self.degraded = Some(self.cfg.spill_retry.probation_spills.max(1));
+                Err(e)
+            }
+        }
     }
 
     /// Spills are due when the record count hits capacity or buffered
@@ -294,14 +428,10 @@ impl<B: RunBuilder> Spiller<B> {
         self.shrink_to_budget()
     }
 
-    /// Turns the buffer into one run, reusing a buffer the pipeline
-    /// recycled from an already-written run, if one is pooled.
-    pub(crate) fn build_run(&mut self) -> Vec<(B::RunKey, B::RunValue)> {
-        let out = self
-            .pipeline
-            .as_ref()
-            .and_then(|p| p.recycled_buffer())
-            .unwrap_or_default();
+    /// Turns the buffer into one run, reusing the buffer of the last run
+    /// the writer wrote, if it handed one back.
+    fn build_run(&mut self) -> Vec<(B::RunKey, B::RunValue)> {
+        let out = std::mem::take(&mut self.recycled);
         let run = self.builder.build_run(
             &self.cfg,
             self.run_capacity,
@@ -327,7 +457,7 @@ impl<B: RunBuilder> Spiller<B> {
         if !self.buffer_needs_spill() {
             return Ok(());
         }
-        if self.cfg.spill_pipeline_depth == 0 || self.degraded.is_some() {
+        if !self.cfg.pipelined_spill || self.degraded.is_some() {
             // The queue is empty here, so this writes exactly the new run
             // and, on failure, keeps it queued for the next attempt.
             let run = self.build_run();
@@ -338,11 +468,21 @@ impl<B: RunBuilder> Spiller<B> {
         }
     }
 
+    /// The next run's file and position: the number of runs durable
+    /// before it.  Nothing is in flight when a run is written or handed
+    /// over, so synchronous and pipelined writes share one numbering.
+    fn next_run_file(&self) -> (PathBuf, usize) {
+        debug_assert_eq!(self.in_flight_records, 0);
+        let index = self.runs.len();
+        let dir = &self.space.as_ref().expect("spill space secured").dir;
+        (dir.join(format!("{}-{index:06}.bin", B::FILE_STEM)), index)
+    }
+
     /// Writes the pending runs inline on the calling thread, in run order;
     /// a run whose write fails stays at the front of the queue.
     fn retry_pending_runs(&mut self) -> io::Result<()> {
         while let Some(run) = self.pending_runs.pop_front() {
-            if let Err(e) = self.write_run_sync_inner(&run) {
+            if let Err(e) = self.write_run_sync(&run) {
                 self.pending_runs.push_front(run);
                 return Err(e);
             }
@@ -350,31 +490,23 @@ impl<B: RunBuilder> Spiller<B> {
         Ok(())
     }
 
-    fn write_run_sync_inner(&mut self, run: &[(B::RunKey, B::RunValue)]) -> io::Result<()> {
-        let dir = &self.space.as_ref().expect("spill space secured").dir;
-        let seq = self.sync_run_seq;
-        let path = dir.join(format!("{}-s{seq:06}.bin", B::FILE_STEM));
-        let _span = obs::enabled().then(|| obs::span!("spill_write", run = seq));
-        let spilled = match write_run_with_retry(
+    fn write_run_sync(&mut self, run: &[(B::RunKey, B::RunValue)]) -> io::Result<()> {
+        let (path, index) = self.next_run_file();
+        let cfg = &self.cfg;
+        let spilled = write_spill_run(
             &self.io,
             &path,
+            index,
             run,
-            self.cfg.spill_compression,
-            &self.cfg.spill_retry,
-        ) {
-            Ok(spilled) => spilled,
-            Err(e) => {
-                std::fs::remove_file(&path).ok();
-                let attempted: u64 = run.iter().map(|(_, v)| 8 + v.spill_size() as u64).sum();
-                return Err(wrap_spill_err(&path, seq, attempted, e));
-            }
-        };
-        self.sync_run_seq += 1;
+            cfg.spill_compression,
+            &cfg.spill_retry,
+        )?;
         self.stats.note_spilled(&spilled);
         self.runs.push(spilled);
         // One clean synchronous spill while on probation: count it, and
         // once enough have succeeded, lift the probation so the next spill
-        // restarts the pipeline.  Depth 0 is a choice, not a degradation.
+        // restarts the writer.  `pipelined_spill = false` is a choice, not
+        // a degradation.
         if let Some(left) = self.degraded {
             self.stats.note_degraded_sync();
             self.degraded = Some(left.saturating_sub(1)).filter(|&left| left > 0);
@@ -382,100 +514,65 @@ impl<B: RunBuilder> Spiller<B> {
         Ok(())
     }
 
-    /// Hands the next run to the background writer and keeps going with a
-    /// recycled buffer: run `N + 1` is built while run `N` streams to disk.
+    /// Builds the next run while the previous one is still being written,
+    /// then settles the previous one and hands the new one to the writer.
     fn spill_run_pipelined(&mut self) -> io::Result<()> {
-        if self.pipeline.is_none() {
-            let dir = self
-                .space
-                .as_ref()
-                .expect("spill space secured")
-                .dir
-                .clone();
-            let generation = self.pipeline_generation;
-            self.pipeline_generation += 1;
-            self.pipeline = Some(SpillPipeline::start(
-                self.io.clone(),
-                dir,
-                self.cfg.spill_pipeline_depth,
-                format!("{}-p{generation}-", B::FILE_STEM),
-                self.cfg.spill_compression,
-                self.cfg.spill_retry,
-            ));
-        }
+        // A previous run the writer has already finished settles first, so
+        // its buffer takes the next run: a writer that keeps up needs two
+        // run buffers, not three.
+        self.settle(false)?;
         let run = self.build_run();
-        self.in_flight_records += run.len();
-        self.in_flight_runs += 1;
-        // The run's bytes will not reach the spill counters until the
-        // writer confirms them durable.
-        self.stats.set_settled(false);
-        self.pipeline
-            .as_mut()
-            .expect("pipeline just started")
-            .submit(run); // blocks while the pipeline is at depth
-        self.reconcile_pipeline()
-    }
-
-    /// Accounts runs the writer has completed and surfaces any writer-side
-    /// error; on error the pipeline is torn down, its unwritten runs are
-    /// reclaimed as pending, and the engine goes on probation.
-    fn reconcile_pipeline(&mut self) -> io::Result<()> {
-        let (completed, error) = match &self.pipeline {
-            None => return Ok(()),
-            Some(p) => (p.drain_completed(), p.poll_error()),
+        // Waiting for the previous run is the backpressure: one sample per
+        // handoff, zero-length when the writer is already idle.
+        let start = obs::enabled().then(Instant::now);
+        let settled = {
+            let _bp = start.map(|_| obs::span!("backpressure"));
+            self.settle(true)
         };
-        self.account_completed(completed);
-        match error {
-            // The writer keeps only its first error, so closing cannot
-            // report another one.
-            Some(e) => self.close_pipeline().and(Err(e)),
-            None => Ok(()),
+        if let Some(start) = start {
+            m().backpressure_ns.record_duration(start.elapsed());
         }
-    }
-
-    fn account_completed(&mut self, completed: Vec<SpilledRun>) {
-        for run in completed {
-            self.in_flight_records -= run.len;
-            self.in_flight_runs -= 1;
-            self.stats.note_spilled(&run);
-            self.runs.push(run);
-        }
-        if self.in_flight_runs == 0 {
-            self.stats.set_settled(true);
-        }
-    }
-
-    /// Joins the writer, reclaims everything it did not write, and starts
-    /// probation; a writer error that never got the chance to surface on a
-    /// `push` surfaces here.  A no-op without a pipeline.
-    pub(crate) fn close_pipeline(&mut self) -> io::Result<()> {
-        let Some(pipeline) = self.pipeline.take() else {
-            return Ok(());
-        };
-        let closed = pipeline.close();
-        self.account_completed(closed.completed);
-        for run in closed.failed {
-            self.in_flight_records -= run.len();
-            self.in_flight_runs -= 1;
+        if let Err(e) = settled {
+            // Queued behind the reclaimed run, so run order holds.
             self.pending_runs.push_back(run);
+            return Err(e);
         }
-        // Nothing is in flight any more: completed runs were accounted
-        // above and failed ones reclaimed as pending.
-        self.stats.set_settled(true);
-        // Probation, not a life sentence: spill synchronously until enough
-        // clean spills prove the fault was transient, then re-pipeline.
-        self.degraded = Some(self.cfg.spill_retry.probation_spills.max(1));
-        closed.error.map_or(Ok(()), Err)
+        let (path, index) = self.next_run_file();
+        let cfg = &self.cfg;
+        let writer = self.pipeline.get_or_insert_with(|| {
+            RunWriter::start(self.io.clone(), cfg.spill_compression, cfg.spill_retry)
+        });
+        self.in_flight_records = run.len();
+        // The run's bytes reach the spill counters once it settles.
+        self.stats.set_settled(false);
+        if obs::enabled() {
+            m().queue_depth.set(1);
+        }
+        writer
+            .jobs
+            .as_ref()
+            .expect("open job channel")
+            .send((path, index, run))
+            .expect("the writer thread lives as long as its job channel");
+        Ok(())
     }
 
-    /// Finishes the lifecycle: closes the pipeline, turns the buffered
-    /// tail into a last run, and opens the final merge over the spilled
-    /// runs, the runs reclaimed from failed writes and the tail, in run
-    /// order (so equal keys come out in push order).  Hands the builder
-    /// back to the engine.
+    /// Ends spilling: settles the run in flight, stops the writer, and
+    /// turns the buffered tail into the last run.  No run follows, so the
+    /// recycled buffer is freed before the merge allocates its own.
+    pub(crate) fn finish_spilling(&mut self) -> io::Result<Vec<(B::RunKey, B::RunValue)>> {
+        self.flush_spills()?;
+        self.pipeline = None;
+        self.recycled = Vec::new();
+        Ok(self.build_run())
+    }
+
+    /// Finishes the lifecycle: ends spilling and opens the final merge
+    /// over the spilled runs, the runs reclaimed from failed writes and
+    /// the tail, in run order (so equal keys come out in push order).
+    /// Hands the builder back to the engine.
     pub(crate) fn into_merge(mut self) -> io::Result<(RunMerge<B::RunValue>, B)> {
-        self.close_pipeline()?;
-        let tail = self.build_run();
+        let tail = self.finish_spilling()?;
         let (mut cursors, read_ahead_disabled) =
             open_run_cursors::<B::RunValue>(&self.runs, &self.cfg, &self.io)?;
         let in_memory = self.pending_runs.drain(..).chain(Some(tail));
@@ -513,4 +610,36 @@ pub(crate) struct RunMerge<V: SpillValue> {
     /// still on: [`obs::SpanGuard`] captures its enable state at start).
     _trace: Option<obs::EnableGuard>,
     _space: Option<SpillSpace>,
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::StreamSorter;
+    use dtsort::StreamConfig;
+
+    #[test]
+    fn pipelined_spill_reuses_the_buffer_the_writer_hands_back() {
+        let mut sorter: StreamSorter<u64, u64> =
+            StreamSorter::with_config(StreamConfig::with_memory_budget(16 << 10));
+        let capacity = sorter.core.run_capacity;
+        let batch: Vec<(u64, u64)> = (0..capacity as u64).map(|i| (i % 13, i)).collect();
+        // Run 0's storage, reserved up front so filling it never moves it.
+        sorter.core.buffer.reserve_exact(capacity);
+        let run0 = sorter.core.buffer.as_ptr();
+        sorter.push(&batch).unwrap();
+        assert_eq!(sorter.core.in_flight_records, capacity, "run 0 in flight");
+        sorter.flush_spills().unwrap();
+        let recycled = &sorter.core.recycled;
+        assert!(recycled.is_empty() && recycled.capacity() >= capacity);
+        assert_eq!(recycled.as_ptr(), run0, "the writer handed run 0 back");
+        // The second spill builds its run in that allocation: it is the
+        // filling buffer now, and no new one was made for it.
+        sorter.push(&batch).unwrap();
+        assert_eq!(sorter.core.runs.len(), 1);
+        assert_eq!(sorter.core.buffer.as_ptr(), run0);
+        assert!(sorter.core.recycled.capacity() == 0, "no third buffer");
+        let got = sorter.finish_vec().unwrap();
+        assert_eq!(got.len(), 2 * capacity);
+        assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
 }

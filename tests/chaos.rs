@@ -98,7 +98,7 @@ fn cfg(base: &Path, compression: SpillCompression, synchronous: bool) -> dtsort:
     dtsort::StreamConfig {
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
-        spill_pipeline_depth: usize::from(!synchronous),
+        pipelined_spill: !synchronous,
         merge_read_ahead: synchronous.then_some(false),
         ..dtsort::StreamConfig::with_memory_budget(16 << 10)
     }
@@ -473,7 +473,7 @@ impl ModelEngine {
 /// Model-based test of the shared spill lifecycle: a seeded random
 /// sequence of slice pushes, single-record pushes, grant shrinks through a
 /// live [`dtsort::BudgetHandle`] and flushes, under one single-shot
-/// write-side fault, against both engines at pipeline depth 0 and 1 on
+/// write-side fault, against both engines, synchronous and pipelined, on
 /// both backends.  After every step the engine must agree with the model:
 /// every record handed over is counted (even on a failed step), and
 /// probation never serves more degraded synchronous spills than the
@@ -492,10 +492,10 @@ fn spill_lifecycle_matches_a_reference_model_under_single_faults() {
     let mut injected_total = 0u64;
     let mut step_errors = 0usize;
     for group in [false, true] {
-        for depth in [0usize, 1] {
+        for pipelined in [false, true] {
             for backend in ["blocking", "batched"] {
                 for (ki, &kind) in WRITE_SIDE.iter().enumerate() {
-                    let seed = (ki as u64) << 8 | (depth as u64) << 4 | u64::from(group);
+                    let seed = (ki as u64) << 8 | u64::from(pipelined) << 4 | u64::from(group);
                     let rng = parlay::random::Rng::new(0xC4A0_A000 ^ seed);
                     let mut draws = 0u64;
                     let mut draw = |n: u64| {
@@ -503,7 +503,7 @@ fn spill_lifecycle_matches_a_reference_model_under_single_faults() {
                         rng.ith_in(draws, n)
                     };
                     let ctx = format!(
-                        "model group={group} depth={depth} backend={backend} kind={kind:?}"
+                        "model group={group} pipelined={pipelined} backend={backend} kind={kind:?}"
                     );
                     let base = case_dir("model");
                     let plan = FaultPlan::nth(kind, draw(6));
@@ -511,7 +511,7 @@ fn spill_lifecycle_matches_a_reference_model_under_single_faults() {
                     let handle = dtsort::BudgetHandle::new(GRANT);
                     let cfg = dtsort::StreamConfig {
                         spill_dir: Some(base.clone()),
-                        spill_pipeline_depth: depth,
+                        pipelined_spill: pipelined,
                         ..dtsort::StreamConfig::with_budget_handle(handle.clone())
                     };
                     let probation = u64::from(cfg.spill_retry.probation_spills);

@@ -201,7 +201,7 @@ fn spill_cfg(
 ) -> dtsort::StreamConfig {
     dtsort::StreamConfig {
         spill_compression: compression,
-        spill_pipeline_depth: usize::from(!synchronous),
+        pipelined_spill: !synchronous,
         merge_read_ahead: synchronous.then_some(false),
         ..dtsort::StreamConfig::with_memory_budget(budget)
     }

@@ -66,10 +66,10 @@ fn moved(before: &MetricsSnapshot, after: &MetricsSnapshot, prefix: &str) -> Vec
 fn metrics_mirror_stream_sorter_stats_exactly() {
     let _guard = obs_lock();
     obs::enable();
-    for depth in [0, 1] {
+    for pipelined_spill in [false, true] {
         let before = obs::global().snapshot();
         let cfg = StreamConfig {
-            spill_pipeline_depth: depth,
+            pipelined_spill,
             ..spilling_cfg(true)
         };
         let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
@@ -84,7 +84,7 @@ fn metrics_mirror_stream_sorter_stats_exactly() {
         assert!(stats.is_settled);
         assert!(
             stats.spilled_runs > 0,
-            "workload must spill [depth {depth}]"
+            "workload must spill [pipelined {pipelined_spill}]"
         );
         let after = obs::global().snapshot();
         let delta = |name: &str| after.counter(name) - before.counter(name);
@@ -96,7 +96,10 @@ fn metrics_mirror_stream_sorter_stats_exactly() {
         want.sort_by_key(|r| r.0);
         assert_eq!(got, want);
         let bleed = moved(&before, &obs::global().snapshot(), "groupby.");
-        assert!(bleed.is_empty(), "sorter moved {bleed:?} [depth {depth}]");
+        assert!(
+            bleed.is_empty(),
+            "sorter moved {bleed:?} [pipelined {pipelined_spill}]"
+        );
     }
 }
 
@@ -104,10 +107,10 @@ fn metrics_mirror_stream_sorter_stats_exactly() {
 fn metrics_mirror_groupby_stats_exactly() {
     let _guard = obs_lock();
     obs::enable();
-    for depth in [0, 1] {
+    for pipelined_spill in [false, true] {
         let before = obs::global().snapshot();
         let cfg = StreamConfig {
-            spill_pipeline_depth: depth,
+            pipelined_spill,
             ..spilling_cfg(true)
         };
         let mut gb: StreamGroupBy<u32, CountAgg> = StreamGroupBy::with_config(CountAgg, cfg);
@@ -120,7 +123,7 @@ fn metrics_mirror_groupby_stats_exactly() {
         assert!(stats.is_settled);
         assert!(
             stats.spilled_runs > 0,
-            "workload must spill [depth {depth}]"
+            "workload must spill [pipelined {pipelined_spill}]"
         );
         let after = obs::global().snapshot();
         let delta = |name: &str| after.counter(name) - before.counter(name);
@@ -135,7 +138,10 @@ fn metrics_mirror_groupby_stats_exactly() {
         assert_eq!(got.len(), 4096);
         assert!(got.iter().all(|&(_, c)| c == u64::from(n) / 4096));
         let bleed = moved(&before, &obs::global().snapshot(), "stream.");
-        assert!(bleed.is_empty(), "group-by moved {bleed:?} [depth {depth}]");
+        assert!(
+            bleed.is_empty(),
+            "group-by moved {bleed:?} [pipelined {pipelined_spill}]"
+        );
     }
 }
 
@@ -159,7 +165,7 @@ fn stats_settle_only_after_flush() {
 
     // Synchronous mode never has anything in flight.
     let cfg = StreamConfig {
-        spill_pipeline_depth: 0,
+        pipelined_spill: false,
         merge_read_ahead: Some(false),
         ..spilling_cfg(false)
     };

@@ -55,7 +55,7 @@ fn session_inputs() -> Vec<Vec<(u32, u32)>> {
 /// A small base config that spills aggressively at test sizes.
 fn base_config(synchronous: bool, codec: SpillCompression) -> StreamConfig {
     StreamConfig {
-        spill_pipeline_depth: usize::from(!synchronous),
+        pipelined_spill: !synchronous,
         merge_read_ahead: synchronous.then_some(false),
         spill_compression: codec,
         sort: SortConfig {

@@ -52,7 +52,7 @@ fn cfg(
     dtsort::StreamConfig {
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
-        spill_pipeline_depth: usize::from(!synchronous),
+        pipelined_spill: !synchronous,
         merge_read_ahead: synchronous.then_some(false),
         spill_io: io,
         spill_io_workers: 2,

@@ -1,5 +1,5 @@
 //! Differential tests of the pipelined spill subsystem: with
-//! `StreamConfig::spill_pipeline_depth = 0` as the reference, the pipelined
+//! `StreamConfig::pipelined_spill = false` as the reference, the pipelined
 //! engines (background spill writer + merge read-ahead) must produce
 //! **byte-identical** output for pod and variable-length sorts and
 //! group-bys, at every thread count of the determinism matrix — and a
@@ -20,7 +20,7 @@ const N: usize = 30_000;
 fn cfg(budget: usize, sync: bool) -> StreamConfig {
     StreamConfig {
         memory_budget_bytes: budget,
-        spill_pipeline_depth: usize::from(!sync),
+        pipelined_spill: !sync,
         // Force the read-ahead merge path (auto mode would disable it on
         // single-CPU hosts), so the differential covers it everywhere.
         merge_read_ahead: Some(!sync),
