@@ -1,12 +1,15 @@
 //! Streaming-sorter throughput: records/sec of `stream::StreamSorter` as
 //! the memory budget shrinks (forcing more spilled runs), against the
 //! in-memory DovetailSort baseline on the same input — measured in three
-//! spill modes: **synchronous** (`StreamConfig::pipelined_spill = false`, the
-//! pre-pipelining behavior), **pipelined** (background spill writer +
-//! merge read-ahead, the default), and **compressed** (pipelined +
+//! spill modes: **synchronous** (`StreamConfig::pipelined_spill = false`:
+//! runs are written inline, no background writer), **pipelined**
+//! (background spill writer, the default), and **compressed** (pipelined +
 //! `SpillCompression::DeltaLz` delta/LZ spill blocks), so every run
 //! re-baselines both the overlap win and the compression trade on the
-//! current host.  Each mode is additionally measured under **both spill
+//! current host.  The modes differ only on the write side: in all three the
+//! merge reads ahead of the loser tree when the host has more than one CPU
+//! and reads synchronously on one CPU, so "synchronous" rows read ahead on
+//! multi-CPU hosts too.  Each mode is additionally measured under **both spill
 //! I/O backends** (`StreamConfig::spill_io`): the blocking reference and
 //! the batched worker-pool scheduler, paired per rep so the reported
 //! blocking-vs-batched ratio is a median of same-rep pairs.
@@ -129,7 +132,6 @@ fn stream_sort_phases(input: &[(u32, u32)], budget: usize, batch: usize, mode: M
     let cfg = StreamConfig {
         memory_budget_bytes: budget,
         pipelined_spill: !mode.sync,
-        merge_read_ahead: mode.sync.then_some(false),
         spill_compression: mode.compression,
         spill_io: mode.io,
         ..StreamConfig::default()

@@ -3,10 +3,13 @@
 //! classes and memory budgets, against the fixed-size pod-value sorter on
 //! the same keys (which isolates the cost of the length-prefixed format).
 //! Spill-bound rows are measured in three spill modes — **synchronous**
-//! (`StreamConfig::pipelined_spill = false`), **pipelined** (background writer +
-//! read-ahead, the default) and **compressed** (pipelined +
+//! (`StreamConfig::pipelined_spill = false`), **pipelined** (background
+//! writer, the default) and **compressed** (pipelined +
 //! `SpillCompression::DeltaLz`) — with the spill-phase wall time, bytes
-//! written and achieved compression ratio reported per row.  Each mode is
+//! written and achieved compression ratio reported per row.  The modes
+//! differ only in how runs are written: every mode's merge reads ahead
+//! when the host has more than one CPU, so "synchronous" rows read ahead
+//! on multi-CPU hosts too, and no row does on one CPU.  Each mode is
 //! additionally measured under **both spill I/O backends**
 //! (`StreamConfig::spill_io`), paired per rep so the reported
 //! blocking-vs-batched ratio is a median of same-rep pairs.
@@ -137,7 +140,6 @@ fn stream_sort_strings_phases(
     let cfg = StreamConfig {
         memory_budget_bytes: budget,
         pipelined_spill: !mode.sync,
-        merge_read_ahead: mode.sync.then_some(false),
         spill_compression: mode.compression,
         spill_io: mode.io,
         ..StreamConfig::default()

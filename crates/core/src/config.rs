@@ -174,12 +174,11 @@ pub enum SpillIoMode {
     /// for the writer thread.
     Blocking,
     /// Positioned-I/O jobs over pooled, recycled buffers on the spill I/O
-    /// pool's bounded submission/completion queue
-    /// ([`StreamConfig::spill_io_workers`] threads,
-    /// [`StreamConfig::spill_io_queue_depth`] slots): writes are
-    /// `write_all_at` chunk jobs fsynced on completion, reads are
-    /// double-buffered `read_exact_at` jobs.  The merge read-ahead runs on
-    /// the same pool under either backend.
+    /// pool's bounded submission/completion queue (the `stream` crate
+    /// fixes its worker count and queue depth): writes are `write_all_at`
+    /// chunk jobs fsynced on completion, reads are double-buffered
+    /// `read_exact_at` jobs.  The merge read-ahead runs on the same pool
+    /// under either backend.
     Batched,
 }
 
@@ -226,90 +225,6 @@ impl SpillIoMode {
 impl Default for SpillIoMode {
     fn default() -> Self {
         Self::env_default()
-    }
-}
-
-/// Recovery policy for spill I/O failures (the `stream` crate's engines).
-///
-/// Spill I/O errors split into two classes.  *Transient* kinds
-/// ([`SpillRetryPolicy::is_transient`]: `Interrupted`, `TimedOut`,
-/// `WouldBlock`) describe conditions that can clear on their own; a spill
-/// write is retried in place up to [`SpillRetryPolicy::max_retries`]
-/// times with bounded exponential backoff — deterministic, derived only
-/// from the attempt number, never from wall clock or randomness, so
-/// failure tests replay identically.  Every other kind (ENOSPC, quota,
-/// corruption, permission) is *permanent* and surfaces immediately as a
-/// typed `SpillError`.
-///
-/// A pipelined-writer failure additionally puts the engine on
-/// **probation** instead of the old permanent synchronous fallback: the
-/// next [`SpillRetryPolicy::probation_spills`] runs are written
-/// synchronously (each counted by the `spill.degraded_syncs` metric), and
-/// once they complete cleanly the pipeline is restarted — so a transient
-/// burst degrades throughput for a bounded window instead of for the rest
-/// of the engine's life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpillRetryPolicy {
-    /// Retries per spill operation after the first attempt fails with a
-    /// transient kind.  `0` disables retrying (every failure is final).
-    pub max_retries: u32,
-    /// Backoff before the first retry, in milliseconds; each further
-    /// retry doubles it.
-    pub backoff_base_ms: u64,
-    /// Upper bound on a single backoff sleep, in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Clean synchronous spills required after a pipelined-writer failure
-    /// before pipelining is re-enabled (clamped to at least 1).  Use
-    /// `u32::MAX` to make degradation effectively permanent (the pre-PR-10
-    /// behavior).
-    pub probation_spills: u32,
-}
-
-impl Default for SpillRetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_base_ms: 2,
-            backoff_cap_ms: 50,
-            probation_spills: 4,
-        }
-    }
-}
-
-impl SpillRetryPolicy {
-    /// A policy that never retries and keeps degradation effectively
-    /// permanent — the exact pre-PR-10 behavior, for differentials.
-    pub fn disabled() -> Self {
-        Self {
-            max_retries: 0,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-            probation_spills: u32::MAX,
-        }
-    }
-
-    /// Whether `kind` is worth retrying: the condition can clear without
-    /// any corrective action (interrupted call, timeout, contended
-    /// resource).  ENOSPC (`StorageFull`) and `QuotaExceeded` are
-    /// deliberately *not* transient: retrying a full disk burns the
-    /// backoff budget without any chance of success.
-    pub fn is_transient(kind: std::io::ErrorKind) -> bool {
-        matches!(
-            kind,
-            std::io::ErrorKind::Interrupted
-                | std::io::ErrorKind::TimedOut
-                | std::io::ErrorKind::WouldBlock
-        )
-    }
-
-    /// Deterministic backoff before retry number `attempt` (0-based):
-    /// `base · 2^attempt`, capped at [`SpillRetryPolicy::backoff_cap_ms`].
-    pub fn backoff(&self, attempt: u32) -> std::time::Duration {
-        let ms = self
-            .backoff_base_ms
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.backoff_cap_ms);
-        std::time::Duration::from_millis(ms)
     }
 }
 
@@ -364,9 +279,13 @@ impl BudgetHandle {
 ///
 /// Spill I/O is **pipelined** by default: each sorted run is handed to a
 /// dedicated writer thread (so run `N + 1` is sorted while run `N` streams
-/// to disk) and the final merge decodes each run ahead of the loser tree
-/// on a small worker pool.  `pipelined_spill = false` turns the writer
-/// thread off and `merge_read_ahead = Some(false)` the read-ahead.
+/// to disk); `pipelined_spill = false` turns the writer thread off.  On a
+/// host with more than one CPU the final merge also decodes each run ahead
+/// of the loser tree on a small worker pool — the host decides that, not
+/// a field.  Everything else about spilling is fixed by rule in the
+/// `stream` crate rather than tuned here: the transient-failure retry
+/// policy, the probation window after a writer failure, the merge read
+/// buffer, and the spill I/O pool's size.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Total working-set budget in bytes, split into
@@ -396,9 +315,6 @@ pub struct StreamConfig {
     /// Directory for spilled runs; `None` uses the system temp directory.
     /// Each sorter creates (and removes on drop) a unique subdirectory.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Total bytes of read buffering shared by all runs during the final
-    /// streaming merge.
-    pub merge_read_buffer_bytes: usize,
     /// Write spilled runs on a background writer thread (the default):
     /// double buffering, so run `N + 1` sorts while run `N` writes.  At
     /// most one run is in flight, and it costs one budget share; the
@@ -410,55 +326,21 @@ pub struct StreamConfig {
     /// takes while on probation after a writer failure, and the reference
     /// side of the pipelined-vs-synchronous differential tests.
     pub pipelined_spill: bool,
-    /// Prefetch decoded record blocks ahead of the final k-way merge —
-    /// decode tasks on the spill I/O pool
-    /// ([`StreamConfig::spill_io_workers`] threads, whatever the run
-    /// count) under either backend — bounded by the per-run share of
-    /// `merge_read_buffer_bytes`, so the loser tree never blocks on a cold
-    /// read.
-    ///
-    /// `None` (the default) auto-tunes: read-ahead engages when the host
-    /// reports more than one unit of available parallelism, because on a
-    /// single CPU the decode tasks cannot run concurrently with the merge
-    /// and page-cache-warm reads make them pure overhead.  `Some(true)` /
-    /// `Some(false)` force it.
-    pub merge_read_ahead: Option<bool>,
     /// On-disk encoding of spilled runs: [`SpillCompression::Off`] (the
     /// default) writes the flat reference format, while
     /// [`SpillCompression::DeltaLz`] delta-encodes the sorted keys and
     /// LZ-compresses the value payloads in independently decodable
     /// blocks.  Both formats flow through the same writer thread and
-    /// merge read-ahead; decoding is transparent to the merge.
+    /// merge path; decoding is transparent to the merge.
     pub spill_compression: SpillCompression,
     /// Backend for the spill-file reads and writes themselves:
     /// [`SpillIoMode::Blocking`] (buffered `std::fs` calls on the calling
     /// thread — the byte-for-byte reference) or [`SpillIoMode::Batched`]
-    /// (positioned-I/O jobs on the spill I/O pool; see
-    /// [`StreamConfig::spill_io_workers`] /
-    /// [`StreamConfig::spill_io_queue_depth`]).  Orthogonal to
+    /// (positioned-I/O jobs on the spill I/O pool).  Orthogonal to
     /// `pipelined_spill`, which picks *who calls into* the backend,
     /// not how the bytes move.  Defaults from the `PISORT_SPILL_IO`
     /// environment variable ([`SpillIoMode::env_default`]).
     pub spill_io: SpillIoMode,
-    /// Worker threads of the spill I/O pool (clamped to at least 1),
-    /// under either backend: they run the merge read-ahead's decode tasks
-    /// and, under [`SpillIoMode::Batched`], the positioned reads and
-    /// writes.  The pool starts on its first job, so an engine that never
-    /// merges with read-ahead (or spills through `Batched`) spawns none.
-    pub spill_io_workers: usize,
-    /// Bound of the spill I/O pool's submission queue (clamped to at least
-    /// 1), under either backend.  A job submitted while the queue is full
-    /// runs inline on the submitting thread instead of blocking, so this
-    /// caps queued work, not merge fan-in: runs past the depth decode on
-    /// the merging thread.
-    pub spill_io_queue_depth: usize,
-    /// Recovery policy for spill I/O failures: transient-kind retries
-    /// with bounded deterministic backoff, and the probation window that
-    /// re-enables pipelined spilling after a writer failure.  See
-    /// [`SpillRetryPolicy`]; [`SpillRetryPolicy::disabled`] restores the
-    /// pre-recovery behavior (no retries, permanent synchronous
-    /// fallback).
-    pub spill_retry: SpillRetryPolicy,
     /// Turn on the `obs` tracing/metrics layer for this engine's
     /// lifetime: the streaming sorter and group-by hold an
     /// `obs::EnableGuard` from construction until the engine (and any
@@ -484,14 +366,9 @@ impl Default for StreamConfig {
             memory_budget_bytes: 256 << 20,
             budget: None,
             spill_dir: None,
-            merge_read_buffer_bytes: 8 << 20,
             pipelined_spill: true,
-            merge_read_ahead: None,
             spill_compression: SpillCompression::default(),
             spill_io: SpillIoMode::default(),
-            spill_io_workers: 2,
-            spill_io_queue_depth: 32,
-            spill_retry: SpillRetryPolicy::default(),
             trace: false,
             sort: SortConfig::default(),
         }
@@ -554,14 +431,6 @@ impl StreamConfig {
     pub fn run_capacity(&self, record_size: usize) -> usize {
         let per_record = self.spill_shares() * record_size.max(1) + RUN_SORT_ID_BYTES;
         (self.effective_budget_bytes() / per_record).max(1)
-    }
-
-    /// Whether the final merge should read ahead of the loser tree:
-    /// [`StreamConfig::merge_read_ahead`] resolved against the host's
-    /// available parallelism (see that field for the auto rule).
-    pub fn wants_merge_read_ahead(&self) -> bool {
-        self.merge_read_ahead
-            .unwrap_or_else(|| std::thread::available_parallelism().is_ok_and(|p| p.get() > 1))
     }
 }
 
@@ -732,8 +601,6 @@ mod tests {
         };
         assert_eq!(cfg.spill_io, want);
         assert_eq!(cfg.spill_io, SpillIoMode::env_default());
-        assert!(cfg.spill_io_workers >= 1);
-        assert!(cfg.spill_io_queue_depth >= 1);
         // An explicit field always wins over the environment default.
         let forced = StreamConfig {
             spill_io: SpillIoMode::Batched,
@@ -773,67 +640,5 @@ mod tests {
             SpillIoMode::parse_env(Some("async")),
             (SpillIoMode::Blocking, Some("async"))
         );
-    }
-
-    #[test]
-    fn spill_retry_policy_classification_and_backoff() {
-        use std::io::ErrorKind;
-        for kind in [
-            ErrorKind::Interrupted,
-            ErrorKind::TimedOut,
-            ErrorKind::WouldBlock,
-        ] {
-            assert!(SpillRetryPolicy::is_transient(kind), "{kind:?}");
-        }
-        for kind in [
-            ErrorKind::StorageFull,
-            ErrorKind::QuotaExceeded,
-            ErrorKind::InvalidData,
-            ErrorKind::NotFound,
-            ErrorKind::PermissionDenied,
-            ErrorKind::WriteZero,
-            ErrorKind::Other,
-        ] {
-            assert!(!SpillRetryPolicy::is_transient(kind), "{kind:?}");
-        }
-        let p = SpillRetryPolicy {
-            max_retries: 5,
-            backoff_base_ms: 2,
-            backoff_cap_ms: 9,
-            probation_spills: 3,
-        };
-        // base · 2^attempt, capped — and deterministic across calls.
-        assert_eq!(p.backoff(0).as_millis(), 2);
-        assert_eq!(p.backoff(1).as_millis(), 4);
-        assert_eq!(p.backoff(2).as_millis(), 8);
-        assert_eq!(p.backoff(3).as_millis(), 9, "capped");
-        assert_eq!(p.backoff(60).as_millis(), 9, "huge attempts stay capped");
-        let off = SpillRetryPolicy::disabled();
-        assert_eq!(off.max_retries, 0);
-        assert_eq!(off.probation_spills, u32::MAX);
-        assert_eq!(off.backoff(0).as_millis(), 0);
-        assert_eq!(
-            StreamConfig::default().spill_retry,
-            SpillRetryPolicy::default()
-        );
-    }
-
-    #[test]
-    fn merge_read_ahead_resolution() {
-        // Forced settings win regardless of host parallelism.
-        let forced_on = StreamConfig {
-            merge_read_ahead: Some(true),
-            ..StreamConfig::default()
-        };
-        assert!(forced_on.wants_merge_read_ahead());
-        let forced_off = StreamConfig {
-            merge_read_ahead: Some(false),
-            ..StreamConfig::default()
-        };
-        assert!(!forced_off.wants_merge_read_ahead());
-        // Auto mode follows the host's available parallelism.
-        let auto = StreamConfig::default();
-        let multicore = std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
-        assert_eq!(auto.wants_merge_read_ahead(), multicore);
     }
 }

@@ -62,8 +62,7 @@ pub use api::{
     sort_unstable, sort_with, sort_with_stats, RunReport,
 };
 pub use config::{
-    BudgetHandle, MergeStrategy, SortConfig, SpillCompression, SpillIoMode, SpillRetryPolicy,
-    StreamConfig,
+    BudgetHandle, MergeStrategy, SortConfig, SpillCompression, SpillIoMode, StreamConfig,
 };
 pub use key::{string_key_prefix64, IntegerKey, StringKey};
 pub use model::HeavyKeyModel;

@@ -32,8 +32,5 @@ mod session;
 mod spillmgr;
 
 pub use governor::{AdmissionPolicy, BudgetLease, GovernorConfig, MemoryGovernor, TenantCounters};
-pub use session::{
-    GroupSession, ServerConfig, Session, SessionEngine, SessionError, SessionStream, SortServer,
-    SortSession, StringSortSession,
-};
+pub use session::{ServerConfig, Session, SessionEngine, SessionError, SessionStream, SortServer};
 pub use spillmgr::{SpillDirLease, SpillDirManager, SpillManagerConfig};

@@ -189,7 +189,7 @@ impl SortServer {
         &self,
         tenant: &str,
         requested_bytes: usize,
-    ) -> io::Result<SortSession<K, V>> {
+    ) -> io::Result<Session<StreamSorter<K, V>>> {
         self.open(
             tenant,
             requested_bytes,
@@ -208,7 +208,7 @@ impl SortServer {
         tenant: &str,
         requested_bytes: usize,
         plan: FaultPlan,
-    ) -> io::Result<SortSession<K, V>> {
+    ) -> io::Result<Session<StreamSorter<K, V>>> {
         self.open(
             tenant,
             requested_bytes,
@@ -223,7 +223,7 @@ impl SortServer {
         tenant: &str,
         agg: G,
         requested_bytes: usize,
-    ) -> io::Result<GroupSession<K, G>> {
+    ) -> io::Result<Session<StreamGroupBy<K, G>>> {
         self.open(tenant, requested_bytes, None, |cfg, io| {
             StreamGroupBy::with_config_and_io(agg, cfg, io)
         })
@@ -234,7 +234,7 @@ impl SortServer {
         &self,
         tenant: &str,
         requested_bytes: usize,
-    ) -> io::Result<StringSortSession<K, V>> {
+    ) -> io::Result<Session<StringStreamSorter<K, V>>> {
         self.open(
             tenant,
             requested_bytes,
@@ -310,13 +310,6 @@ macro_rules! session_engine {
 session_engine!([K: IntegerKey, V: SpillValue] StreamSorter<K, V>, K, V, (K, V), StreamStats, SortedStream<K, V>);
 session_engine!([K: IntegerKey, G: Aggregator] StreamGroupBy<K, G>, K, G::Input, (K, G::Acc), GroupByStats, GroupedStream<K, G>);
 session_engine!([K: StringKey, V: SpillValue] StringStreamSorter<K, V>, K, V, (K, V), StreamStats, StringSortedStream<K, V>);
-
-/// A sorting session over integer keys.
-pub type SortSession<K, V> = Session<StreamSorter<K, V>>;
-/// A streaming group-by session.
-pub type GroupSession<K, G> = Session<StreamGroupBy<K, G>>;
-/// A sorting session over string keys.
-pub type StringSortSession<K, V> = Session<StringStreamSorter<K, V>>;
 
 /// The leases + accounting of one session.  Dropping it ends the session:
 /// the budget returns to the governor's pool (waking queued admissions),
@@ -559,8 +552,6 @@ mod tests {
             spill: SpillManagerConfig::default(),
             base: StreamConfig {
                 spill_io: dtsort::SpillIoMode::Batched,
-                spill_io_workers: 2,
-                spill_io_queue_depth: 16,
                 sort: dtsort::SortConfig {
                     base_case_threshold: 64,
                     ..Default::default()

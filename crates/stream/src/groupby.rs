@@ -38,6 +38,7 @@
 //! assert!(counts.windows(2).all(|w| w[0].0 < w[1].0), "key-ordered output");
 //! ```
 
+use crate::sorter::MERGE_READ_BUFFER_BYTES;
 use crate::spill::SpillValue;
 use crate::spiller::{RunBuilder, RunMerge, Spiller};
 use crate::spillio::SpillIoHandle;
@@ -237,9 +238,8 @@ pub struct GroupByStats {
     /// `records_pushed − partial_aggregates` records were collapsed before
     /// ever reaching disk.
     pub partial_aggregates: u64,
-    /// Transient spill-write failures retried (and eventually succeeded)
-    /// under [`StreamConfig::spill_retry`]; see
-    /// [`crate::StreamStats::spill_retries`].
+    /// Transient spill-write failures retried (and eventually succeeded);
+    /// see [`crate::StreamStats::spill_retries`].
     pub spill_retries: u64,
     /// Runs spilled synchronously while pipelining was on probation after
     /// a writer failure; see [`crate::StreamStats::degraded_syncs`].
@@ -489,7 +489,7 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
     /// A writer-side spill error that has not surfaced on a `push` yet
     /// surfaces here.
     pub fn finish(self) -> io::Result<GroupedStream<K, G>> {
-        let (merge, builder) = self.core.into_merge()?;
+        let (merge, builder) = self.core.into_merge(MERGE_READ_BUFFER_BYTES)?;
         Ok(GroupedStream {
             merge,
             agg: builder.agg,
@@ -512,14 +512,6 @@ pub struct GroupedStream<K: IntegerKey, G: Aggregator> {
     /// The first partial of the *next* key, already popped from the tree.
     pending: Option<(u64, G::Acc)>,
     _key: PhantomData<K>,
-}
-
-impl<K: IntegerKey, G: Aggregator> GroupedStream<K, G> {
-    /// Whether the final merge wanted read-ahead but ran synchronously;
-    /// see [`crate::SortedStream::read_ahead_disabled`].
-    pub fn read_ahead_disabled(&self) -> bool {
-        self.merge.read_ahead_disabled
-    }
 }
 
 impl<K: IntegerKey, G: Aggregator> Iterator for GroupedStream<K, G> {
@@ -557,9 +549,6 @@ mod tests {
     fn tiny_cfg(budget: usize) -> StreamConfig {
         StreamConfig {
             memory_budget_bytes: budget,
-            // Force the read-ahead merge path so it is exercised even on
-            // single-CPU CI hosts (where auto mode would disable it).
-            merge_read_ahead: Some(true),
             sort: dtsort::SortConfig {
                 base_case_threshold: 64,
                 ..Default::default()
@@ -568,13 +557,22 @@ mod tests {
         }
     }
 
+    /// A group-by whose merges read ahead whatever the host, so the
+    /// read-ahead merge path runs even on single-CPU machines.
+    fn pinned_group_by<K: IntegerKey, G: Aggregator>(
+        agg: G,
+        cfg: StreamConfig,
+    ) -> StreamGroupBy<K, G> {
+        let io = SpillIoHandle::from_config(&cfg).reading_ahead(true);
+        StreamGroupBy::with_config_and_io(agg, cfg, io)
+    }
+
     #[test]
     fn counts_match_hashmap_across_spilled_runs() {
         let rng = Rng::new(1);
         let n = 40_000usize;
         let keys: Vec<u64> = (0..n).map(|i| rng.ith_in(i as u64, 777)).collect();
-        let mut gb: StreamGroupBy<u64, CountAgg> =
-            StreamGroupBy::with_config(CountAgg, tiny_cfg(16 << 10));
+        let mut gb: StreamGroupBy<u64, CountAgg> = pinned_group_by(CountAgg, tiny_cfg(16 << 10));
         for chunk in keys.chunks(997) {
             let recs: Vec<(u64, ())> = chunk.iter().map(|&k| (k, ())).collect();
             gb.push(&recs).unwrap();
@@ -598,8 +596,7 @@ mod tests {
         // for it, so the spilled volume collapses.
         let rng = Rng::new(2);
         let n = 60_000usize;
-        let mut gb: StreamGroupBy<u32, CountAgg> =
-            StreamGroupBy::with_config(CountAgg, tiny_cfg(16 << 10));
+        let mut gb: StreamGroupBy<u32, CountAgg> = pinned_group_by(CountAgg, tiny_cfg(16 << 10));
         for i in 0..n {
             let k = if rng.ith_f64(i as u64) < 0.8 {
                 7
@@ -648,17 +645,17 @@ mod tests {
         }
         let run = |agg: &dyn Fn() -> Vec<(u32, u64)>| agg();
         let sums = run(&|| {
-            let mut gb = StreamGroupBy::with_config(SumAgg, tiny_cfg(16 << 10));
+            let mut gb = pinned_group_by(SumAgg, tiny_cfg(16 << 10));
             gb.push(&records).unwrap();
             gb.finish_vec().unwrap()
         });
         let mins = run(&|| {
-            let mut gb = StreamGroupBy::with_config(MinAgg, tiny_cfg(16 << 10));
+            let mut gb = pinned_group_by(MinAgg, tiny_cfg(16 << 10));
             gb.push(&records).unwrap();
             gb.finish_vec().unwrap()
         });
         let maxs = run(&|| {
-            let mut gb = StreamGroupBy::with_config(MaxAgg, tiny_cfg(16 << 10));
+            let mut gb = pinned_group_by(MaxAgg, tiny_cfg(16 << 10));
             gb.push(&records).unwrap();
             gb.finish_vec().unwrap()
         });
@@ -680,7 +677,7 @@ mod tests {
             |v: u64| [1u64, v],
             |a: [u64; 2], b: [u64; 2]| [a[0] + b[0], a[1] + b[1]],
         );
-        let mut gb: StreamGroupBy<u64, _> = StreamGroupBy::with_config(agg, tiny_cfg(16 << 10));
+        let mut gb: StreamGroupBy<u64, _> = pinned_group_by(agg, tiny_cfg(16 << 10));
         for i in 0..20_000u64 {
             gb.push_record(i % 10, i).unwrap();
         }
@@ -740,7 +737,7 @@ mod tests {
             .map(|i| (rng.ith_in(i as u64, 400), format!("payload-{i}")))
             .collect();
         let mut gb: StreamGroupBy<u64, FirstAgg<String>> =
-            StreamGroupBy::with_config(FirstAgg::new(), tiny_cfg(16 << 10));
+            pinned_group_by(FirstAgg::new(), tiny_cfg(16 << 10));
         for chunk in records.chunks(997) {
             gb.push(chunk).unwrap();
         }
@@ -766,8 +763,7 @@ mod tests {
         let records: Vec<(u32, Vec<u8>)> = (0..n)
             .map(|i| ((i % 5) as u32, format!("[{i}]").into_bytes()))
             .collect();
-        let mut gb: StreamGroupBy<u32, ConcatAgg> =
-            StreamGroupBy::with_config(ConcatAgg, tiny_cfg(16 << 10));
+        let mut gb: StreamGroupBy<u32, ConcatAgg> = pinned_group_by(ConcatAgg, tiny_cfg(16 << 10));
         for chunk in records.chunks(613) {
             gb.push(chunk).unwrap();
         }
@@ -799,8 +795,7 @@ mod tests {
 
     #[test]
     fn pending_partial_is_retried_by_the_next_push() {
-        let mut gb: StreamGroupBy<u64, SumAgg> =
-            StreamGroupBy::with_config(SumAgg, tiny_cfg(16 << 10));
+        let mut gb: StreamGroupBy<u64, SumAgg> = pinned_group_by(SumAgg, tiny_cfg(16 << 10));
         gb.core.pending_runs.push_back(vec![(9, 3)]);
         gb.push_record(9, 2).unwrap();
         assert_eq!(
@@ -818,7 +813,7 @@ mod tests {
         // times over, but their multi-KiB payloads exceed half the budget;
         // the byte tracker must force aggregated spills anyway.
         let mut gb: StreamGroupBy<u64, FirstAgg<String>> =
-            StreamGroupBy::with_config(FirstAgg::new(), tiny_cfg(64 << 10));
+            pinned_group_by(FirstAgg::new(), tiny_cfg(64 << 10));
         assert!(gb.core.run_capacity > 120, "premise: count would not spill");
         for i in 0..120u64 {
             gb.push_record(i, "q".repeat(2 << 10)).unwrap();
@@ -844,7 +839,7 @@ mod tests {
             spill_dir: Some(blocker.clone()),
             ..tiny_cfg(16 << 10)
         };
-        let mut gb: StreamGroupBy<u64, SumAgg> = StreamGroupBy::with_config(SumAgg, cfg);
+        let mut gb: StreamGroupBy<u64, SumAgg> = pinned_group_by(SumAgg, cfg);
         let batch: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i, i)).collect();
         let err = gb.push(&batch).expect_err("spill into a file must fail");
         assert_ne!(err.kind(), io::ErrorKind::NotFound);

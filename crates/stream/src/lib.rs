@@ -59,23 +59,24 @@
 //! streams to disk (fsync included — a run recorded as spilled is durably
 //! on disk).  At most one run is in flight: the writer hands each run
 //! back with its outcome, and the engine settles run `N` before handing
-//! over run `N + 1` — that wait is the backpressure.  The final merge
-//! **reads ahead** of the loser tree (the crate-private `pipeline`
-//! module): each spilled run's next block is decoded by a task on the
-//! spill I/O pool ([`dtsort::StreamConfig::spill_io_workers`] threads,
-//! whatever the run count).  The memory budget is split into *spill
-//! shares* ([`dtsort::StreamConfig::spill_shares`]) so the in-flight run
-//! is paid for out of the same budget.  Writer-side errors surface on the
-//! next `push` or on `finish` — never dropped, never a hang — with the
-//! failed run's records reclaimed and the engine entering **degradation
-//! probation**: it spills synchronously until
-//! [`dtsort::SpillRetryPolicy::probation_spills`] consecutive spills
-//! succeed, then restarts the writer thread (visible as
-//! `spill.degraded_syncs` / [`StreamStats::degraded_syncs`]).
-//! Transient failures (interrupted/timed-out syscalls) are retried with
-//! bounded deterministic backoff before any of that
-//! ([`dtsort::SpillRetryPolicy`]), and errors that survive the retries
-//! are typed [`SpillError`]s naming the run file, run index (the run's
+//! over run `N + 1` — that wait is the backpressure.  On a host with more
+//! than one CPU the final merge **reads ahead** of the loser tree (the
+//! crate-private `pipeline` module): each spilled run's next block is
+//! decoded by a task on the spill I/O pool (2 threads, whatever the run
+//! count), sized by the run's share of an 8 MiB merge read buffer.  On one
+//! CPU the merge reads synchronously, since the decode tasks could not
+//! run alongside it.  The memory budget is split into *spill shares*
+//! ([`dtsort::StreamConfig::spill_shares`]) so the in-flight run is paid
+//! for out of the same budget.  Writer-side errors surface on the next
+//! `push` or on `finish` — never dropped, never a hang — with the failed
+//! run's records reclaimed and the engine entering **degradation
+//! probation**: it spills synchronously until [`PROBATION_SPILLS`]
+//! consecutive spills succeed, then restarts the writer thread (visible
+//! as `spill.degraded_syncs` / [`StreamStats::degraded_syncs`]).
+//! Transient failures (interrupted/timed-out syscalls) are retried before
+//! any of that — up to 3 times, after a deterministic backoff of 2 ms
+//! doubling to at most 50 ms — and errors that survive the retries are
+//! typed [`SpillError`]s naming the run file, run index (the run's
 //! position among the engine's runs, whichever path wrote it) and bytes
 //! attempted.  [`dtsort::StreamConfig::pipelined_spill`] `= false`
 //! writes every run inline on the pushing thread — the path probation
@@ -88,9 +89,8 @@
 //! All spill reads and writes go through the crate-private `SpillIo`
 //! abstraction (re-exported as the opaque [`SpillIoHandle`]), selected by
 //! [`dtsort::StreamConfig::spill_io`].  Each handle owns one job pool of
-//! [`dtsort::StreamConfig::spill_io_workers`] threads behind a queue of
-//! [`dtsort::StreamConfig::spill_io_queue_depth`] slots, started on first
-//! use; the merge read-ahead runs on it under either backend.
+//! 2 threads behind a queue of 32 slots, started on first use; the merge
+//! read-ahead runs on it under either backend.
 //!
 //! * [`SpillIoMode::Blocking`] (default) — buffered `File` I/O on the
 //!   calling thread, byte-for-byte the original path and the
@@ -181,9 +181,7 @@ mod spiller;
 mod spillio;
 mod strkey;
 
-pub use dtsort::{
-    SortConfig, SpillCompression, SpillIoMode, SpillRetryPolicy, StreamConfig, StringKey,
-};
+pub use dtsort::{SortConfig, SpillCompression, SpillIoMode, StreamConfig, StringKey};
 pub use fault::{FaultKind, FaultPlan, DEFAULT_FAULT_KINDS, DEFAULT_FAULT_PERIOD};
 pub use groupby::{
     Aggregator, ConcatAgg, CountAgg, FirstAgg, FoldAgg, GroupByStats, GroupedStream, MaxAgg,
@@ -191,6 +189,7 @@ pub use groupby::{
 };
 pub use sorter::{SortedStream, StreamSorter, StreamStats};
 pub use spill::{PodValue, SpillError, SpillValue, VarValue};
+pub use spiller::PROBATION_SPILLS;
 pub use spillio::SpillIoHandle;
 pub use strkey::{
     StringAggAdapter, StringGroupedStream, StringKeyed, StringSortedStream, StringStreamGroupBy,

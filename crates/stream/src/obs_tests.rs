@@ -2,17 +2,22 @@
 //! artificially slow serializer proves — from the emitted trace alone —
 //! that the pipelined spill path really overlaps run sorting on the caller
 //! thread with run writing on the background writer thread, and — from
-//! its write counter — that dropping an engine joins that thread.
+//! its write counter — that dropping an engine joins that thread.  The
+//! same value notes which threads decode it, which shows where a merge's
+//! read-ahead runs.
 
 use crate::sorter::{var_merge_runs_into, var_sort_run, StreamSorter};
 use crate::spill::sealed::Sealed;
 use crate::spill::{SpillValue, VarValue};
+use crate::spillio::SpillIoHandle;
 use crate::{FirstAgg, StreamGroupBy};
-use dtsort::{IntegerKey, RunReport, SortConfig, StreamConfig};
+use dtsort::{IntegerKey, RunReport, SortConfig, SpillIoMode, StreamConfig};
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// Serializes the tests in this module: they enable tracing globally and
@@ -29,10 +34,16 @@ const WRITE_DELAY: Duration = Duration::from_micros(20);
 /// `SlowValue` records serialized so far, by any test in this module.
 static WRITES: AtomicUsize = AtomicUsize::new(0);
 
+/// Threads that have decoded a `SlowValue` record.
+fn decoders() -> &'static Mutex<HashSet<ThreadId>> {
+    static DECODERS: OnceLock<Mutex<HashSet<ThreadId>>> = OnceLock::new();
+    DECODERS.get_or_init(Default::default)
+}
+
 /// A var-length value whose serializer sleeps per record, making spill
 /// writes slow enough that the caller thread demonstrably sorts the next
 /// run while the writer thread is still on the previous one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SlowValue {
     payload: Vec<u8>,
 }
@@ -72,6 +83,10 @@ impl SpillValue for SlowValue {
         scratch: &mut Vec<u8>,
         payload_budget: u64,
     ) -> io::Result<Self> {
+        decoders()
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
         Vec::<u8>::spill_read(r, scratch, payload_budget).map(|payload| Self { payload })
     }
     fn spill_placeholder() -> Self {
@@ -101,7 +116,6 @@ fn pipelined_spill_trace_shows_sort_write_overlap() {
     obs::enable();
     let cfg = StreamConfig {
         memory_budget_bytes: 24 << 10,
-        merge_read_ahead: Some(true),
         sort: SortConfig {
             base_case_threshold: 64,
             ..Default::default()
@@ -163,7 +177,6 @@ fn backpressure_spans_and_histogram_agree() {
     let before = obs::global().snapshot();
     let cfg = StreamConfig {
         memory_budget_bytes: 24 << 10,
-        merge_read_ahead: Some(true),
         ..StreamConfig::default()
     };
     let mut sorter: StreamSorter<u64, SlowValue> = StreamSorter::with_config(cfg);
@@ -262,4 +275,53 @@ fn dropping_an_engine_mid_write_joins_its_writer() {
     // record pushed.
     assert_writer_joined(&base, before, i as usize, "group-by");
     std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn blocking_read_ahead_decodes_on_the_pool_workers() {
+    let _guard = obs_lock().lock().unwrap();
+    // The blocking backend used to give every spilled run its own decode
+    // thread.  Its read-ahead now runs on the spill I/O pool, so a wide
+    // merge decodes on the two workers plus inline on the merging thread,
+    // whatever the run count.  Read-ahead is pinned on, so this holds on a
+    // single-CPU host too.
+    let cfg = StreamConfig {
+        memory_budget_bytes: 32 << 10,
+        spill_io: SpillIoMode::Blocking,
+        sort: SortConfig {
+            base_case_threshold: 64,
+            ..SortConfig::default()
+        },
+        ..StreamConfig::default()
+    };
+    let io = SpillIoHandle::from_config(&cfg).reading_ahead(true);
+    let mut sorter: StreamSorter<u32, SlowValue> = StreamSorter::with_config_and_io(cfg, io);
+    let data: Vec<(u32, SlowValue)> = (0..20_000u32)
+        .map(|i| (i.rotate_left(16), SlowValue::new(u64::from(i))))
+        .collect();
+    for chunk in data.chunks(997) {
+        sorter.push(chunk).unwrap();
+    }
+    sorter.flush_spills().unwrap();
+    let runs = sorter.stats().spilled_runs;
+    assert!(
+        runs >= 12,
+        "workload must spill a wide merge, got {runs} runs"
+    );
+    decoders().lock().unwrap().clear();
+    let got: Vec<(u32, SlowValue)> = sorter.finish().unwrap().collect();
+    let mut want = data;
+    want.sort_by_key(|r| r.0);
+    assert_eq!(got, want);
+    let threads = decoders().lock().unwrap().clone();
+    let merging = std::thread::current().id();
+    assert!(
+        threads.iter().any(|&t| t != merging),
+        "the merge must have read ahead on the pool"
+    );
+    assert!(
+        threads.len() <= 3,
+        "{runs} runs decoded on {} threads, want at most 2 workers + the merge thread",
+        threads.len()
+    );
 }

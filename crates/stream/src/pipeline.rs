@@ -7,7 +7,7 @@
 //! sized by the per-run share of the merge read budget, so the loser tree
 //! pops from warm memory instead of cold reads.  Decode steps are
 //! resubmit-on-consume tasks on the spill I/O handle's job pool under
-//! either backend, so a k-way merge needs `spill_io_workers` threads
+//! either backend, so a k-way merge needs the pool's 2 threads
 //! instead of k.  The write side of spill pipelining (one run in flight
 //! to a background writer) lives in the crate-private `spiller` module.
 

@@ -12,12 +12,16 @@ use parlay::kway::{kway_merge_into, BlockSource, RunSource};
 use std::io;
 use std::marker::PhantomData;
 
-/// Below this per-run share of [`StreamConfig::merge_read_buffer_bytes`]
-/// the read-ahead stage is skipped: a run's feed double-buffers its
-/// budget, and at a few hundred bytes per buffer the task overhead dwarfs
-/// the read it hides.  Merges that wanted read-ahead but lost it to this
-/// floor bump the `prefetch.disabled_merges` metric and are flagged on
-/// the returned stream ([`SortedStream::read_ahead_disabled`]).
+/// Total read buffering a final merge splits across its spilled runs
+/// ([`per_run_reader_budget`]): 64 runs get 128 KiB each.
+pub(crate) const MERGE_READ_BUFFER_BYTES: usize = 8 << 20;
+
+/// Below this per-run share of the merge read buffer the read-ahead stage
+/// is skipped: a run's feed double-buffers its share, and at a few hundred
+/// bytes per buffer the task overhead dwarfs the read it hides.  Merges
+/// that would have read ahead but lost it to this floor bump the
+/// `prefetch.disabled_merges` metric.  With [`MERGE_READ_BUFFER_BYTES`]
+/// that takes more than 2048 runs.
 pub(crate) const MIN_PREFETCH_RUN_BUDGET: usize = 4096;
 
 /// Upper bound on the heavy keys carried from one run's sampling into the
@@ -55,13 +59,14 @@ pub struct StreamStats {
     pub spilled_raw_bytes: u64,
     /// Heavy keys currently carried into the next run's sampling.
     pub carried_heavy_keys: usize,
-    /// Transient spill-write failures that were retried (and eventually
-    /// succeeded) under [`StreamConfig::spill_retry`], across both the
-    /// synchronous and the pipelined writer.
+    /// Transient spill-write failures (interrupted or timed-out calls)
+    /// that were retried and eventually succeeded — up to 3 retries per
+    /// write, with a backoff of 2 ms doubling to at most 50 ms — across
+    /// both the synchronous and the pipelined writer.
     pub spill_retries: u64,
     /// Runs spilled synchronously while pipelining was on probation after
-    /// a writer failure.  Stops growing once the probation run count is
-    /// served and pipelining resumes.
+    /// a writer failure.  Stops growing once [`crate::PROBATION_SPILLS`]
+    /// runs are served and pipelining resumes.
     pub degraded_syncs: u64,
     /// Whether the spill counters are exact right now: `false` while runs
     /// are in flight to the background spill writer (their bytes are not
@@ -287,21 +292,21 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
 
     /// Finishes the sort, returning a streaming sorted iterator.
     ///
-    /// The iterator holds one read buffer per spilled run (bounded by
-    /// [`StreamConfig::merge_read_buffer_bytes`]) plus the final in-memory
-    /// run, so its footprint stays within the configured budget no matter
-    /// how large the dataset grew.  When [`StreamConfig::merge_read_ahead`]
-    /// resolves on, each spilled run is decoded ahead of the merge by
-    /// tasks on the spill I/O pool ([`StreamConfig::spill_io_workers`]
-    /// threads, whatever the run count), so the loser tree pops from
-    /// prefetched blocks instead of blocking on cold reads.  Runs beyond
-    /// the pool's queue depth decode inline on the merging thread.  Once
-    /// the per-run buffer share drops below 4 KiB, read-ahead falls back
-    /// to synchronous reads — [`SortedStream::read_ahead_disabled`]
-    /// reports when that happened.
+    /// The iterator holds one read buffer per spilled run (together 8 MiB
+    /// of read buffering, split evenly) plus the final in-memory run, so
+    /// its footprint stays bounded no matter how large the dataset grew.
+    /// On a host with more than one CPU, each spilled run is decoded ahead
+    /// of the merge by tasks on the spill I/O pool (2 threads, whatever
+    /// the run count), so the loser tree pops from prefetched blocks
+    /// instead of blocking on cold reads; runs beyond the pool's queue
+    /// depth decode inline on the merging thread.  On one CPU the decode
+    /// tasks could not overlap the merge, so the runs are read
+    /// synchronously.  Read-ahead also gives way to synchronous reads once
+    /// the per-run buffer share drops below 4 KiB (past 2048 runs), which
+    /// the `prefetch.disabled_merges` metric counts.
     pub fn finish(self) -> io::Result<SortedStream<K, V>> {
         let remaining = self.len();
-        let (merge, _) = self.core.into_merge()?;
+        let (merge, _) = self.core.into_merge(MERGE_READ_BUFFER_BYTES)?;
         Ok(SortedStream {
             merge,
             remaining,
@@ -335,8 +340,7 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
             }
             return Ok(());
         }
-        let reader_budget =
-            per_run_reader_budget(core.cfg.merge_read_buffer_bytes, core.runs.len());
+        let reader_budget = per_run_reader_budget(MERGE_READ_BUFFER_BYTES, core.runs.len());
         // Load all spilled runs back in parallel: each run is its own file,
         // so reads are independent and the deserialization fans out across
         // the pool.  Errors are surfaced after the barrier (first one wins).
@@ -346,11 +350,10 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
             let cell = parlay::slice::UnsafeSliceCell::new(&mut results);
             let runs = &core.runs;
             let io = &core.io;
-            let retry = &core.cfg.spill_retry;
             parlay::par::parallel_for_grained(0, runs.len(), 1, &|i| {
                 // Whole-run granularity: a transient read failure anywhere
                 // in the run re-opens and re-reads it from the start.
-                let res = with_transient_retry(retry, || {
+                let res = with_transient_retry(|| {
                     RunReader::<V>::open(io, &runs[i], reader_budget).and_then(|mut r| r.read_all())
                 })
                 .map(|(records, _)| records)
@@ -465,44 +468,42 @@ pub(crate) fn var_merge_runs_into<K: IntegerKey, V: VarValue>(
     }
 }
 
-/// Opens one merge cursor per spilled run, splitting
-/// [`StreamConfig::merge_read_buffer_bytes`] across them.  With read-ahead
-/// resolved on ([`StreamConfig::wants_merge_read_ahead`]), each run gets a
-/// [`RunFeed`] decoding blocks ahead of the merge on the spill I/O pool;
-/// otherwise the cursors read synchronously.  Shared by the sorter and the
-/// group-by so the two merge paths cannot drift.
+/// Opens one merge cursor per spilled run, splitting `read_bytes` of read
+/// buffering across them (the engines pass [`MERGE_READ_BUFFER_BYTES`]).
+/// When `io` reads ahead ([`SpillIoHandle::reads_ahead`]: the host has
+/// more than one CPU), each run gets a [`RunFeed`] decoding blocks ahead
+/// of the merge on the spill I/O pool; otherwise the cursors read
+/// synchronously.  Shared by the sorter and the group-by so the two merge
+/// paths cannot drift.
 ///
-/// Read-ahead is silently a no-op when the per-run budget share is below
-/// [`MIN_PREFETCH_RUN_BUDGET`] (the double-buffered blocks would be too
-/// small to hide any read latency); the returned flag (and the
-/// `prefetch.disabled_merges` metric) reports that rather than only a
-/// slower merge.  Returns `(cursors, read_ahead_disabled)`.
+/// Read-ahead also gives way to synchronous reads when the per-run share
+/// is below [`MIN_PREFETCH_RUN_BUDGET`] (the double-buffered blocks would
+/// be too small to hide any read latency); the
+/// `prefetch.disabled_merges` metric reports that rather than only a
+/// slower merge.
 pub(crate) fn open_run_cursors<V: SpillValue>(
     runs: &[SpilledRun],
-    cfg: &StreamConfig,
     io: &SpillIoHandle,
-) -> io::Result<(Vec<RunCursor<V>>, bool)> {
-    let reader_budget = per_run_reader_budget(cfg.merge_read_buffer_bytes, runs.len());
-    let wants = cfg.wants_merge_read_ahead() && !runs.is_empty();
+    read_bytes: usize,
+) -> io::Result<Vec<RunCursor<V>>> {
+    let reader_budget = per_run_reader_budget(read_bytes, runs.len());
+    let wants = io.reads_ahead() && !runs.is_empty();
     let prefetch = wants && reader_budget >= MIN_PREFETCH_RUN_BUDGET;
-    let read_ahead_disabled = wants && !prefetch;
-    if read_ahead_disabled && obs::enabled() {
+    if wants && !prefetch && obs::enabled() {
         crate::metrics::m().prefetch_disabled_merges.incr();
     }
     let mut cursors: Vec<RunCursor<V>> = Vec::with_capacity(runs.len() + 2);
     if prefetch {
         // Submit every feed before priming any cursor, so all the first
         // blocks decode in parallel.  Open-time failures (the only ones
-        // with a clean retry point) are retried per the policy.
+        // with a clean retry point) are retried.
         let feeds: Vec<RunFeed<V>> = runs
             .iter()
             .enumerate()
             .map(|(i, run)| {
-                with_transient_retry(&cfg.spill_retry, || {
-                    RunFeed::open(io, run, reader_budget, i)
-                })
-                .map(|(feed, _)| feed)
-                .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))
+                with_transient_retry(|| RunFeed::open(io, run, reader_budget, i))
+                    .map(|(feed, _)| feed)
+                    .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))
             })
             .collect::<io::Result<_>>()?;
         for feed in feeds {
@@ -510,15 +511,13 @@ pub(crate) fn open_run_cursors<V: SpillValue>(
         }
     } else {
         for (i, run) in runs.iter().enumerate() {
-            let cursor = with_transient_retry(&cfg.spill_retry, || {
-                RunCursor::open_disk(io, run, reader_budget)
-            })
-            .map(|(c, _)| c)
-            .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))?;
+            let cursor = with_transient_retry(|| RunCursor::open_disk(io, run, reader_budget))
+                .map(|(c, _)| c)
+                .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))?;
             cursors.push(cursor);
         }
     }
-    Ok((cursors, read_ahead_disabled))
+    Ok(cursors)
 }
 
 type Refill<V> = Box<dyn FnMut() -> Option<Vec<(u64, V)>> + Send>;
@@ -641,21 +640,6 @@ pub struct SortedStream<K: IntegerKey, V: SpillValue> {
     _key: PhantomData<K>,
 }
 
-impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
-    /// Whether this merge *wanted* read-ahead
-    /// ([`StreamConfig::wants_merge_read_ahead`]) but ran synchronously
-    /// anyway because the per-run share of
-    /// [`StreamConfig::merge_read_buffer_bytes`] fell below the 4 KiB
-    /// floor where double-buffering stops paying.  The run count alone
-    /// never disables read-ahead: runs past the pool's queue depth decode
-    /// inline instead.  Also counted by the `prefetch.disabled_merges`
-    /// metric.  Widen the read buffer (or the memory budget, to get fewer,
-    /// larger runs) to re-arm the read-ahead.
-    pub fn read_ahead_disabled(&self) -> bool {
-        self.merge.read_ahead_disabled
-    }
-}
-
 impl<K: IntegerKey, V: SpillValue> Iterator for SortedStream<K, V> {
     type Item = (K, V);
 
@@ -681,15 +665,23 @@ mod tests {
     fn tiny_cfg(budget: usize) -> StreamConfig {
         StreamConfig {
             memory_budget_bytes: budget,
-            // Force the read-ahead merge path so it is exercised even on
-            // single-CPU CI hosts (where auto mode would disable it).
-            merge_read_ahead: Some(true),
             sort: dtsort::SortConfig {
                 base_case_threshold: 64,
                 ..Default::default()
             },
             ..StreamConfig::default()
         }
+    }
+
+    /// A sorter over `cfg`'s backend whose merges read ahead or not as
+    /// `read_ahead` says, whatever the host — so the read-ahead merge path
+    /// runs even on single-CPU machines.
+    fn pinned_sorter<K: IntegerKey, V: SpillValue>(
+        cfg: StreamConfig,
+        read_ahead: bool,
+    ) -> StreamSorter<K, V> {
+        let io = SpillIoHandle::from_config(&cfg).reading_ahead(read_ahead);
+        StreamSorter::with_config_and_io(cfg, io)
     }
 
     #[test]
@@ -711,7 +703,7 @@ mod tests {
             .map(|i| (rng.ith_in(i as u64, 1 << 20) as u32, i as u32))
             .collect();
         // 8-byte records, ~2k records per run => ~25 spilled runs.
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(tiny_cfg(32 << 10));
+        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(tiny_cfg(32 << 10), true);
         for batch in input.chunks(997) {
             sorter.push(batch).unwrap();
         }
@@ -734,7 +726,7 @@ mod tests {
             .map(|i| (rng.ith_in(i as u64, 500), i as u64))
             .collect();
         let mk = || {
-            let mut s: StreamSorter<u64, u64> = StreamSorter::with_config(tiny_cfg(64 << 10));
+            let mut s: StreamSorter<u64, u64> = pinned_sorter(tiny_cfg(64 << 10), true);
             s.push(&input).unwrap();
             s
         };
@@ -754,7 +746,7 @@ mod tests {
         // 70% of every batch is key 42: after the first spilled run the
         // carry must contain 42's ordered image.
         let rng = Rng::new(13);
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(tiny_cfg(64 << 10));
+        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(tiny_cfg(64 << 10), true);
         let mut pushed = 0u32;
         while sorter.stats().spilled_runs < 3 {
             let batch: Vec<(u32, u32)> = (0..1024u32)
@@ -782,7 +774,7 @@ mod tests {
     #[test]
     fn unit_values_and_signed_keys() {
         let rng = Rng::new(14);
-        let mut sorter: StreamSorter<i64> = StreamSorter::with_config(tiny_cfg(32 << 10));
+        let mut sorter: StreamSorter<i64> = pinned_sorter(tiny_cfg(32 << 10), true);
         let keys: Vec<i64> = (0..30_000).map(|i| rng.ith(i) as i64).collect();
         for k in &keys {
             sorter.push_record(*k, ()).unwrap();
@@ -822,7 +814,7 @@ mod tests {
             spill_dir: Some(base.clone()),
             ..tiny_cfg(16 << 10)
         };
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(cfg, true);
         let batch: Vec<(u32, u32)> = (0..20_000u32).map(|i| (i % 100, i)).collect();
         sorter.push(&batch).unwrap();
         assert!(sorter.stats().spilled_runs > 0);
@@ -850,7 +842,7 @@ mod tests {
         let input: Vec<(u64, String)> = (0..n)
             .map(|i| (rng.ith_in(i as u64, 300), payload(i)))
             .collect();
-        let mut sorter: StreamSorter<u64, String> = StreamSorter::with_config(tiny_cfg(64 << 10));
+        let mut sorter: StreamSorter<u64, String> = pinned_sorter(tiny_cfg(64 << 10), true);
         for chunk in input.chunks(997) {
             sorter.push(chunk).unwrap();
         }
@@ -873,7 +865,7 @@ mod tests {
             .map(|i| (rng.ith_in(i as u64, 64) as u32, payload(i)))
             .collect();
         let mk = || {
-            let mut s: StreamSorter<u32, String> = StreamSorter::with_config(tiny_cfg(32 << 10));
+            let mut s: StreamSorter<u32, String> = pinned_sorter(tiny_cfg(32 << 10), true);
             s.push(&input).unwrap();
             assert!(s.stats().spilled_runs > 0);
             s
@@ -903,7 +895,7 @@ mod tests {
                 (rng.ith_in(i as u64, 40) as u32, payload)
             })
             .collect();
-        let mut sorter: StreamSorter<u32, Vec<u8>> = StreamSorter::with_config(tiny_cfg(64 << 10));
+        let mut sorter: StreamSorter<u32, Vec<u8>> = pinned_sorter(tiny_cfg(64 << 10), true);
         sorter.push(&input).unwrap();
         assert!(sorter.stats().spilled_runs > 0);
         let got = sorter.finish_vec().unwrap();
@@ -917,7 +909,7 @@ mod tests {
         // 100 records fit the record-count capacity comfortably, but their
         // multi-KiB payloads exceed half the budget many times over; the
         // byte tracker must force spills anyway.
-        let mut sorter: StreamSorter<u64, String> = StreamSorter::with_config(tiny_cfg(64 << 10));
+        let mut sorter: StreamSorter<u64, String> = pinned_sorter(tiny_cfg(64 << 10), true);
         assert!(
             sorter.core.run_capacity > 100,
             "premise: count would not spill"
@@ -947,7 +939,7 @@ mod tests {
             spill_dir: Some(blocker.clone()),
             ..tiny_cfg(16 << 10)
         };
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(cfg, true);
         let batch: Vec<(u32, u32)> = (0..20_000u32).map(|i| (i, i)).collect();
         let err = sorter
             .push(&batch)
@@ -967,7 +959,7 @@ mod tests {
 
     #[test]
     fn flush_spills_makes_stats_exact() {
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(tiny_cfg(32 << 10));
+        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(tiny_cfg(32 << 10), true);
         let batch: Vec<(u32, u32)> = (0..40_000u32).map(|i| (i.rotate_left(16), i)).collect();
         sorter.push(&batch).unwrap();
         sorter.flush_spills().unwrap();
@@ -995,7 +987,6 @@ mod tests {
         // grant once the pre-shrink backlog drains.
         let handle = dtsort::BudgetHandle::new(64 << 10);
         let cfg = StreamConfig {
-            merge_read_ahead: Some(true),
             sort: dtsort::SortConfig {
                 base_case_threshold: 64,
                 ..Default::default()
@@ -1003,7 +994,7 @@ mod tests {
             ..StreamConfig::with_budget_handle(handle.clone())
         };
         let record_size = std::mem::size_of::<(u64, u64)>();
-        let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config(cfg);
+        let mut sorter: StreamSorter<u64, u64> = pinned_sorter(cfg, true);
         let initial_capacity = sorter.core.run_capacity;
         let rng = Rng::new(31);
         let mut pushed: Vec<(u64, u64)> = Vec::new();
@@ -1052,7 +1043,7 @@ mod tests {
         // shared a directory and `remove_dir_all` on one stream's drop
         // deleted the other's runs mid-merge.
         let mk = |seed: u64| {
-            let s: StreamSorter<u32, u32> = StreamSorter::with_config(tiny_cfg(16 << 10));
+            let s: StreamSorter<u32, u32> = pinned_sorter(tiny_cfg(16 << 10), true);
             let rng = Rng::new(seed);
             let input: Vec<(u32, u32)> = (0..20_000usize)
                 .map(|i| (rng.ith(i as u64) as u32, i as u32))
@@ -1176,10 +1167,9 @@ mod tests {
         // is fully on disk — only the never-recorded run may be partial.
         let cfg = StreamConfig {
             pipelined_spill: false,
-            merge_read_ahead: Some(false),
             ..tiny_cfg(16 << 10)
         };
-        let mut sorter: StreamSorter<u64, Grenade> = StreamSorter::with_config(cfg);
+        let mut sorter: StreamSorter<u64, Grenade> = pinned_sorter(cfg, false);
         let capacity = sorter.core.run_capacity;
         // Detonate in the middle of the second run's write.
         let fuse = Arc::new(AtomicI64::new(capacity as i64 + (capacity / 2) as i64));
@@ -1224,7 +1214,7 @@ mod tests {
         // thread, where it must convert to an io::Error surfaced by a
         // later push or by finish — never a hang — and the failed run's
         // records must still come out of the final merge.
-        let mut sorter: StreamSorter<u64, Grenade> = StreamSorter::with_config(tiny_cfg(16 << 10));
+        let mut sorter: StreamSorter<u64, Grenade> = pinned_sorter(tiny_cfg(16 << 10), true);
         let capacity = sorter.core.run_capacity;
         let fuse = Arc::new(AtomicI64::new(capacity as i64 + (capacity / 2) as i64));
         let n = 6 * capacity;
@@ -1264,13 +1254,52 @@ mod tests {
     // Spill-I/O backends: read-ahead fan-in, failure injection.
     // -----------------------------------------------------------------
 
-    fn batched_cfg(budget: usize, workers: usize, depth: usize) -> StreamConfig {
+    fn batched_cfg(budget: usize) -> StreamConfig {
         StreamConfig {
             spill_io: SpillIoMode::Batched,
-            spill_io_workers: workers,
-            spill_io_queue_depth: depth,
             ..tiny_cfg(budget)
         }
+    }
+
+    /// Merges `sorter`'s runs the way [`StreamSorter::finish`] does, but
+    /// splitting `read_bytes` of read buffering across them instead of
+    /// [`MERGE_READ_BUFFER_BYTES`].
+    fn merge_with_read_budget<V: SpillValue>(
+        sorter: StreamSorter<u32, V>,
+        read_bytes: usize,
+    ) -> io::Result<Vec<(u32, V)>> {
+        let (mut merge, _) = sorter.core.into_merge(read_bytes)?;
+        Ok(std::iter::from_fn(|| merge.tree.pop())
+            .map(|(k, v)| (u32::from_ordered_u64(k), v))
+            .collect())
+    }
+
+    #[test]
+    fn below_floor_merge_reads_synchronously_and_counts_it() {
+        // A per-run share of the read budget under the 4 KiB floor turns
+        // the read-ahead off even on a handle that reads ahead; the
+        // fallback is counted and still merges every run exactly.
+        let _obs = obs::scoped_enable();
+        let rng = Rng::new(23);
+        let input: Vec<(u32, u32)> = (0..40_000usize)
+            .map(|i| (rng.ith_in(i as u64, 5_000) as u32, i as u32))
+            .collect();
+        let mut want = input.clone();
+        want.sort_by_key(|r| r.0);
+        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(tiny_cfg(32 << 10), true);
+        for chunk in input.chunks(997) {
+            sorter.push(chunk).unwrap();
+        }
+        sorter.flush_spills().unwrap();
+        let runs = sorter.stats().spilled_runs;
+        assert!(runs > 2, "got {runs} runs");
+        let read_bytes = runs * (MIN_PREFETCH_RUN_BUDGET - 1);
+        assert!(per_run_reader_budget(read_bytes, runs) < MIN_PREFETCH_RUN_BUDGET);
+        let disabled = || obs::global().snapshot().counter("prefetch.disabled_merges");
+        let before = disabled();
+        let got = merge_with_read_budget(sorter, read_bytes).unwrap();
+        assert!(disabled() > before, "the below-floor merge must be counted");
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1285,19 +1314,20 @@ mod tests {
         let mut want = input.clone();
         want.sort_by_key(|r| r.0);
         for spill_io in [SpillIoMode::Blocking, SpillIoMode::Batched] {
-            let cfg = StreamConfig {
-                spill_io,
-                ..batched_cfg(32 << 10, 1, 2)
-            };
-            let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+            let io = SpillIoHandle::new(spill_io, 1, 2).reading_ahead(true);
+            let mut sorter: StreamSorter<u32, u32> =
+                StreamSorter::with_config_and_io(tiny_cfg(32 << 10), io);
             for chunk in input.chunks(997) {
                 sorter.push(chunk).unwrap();
             }
             sorter.flush_spills().unwrap();
-            assert!(sorter.stats().spilled_runs > 2, "{spill_io:?}");
-            let stream = sorter.finish().unwrap();
-            assert!(!stream.read_ahead_disabled(), "{spill_io:?}");
-            let got: Vec<(u32, u32)> = stream.collect();
+            let runs = sorter.stats().spilled_runs;
+            assert!(runs > 2, "{spill_io:?}");
+            assert!(
+                per_run_reader_budget(MERGE_READ_BUFFER_BYTES, runs) >= MIN_PREFETCH_RUN_BUDGET,
+                "{spill_io:?}: the merge must read ahead"
+            );
+            let got: Vec<(u32, u32)> = sorter.finish().unwrap().collect();
             assert_eq!(got, want, "{spill_io:?}");
         }
     }
@@ -1309,10 +1339,9 @@ mod tests {
         // are reclaimed, and the final merge loses nothing.
         let cfg = StreamConfig {
             pipelined_spill: false,
-            merge_read_ahead: Some(false),
-            ..batched_cfg(16 << 10, 2, 8)
+            ..batched_cfg(16 << 10)
         };
-        let io = SpillIoHandle::batched(2, 8);
+        let io = SpillIoHandle::batched(2, 8).reading_ahead(false);
         let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config_and_io(cfg, io.clone());
         let capacity = sorter.core.run_capacity;
         let run_bytes = (capacity * 16) as u64; // flat: 8B key + 8B value
@@ -1348,7 +1377,7 @@ mod tests {
         // engine's run k reported run 0.  Run 0 is written; the fuse fails
         // the pipelined write of run 1 and stays armed, so the synchronous
         // retry of run 1 fails too — and both errors must name run 1.
-        let cfg = batched_cfg(16 << 10, 2, 8);
+        let cfg = batched_cfg(16 << 10);
         let io = SpillIoHandle::batched(2, 8);
         let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config_and_io(cfg, io.clone());
         let capacity = sorter.core.run_capacity;
@@ -1374,10 +1403,10 @@ mod tests {
     #[test]
     fn probation_reenables_pipelining_after_clean_sync_spills() {
         // A writer failure no longer demotes the sorter to synchronous
-        // spilling forever: after `probation_spills` clean synchronous
+        // spilling forever: after `PROBATION_SPILLS` clean synchronous
         // spills the pipeline restarts, and `degraded_syncs` stops
         // growing — the observable signature of a served probation.
-        let cfg = batched_cfg(16 << 10, 2, 8);
+        let cfg = batched_cfg(16 << 10);
         let io = SpillIoHandle::batched(2, 8);
         let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config_and_io(cfg, io.clone());
         let capacity = sorter.core.run_capacity;
@@ -1399,7 +1428,7 @@ mod tests {
             }
         }
         assert!(saw_error, "the fused write must surface on a push");
-        let probation = sorter.core.cfg.spill_retry.probation_spills as u64;
+        let probation = u64::from(crate::PROBATION_SPILLS);
         assert_eq!(
             sorter.stats().degraded_syncs,
             probation,
@@ -1421,8 +1450,7 @@ mod tests {
         // The Grenade detonates inside the spill-writer thread while it is
         // streaming into the batched backend: same error contract as the
         // blocking run of this scenario above.
-        let mut sorter: StreamSorter<u64, Grenade> =
-            StreamSorter::with_config(batched_cfg(16 << 10, 2, 8));
+        let mut sorter: StreamSorter<u64, Grenade> = pinned_sorter(batched_cfg(16 << 10), true);
         let capacity = sorter.core.run_capacity;
         let fuse = Arc::new(AtomicI64::new(capacity as i64 + (capacity / 2) as i64));
         let n = 6 * capacity;
@@ -1468,29 +1496,28 @@ mod tests {
             .collect();
         let mut want = input.clone();
         want.sort_by_key(|r| r.0);
+        let read_bytes = 128 << 10;
         for spill_io in [SpillIoMode::Batched, SpillIoMode::Blocking] {
             let cfg = StreamConfig {
                 spill_io,
                 spill_compression: dtsort::SpillCompression::DeltaLz,
-                merge_read_buffer_bytes: 128 << 10,
-                ..batched_cfg(32 << 10, 2, 32)
+                ..tiny_cfg(32 << 10)
             };
-            let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+            let mut sorter: StreamSorter<u32, u32> = pinned_sorter(cfg, true);
             for chunk in input.chunks(997) {
                 sorter.push(chunk).unwrap();
             }
             sorter.flush_spills().unwrap();
+            let runs = sorter.stats().spilled_runs;
             assert!(
-                sorter.stats().spilled_runs > 2,
-                "the deadlock regime needs fan-in above the 2 workers, got {} [{spill_io:?}]",
-                sorter.stats().spilled_runs
+                runs > 2,
+                "the deadlock regime needs fan-in above the 2 workers, got {runs} [{spill_io:?}]"
             );
-            let stream = sorter.finish().unwrap();
             assert!(
-                !stream.read_ahead_disabled(),
+                per_run_reader_budget(read_bytes, runs) >= MIN_PREFETCH_RUN_BUDGET,
                 "the deadlock regime needs engaged read-ahead [{spill_io:?}]"
             );
-            let got: Vec<(u32, u32)> = stream.collect();
+            let got = merge_with_read_budget(sorter, read_bytes).unwrap();
             assert_eq!(got, want, "{spill_io:?}");
         }
     }
@@ -1502,9 +1529,9 @@ mod tests {
         // wrong output.
         let cfg = StreamConfig {
             spill_compression: dtsort::SpillCompression::DeltaLz,
-            ..batched_cfg(32 << 10, 2, 64)
+            ..batched_cfg(32 << 10)
         };
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(cfg, true);
         let batch: Vec<(u32, u32)> = (0..30_000u32).map(|i| (i.rotate_left(13), i)).collect();
         sorter.push(&batch).unwrap();
         sorter.flush_spills().unwrap();

@@ -69,7 +69,7 @@
 
 use crate::codec;
 use crate::spillio::{SpillIoHandle, SpillRead, SpillWrite};
-use dtsort::{IntegerKey, RunReport, SortConfig, SpillCompression, SpillRetryPolicy};
+use dtsort::{IntegerKey, RunReport, SortConfig, SpillCompression};
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::mem::size_of;
@@ -171,26 +171,55 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Runs `op`, retrying transient failures ([`SpillRetryPolicy::is_transient`])
-/// up to `policy.max_retries` times with the policy's deterministic
-/// backoff.  Returns the value plus the number of retries spent; the
-/// first permanent error (or transient-retry exhaustion) surfaces as-is.
+/// Retries per spill operation after a first attempt that failed with a
+/// transient kind.
+const SPILL_RETRIES: u32 = 3;
+/// Backoff before the first retry, in milliseconds; each further retry
+/// doubles it.
+const BACKOFF_BASE_MS: u64 = 2;
+/// Upper bound on a single backoff sleep, in milliseconds.
+const BACKOFF_CAP_MS: u64 = 50;
+
+/// Whether `kind` is worth retrying: the condition can clear without any
+/// corrective action (interrupted call, timeout, contended resource).
+/// ENOSPC (`StorageFull`) and `QuotaExceeded` are deliberately *not*
+/// transient: retrying a full disk burns the backoff without any chance
+/// of success.  Every other kind (corruption, permission, ...) is
+/// permanent too and surfaces at once as a typed [`SpillError`].
+fn is_transient(kind: io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        io::ErrorKind::Interrupted | io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+    )
+}
+
+/// Deterministic backoff before retry number `attempt` (0-based):
+/// `BACKOFF_BASE_MS · 2^attempt`, capped at `BACKOFF_CAP_MS` — derived
+/// only from the attempt number, never from wall clock or randomness, so
+/// failure tests replay identically.
+fn backoff(attempt: u32) -> std::time::Duration {
+    let ms = BACKOFF_BASE_MS
+        .saturating_mul(1u64 << attempt.min(16))
+        .min(BACKOFF_CAP_MS);
+    std::time::Duration::from_millis(ms)
+}
+
+/// Runs `op`, retrying transient failures ([`is_transient`]) up to
+/// `SPILL_RETRIES` times with the deterministic [`backoff`].  Returns the
+/// value plus the number of retries spent; the first permanent error (or
+/// transient-retry exhaustion) surfaces as-is.
 pub(crate) fn with_transient_retry<T>(
-    policy: &SpillRetryPolicy,
     mut op: impl FnMut() -> io::Result<T>,
 ) -> io::Result<(T, u32)> {
     let mut attempt = 0u32;
     loop {
         match op() {
             Ok(v) => return Ok((v, attempt)),
-            Err(e) if attempt < policy.max_retries && SpillRetryPolicy::is_transient(e.kind()) => {
+            Err(e) if attempt < SPILL_RETRIES && is_transient(e.kind()) => {
                 if obs::enabled() {
                     crate::metrics::m().spill_retries.incr();
                 }
-                let backoff = policy.backoff(attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
+                std::thread::sleep(backoff(attempt));
                 attempt += 1;
             }
             Err(e) => return Err(e),
@@ -717,7 +746,7 @@ pub(crate) fn write_run<K: IntegerKey, V: SpillValue>(
     })
 }
 
-/// [`write_run`] with transient-failure retry per `policy`.
+/// [`write_run`] with transient-failure retry ([`with_transient_retry`]).
 ///
 /// Each attempt recreates the file from scratch (`create` truncates), and
 /// a failed attempt's partial file is removed before backing off, so a
@@ -729,9 +758,8 @@ pub(crate) fn write_run_with_retry<K: IntegerKey, V: SpillValue>(
     path: &Path,
     records: &[(K, V)],
     compression: SpillCompression,
-    policy: &SpillRetryPolicy,
 ) -> io::Result<SpilledRun> {
-    let (mut run, retries) = with_transient_retry(policy, || {
+    let (mut run, retries) = with_transient_retry(|| {
         write_run(io, path, records, compression).inspect_err(|_| {
             std::fs::remove_file(path).ok();
         })
@@ -997,6 +1025,52 @@ mod tests {
     /// (backend differentials live in `spillio.rs` and `tests/`).
     fn bio() -> SpillIoHandle {
         SpillIoHandle::blocking()
+    }
+
+    #[test]
+    fn retry_classification_and_backoff() {
+        use io::ErrorKind;
+        for kind in [
+            ErrorKind::Interrupted,
+            ErrorKind::TimedOut,
+            ErrorKind::WouldBlock,
+        ] {
+            assert!(is_transient(kind), "{kind:?}");
+        }
+        for kind in [
+            ErrorKind::StorageFull,
+            ErrorKind::QuotaExceeded,
+            ErrorKind::InvalidData,
+            ErrorKind::NotFound,
+            ErrorKind::PermissionDenied,
+            ErrorKind::WriteZero,
+            ErrorKind::Other,
+        ] {
+            assert!(!is_transient(kind), "{kind:?}");
+        }
+        // 2 ms doubling, capped at 50 ms — and deterministic across calls.
+        let ms: Vec<u128> = (0..6).map(|a| backoff(a).as_millis()).collect();
+        assert_eq!(ms, [2, 4, 8, 16, 32, 50]);
+        assert_eq!(backoff(60).as_millis(), 50, "huge attempts stay capped");
+        // Three retries after the first attempt, then the error surfaces.
+        let mut calls = 0;
+        let err = with_transient_retry(|| -> io::Result<()> {
+            calls += 1;
+            Err(ErrorKind::Interrupted.into())
+        })
+        .unwrap_err();
+        assert_eq!((calls, err.kind()), (4, ErrorKind::Interrupted));
+        let mut calls = 0;
+        let (_, retries) = with_transient_retry(|| {
+            calls += 1;
+            if calls < 3 {
+                Err(ErrorKind::TimedOut.into())
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap();
+        assert_eq!(retries, 2);
     }
 
     fn fixed_record_size<V: PodValue>() -> u64 {

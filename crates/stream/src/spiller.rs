@@ -23,7 +23,7 @@ use crate::spill::{
 };
 use crate::spillio::SpillIoHandle;
 use crate::{GroupByStats, StreamStats};
-use dtsort::{IntegerKey, SpillCompression, SpillRetryPolicy, StreamConfig};
+use dtsort::{IntegerKey, SpillCompression, StreamConfig};
 use parlay::kway::LoserTree;
 use std::collections::VecDeque;
 use std::io;
@@ -32,6 +32,13 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Clean synchronous spills an engine serves on *probation* after a
+/// writer failure before it restarts its background writer: a transient
+/// burst degrades throughput for this many runs (each counted by the
+/// `spill.degraded_syncs` metric and the engines' `degraded_syncs` stat),
+/// not for the rest of the engine's life.
+pub const PROBATION_SPILLS: u32 = 4;
 
 /// The engine-specific half of the spill lifecycle.
 pub(crate) trait RunBuilder {
@@ -138,7 +145,7 @@ pub(crate) struct RunWriter<K, V> {
 }
 
 impl<K: IntegerKey, V: SpillValue> RunWriter<K, V> {
-    fn start(io: SpillIoHandle, compression: SpillCompression, retry: SpillRetryPolicy) -> Self {
+    fn start(io: SpillIoHandle, compression: SpillCompression) -> Self {
         let (jobs, job_rx) = channel::<WriteJob<K, V>>();
         let (reply_tx, replies) = channel();
         let thread = std::thread::Builder::new()
@@ -148,7 +155,7 @@ impl<K: IntegerKey, V: SpillValue> RunWriter<K, V> {
                     // A panicking value serializer becomes an error, so the
                     // run's records still come back to the engine.
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        write_spill_run(&io, &path, index, &run, compression, &retry)
+                        write_spill_run(&io, &path, index, &run, compression)
                     }))
                     .unwrap_or_else(|panic| {
                         std::fs::remove_file(&path).ok();
@@ -180,8 +187,8 @@ impl<K, V> Drop for RunWriter<K, V> {
     }
 }
 
-/// Writes `run` to `path` as run `index`, retrying transient failures per
-/// `retry`.  A failed write leaves no file behind and surfaces as a typed
+/// Writes `run` to `path` as run `index`, retrying transient failures.
+/// A failed write leaves no file behind and surfaces as a typed
 /// [`crate::SpillError`] naming the run.
 fn write_spill_run<K: IntegerKey, V: SpillValue>(
     io: &SpillIoHandle,
@@ -189,11 +196,10 @@ fn write_spill_run<K: IntegerKey, V: SpillValue>(
     index: usize,
     run: &[(K, V)],
     compression: SpillCompression,
-    retry: &SpillRetryPolicy,
 ) -> io::Result<SpilledRun> {
     let start = obs::enabled().then(Instant::now);
     let _span = start.map(|_| obs::span!("spill_write", run = index));
-    let result = write_run_with_retry(io, path, run, compression, retry).map_err(|e| {
+    let result = write_run_with_retry(io, path, run, compression).map_err(|e| {
         std::fs::remove_file(path).ok();
         let attempted = run.iter().map(|(_, v)| 8 + v.spill_size() as u64).sum();
         wrap_spill_err(path, index, attempted, e)
@@ -230,7 +236,7 @@ pub(crate) struct Spiller<B: RunBuilder> {
     /// `Some(n)` after a writer-side error surfaced: the engine is on
     /// *probation*, spilling synchronously until `n` more clean
     /// synchronous spills have succeeded, after which pipelining is
-    /// re-enabled ([`dtsort::SpillRetryPolicy::probation_spills`]).
+    /// re-enabled ([`PROBATION_SPILLS`]).
     pub(crate) degraded: Option<u32>,
     pub(crate) builder: B,
     pub(crate) stats: B::Stats,
@@ -348,7 +354,7 @@ impl<B: RunBuilder> Spiller<B> {
                 // Probation, not a life sentence: spill synchronously until
                 // enough clean spills prove the fault was transient, then
                 // restart the writer.
-                self.degraded = Some(self.cfg.spill_retry.probation_spills.max(1));
+                self.degraded = Some(PROBATION_SPILLS);
                 Err(e)
             }
         }
@@ -492,15 +498,7 @@ impl<B: RunBuilder> Spiller<B> {
 
     fn write_run_sync(&mut self, run: &[(B::RunKey, B::RunValue)]) -> io::Result<()> {
         let (path, index) = self.next_run_file();
-        let cfg = &self.cfg;
-        let spilled = write_spill_run(
-            &self.io,
-            &path,
-            index,
-            run,
-            cfg.spill_compression,
-            &cfg.spill_retry,
-        )?;
+        let spilled = write_spill_run(&self.io, &path, index, run, self.cfg.spill_compression)?;
         self.stats.note_spilled(&spilled);
         self.runs.push(spilled);
         // One clean synchronous spill while on probation: count it, and
@@ -538,10 +536,9 @@ impl<B: RunBuilder> Spiller<B> {
             return Err(e);
         }
         let (path, index) = self.next_run_file();
-        let cfg = &self.cfg;
-        let writer = self.pipeline.get_or_insert_with(|| {
-            RunWriter::start(self.io.clone(), cfg.spill_compression, cfg.spill_retry)
-        });
+        let writer = self
+            .pipeline
+            .get_or_insert_with(|| RunWriter::start(self.io.clone(), self.cfg.spill_compression));
         self.in_flight_records = run.len();
         // The run's bytes reach the spill counters once it settles.
         self.stats.set_settled(false);
@@ -569,12 +566,16 @@ impl<B: RunBuilder> Spiller<B> {
 
     /// Finishes the lifecycle: ends spilling and opens the final merge
     /// over the spilled runs, the runs reclaimed from failed writes and
-    /// the tail, in run order (so equal keys come out in push order).
+    /// the tail, in run order (so equal keys come out in push order),
+    /// splitting `read_bytes` of read buffering across the spilled runs
+    /// (the engines pass [`crate::sorter::MERGE_READ_BUFFER_BYTES`]).
     /// Hands the builder back to the engine.
-    pub(crate) fn into_merge(mut self) -> io::Result<(RunMerge<B::RunValue>, B)> {
+    pub(crate) fn into_merge(
+        mut self,
+        read_bytes: usize,
+    ) -> io::Result<(RunMerge<B::RunValue>, B)> {
         let tail = self.finish_spilling()?;
-        let (mut cursors, read_ahead_disabled) =
-            open_run_cursors::<B::RunValue>(&self.runs, &self.cfg, &self.io)?;
+        let mut cursors = open_run_cursors::<B::RunValue>(&self.runs, &self.io, read_bytes)?;
         let in_memory = self.pending_runs.drain(..).chain(Some(tail));
         for run in in_memory.filter(|run| !run.is_empty()) {
             let run = run
@@ -585,7 +586,6 @@ impl<B: RunBuilder> Spiller<B> {
         }
         let merge = RunMerge {
             tree: LoserTree::new(cursors, B::RunValue::spill_record_lt),
-            read_ahead_disabled,
             _merge_span: obs::enabled().then(|| obs::span!("merge")),
             _trace: self.trace_guard.take(),
             _space: self.space.take(),
@@ -601,7 +601,6 @@ type MergeTree<V> = LoserTree<RunCursor<V>, fn(&(u64, V), &(u64, V)) -> bool>;
 /// spill directory is deleted.
 pub(crate) struct RunMerge<V: SpillValue> {
     pub(crate) tree: MergeTree<V>,
-    pub(crate) read_ahead_disabled: bool,
     /// Open `merge` span over the stream's lifetime, so prefetch spans can
     /// be shown (and asserted) to overlap it; recorded when it drops.
     _merge_span: Option<obs::SpanGuard>,

@@ -17,15 +17,20 @@
 //!   [`SpillWrite::finish`]; readers double-buffer `pread` jobs one chunk
 //!   ahead.
 //!
-//! Every handle owns one [`JobPool`] — `spill_io_workers` threads behind
-//! one bounded queue of `spill_io_queue_depth` jobs — started on its first
-//! submit, so an engine that never merges with read-ahead (and never
-//! spills through `Batched`) spawns no I/O threads.  The merge read-ahead
-//! of `pipeline.rs` runs on this pool under *both* backends, so a k-way
-//! merge uses at most `spill_io_workers` decode threads regardless of the
-//! run count; `Batched` adds its `pwrite`/`pread` jobs to the same queue.
-//! [`SpillIoHandle::with_faults`] views share the pool of the handle they
-//! wrap.
+//! Every handle owns one [`JobPool`] — [`SPILL_IO_WORKERS`] threads
+//! behind one bounded queue of [`SPILL_IO_QUEUE_DEPTH`] jobs — started on
+//! its first submit, so an engine that never merges with read-ahead (and
+//! never spills through `Batched`) spawns no I/O threads.  The merge
+//! read-ahead of `pipeline.rs` runs on this pool under *both* backends, so
+//! a k-way merge uses at most [`SPILL_IO_WORKERS`] decode threads
+//! regardless of the run count; `Batched` adds its `pwrite`/`pread` jobs
+//! to the same queue.  [`SpillIoHandle::with_faults`] views share the pool
+//! of the handle they wrap.
+//!
+//! Whether merges read ahead at all is the handle's decision, made once
+//! when it is built: only on a host with more than one CPU.  On one CPU
+//! the decode tasks cannot run while the merge does, and page-cache-warm
+//! reads make them pure overhead, so the merge reads synchronously.
 //!
 //! ## No pool thread ever blocks on pool work
 //!
@@ -73,6 +78,17 @@ use std::time::Instant;
 /// job to the workers.
 const WRITE_CHUNK_BYTES: usize = 256 << 10;
 
+/// Worker threads of every handle's job pool: they run the merge
+/// read-ahead's decode tasks and, under `Batched`, the positioned reads
+/// and writes.
+const SPILL_IO_WORKERS: usize = 2;
+
+/// Bound of every handle's job-pool queue.  A job submitted while it is
+/// full runs inline on its submitter instead of blocking, so this caps
+/// queued work, not merge fan-in: runs past the depth decode on the
+/// merging thread.
+const SPILL_IO_QUEUE_DEPTH: usize = 32;
+
 pub(crate) mod sealed_io {
     pub trait Sealed {}
 }
@@ -117,50 +133,77 @@ pub struct SpillIoHandle {
     /// Merge read-ahead (both backends) and `Batched`'s positioned I/O;
     /// started on first submit.
     pool: JobPool,
+    /// Whether merges over this handle decode ahead of the loser tree,
+    /// decided when the handle is built.
+    read_ahead: bool,
 }
 
 impl std::fmt::Debug for SpillIoHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpillIoHandle")
             .field("mode", &self.inner.mode())
+            .field("read_ahead", &self.read_ahead)
             .finish()
     }
 }
 
 impl SpillIoHandle {
-    /// The blocking backend (today's `BufWriter`/`BufReader` path), with
-    /// the default read-ahead pool size.
+    /// The blocking backend (today's `BufWriter`/`BufReader` path).
     pub fn blocking() -> Self {
-        Self::from_config(&StreamConfig {
-            spill_io: SpillIoMode::Blocking,
-            ..StreamConfig::default()
-        })
+        Self::new(
+            SpillIoMode::Blocking,
+            SPILL_IO_WORKERS,
+            SPILL_IO_QUEUE_DEPTH,
+        )
     }
 
-    /// The batched backend: `workers` I/O threads behind one bounded
-    /// queue of `queue_depth` jobs.
-    pub fn batched(workers: usize, queue_depth: usize) -> Self {
-        Self::from_config(&StreamConfig {
-            spill_io: SpillIoMode::Batched,
-            spill_io_workers: workers,
-            spill_io_queue_depth: queue_depth,
-            ..StreamConfig::default()
-        })
-    }
-
-    /// The backend `cfg` selects (`spill_io`), over a pool of
-    /// `spill_io_workers` threads and `spill_io_queue_depth` queue slots.
+    /// The backend `cfg` selects (`spill_io`), over a pool of 2 threads
+    /// and 32 queue slots, reading ahead of merges when the host has more
+    /// than one CPU.
     pub fn from_config(cfg: &StreamConfig) -> Self {
-        let pool = JobPool::new(cfg.spill_io_workers.max(1), cfg.spill_io_queue_depth.max(1));
-        let inner: Arc<dyn SpillIo> = match cfg.spill_io {
+        Self::new(cfg.spill_io, SPILL_IO_WORKERS, SPILL_IO_QUEUE_DEPTH)
+    }
+
+    /// `mode` over a pool of `workers` threads and `queue_depth` slots.
+    pub(crate) fn new(mode: SpillIoMode, workers: usize, queue_depth: usize) -> Self {
+        let pool = JobPool::new(workers, queue_depth);
+        let inner: Arc<dyn SpillIo> = match mode {
             SpillIoMode::Blocking => Arc::new(BlockingIo),
             SpillIoMode::Batched => Arc::new(BatchedIo::new(pool.clone())),
         };
-        Self { inner, pool }
+        Self {
+            inner,
+            pool,
+            // One CPU (as this process's affinity sees it) cannot decode
+            // while it merges.
+            read_ahead: std::thread::available_parallelism().is_ok_and(|p| p.get() > 1),
+        }
+    }
+
+    /// The batched backend over a pool of `workers` threads and
+    /// `queue_depth` slots, for unit tests that need a tight pool.
+    #[cfg(test)]
+    pub(crate) fn batched(workers: usize, queue_depth: usize) -> Self {
+        Self::new(SpillIoMode::Batched, workers, queue_depth)
+    }
+
+    /// This handle with read-ahead pinned on or off whatever the host, so
+    /// unit tests reach either merge path on any machine.
+    #[cfg(test)]
+    pub(crate) fn reading_ahead(mut self, on: bool) -> Self {
+        self.read_ahead = on;
+        self
     }
 
     pub fn mode(&self) -> SpillIoMode {
         self.inner.mode()
+    }
+
+    /// Whether merges over this handle decode each run ahead of the loser
+    /// tree on the job pool: decided once, when the handle was built, by
+    /// whether the host has more than one CPU.
+    pub(crate) fn reads_ahead(&self) -> bool {
+        self.read_ahead
     }
 
     /// Wraps this handle in a deterministic fault-injection layer (the
@@ -176,6 +219,7 @@ impl SpillIoHandle {
         Self {
             inner: Arc::new(crate::fault::FaultIo::new(Arc::clone(&self.inner), plan)),
             pool: self.pool.clone(),
+            read_ahead: self.read_ahead,
         }
     }
 
@@ -870,6 +914,24 @@ mod tests {
         let mut out = Vec::new();
         assert!(r.read_to_end(&mut out).is_err(), "truncated mid-read");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_ahead_follows_the_host_cpu_count() {
+        let multicore = std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
+        for mode in [SpillIoMode::Blocking, SpillIoMode::Batched] {
+            let io = SpillIoHandle::from_config(&StreamConfig {
+                spill_io: mode,
+                ..StreamConfig::default()
+            });
+            assert_eq!(io.reads_ahead(), multicore, "{mode:?}");
+            // A faulted view merges like the handle it wraps.
+            let faulted = io.with_faults(crate::FaultPlan::seeded(1, 1000));
+            assert_eq!(faulted.reads_ahead(), multicore, "{mode:?}");
+            // The test seam pins either path on any host.
+            assert!(io.clone().reading_ahead(true).reads_ahead());
+            assert!(!io.reading_ahead(false).reads_ahead());
+        }
     }
 
     #[test]

@@ -365,13 +365,6 @@ pub struct StringSortedStream<K: StringKey, V: SpillValue> {
     _key: PhantomData<fn() -> K>,
 }
 
-impl<K: StringKey, V: SpillValue> StringSortedStream<K, V> {
-    /// See [`crate::SortedStream::read_ahead_disabled`].
-    pub fn read_ahead_disabled(&self) -> bool {
-        self.inner.read_ahead_disabled()
-    }
-}
-
 impl<K: StringKey, V: SpillValue> Iterator for StringSortedStream<K, V> {
     type Item = (K, V);
 
@@ -490,13 +483,6 @@ pub struct StringGroupedStream<K: StringKey, G: Aggregator> {
     _key: PhantomData<fn() -> K>,
 }
 
-impl<K: StringKey, G: Aggregator> StringGroupedStream<K, G> {
-    /// See [`crate::SortedStream::read_ahead_disabled`].
-    pub fn read_ahead_disabled(&self) -> bool {
-        self.inner.read_ahead_disabled()
-    }
-}
-
 impl<K: StringKey, G: Aggregator> Iterator for StringGroupedStream<K, G> {
     type Item = (K, G::Acc);
 
@@ -517,13 +503,29 @@ mod tests {
     fn tiny_cfg(budget: usize) -> StreamConfig {
         StreamConfig {
             memory_budget_bytes: budget,
-            merge_read_ahead: Some(true),
             sort: dtsort::SortConfig {
                 base_case_threshold: 64,
                 ..Default::default()
             },
             ..StreamConfig::default()
         }
+    }
+
+    /// String-keyed engines whose merges read ahead whatever the host, so
+    /// the read-ahead merge path runs even on single-CPU machines.
+    fn pinned_string_sorter<K: StringKey, V: SpillValue>(
+        cfg: StreamConfig,
+    ) -> StringStreamSorter<K, V> {
+        let io = SpillIoHandle::from_config(&cfg).reading_ahead(true);
+        StringStreamSorter::with_config_and_io(cfg, io)
+    }
+
+    fn pinned_string_group_by<K: StringKey, G: Aggregator>(
+        agg: G,
+        cfg: StreamConfig,
+    ) -> StringStreamGroupBy<K, G> {
+        let io = SpillIoHandle::from_config(&cfg).reading_ahead(true);
+        StringStreamGroupBy::with_config_and_io(agg, cfg, io)
     }
 
     /// URL-ish keys with long shared prefixes, plus adversarial cases:
@@ -552,7 +554,7 @@ mod tests {
                 spill_compression: compression,
                 ..tiny_cfg(32 << 10)
             };
-            let mut sorter: StringStreamSorter<String, u64> = StringStreamSorter::with_config(cfg);
+            let mut sorter: StringStreamSorter<String, u64> = pinned_string_sorter(cfg);
             for (i, k) in keys.iter().enumerate() {
                 sorter.push_record(k.clone(), i as u64).unwrap();
             }
@@ -573,8 +575,7 @@ mod tests {
         let n = 12_000usize;
         let keys = string_keys(n, 32);
         let mk = || {
-            let mut s: StringStreamSorter<String, u32> =
-                StringStreamSorter::with_config(tiny_cfg(32 << 10));
+            let mut s: StringStreamSorter<String, u32> = pinned_string_sorter(tiny_cfg(32 << 10));
             for (i, k) in keys.iter().enumerate() {
                 s.push_record(k.clone(), i as u32).unwrap();
             }
@@ -590,8 +591,7 @@ mod tests {
     fn byte_keys_sort_unsigned_lexicographically() {
         // 0xFF-leading keys must sort above ASCII, i.e. byte order is
         // unsigned; Vec<u8> keys exercise the non-UTF-8 path.
-        let mut sorter: StringStreamSorter<Vec<u8>, ()> =
-            StringStreamSorter::with_config(tiny_cfg(16 << 10));
+        let mut sorter: StringStreamSorter<Vec<u8>, ()> = pinned_string_sorter(tiny_cfg(16 << 10));
         let keys: Vec<Vec<u8>> = (0..10_000u32)
             .map(|i| match i % 3 {
                 0 => vec![0xFF, (i % 251) as u8],
@@ -617,8 +617,7 @@ mod tests {
                 spill_compression: compression,
                 ..tiny_cfg(16 << 10)
             };
-            let mut gb: StringStreamGroupBy<String, SumAgg> =
-                StringStreamGroupBy::with_config(SumAgg, cfg);
+            let mut gb: StringStreamGroupBy<String, SumAgg> = pinned_string_group_by(SumAgg, cfg);
             for (i, k) in keys.iter().enumerate() {
                 gb.push_record(k.clone(), i as u64).unwrap();
             }
@@ -648,7 +647,7 @@ mod tests {
         // All keys share the same 8-byte prefix, so every ordered-u64 key
         // collides; grouping must still happen on the full key.
         let mut gb: StringStreamGroupBy<String, CountAgg> =
-            StringStreamGroupBy::with_config(CountAgg, tiny_cfg(16 << 10));
+            pinned_string_group_by(CountAgg, tiny_cfg(16 << 10));
         let n = 15_000usize;
         for i in 0..n {
             gb.push_record(format!("sameoldprefix-{}", i % 97), ())
@@ -666,8 +665,7 @@ mod tests {
     fn equal_keys_keep_push_order_through_spills() {
         // Stability: records under the same full key come out in push
         // order even across spilled runs and prefix collisions.
-        let mut sorter: StringStreamSorter<String, u64> =
-            StringStreamSorter::with_config(tiny_cfg(16 << 10));
+        let mut sorter: StringStreamSorter<String, u64> = pinned_string_sorter(tiny_cfg(16 << 10));
         let n = 12_000u64;
         for i in 0..n {
             sorter
@@ -688,7 +686,7 @@ mod tests {
         let n = 20_000usize;
         let keys = string_keys(n, 34);
         let mut gb: StringStreamGroupBy<String, CountAgg> =
-            StringStreamGroupBy::with_config(CountAgg, tiny_cfg(16 << 10));
+            pinned_string_group_by(CountAgg, tiny_cfg(16 << 10));
         for k in &keys {
             gb.push_record(k.clone(), ()).unwrap();
         }

@@ -90,7 +90,10 @@ fn cells() -> Vec<(&'static str, SpillCompression, bool)> {
 fn make_io(backend: &str) -> SpillIoHandle {
     match backend {
         "blocking" => SpillIoHandle::blocking(),
-        _ => SpillIoHandle::batched(2, 8),
+        _ => SpillIoHandle::from_config(&dtsort::StreamConfig {
+            spill_io: dtsort::SpillIoMode::Batched,
+            ..dtsort::StreamConfig::default()
+        }),
     }
 }
 
@@ -99,7 +102,6 @@ fn cfg(base: &Path, compression: SpillCompression, synchronous: bool) -> dtsort:
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
         pipelined_spill: !synchronous,
-        merge_read_ahead: synchronous.then_some(false),
         ..dtsort::StreamConfig::with_memory_budget(16 << 10)
     }
 }
@@ -514,7 +516,7 @@ fn spill_lifecycle_matches_a_reference_model_under_single_faults() {
                         pipelined_spill: pipelined,
                         ..dtsort::StreamConfig::with_budget_handle(handle.clone())
                     };
-                    let probation = u64::from(cfg.spill_retry.probation_spills);
+                    let probation = u64::from(stream::PROBATION_SPILLS);
                     let mut engine = if group {
                         ModelEngine::Group(StreamGroupBy::with_config_and_io(SumAgg, cfg, io))
                     } else {

@@ -202,7 +202,6 @@ fn spill_cfg(
     dtsort::StreamConfig {
         spill_compression: compression,
         pipelined_spill: !synchronous,
-        merge_read_ahead: synchronous.then_some(false),
         ..dtsort::StreamConfig::with_memory_budget(budget)
     }
 }
@@ -356,8 +355,6 @@ fn spill_io_backends_produce_identical_output_at_one_and_four_threads() {
 
     let io_cfg = |mode, compression, synchronous| dtsort::StreamConfig {
         spill_io: mode,
-        spill_io_workers: 2,
-        spill_io_queue_depth: 16,
         ..spill_cfg(32 << 10, compression, synchronous)
     };
 

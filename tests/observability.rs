@@ -8,11 +8,10 @@
 //! here serializes on one mutex and measures counter *deltas* around its
 //! own workload.
 
-use pisort::dtsort::{SortConfig, SpillIoMode, StreamConfig};
+use pisort::dtsort::{SortConfig, StreamConfig};
 use pisort::obs;
 use pisort::obs::MetricsSnapshot;
 use pisort::stream::{CountAgg, StreamGroupBy, StreamSorter};
-use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
 
 fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -28,8 +27,6 @@ fn spilling_cfg(trace: bool) -> StreamConfig {
     StreamConfig {
         memory_budget_bytes: 32 << 10,
         trace,
-        // Exercise the read-ahead merge path even on single-CPU hosts.
-        merge_read_ahead: Some(true),
         sort: SortConfig {
             base_case_threshold: 64,
             ..SortConfig::default()
@@ -166,7 +163,6 @@ fn stats_settle_only_after_flush() {
     // Synchronous mode never has anything in flight.
     let cfg = StreamConfig {
         pipelined_spill: false,
-        merge_read_ahead: Some(false),
         ..spilling_cfg(false)
     };
     let mut sync_sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
@@ -274,50 +270,4 @@ fn trace_exports_have_documented_shape() {
     assert!(metrics.contains("\"counters\""));
     assert!(metrics.contains("\"stream.records_pushed\""));
     assert!(metrics.contains("\"histograms\""));
-}
-
-#[test]
-fn blocking_read_ahead_decodes_on_the_pool_workers() {
-    let _guard = obs_lock();
-    // The blocking backend used to give every spilled run its own decode
-    // thread.  Its read-ahead now runs on the spill I/O pool, so a wide
-    // merge's `prefetch` spans come from the two workers plus inline
-    // decode on the merging thread, whatever the run count.
-    obs::disable();
-    let cfg = StreamConfig {
-        spill_io: SpillIoMode::Blocking,
-        spill_io_workers: 2,
-        ..spilling_cfg(true)
-    };
-    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
-    let data = input(60_000);
-    for chunk in data.chunks(997) {
-        sorter.push(chunk).unwrap();
-    }
-    sorter.flush_spills().unwrap();
-    let runs = sorter.stats().spilled_runs;
-    assert!(
-        runs >= 12,
-        "workload must spill a wide merge, got {runs} runs"
-    );
-    // Spans that started earlier belong to other tests' stragglers.
-    let merge_start = obs::now_ns();
-    let stream = sorter.finish().unwrap();
-    assert!(!stream.read_ahead_disabled());
-    let got: Vec<(u32, u32)> = stream.collect();
-    let mut want = data;
-    want.sort_by_key(|r| r.0);
-    assert_eq!(got, want);
-    let (events, _) = obs::drain_spans();
-    let tids: BTreeSet<u64> = events
-        .iter()
-        .filter(|e| e.name == "prefetch" && e.start_ns >= merge_start)
-        .map(|e| e.tid)
-        .collect();
-    assert!(!tids.is_empty(), "the merge must have read ahead");
-    assert!(
-        tids.len() <= 3,
-        "{runs} runs decoded on {} threads, want at most 2 workers + the merge thread",
-        tids.len()
-    );
 }

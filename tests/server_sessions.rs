@@ -56,7 +56,6 @@ fn session_inputs() -> Vec<Vec<(u32, u32)>> {
 fn base_config(synchronous: bool, codec: SpillCompression) -> StreamConfig {
     StreamConfig {
         pipelined_spill: !synchronous,
-        merge_read_ahead: synchronous.then_some(false),
         spill_compression: codec,
         sort: SortConfig {
             base_case_threshold: 64,
@@ -160,7 +159,7 @@ fn interleaved_sessions_match_solo_runs_across_spill_modes() {
 }
 
 /// The same differential claim for the group-by engine: interleaved
-/// [`server::GroupSession`]s must aggregate identically to solo runs
+/// group-by [`server::Session`]s must aggregate identically to solo runs
 /// (exercised on one representative spill mode; the sorter matrix above
 /// covers the codec/pipeline axes).
 #[test]
@@ -240,8 +239,6 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
         spill: SpillManagerConfig::default(),
         base: StreamConfig {
             spill_io: SpillIoMode::Batched,
-            spill_io_workers: 2,
-            spill_io_queue_depth: 8,
             ..base_config(false, SpillCompression::Off)
         },
     })

@@ -53,10 +53,7 @@ fn cfg(
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
         pipelined_spill: !synchronous,
-        merge_read_ahead: synchronous.then_some(false),
         spill_io: io,
-        spill_io_workers: 2,
-        spill_io_queue_depth: 8,
         ..dtsort::StreamConfig::with_memory_budget(16 << 10)
     }
 }
@@ -241,14 +238,12 @@ fn spill_files_are_cleaned_up_after_injected_faults() {
         for &(name, kind, n) in scenarios {
             let ctx = format!("fault {name} compression={compression:?} sync={sync} io={io:?}");
             let base = case_dir("fault");
-            let handle = match io {
-                SpillIoMode::Blocking => SpillIoHandle::blocking(),
-                SpillIoMode::Batched => SpillIoHandle::batched(2, 8),
-            }
-            .with_faults(FaultPlan::nth(kind, n));
+            let engine_cfg = cfg(&base, compression, sync, io);
+            let handle =
+                SpillIoHandle::from_config(&engine_cfg).with_faults(FaultPlan::nth(kind, n));
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut s: StreamSorter<u32, u32> =
-                    StreamSorter::with_config_and_io(cfg(&base, compression, sync, io), handle);
+                    StreamSorter::with_config_and_io(engine_cfg, handle);
                 let batch: Vec<(u32, u32)> =
                     (0..20_000u32).map(|i| (i.rotate_left(16), i)).collect();
                 let _ = s.push(&batch);

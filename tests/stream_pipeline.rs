@@ -21,9 +21,6 @@ fn cfg(budget: usize, sync: bool) -> StreamConfig {
     StreamConfig {
         memory_budget_bytes: budget,
         pipelined_spill: !sync,
-        // Force the read-ahead merge path (auto mode would disable it on
-        // single-CPU hosts), so the differential covers it everywhere.
-        merge_read_ahead: Some(!sync),
         sort: SortConfig {
             base_case_threshold: 64,
             ..SortConfig::default()
