@@ -42,6 +42,32 @@ pub fn write_bench_json(path: &str, bench: &str, scalars: &[(&str, String)], row
     }
 }
 
+/// The git revision of the checkout at `root`, read from `.git` without
+/// running git (a detached `HEAD`, a loose ref, or `packed-refs`);
+/// `"unknown"` outside a git checkout.
+pub fn git_revision(root: &std::path::Path) -> String {
+    let git = root.join(".git");
+    let read = |p: std::path::PathBuf| std::fs::read_to_string(p).ok();
+    let Some(head) = read(git.join("HEAD")) else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Some(rev) = read(git.join(reference)) {
+        return rev.trim().to_string();
+    }
+    read(git.join("packed-refs"))
+        .and_then(|packed| {
+            packed.lines().find_map(|line| {
+                let (rev, name) = line.split_once(' ')?;
+                (name == reference).then(|| rev.to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +94,22 @@ mod tests {
         assert!(body.contains("\"n\": 5"));
         assert!(body.contains("{\"x\": 1},"));
         assert!(body.ends_with("  ]\n}\n"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn git_revision_follows_loose_and_packed_refs() {
+        let dir = std::env::temp_dir().join(format!("pisort-rev-{}", std::process::id()));
+        let git = dir.join(".git");
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        assert_eq!(git_revision(&dir.join("missing")), "unknown");
+        std::fs::write(git.join("HEAD"), "abc123\n").unwrap();
+        assert_eq!(git_revision(&dir), "abc123");
+        std::fs::write(git.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        std::fs::write(git.join("packed-refs"), "# pack\ndef456 refs/heads/main\n").unwrap();
+        assert_eq!(git_revision(&dir), "def456");
+        std::fs::write(git.join("refs/heads/main"), "0789ab\n").unwrap();
+        assert_eq!(git_revision(&dir), "0789ab");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,7 +14,7 @@ pub mod runner;
 pub mod table;
 
 pub use cli::Args;
-pub use json::{json_escape, write_bench_json};
+pub use json::{git_revision, json_escape, write_bench_json};
 pub use obs_support::{obs_json_fields, write_obs_artifacts, ObsPhaseDeltas, ObsProbe};
 pub use runner::{median_time_secs, SorterKind};
 pub use table::{format_row, geo_mean, print_heatmap_cell, Table};

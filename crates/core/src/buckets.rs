@@ -10,9 +10,14 @@
 //! * optionally, one *overflow* bucket at the very end collects keys above
 //!   the sampled key range (Section 5).
 //!
-//! Heavy keys are looked up in a small open-addressing hash table `H`; light
-//! keys fall through to a direct-indexed lookup array `L` keyed by the MSD —
-//! exactly the `H`/`L` pair of the paper.
+//! This is the paper's `H`/`L` pair.  `L` is the direct-indexed array of
+//! light ids keyed by the MSD.  `H` is a [`HeavyMap`]: a two-choice table
+//! (the layout of cuckoo hashing) built once from all heavy keys, in which a
+//! lookup reads both candidate slots and selects the heavy id or the zone's
+//! light id.  `GetBucketID` therefore costs a shift, one read of `L`, two
+//! multiplies and two slot reads, with no data-dependent branch: a heavy
+//! record and a light record cost the same, so mixing them does not
+//! mispredict.  The one branch left skips `H` at levels with no heavy keys.
 //!
 //! The distribution caches bucket ids as `u16`, so a table gives heavy keys
 //! buckets only up to [`MAX_ID_BUCKETS`] in total: heavy keys past that cap
@@ -24,28 +29,117 @@
 
 use crate::key::low_mask;
 use parlay::counting_sort::MAX_ID_BUCKETS;
+use parlay::random::hash64;
+use std::hint::select_unpredictable;
 
-/// A minimal open-addressing hash map from `u64` keys to bucket ids.
+/// One slot of a [`HeavyMap`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: u64,
+    id: u32,
+}
+
+/// A static map from `u64` keys to `u32` ids, read without branches.
 ///
-/// The number of heavy keys per subproblem is at most `~2^γ ≤ 4096`, so the
-/// table is tiny and lives comfortably in cache; linear probing with a
-/// power-of-two capacity at load factor ≤ 0.5 gives expected O(1) lookups.
+/// Every key lives in one of two slots, `h0(key)` or `h1(key)`, where each
+/// `h` is a multiplicative hash (an odd multiplier, keep the top bits).  The
+/// table has at least four slots per key, is filled once by cuckoo insertion,
+/// and never changes afterwards.  Each empty slot holds a *filler* key that
+/// hashes to neither choice for that slot and is not a stored key, so a
+/// filler can never match a query.  [`HeavyMap::get_or`] therefore loads
+/// both candidate slots unconditionally and combines them with selects; a
+/// query matches at most one distinct slot.
 #[derive(Debug, Clone)]
 pub struct HeavyMap {
-    slots: Vec<Option<(u64, u32)>>,
-    mask: usize,
+    slots: Vec<Slot>,
+    mults: [u64; 2],
+    shift: u32,
     len: usize,
 }
 
+/// Displacements one cuckoo insertion may make before the build gives up on
+/// the current pair of hash functions.
+const MAX_KICKS: usize = 512;
+
 impl HeavyMap {
-    /// Creates a map sized for `expected` keys.
-    pub fn with_capacity(expected: usize) -> Self {
-        let cap = (expected.max(1) * 4).next_power_of_two();
-        Self {
-            slots: vec![None; cap],
-            mask: cap - 1,
-            len: 0,
+    /// Builds the map from the complete `(key, id)` list.  Keys must be
+    /// distinct, and no id may be `u32::MAX`.  Deterministic in the input.
+    pub fn build<I>(entries: I) -> Self
+    where
+        I: IntoIterator<Item = (u64, u32)>,
+        I::IntoIter: Clone + ExactSizeIterator,
+    {
+        let entries = entries.into_iter();
+        let len = entries.len();
+        let mut log_cap = (len * 4).max(2).next_power_of_two().trailing_zeros();
+        for attempt in 0u64.. {
+            // Fresh hash functions on every attempt; a few failures in a row
+            // at one size mean the keys fit these multipliers badly, so the
+            // table also doubles (which only lowers the load further).
+            if attempt > 0 && attempt % 4 == 0 {
+                log_cap += 1;
+            }
+            let mults = [hash64(2 * attempt) | 1, hash64(2 * attempt + 1) | 1];
+            if let Some(map) = Self::try_build(entries.clone(), len, log_cap, mults) {
+                return map;
+            }
         }
+        unreachable!("cuckoo build attempts are unbounded")
+    }
+
+    fn try_build(
+        entries: impl Iterator<Item = (u64, u32)>,
+        len: usize,
+        log_cap: u32,
+        mults: [u64; 2],
+    ) -> Option<Self> {
+        let cap = 1usize << log_cap;
+        let mut map = Self {
+            slots: vec![Slot { key: 0, id: 0 }; cap],
+            mults,
+            shift: 64 - log_cap,
+            len,
+        };
+        let mut used = vec![false; cap];
+        let is_stored = |map: &Self, used: &[bool], key: u64| {
+            map.slots_of(key)
+                .iter()
+                .any(|&s| used[s] && map.slots[s].key == key)
+        };
+        for (key, id) in entries {
+            debug_assert_ne!(id, u32::MAX, "u32::MAX is reserved for misses");
+            debug_assert!(!is_stored(&map, &used, key), "duplicate key {key}");
+            let mut cur = Slot { key, id };
+            let [a, b] = map.slots_of(key);
+            let mut pos = if used[a] && !used[b] { b } else { a };
+            let mut kicks = 0;
+            while used[pos] {
+                // Evict the occupant and send it to its other choice.
+                std::mem::swap(&mut map.slots[pos], &mut cur);
+                kicks += 1;
+                if kicks > MAX_KICKS {
+                    return None;
+                }
+                let [a, b] = map.slots_of(cur.key);
+                pos = if pos == a { b } else { a };
+            }
+            used[pos] = true;
+            map.slots[pos] = cur;
+        }
+
+        // Fillers: candidate values 0, 1, 2, ... shared across slots, since
+        // one candidate fits every slot but its own two choices.
+        let mut cand = 0u64;
+        for s in 0..cap {
+            if used[s] {
+                continue;
+            }
+            while map.slots_of(cand).contains(&s) || is_stored(&map, &used, cand) {
+                cand += 1;
+            }
+            map.slots[s] = Slot { key: cand, id: 0 };
+        }
+        Some(map)
     }
 
     /// Number of keys stored.
@@ -58,45 +152,43 @@ impl HeavyMap {
         self.len == 0
     }
 
+    /// The two candidate slots of `key`.
     #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        (parlay::random::hash64(key) as usize) & self.mask
+    fn slots_of(&self, key: u64) -> [usize; 2] {
+        self.mults
+            .map(|m| (key.wrapping_mul(m) >> self.shift) as usize)
     }
 
-    /// Inserts `key -> id`.  Keys must be distinct; the table never grows
-    /// (capacity was chosen from the number of heavy keys).
-    pub fn insert(&mut self, key: u64, id: u32) {
-        assert!(self.len * 2 < self.slots.len(), "HeavyMap overfull");
-        let mut i = self.slot_of(key);
-        loop {
-            match self.slots[i] {
-                None => {
-                    self.slots[i] = Some((key, id));
-                    self.len += 1;
-                    return;
-                }
-                Some((k, _)) => {
-                    debug_assert_ne!(k, key, "duplicate heavy key inserted");
-                    i = (i + 1) & self.mask;
-                }
-            }
-        }
+    /// The id of `key`, or `miss` when `key` is not stored.  Branch-free:
+    /// both candidate slots are read and the answer is picked with two
+    /// selects.  They are marked unpredictable because whether a record is
+    /// heavy is data-dependent; plain `if`s or `&`-masks get turned back
+    /// into branches by the compiler, which then mispredict on every switch
+    /// between heavy and light records.
+    #[inline]
+    pub fn get_or(&self, key: u64, miss: u32) -> u32 {
+        let [a, b] = self.slots_of(key);
+        let (a, b) = (self.slots[a], self.slots[b]);
+        let id = select_unpredictable(b.key == key, b.id, miss);
+        select_unpredictable(a.key == key, a.id, id)
     }
 
-    /// Looks up the bucket id of `key`, if it is a heavy key.
+    /// The id of `key`, if it is stored.
     #[inline]
     pub fn get(&self, key: u64) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut i = self.slot_of(key);
-        loop {
-            match self.slots[i] {
-                None => return None,
-                Some((k, id)) if k == key => return Some(id),
-                Some(_) => i = (i + 1) & self.mask,
-            }
-        }
+        let id = self.get_or(key, u32::MAX);
+        (id != u32::MAX).then_some(id)
+    }
+
+    /// The filler keys of the empty slots (what a lookup reads when it
+    /// misses).  Exposed for tests.
+    #[cfg(test)]
+    fn fillers(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(s, slot)| !self.slots_of(slot.key).contains(&s))
+            .map(|(_, slot)| slot.key)
     }
 }
 
@@ -126,14 +218,9 @@ pub struct BucketTable {
     pub digit_shift: u32,
     /// Light bucket id of each MSD zone (`2^γ` entries).
     pub light_ids: Vec<u32>,
-    /// Whether each MSD zone owns at least one heavy bucket.  Keys in zones
-    /// without heavy buckets skip the hash-table probe entirely, which keeps
-    /// the per-record cost of `GetBucketID` at a shift and two array reads on
-    /// inputs where heavy keys are concentrated in few zones.
-    pub zone_has_heavy: Vec<bool>,
     /// Heavy buckets in bucket-id order.
     pub heavy: Vec<HeavyBucket>,
-    /// Hash table from heavy key to bucket id.
+    /// Two-choice table from heavy key to bucket id.
     pub heavy_map: HeavyMap,
     /// Bucket id of the overflow bucket, if enabled.
     pub overflow_id: Option<u32>,
@@ -169,9 +256,7 @@ impl BucketTable {
         let heavy_keys = &heavy_keys[..heavy_keys.len().min(heavy_cap)];
 
         let mut light_ids = vec![0u32; num_zones];
-        let mut zone_has_heavy = vec![false; num_zones];
         let mut heavy = Vec::with_capacity(heavy_keys.len());
-        let mut heavy_map = HeavyMap::with_capacity(heavy_keys.len());
 
         // Heavy keys are sorted, hence grouped by zone in increasing order:
         // walk zones and heavy keys in lockstep, assigning ids serially
@@ -194,13 +279,12 @@ impl BucketTable {
                     zone,
                     id: next_id,
                 });
-                zone_has_heavy[zone] = true;
-                heavy_map.insert(hk, next_id);
                 next_id += 1;
                 hi += 1;
             }
         }
         debug_assert_eq!(hi, heavy_keys.len(), "all heavy keys must be placed");
+        let heavy_map = HeavyMap::build(heavy.iter().map(|h| (h.key, h.id)));
 
         let overflow_id = if with_overflow {
             let id = next_id;
@@ -216,7 +300,6 @@ impl BucketTable {
             eff_mask,
             digit_shift,
             light_ids,
-            zone_has_heavy,
             heavy,
             heavy_map,
             overflow_id,
@@ -239,13 +322,11 @@ impl BucketTable {
             debug_assert!(self.overflow_id.is_some());
             return self.overflow_id.unwrap_or(0) as usize;
         }
-        let zone = (masked_key >> self.digit_shift) as usize;
-        if self.zone_has_heavy[zone] {
-            if let Some(id) = self.heavy_map.get(masked_key) {
-                return id as usize;
-            }
+        let light = self.light_ids[(masked_key >> self.digit_shift) as usize];
+        if self.heavy.is_empty() {
+            return light as usize;
         }
-        self.light_ids[zone] as usize
+        self.heavy_map.get_or(masked_key, light) as usize
     }
 
     /// The half-open range of bucket ids belonging to MSD zone `z`
@@ -260,21 +341,14 @@ impl BucketTable {
         start..end
     }
 
-    /// Heavy buckets of zone `z`, in key order.
+    /// Heavy buckets of zone `z`, in key order.  O(1): the light buckets of
+    /// zones `0..z` and every heavy bucket before zone `z` take the ids below
+    /// `light_ids[z]`, so zone `z`'s heavy buckets start at index
+    /// `light_ids[z] - z` of the id-ordered `heavy` vec.
     pub fn zone_heavy(&self, z: usize) -> &[HeavyBucket] {
         let ids = self.zone_bucket_ids(z);
-        // Heavy buckets of zone z have ids ids.start+1 .. ids.end, and the
-        // `heavy` vec is in id order.
-        let count = ids.len().saturating_sub(1);
-        if count == 0 {
-            return &[];
-        }
-        let first = self
-            .heavy
-            .iter()
-            .position(|h| h.zone == z)
-            .expect("zone has heavy buckets");
-        &self.heavy[first..first + count]
+        let first = ids.start - z;
+        &self.heavy[first..first + ids.len() - 1]
     }
 }
 
@@ -282,25 +356,138 @@ impl BucketTable {
 mod tests {
     use super::*;
 
+    use std::collections::BTreeMap;
+
+    /// The miss value of the reference checks: not an id of any test map.
+    const MISS: u32 = 0x00AB_CDEF;
+
+    /// Builds a map over `keys` (ids `7i + 1`) and checks every stored key,
+    /// every filler, every neighbour `k ± 1` and 10k random keys against a
+    /// `BTreeMap` reference.
+    fn check_against_reference(keys: &[u64]) {
+        let entries: Vec<(u64, u32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, 7 * i as u32 + 1))
+            .collect();
+        let reference: BTreeMap<u64, u32> = entries.iter().copied().collect();
+        assert_eq!(reference.len(), keys.len(), "test keys must be distinct");
+        let map = HeavyMap::build(entries.iter().copied());
+        assert_eq!(map.len(), keys.len());
+        assert_eq!(map.is_empty(), keys.is_empty());
+        let check = |q: u64| {
+            let want = reference.get(&q).copied();
+            assert_eq!(map.get_or(q, MISS), want.unwrap_or(MISS), "key {q:#x}");
+            assert_eq!(map.get(q), want, "key {q:#x}");
+        };
+        for &(k, id) in &entries {
+            assert_eq!(map.get_or(k, MISS), id, "stored key {k:#x}");
+            check(k.wrapping_sub(1));
+            check(k.wrapping_add(1));
+        }
+        let mut fillers = 0;
+        for f in map.fillers() {
+            assert!(!reference.contains_key(&f), "filler {f:#x} is a stored key");
+            assert_eq!(map.get_or(f, MISS), MISS, "filler {f:#x}");
+            fillers += 1;
+        }
+        assert_eq!(fillers, map.slots.len() - keys.len());
+        assert!(
+            map.slots.len() >= 2 * keys.len(),
+            "table more than half full"
+        );
+        for i in 0..10_000u64 {
+            let r = hash64(i ^ 0x5EED);
+            check(r);
+            check(r & low_mask(32));
+        }
+    }
+
     #[test]
     fn heavy_map_insert_and_get() {
-        let mut m = HeavyMap::with_capacity(10);
-        for i in 0..10u64 {
-            m.insert(i * 1_000_003, i as u32);
-        }
+        let keys: Vec<u64> = (0..10u64).map(|i| i * 1_000_003).collect();
+        let m = HeavyMap::build(keys.iter().enumerate().map(|(i, &k)| (k, i as u32)));
         assert_eq!(m.len(), 10);
-        for i in 0..10u64 {
-            assert_eq!(m.get(i * 1_000_003), Some(i as u32));
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(m.get(k), Some(i as u32));
+            assert_eq!(m.get_or(k, 99), i as u32);
         }
         assert_eq!(m.get(7), None);
+        assert_eq!(m.get_or(7, 99), 99);
         assert_eq!(m.get(u64::MAX), None);
     }
 
     #[test]
     fn heavy_map_empty() {
-        let m = HeavyMap::with_capacity(0);
+        let m = HeavyMap::build(std::iter::empty::<(u64, u32)>());
         assert!(m.is_empty());
         assert_eq!(m.get(0), None);
+        assert_eq!(m.get_or(0, 5), 5);
+        assert_eq!(m.get_or(u64::MAX, 5), 5);
+    }
+
+    #[test]
+    fn heavy_map_matches_btreemap_reference_on_structured_key_sets() {
+        let gamma_keys = 1u64 << 12;
+        let mut sets: Vec<(&str, Vec<u64>)> = vec![
+            ("empty", vec![]),
+            ("one key", vec![42]),
+            ("2^γ consecutive", (0..gamma_keys).collect()),
+            (
+                "2^γ random",
+                (0..gamma_keys).map(|i| hash64(i) & low_mask(32)).collect(),
+            ),
+            (
+                "id cap, multiples of 1000",
+                (0..(MAX_ID_BUCKETS - 4097) as u64)
+                    .map(|i| i * 1000)
+                    .collect(),
+            ),
+            (
+                "id cap, random 64-bit",
+                (0..(MAX_ID_BUCKETS - 4097) as u64)
+                    .map(|i| hash64(i + 1))
+                    .collect(),
+            ),
+            (
+                "multiples of 2^20",
+                (0..gamma_keys).map(|i| i << 20).collect(),
+            ),
+            (
+                "multiples of 2^44",
+                (0..gamma_keys).map(|i| i << 44).collect(),
+            ),
+        ];
+        // The `spread()` strides of the generators: Unif-1e9 and Zipf over
+        // 1M and 200k ranks in 32 bits, and Zipf over 1M ranks in 64 bits.
+        // Heavy keys of a Zipf input are its lowest ranks.
+        for (name, stride) in [
+            ("Unif-1e9 stride", u64::from(u32::MAX) / 1_000_000_000),
+            ("Zipf 1M stride", u64::from(u32::MAX) / 1_000_000),
+            ("Zipf 200k stride", u64::from(u32::MAX) / 200_000),
+            ("Zipf 1M stride, 64-bit", u64::MAX / 1_000_000),
+        ] {
+            sets.push((name, (0..gamma_keys).map(|i| i * stride).collect()));
+        }
+        for bits in [32u32, 64] {
+            // BExp keys are mostly ones: all-ones with one or two bits clear.
+            let ones = low_mask(bits);
+            let mut bexp = vec![ones];
+            for i in 0..bits {
+                bexp.push(ones & !(1 << i));
+                for j in 0..i {
+                    bexp.push(ones & !(1 << i) & !(1 << j));
+                }
+            }
+            sets.push(("near-all-ones BExp", bexp));
+            sets.push(("0 and low_mask(bits)", vec![0, ones]));
+        }
+        for (name, mut keys) in sets {
+            keys.sort_unstable();
+            keys.dedup();
+            eprintln!("{name}: {} keys", keys.len());
+            check_against_reference(&keys);
+        }
     }
 
     #[test]
@@ -383,6 +570,15 @@ mod tests {
         let zone = (dropped >> t.digit_shift) as usize;
         assert_eq!(t.bucket_id(dropped), t.light_ids[zone] as usize);
         assert_eq!(t.bucket_id(u64::MAX >> 24), t.overflow_id.unwrap() as usize);
+
+        // `zone_heavy` against a reference grouped by zone, for every zone.
+        let mut by_zone = vec![Vec::new(); t.num_zones()];
+        for h in &t.heavy {
+            by_zone[h.zone].push(*h);
+        }
+        for (z, want) in by_zone.iter().enumerate() {
+            assert_eq!(t.zone_heavy(z), want.as_slice(), "zone {z}");
+        }
     }
 
     #[test]

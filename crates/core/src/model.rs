@@ -8,10 +8,12 @@
 //!
 //! [`HeavyKeyModel`] packages exactly that: it runs the sampling step of
 //! Algorithm 2 ([`crate::sampling`]) over any keyed slice, stores the
-//! detected heavy keys behind the same open-addressing table the sort's
-//! bucket assignment uses ([`crate::buckets::HeavyMap`]), and exposes a
-//! stable API that downstream crates (`semisort`, `stream`) can build on
-//! without reaching into the sort's internals.
+//! detected heavy keys behind the same branch-free two-choice table the
+//! sort's bucket assignment uses ([`crate::buckets::HeavyMap`], built once
+//! from the full key list), and exposes a stable API that downstream crates
+//! (`semisort`, `stream`) can build on without reaching into the sort's
+//! internals.  Hot loops use [`HeavyKeyModel::index_or`], which returns a
+//! caller-given miss value without branching on whether the key is heavy.
 //!
 //! Keys live in the ordered-`u64` domain ([`crate::key::IntegerKey`]); the
 //! model itself is key-type agnostic.
@@ -28,7 +30,7 @@ use parlay::random::Rng;
 pub struct HeavyKeyModel {
     /// Detected heavy keys, sorted and deduplicated (ordered-`u64` domain).
     keys: Vec<u64>,
-    /// Open-addressing map from heavy key to its index in `keys`.
+    /// Two-choice table from heavy key to its index in `keys`.
     map: HeavyMap,
     /// Largest sampled key (`0` when no samples were drawn).
     max_sample: u64,
@@ -73,10 +75,7 @@ impl HeavyKeyModel {
         num_samples: usize,
         distinct_samples: usize,
     ) -> Self {
-        let mut map = HeavyMap::with_capacity(keys.len());
-        for (i, &k) in keys.iter().enumerate() {
-            map.insert(k, i as u32);
-        }
+        let map = HeavyMap::build(keys.iter().enumerate().map(|(i, &k)| (k, i as u32)));
         Self {
             keys,
             map,
@@ -113,6 +112,14 @@ impl HeavyKeyModel {
     #[inline]
     pub fn index_of(&self, key: u64) -> Option<u32> {
         self.map.get(key)
+    }
+
+    /// Branch-free [`HeavyKeyModel::index_of`]: the index of `key` if heavy,
+    /// otherwise `miss`.  For per-record loops that map light keys to a
+    /// computed bucket of their own.
+    #[inline]
+    pub fn index_or(&self, key: u64, miss: u32) -> u32 {
+        self.map.get_or(key, miss)
     }
 
     /// Largest sampled key — the sort's effective-key-range estimate.
@@ -178,6 +185,8 @@ mod tests {
         assert_eq!(model.heavy_keys(), &[3, 7, 9]);
         assert_eq!(model.len(), 3);
         assert_eq!(model.index_of(7), Some(1));
+        assert_eq!(model.index_or(7, 100), 1);
+        assert_eq!(model.index_or(5, 100), 100);
         assert!(!model.is_heavy(5));
         assert_eq!(model.max_sample(), 9);
         assert_eq!(model.num_samples(), 0);

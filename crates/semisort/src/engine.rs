@@ -159,17 +159,17 @@ where
     let shift = 64 - gamma;
 
     // Step 2: stable scatter — heavy key `k` to bucket `index_of(k)` (its
-    // collision-free group), light key to a hashed bucket.  Scattering from
-    // a copy back into `data` (rather than out of `data`) saves the
-    // write-back pass: each record moves twice in total (copy + scatter),
-    // and the per-bucket grouping below works in place.
+    // collision-free group), light key to a hashed bucket.  The light bucket
+    // is computed for every record and passed as the miss value, so the
+    // lookup has no branch.  Scattering from a copy back into `data` (rather
+    // than out of `data`) saves the write-back pass: each record moves twice
+    // in total (copy + scatter), and the per-bucket grouping below works in
+    // place.
     let scratch = data.to_vec();
     let plan = scatter_by(&scratch, data, num_heavy + num_light, |rec| {
         let k = okey(rec);
-        match model.index_of(k) {
-            Some(i) => i as usize,
-            None => num_heavy + (hash64(k) >> shift) as usize,
-        }
+        let light = (num_heavy + (hash64(k) >> shift) as usize) as u32;
+        model.index_or(k, light) as usize
     });
     drop(scratch);
 

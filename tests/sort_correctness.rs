@@ -119,3 +119,45 @@ fn large_single_instance_end_to_end() {
     dtsort::sort_pairs(&mut data);
     assert_eq!(data, want);
 }
+
+/// What DTSort's classification decides, pinned: which keys get heavy
+/// buckets, how many records they take, and how the recursion splits.  The
+/// numbers were recorded with the earlier linear-probing heavy-key table, so
+/// a change to how `GetBucketID` looks keys up must leave all of them, and
+/// the output, unchanged.
+#[test]
+fn classification_outcome_is_pinned_on_skewed_inputs() {
+    let n = 200_000;
+    // (distribution, heavy_keys, heavy_records, base_case_calls,
+    //  distributed_records, merged_records)
+    let pinned: [(Distribution, [u64; 5]); 3] = [
+        (
+            Distribution::Zipfian { s: 1.2 },
+            [56, 129_606, 498, 256_546, 256_546],
+        ),
+        (
+            Distribution::BitExponential { t: 30.0 },
+            [39, 142_543, 186, 228_957, 228_957],
+        ),
+        (
+            Distribution::Zipfian { s: 0.8 },
+            [27, 19_459, 505, 247_705, 247_705],
+        ),
+    ];
+    for (dist, want) in pinned {
+        let input = workloads::dist::generate_pairs_u32(&dist, n, 2024);
+        let mut data = input.clone();
+        let st = dtsort::sort_pairs_with_stats(&mut data, &dtsort::SortConfig::default());
+        let got = [
+            st.heavy_keys,
+            st.heavy_records,
+            st.base_case_calls,
+            st.distributed_records,
+            st.merged_records,
+        ];
+        assert_eq!(got, want, "{}: {st:?}", dist.label());
+        let mut reference = input;
+        reference.sort_by_key(|&(k, _)| k);
+        assert_eq!(data, reference, "{}", dist.label());
+    }
+}
