@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the algorithmic components: the stable
-//! blocked counting sort (Step 2), the parallel merge baseline, the in-place
-//! dovetail merge (Alg. 3), the sampling step, and the parallel primitives
-//! (scan, reduce, reverse) they are built from.
+//! blocked counting sort (Step 2), the parallel merge baseline, the
+//! sampling step, and the parallel primitives (scan, reduce) they are built
+//! from.
 //!
 //! Run with `cargo bench -p bench --bench components`.
 
@@ -58,22 +58,6 @@ fn bench_merge(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    // Dovetail merge of a zone with one huge heavy bucket.
-    let light: Vec<(u64, u32)> = a.clone();
-    let heavy: Vec<(u64, u32)> = vec![(a[N / 2].0 | 1, 7); N];
-    group.bench_function("dovetail_merge_in_place", |b| {
-        b.iter_batched(
-            || {
-                let mut zone = light.clone();
-                zone.extend_from_slice(&heavy);
-                zone
-            },
-            |mut zone| {
-                dtsort::dtmerge::dovetail_merge_in_place(&mut zone, N, &[N], &|r: &(u64, u32)| r.0)
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
     group.finish();
 }
 
@@ -108,13 +92,6 @@ fn bench_primitives(c: &mut Criterion) {
     let data: Vec<u64> = (0..N as u64).collect();
     group.bench_function("par_max", |b| {
         b.iter(|| parlay::reduce::par_max(&data, |&x| x))
-    });
-    group.bench_function("par_reverse", |b| {
-        b.iter_batched(
-            || data.clone(),
-            |mut x| parlay::flip::par_reverse(&mut x),
-            criterion::BatchSize::LargeInput,
-        )
     });
     group.finish();
 }

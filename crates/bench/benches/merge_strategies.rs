@@ -2,8 +2,7 @@
 //!
 //! * Fig. 4(a)(b): DovetailSort with and without heavy-key detection.
 //! * Fig. 4(c)(d): the merge-strategy comparison (DTMerge across buffers,
-//!   the faithful in-place Alg. 3, the PLMerge baseline, and the merge-free
-//!   lower bound).
+//!   the PLMerge baseline, and the merge-free lower bound).
 //!
 //! Run with `cargo bench -p bench --bench merge_strategies`.
 
@@ -53,7 +52,6 @@ fn bench_merge_strategies(c: &mut Criterion) {
     ];
     let strategies = [
         ("DTMerge", MergeStrategy::Dovetail),
-        ("DTMerge_inplace", MergeStrategy::DovetailInPlace),
         ("PLMerge", MergeStrategy::ParallelMerge),
         ("NoMerge", MergeStrategy::Skip),
     ];

@@ -7,8 +7,8 @@
 //! * every MSD zone owns one *light* bucket;
 //! * every detected heavy key owns its own bucket, placed immediately after
 //!   the light bucket of its zone and ordered by key within the zone;
-//! * optionally, one *overflow* bucket at the very end collects keys above
-//!   the sampled key range (Section 5).
+//! * when the sample maximum shrinks the key range, one *overflow* bucket at
+//!   the very end collects keys above the sampled range (Section 5).
 //!
 //! This is the paper's `H`/`L` pair.  `L` is the direct-indexed array of
 //! light ids keyed by the MSD.  `H` is a [`HeavyMap`]: a two-choice table
@@ -21,11 +21,8 @@
 //!
 //! The distribution caches bucket ids as `u16`, so a table gives heavy keys
 //! buckets only up to [`MAX_ID_BUCKETS`] in total: heavy keys past that cap
-//! (possible only with an enlarged [`crate::SortConfig::sample_factor`] or
-//! carried hints) are left light, which costs them the recursion they would
-//! have skipped but keeps the sort correct.  A radix width of 16 bits or
-//! more exceeds the id range with its zones alone; the distribution then
-//! evaluates bucket ids twice instead of caching them.
+//! (possible only with carried hints) are left light, which costs them the
+//! recursion they would have skipped but keeps the sort correct.
 
 use crate::key::low_mask;
 use parlay::counting_sort::MAX_ID_BUCKETS;
@@ -204,7 +201,8 @@ pub struct HeavyBucket {
 }
 
 /// The complete bucket table of one recursive call: zone → light bucket id,
-/// heavy key → heavy bucket id, plus the optional overflow bucket.
+/// heavy key → heavy bucket id, plus the overflow bucket when the range
+/// shrank.
 #[derive(Debug, Clone)]
 pub struct BucketTable {
     /// Radix width γ of this level.
@@ -222,7 +220,7 @@ pub struct BucketTable {
     pub heavy: Vec<HeavyBucket>,
     /// Two-choice table from heavy key to bucket id.
     pub heavy_map: HeavyMap,
-    /// Bucket id of the overflow bucket, if enabled.
+    /// Bucket id of the overflow bucket, if the range shrank.
     pub overflow_id: Option<u32>,
     /// Total number of buckets.
     pub num_buckets: usize,
@@ -232,26 +230,19 @@ impl BucketTable {
     /// Builds the bucket table.
     ///
     /// * `bits` — number of remaining (low) key bits of this subproblem.
-    /// * `eff_bits` — effective bits after the key-range estimation
-    ///   (`= bits` when the overflow optimization is off).
+    /// * `eff_bits` — effective bits after the key-range estimation; when
+    ///   `eff_bits < bits`, an overflow bucket takes the keys above them.
     /// * `gamma` — radix width for this level.
     /// * `heavy_keys` — detected heavy keys, already masked to `bits` bits,
     ///   sorted and deduplicated.  Only the smallest ones that keep the
     ///   table within [`MAX_ID_BUCKETS`] get a bucket; the rest stay light.
-    /// * `with_overflow` — whether to append an overflow bucket.
-    pub fn build(
-        bits: u32,
-        eff_bits: u32,
-        gamma: u32,
-        heavy_keys: &[u64],
-        with_overflow: bool,
-    ) -> Self {
+    pub fn build(bits: u32, eff_bits: u32, gamma: u32, heavy_keys: &[u64]) -> Self {
         debug_assert!(gamma >= 1 && gamma <= eff_bits);
         debug_assert!(eff_bits <= bits);
         let num_zones = 1usize << gamma;
         let digit_shift = eff_bits - gamma;
         let eff_mask = low_mask(eff_bits);
-        let with_overflow = with_overflow && eff_bits < bits;
+        let with_overflow = eff_bits < bits;
         let heavy_cap = MAX_ID_BUCKETS.saturating_sub(num_zones + usize::from(with_overflow));
         let heavy_keys = &heavy_keys[..heavy_keys.len().min(heavy_cap)];
 
@@ -493,7 +484,7 @@ mod tests {
     #[test]
     fn bucket_table_no_heavy_no_overflow() {
         // 8 remaining bits, γ = 2 → 4 zones, 4 light buckets only.
-        let t = BucketTable::build(8, 8, 2, &[], false);
+        let t = BucketTable::build(8, 8, 2, &[]);
         assert_eq!(t.num_buckets, 4);
         assert_eq!(t.num_zones(), 4);
         assert_eq!(t.overflow_id, None);
@@ -511,7 +502,7 @@ mod tests {
         // Paper Fig. 2: r = 16 (4 bits), γ = 2, heavy keys {4, 6, 9}.
         // Expected buckets: 0 light(00), 1 light(01), 2 heavy(4), 3 heavy(6),
         // 4 light(10), 5 heavy(9), 6 light(11).
-        let t = BucketTable::build(4, 4, 2, &[4, 6, 9], false);
+        let t = BucketTable::build(4, 4, 2, &[4, 6, 9]);
         assert_eq!(t.num_buckets, 7);
         assert_eq!(t.bucket_id(0), 0);
         assert_eq!(t.bucket_id(3), 0);
@@ -540,7 +531,7 @@ mod tests {
     #[test]
     fn overflow_bucket_assignment() {
         // 16 remaining bits but effective range only 8 bits.
-        let t = BucketTable::build(16, 8, 4, &[], true);
+        let t = BucketTable::build(16, 8, 4, &[]);
         assert_eq!(t.num_buckets, 16 + 1);
         assert_eq!(t.overflow_id, Some(16));
         assert_eq!(t.bucket_id(255), 15);
@@ -550,7 +541,7 @@ mod tests {
 
     #[test]
     fn no_overflow_bucket_when_range_not_shrunk() {
-        let t = BucketTable::build(8, 8, 4, &[], true);
+        let t = BucketTable::build(8, 8, 4, &[]);
         assert_eq!(t.overflow_id, None);
         assert_eq!(t.num_buckets, 16);
     }
@@ -560,7 +551,7 @@ mod tests {
         // γ = 12 over 32 effective bits of 40, so with the overflow bucket
         // 4097 ids are taken before any heavy key.
         let heavy: Vec<u64> = (0..70_000u64).map(|i| i * 1000).collect();
-        let t = BucketTable::build(40, 32, 12, &heavy, true);
+        let t = BucketTable::build(40, 32, 12, &heavy);
         assert_eq!(t.num_buckets, MAX_ID_BUCKETS);
         assert_eq!(t.heavy.len(), MAX_ID_BUCKETS - 4097);
         let last = t.heavy.last().unwrap();
@@ -585,7 +576,7 @@ mod tests {
     fn heavy_bucket_ids_are_serial_within_zone() {
         // γ = 3 over 6 effective bits: zones are key >> 3.
         let heavy = vec![1u64, 2, 17, 40, 41, 42];
-        let t = BucketTable::build(6, 6, 3, &heavy, false);
+        let t = BucketTable::build(6, 6, 3, &heavy);
         // ids: zone0 light=0, heavy 1->1, 2->2; zone1 light=3; zone2 light=4,
         // heavy 17->5; zone3 light=6; zone4 light=7; zone5 light=8,
         // heavy 40->9,41->10,42->11; zone6 light=12; zone7 light=13.

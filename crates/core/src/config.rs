@@ -1,11 +1,19 @@
-//! Tuning knobs of DovetailSort.
+//! Tuning knobs of DovetailSort and its streaming wrapper.
 //!
-//! The defaults follow the paper's "Parameter Selection" (Section 6):
-//! a variable radix width `γ = log2(∛n)` clamped to `[8, 12]` (theory:
-//! `γ = Θ(√log r)`, Section 4), base-case threshold `θ = 2^14`, sampling of
-//! `Θ(2^γ log n)` keys with a `log n` subsample stride, the overflow-bucket
-//! key-range optimization (Section 5), and the dovetail merge.  Every knob is
-//! exposed so the ablation experiments of Section 6.3 can be reproduced.
+//! The paper fixes DovetailSort's parameters in Section 6 ("Parameter
+//! Selection"), and so does this crate: a variable radix width
+//! `γ = log2(∛n)` clamped to `[MIN_RADIX_BITS, MAX_RADIX_BITS] = [8, 12]`
+//! (theory: `γ = Θ(√log r)`, Section 4), sampling of `2^γ · log n` keys
+//! with a `log n` subsample stride, and the overflow-bucket key-range
+//! optimization (Section 5), which is always on.  [`SortConfig`] keeps only
+//! the knobs that a figure or a caller turns:
+//!
+//! | Field | Set by |
+//! |---|---|
+//! | `heavy_detection` | Fig. 4(a)(b) "Plain" ablation ([`SortConfig::plain`]) |
+//! | `merge_strategy` | Fig. 4(c)(d) merge ablation (`fig4_merge_ablation`) |
+//! | `base_case_threshold` | tests that reach recursion on small inputs (paper `θ = 2^14`) |
+//! | `seed` | sampling-seed sweeps in the tests (`tests/config_matrix.rs`) |
 
 /// Strategy used by Step 4 (interleaving heavy and light buckets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,11 +23,6 @@ pub enum MergeStrategy {
     /// every record is copied directly to its final destination (Section 5,
     /// "minimizing data movement").  Default.
     Dovetail,
-    /// The paper's Algorithm 3 exactly as written: data is first placed back
-    /// into the output array and the heavy buckets are then interleaved fully
-    /// in place, using the flip (in-place circular shift) trick; at most half
-    /// of the zone is copied through a temporary buffer.
-    DovetailInPlace,
     /// The `PLMerge` baseline of Section 6.3: a standard parallel merge of
     /// the light bucket with the (already sorted) concatenation of heavy
     /// buckets.
@@ -36,23 +39,11 @@ pub struct SortConfig {
     /// Base-case threshold `θ`: subproblems of at most this many records are
     /// handled by a stable comparison sort (paper default `2^14`).
     pub base_case_threshold: usize,
-    /// Lower clamp for the radix width `γ`.
-    pub min_radix_bits: u32,
-    /// Upper clamp for the radix width `γ`.
-    pub max_radix_bits: u32,
-    /// If set, use exactly this radix width instead of the `log2(∛n)` rule.
-    pub radix_bits_override: Option<u32>,
     /// Enable sampling-based heavy-key detection (Step 1).  Disabling it
     /// yields the "Plain" MSD radix sort of the Fig. 4(a)(b) ablation.
     pub heavy_detection: bool,
     /// How Step 4 interleaves heavy and light buckets.
     pub merge_strategy: MergeStrategy,
-    /// Enable the overflow-bucket key-range optimization (Section 5): the
-    /// effective key range of each subproblem is estimated from the sample
-    /// maximum and keys above it go to a dedicated overflow bucket.
-    pub overflow_bucket: bool,
-    /// Multiplier `c` in the sample count `c · 2^γ · log2 n`.
-    pub sample_factor: usize,
     /// Seed of the deterministic splittable RNG used for sampling.
     pub seed: u64,
 }
@@ -61,13 +52,8 @@ impl Default for SortConfig {
     fn default() -> Self {
         Self {
             base_case_threshold: 1 << 14,
-            min_radix_bits: 8,
-            max_radix_bits: 12,
-            radix_bits_override: None,
             heavy_detection: true,
             merge_strategy: MergeStrategy::Dovetail,
-            overflow_bucket: true,
-            sample_factor: 1,
             seed: 0x005E_EDD7_5027,
         }
     }
@@ -82,51 +68,44 @@ impl SortConfig {
             ..Self::default()
         }
     }
+}
 
-    /// Configuration using the `PLMerge` baseline for Step 4 (Fig. 4(c)(d)).
-    pub fn with_parallel_merge() -> Self {
-        Self {
-            merge_strategy: MergeStrategy::ParallelMerge,
-            ..Self::default()
-        }
-    }
+/// Lower clamp of the radix width `γ` (paper Section 6).
+pub const MIN_RADIX_BITS: u32 = 8;
 
-    /// Radix width `γ` for a (sub)problem of `n` records with `bits`
-    /// remaining key bits.
-    ///
-    /// Uses the paper's rule `γ = log2(∛n)` clamped to
-    /// `[min_radix_bits, max_radix_bits]`, never exceeding the number of
-    /// remaining bits, and at least 1.
-    pub fn radix_bits(&self, n: usize, bits: u32) -> u32 {
-        let gamma = match self.radix_bits_override {
-            Some(g) => g,
-            None => {
-                // log2(n)/3, the paper's variable radix width.
-                let log_n = usize::BITS - n.max(2).leading_zeros();
-                (log_n / 3).clamp(self.min_radix_bits, self.max_radix_bits)
-            }
-        };
-        gamma.min(bits).max(1)
-    }
+/// Upper clamp of the radix width `γ` (paper Section 6).
+pub const MAX_RADIX_BITS: u32 = 12;
 
-    /// Number of sample keys for a subproblem of `n` records with radix
-    /// width `gamma`: `c · 2^γ · ⌈log2 n⌉`, capped at `n/2` so that tiny
-    /// subproblems are not oversampled.
-    pub fn num_samples(&self, n: usize, gamma: u32) -> usize {
-        if n < 4 {
-            return 0;
-        }
-        let log_n = (usize::BITS - n.leading_zeros()) as usize;
-        let want = self.sample_factor.max(1) * (1usize << gamma) * log_n;
-        want.min(n / 2)
-    }
+/// Radix width `γ` for a (sub)problem of `n` records with `bits` remaining
+/// key bits.
+///
+/// Uses the paper's rule `γ = log2(∛n)` clamped to
+/// `[MIN_RADIX_BITS, MAX_RADIX_BITS]`, never exceeding the number of
+/// remaining bits, and at least 1.
+pub fn radix_bits(n: usize, bits: u32) -> u32 {
+    let log_n = usize::BITS - n.max(2).leading_zeros();
+    (log_n / 3)
+        .clamp(MIN_RADIX_BITS, MAX_RADIX_BITS)
+        .min(bits)
+        .max(1)
+}
 
-    /// Subsample stride used by the heavy-key detector: every `⌈log2 n⌉`-th
-    /// sample (in sorted order) is a subsample; keys with at least two
-    /// subsamples are declared heavy (Section 2.5).
-    pub fn subsample_stride(&self, n: usize) -> usize {
-        ((usize::BITS - n.max(2).leading_zeros()) as usize).max(1)
+/// Number of sample keys for a subproblem of `n` records with radix width
+/// `gamma`: `2^γ · ⌈log2 n⌉`, capped at `n/2` so that tiny subproblems are
+/// not oversampled.
+pub(crate) fn num_samples(n: usize, gamma: u32) -> usize {
+    if n < 4 {
+        return 0;
     }
+    let log_n = (usize::BITS - n.leading_zeros()) as usize;
+    ((1usize << gamma) * log_n).min(n / 2)
+}
+
+/// Subsample stride used by the heavy-key detector: every `⌈log2 n⌉`-th
+/// sample (in sorted order) is a subsample; keys with at least two
+/// subsamples are declared heavy (Section 2.5).
+pub(crate) fn subsample_stride(n: usize) -> usize {
+    ((usize::BITS - n.max(2).leading_zeros()) as usize).max(1)
 }
 
 /// Bytes per record of the bucket-id cache a DovetailSort run holds next
@@ -442,61 +421,45 @@ mod tests {
     fn default_matches_paper_parameters() {
         let c = SortConfig::default();
         assert_eq!(c.base_case_threshold, 1 << 14);
-        assert_eq!(c.min_radix_bits, 8);
-        assert_eq!(c.max_radix_bits, 12);
         assert!(c.heavy_detection);
-        assert!(c.overflow_bucket);
         assert_eq!(c.merge_strategy, MergeStrategy::Dovetail);
+        assert_eq!((MIN_RADIX_BITS, MAX_RADIX_BITS), (8, 12));
     }
 
     #[test]
     fn radix_bits_follows_cuberoot_rule() {
-        let c = SortConfig::default();
         // n = 10^9 -> log2 n ≈ 30 -> γ = 10.
-        assert_eq!(c.radix_bits(1_000_000_000, 64), 10);
+        assert_eq!(radix_bits(1_000_000_000, 64), 10);
         // Small n clamps to the minimum.
-        assert_eq!(c.radix_bits(1 << 15, 64), 8);
+        assert_eq!(radix_bits(1 << 15, 64), 8);
         // Huge n clamps to the maximum.
-        assert_eq!(c.radix_bits(usize::MAX / 2, 64), 12);
+        assert_eq!(radix_bits(usize::MAX / 2, 64), 12);
         // Never more than the remaining bits.
-        assert_eq!(c.radix_bits(1_000_000_000, 4), 4);
+        assert_eq!(radix_bits(1_000_000_000, 4), 4);
         // Never zero.
-        assert_eq!(c.radix_bits(10, 1), 1);
-    }
-
-    #[test]
-    fn radix_override_wins() {
-        let c = SortConfig {
-            radix_bits_override: Some(6),
-            ..SortConfig::default()
-        };
-        assert_eq!(c.radix_bits(1_000_000_000, 64), 6);
-        assert_eq!(c.radix_bits(1_000_000_000, 3), 3);
+        assert_eq!(radix_bits(10, 1), 1);
+        assert_eq!(radix_bits(10, 0), 1);
     }
 
     #[test]
     fn sample_count_capped_by_half() {
-        let c = SortConfig::default();
         let n = 40_000;
-        assert!(c.num_samples(n, 12) <= n / 2);
-        assert!(c.num_samples(1_000_000, 8) >= (1 << 8) * 10);
-        assert_eq!(c.num_samples(2, 8), 0);
+        assert!(num_samples(n, 12) <= n / 2);
+        assert_eq!(num_samples(1_000_000, 8), (1 << 8) * 20);
+        assert_eq!(num_samples(2, 8), 0);
     }
 
     #[test]
     fn subsample_stride_is_log_n() {
-        let c = SortConfig::default();
-        assert_eq!(c.subsample_stride(1 << 20), 21);
-        assert!(c.subsample_stride(1) >= 1);
+        assert_eq!(subsample_stride(1 << 20), 21);
+        assert!(subsample_stride(1) >= 1);
     }
 
     #[test]
     fn presets() {
-        assert!(!SortConfig::plain().heavy_detection);
-        assert_eq!(
-            SortConfig::with_parallel_merge().merge_strategy,
-            MergeStrategy::ParallelMerge
-        );
+        let plain = SortConfig::plain();
+        assert!(!plain.heavy_detection);
+        assert_eq!(plain.merge_strategy, MergeStrategy::Dovetail);
     }
 
     #[test]

@@ -6,23 +6,20 @@
 //! the heavy buckets into the light bucket at the positions given by binary
 //! searching each heavy key in the light bucket.
 //!
-//! Three implementations are provided, selectable through
+//! Two implementations are provided, selectable through
 //! [`crate::MergeStrategy`]:
 //!
 //! * [`dovetail_merge_across`] — the production path: the zone lives in the
 //!   scratch buffer and is written directly to its final location in the
 //!   output buffer, moving every record exactly once (the "minimizing data
-//!   movement" optimization of Section 5).
-//! * [`dovetail_merge_in_place`] — the paper's Algorithm 3 verbatim: the
-//!   zone is already in the output array; the smaller of {light records,
-//!   heavy records} is copied out to a temporary buffer and the rest is
-//!   relocated inside the array, using the flip-based in-place circular
-//!   shift when a heavy bucket's destination overlaps its current position.
+//!   movement" optimization of Section 5).  Alg. 3 as written instead
+//!   copies the zone back into the output array and interleaves it there
+//!   in place (the flip trick); since the root already allocates the
+//!   scratch buffer, that only adds moves, so only this form is kept.
 //! * [`parallel_merge_zone`] — the `PLMerge` baseline: a standard parallel
 //!   merge of the light bucket with the concatenation of the heavy buckets.
 
 use parlay::binsearch::lower_bound_by;
-use parlay::flip::par_reverse;
 use parlay::merge::par_merge_into;
 use parlay::par::parallel_for;
 use parlay::slice::UnsafeSliceCell;
@@ -75,12 +72,6 @@ impl ZoneLayout {
         let start = if j == 0 { 0 } else { self.positions[j - 1] };
         let end = if j == m { light_len } else { self.positions[j] };
         (start, end, start + self.heavy_prefix[j])
-    }
-
-    /// Total number of heavy records.
-    #[inline]
-    pub fn total_heavy(&self) -> usize {
-        *self.heavy_prefix.last().unwrap_or(&0)
     }
 }
 
@@ -139,121 +130,6 @@ where
         }
     });
     light.len() + total_heavy
-}
-
-/// The paper's Algorithm 3: in-place dovetail merge of a zone that already
-/// resides in the output array.
-///
-/// `zone[..light_len]` is the sorted light bucket; the heavy buckets follow
-/// contiguously with lengths `heavy_lens` (in key order).  At most
-/// `min(light, heavy)` records are staged through a temporary buffer; the
-/// rest move within `zone` (possibly twice, via the flip trick).
-///
-/// Returns the number of record movements performed (for the work counters).
-pub fn dovetail_merge_in_place<T, F>(
-    zone: &mut [T],
-    light_len: usize,
-    heavy_lens: &[usize],
-    key: &F,
-) -> usize
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> u64 + Sync,
-{
-    let m = heavy_lens.len();
-    if m == 0 {
-        return 0;
-    }
-    let total_heavy: usize = heavy_lens.iter().sum();
-    assert_eq!(
-        zone.len(),
-        light_len + total_heavy,
-        "dovetail_merge_in_place: zone size mismatch"
-    );
-    if total_heavy == 0 {
-        return 0;
-    }
-    // Keys of the heavy buckets, read from their first records.
-    let mut heavy_info = Vec::with_capacity(m);
-    {
-        let mut off = light_len;
-        for &len in heavy_lens {
-            debug_assert!(len > 0, "empty heavy bucket");
-            heavy_info.push((key(&zone[off]), len));
-            off += len;
-        }
-    }
-    let layout = ZoneLayout::compute(&zone[..light_len], &heavy_info, key);
-    let mut moved = 0usize;
-
-    if light_len <= total_heavy {
-        // More heavy than light records: copy the light bucket out (Alg. 3,
-        // lines 2–12).
-        let temp: Vec<T> = zone[..light_len].to_vec();
-        moved += light_len;
-        // Move heavy buckets to their destinations, one by one, in order.
-        let mut cur_start = light_len;
-        for i in 0..m {
-            let len = heavy_lens[i];
-            let dest = layout.heavy_dest(i);
-            debug_assert!(dest <= cur_start);
-            if dest == cur_start {
-                // Already in place.
-            } else if dest + len > cur_start {
-                // Destination overlaps the current position: flip the bucket,
-                // then flip the whole affected region (Alg. 3, lines 5–8).
-                par_reverse(&mut zone[cur_start..cur_start + len]);
-                par_reverse(&mut zone[dest..cur_start + len]);
-                moved += 2 * len + (cur_start - dest);
-            } else {
-                // Disjoint: direct copy (the vacated region holds only light
-                // records, already backed up, or earlier heavy buckets that
-                // have already been relocated).
-                zone.copy_within(cur_start..cur_start + len, dest);
-                moved += len;
-            }
-            cur_start += len;
-        }
-        // Copy the light segments back from the temporary buffer to their
-        // final positions (Alg. 3, line 12), all in parallel.
-        let zone_cell = UnsafeSliceCell::new(zone);
-        let temp_ref = &temp;
-        let layout_ref = &layout;
-        parallel_for(0, m + 1, |j| {
-            let (start, end, d) = layout_ref.light_segment_dest(j, light_len);
-            if end > start {
-                let out = unsafe { zone_cell.slice_mut(d, end - start) };
-                out.copy_from_slice(&temp_ref[start..end]);
-            }
-        });
-        moved += light_len;
-    } else {
-        // More light than heavy records: symmetric case (Alg. 3, line 13).
-        // Copy the heavy region out, slide the light segments right (from the
-        // last segment to the first so sources are never clobbered), then
-        // drop the heavy buckets into the gaps.
-        let temp: Vec<T> = zone[light_len..].to_vec();
-        moved += total_heavy;
-        for j in (0..=m).rev() {
-            let (start, end, d) = layout.light_segment_dest(j, light_len);
-            if end > start && d != start {
-                zone.copy_within(start..end, d);
-                moved += end - start;
-            }
-        }
-        let zone_cell = UnsafeSliceCell::new(zone);
-        let temp_ref = &temp;
-        let layout_ref = &layout;
-        parallel_for(0, m, |i| {
-            let len = heavy_lens[i];
-            let src_off = layout_ref.heavy_prefix[i];
-            let d = layout_ref.heavy_dest(i);
-            let out = unsafe { zone_cell.slice_mut(d, len) };
-            out.copy_from_slice(&temp_ref[src_off..src_off + len]);
-        });
-        moved += total_heavy;
-    }
-    moved
 }
 
 /// The `PLMerge` baseline: merges the sorted light bucket with the (sorted)
@@ -361,52 +237,8 @@ mod tests {
         assert_eq!(dst, reference_zone(&light, &heavy));
     }
 
-    fn run_in_place(light: &[(u64, u32)], heavy: &[(u64, Vec<(u64, u32)>)]) -> Vec<(u64, u32)> {
-        let mut zone: Vec<(u64, u32)> = light.to_vec();
-        let mut lens = Vec::new();
-        for (_, h) in heavy {
-            zone.extend_from_slice(h);
-            lens.push(h.len());
-        }
-        dovetail_merge_in_place(&mut zone, light.len(), &lens, &keyf);
-        zone
-    }
-
     #[test]
-    fn merge_in_place_heavy_majority_matches_reference() {
-        // More heavy than light records, matching the paper's Fig. 3 walk.
-        let (light, heavy) = make_zone(&[5, 5, 7], &[(4, 5), (6, 3)]);
-        assert_eq!(run_in_place(&light, &heavy), reference_zone(&light, &heavy));
-    }
-
-    #[test]
-    fn merge_in_place_light_majority_matches_reference() {
-        let (light, heavy) = make_zone(&[1, 2, 4, 6, 8, 9, 11, 13, 15, 20], &[(5, 2), (10, 1)]);
-        assert_eq!(run_in_place(&light, &heavy), reference_zone(&light, &heavy));
-    }
-
-    #[test]
-    fn merge_in_place_overlapping_destination_uses_flip() {
-        // A single huge heavy bucket whose destination overlaps itself.
-        let (light, heavy) = make_zone(&[100, 200], &[(50, 40)]);
-        assert_eq!(run_in_place(&light, &heavy), reference_zone(&light, &heavy));
-        // Heavy key larger than all light keys: destination equals current
-        // position (no movement needed).
-        let (light, heavy) = make_zone(&[1, 2], &[(50, 40)]);
-        assert_eq!(run_in_place(&light, &heavy), reference_zone(&light, &heavy));
-    }
-
-    #[test]
-    fn merge_in_place_no_heavy_is_noop() {
-        let (light, _) = make_zone(&[3, 1, 2], &[]);
-        let mut zone = light.clone();
-        let moved = dovetail_merge_in_place(&mut zone, 3, &[], &keyf);
-        assert_eq!(moved, 0);
-        assert_eq!(zone, light);
-    }
-
-    #[test]
-    fn merge_in_place_randomized_against_reference() {
+    fn merge_across_randomized_against_reference() {
         use parlay::random::Rng;
         let rng = Rng::new(99);
         for case in 0..50u64 {
@@ -430,19 +262,13 @@ mod tests {
                 .map(|(i, &k)| (k, 1 + r.ith_in(2000 + i as u64, 100) as usize))
                 .collect();
             let (light, heavy) = make_zone(&light_keys, &heavy_spec);
-            assert_eq!(
-                run_in_place(&light, &heavy),
-                reference_zone(&light, &heavy),
-                "case {case}"
-            );
-            // Cross-buffer variant on the same zone.
             let heavy_slices: Vec<(u64, &[(u64, u32)])> =
                 heavy.iter().map(|(k, v)| (*k, v.as_slice())).collect();
             let total: usize =
                 light.len() + heavy_slices.iter().map(|(_, s)| s.len()).sum::<usize>();
             let mut dst = vec![(0u64, 0u32); total];
             dovetail_merge_across(&light, &heavy_slices, &mut dst, &keyf);
-            assert_eq!(dst, reference_zone(&light, &heavy), "across case {case}");
+            assert_eq!(dst, reference_zone(&light, &heavy), "case {case}");
         }
     }
 
@@ -469,6 +295,5 @@ mod tests {
         assert_eq!(layout.light_segment_dest(0, 4), (0, 1, 0));
         assert_eq!(layout.light_segment_dest(1, 4), (1, 3, 11));
         assert_eq!(layout.light_segment_dest(2, 4), (3, 4, 18));
-        assert_eq!(layout.total_heavy(), 15);
     }
 }

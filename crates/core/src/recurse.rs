@@ -26,8 +26,8 @@
 //! [`parlay::par::MIN_TASK_WORK`] records stay on one thread.
 
 use crate::buckets::BucketTable;
-use crate::config::{MergeStrategy, SortConfig};
-use crate::dtmerge::{dovetail_merge_across, dovetail_merge_in_place, parallel_merge_zone};
+use crate::config::{radix_bits, MergeStrategy, SortConfig};
+use crate::dtmerge::{dovetail_merge_across, parallel_merge_zone};
 use crate::key::{bit_width, low_mask};
 use crate::sampling::sample_and_detect;
 use crate::stats::SortStats;
@@ -141,18 +141,8 @@ where
 
     // ---------------- Step 1: sampling ----------------
     let t0 = Instant::now();
-    let gamma_pre = cfg.radix_bits(n, bits);
-    let need_sampling = cfg.heavy_detection || cfg.overflow_bucket;
-    let mut sample_res = if need_sampling {
-        sample_and_detect(n, |i| key(&data[i]) & mask, gamma_pre, cfg, rng)
-    } else {
-        crate::sampling::SampleResult {
-            heavy_keys: Vec::new(),
-            max_sample: mask,
-            num_samples: 0,
-            distinct_samples: 0,
-        }
-    };
+    let gamma_pre = radix_bits(n, bits);
+    let mut sample_res = sample_and_detect(n, |i| key(&data[i]) & mask, gamma_pre, cfg, rng);
     if is_root && cfg.heavy_detection && !root_hints.is_empty() {
         // Union carried heavy keys into the sampled set.  Raising the sample
         // maximum keeps every hint inside the effective key range, so hinted
@@ -173,19 +163,13 @@ where
     // Effective key range (Section 5): skip leading zero bits, as estimated
     // by the sample maximum.  Keys above the estimate go to the overflow
     // bucket.
-    let eff_bits = if cfg.overflow_bucket && sample_res.num_samples > 0 {
+    let eff_bits = if sample_res.num_samples > 0 {
         bit_width(sample_res.max_sample).clamp(1, bits)
     } else {
         bits
     };
-    let gamma = cfg.radix_bits(n, eff_bits);
-    let table = BucketTable::build(
-        bits,
-        eff_bits,
-        gamma,
-        &sample_res.heavy_keys,
-        cfg.overflow_bucket,
-    );
+    let gamma = radix_bits(n, eff_bits);
+    let table = BucketTable::build(bits, eff_bits, gamma, &sample_res.heavy_keys);
     if is_root {
         SortStats::add(&stats.root_sample_ns, t0.elapsed().as_nanos() as u64);
     }
@@ -326,17 +310,6 @@ where
                         .collect();
                     dovetail_merge_across(light, &heavy_slices, dst, &mkey)
                 }
-                MergeStrategy::DovetailInPlace => {
-                    // Faithful Alg. 2/3: place the zone back first, then
-                    // interleave fully in place within the output array.
-                    dst.copy_from_slice(&scratch_ref[zone_start..zone_end]);
-                    let heavy_lens: Vec<usize> = heavy_buckets
-                        .iter()
-                        .map(|h| plan_ref.bucket_len(h.id as usize))
-                        .filter(|&l| l > 0)
-                        .collect();
-                    zone_len + dovetail_merge_in_place(dst, light.len(), &heavy_lens, &mkey)
-                }
                 MergeStrategy::ParallelMerge => {
                     let heavy_all = &scratch_ref[light_range.end..zone_end];
                     parallel_merge_zone(light, heavy_all, dst, &mkey)
@@ -411,11 +384,7 @@ mod tests {
                 (k, i as u32)
             })
             .collect();
-        for strategy in [
-            MergeStrategy::Dovetail,
-            MergeStrategy::DovetailInPlace,
-            MergeStrategy::ParallelMerge,
-        ] {
+        for strategy in [MergeStrategy::Dovetail, MergeStrategy::ParallelMerge] {
             let cfg = SortConfig {
                 merge_strategy: strategy,
                 base_case_threshold: 128,

@@ -9,7 +9,7 @@
 //! The sample maximum additionally estimates the effective key range for the
 //! overflow-bucket optimization (Section 5).
 
-use crate::config::SortConfig;
+use crate::config::{num_samples, subsample_stride, SortConfig};
 use parlay::random::Rng;
 
 /// Outcome of the sampling step.
@@ -44,7 +44,7 @@ pub fn sample_and_detect<F>(
 where
     F: Fn(usize) -> u64 + Sync,
 {
-    let num_samples = cfg.num_samples(n, gamma);
+    let num_samples = num_samples(n, gamma);
     if num_samples == 0 {
         return SampleResult {
             heavy_keys: Vec::new(),
@@ -64,7 +64,7 @@ where
     let distinct_samples = 1 + samples.windows(2).filter(|w| w[0] != w[1]).count();
 
     let heavy_keys = if cfg.heavy_detection {
-        detect_heavy_from_sorted_samples(&samples, cfg.subsample_stride(n))
+        detect_heavy_from_sorted_samples(&samples, subsample_stride(n))
     } else {
         Vec::new()
     };

@@ -105,11 +105,9 @@ where
 /// pass caches each bucket id in `ids` (indexed like `src`) and the scatter
 /// pass reads it back.  `ids` is scratch; its contents on entry are ignored.
 ///
-/// With more than [`MAX_ID_BUCKETS`] buckets the ids do not fit a `u16`,
-/// and `key` is evaluated twice as in [`counting_sort_by`].
-///
 /// # Panics
-/// Panics if `src`, `dst` and `ids` differ in length.
+/// Panics if `src`, `dst` and `ids` differ in length, or if `num_buckets`
+/// exceeds [`MAX_ID_BUCKETS`] (the ids would not fit a `u16`).
 pub fn counting_sort_with_ids<T, F>(
     src: &[T],
     dst: &mut [T],
@@ -126,9 +124,10 @@ where
         ids.len(),
         "counting_sort_with_ids: src and ids must have equal length"
     );
-    if num_buckets > MAX_ID_BUCKETS {
-        return counting_sort_by(src, dst, num_buckets, key);
-    }
+    assert!(
+        num_buckets <= MAX_ID_BUCKETS,
+        "counting_sort_with_ids: {num_buckets} buckets exceed the u16 id range"
+    );
     let ids = UnsafeSliceCell::new(ids);
     distribute(
         src,
@@ -235,24 +234,6 @@ where
     CountingSortPlan { bucket_offsets }
 }
 
-/// Stable counting sort that leaves the result in `data`, using a freshly
-/// allocated buffer internally.  Convenience wrapper for callers that do not
-/// manage their own ping-pong buffers.
-pub fn counting_sort_inplace_by<T, F>(
-    data: &mut [T],
-    num_buckets: usize,
-    key: F,
-) -> CountingSortPlan
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> usize + Sync,
-{
-    let mut tmp = data.to_vec();
-    let plan = counting_sort_by(data, &mut tmp, num_buckets, key);
-    data.copy_from_slice(&tmp);
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,18 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn inplace_wrapper_matches() {
-        let rng = Rng::new(3);
-        let mut data: Vec<(u32, u32)> = (0..10_000)
-            .map(|i| (rng.ith_in(i, 32) as u32, i as u32))
-            .collect();
-        let mut want = data.clone();
-        want.sort_by_key(|&(k, _)| k);
-        counting_sort_inplace_by(&mut data, 32, |&(k, _)| k as usize);
-        assert_eq!(data, want);
-    }
-
-    #[test]
     fn no_block_below_min_task_work() {
         for threads in [1, 2, 4, 64] {
             for buckets in [1, 256, 4097, 1 << 16] {
@@ -390,15 +359,16 @@ mod tests {
             assert_eq!(plan.bucket_offsets.len(), b + 1);
             assert!(ids.iter().zip(&input).all(|(&id, r)| id as usize == key(r)));
         }
-        // Past the u16 range the ids are left alone and keys recomputed.
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the u16 id range")]
+    fn ids_path_rejects_more_buckets_than_u16_ids() {
+        let b = MAX_ID_BUCKETS;
         let input: Vec<(u32, u32)> = (0..1000).map(|i| (b as u32 + i % 7, i)).collect();
         let mut dst = vec![(0, 0); input.len()];
         let mut ids = vec![0u16; input.len()];
-        counting_sort_with_ids(&input, &mut dst, &mut ids, b + 7, key);
-        let mut want = input.clone();
-        want.sort_by_key(|&(k, _)| k);
-        assert_eq!(dst, want);
-        assert!(ids.iter().all(|&id| id == 0));
+        counting_sort_with_ids(&input, &mut dst, &mut ids, b + 7, |&(k, _)| k as usize);
     }
 
     #[test]

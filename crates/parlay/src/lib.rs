@@ -10,28 +10,26 @@
 //! Provided primitives:
 //!
 //! * [`par::parallel_for`] — granularity-controlled parallel loops.
-//! * [`reduce`] — parallel reductions (sum, max, min, monoid reduce).
-//! * [`scan`] — sequential and blocked parallel prefix sums.
+//! * [`reduce`] — parallel reductions (max, monoid reduce).
+//! * [`scan`] — blocked parallel exclusive prefix sums.
 //! * [`counting_sort`] — the stable blocked counting sort of the paper's
 //!   Section 2.4 / Appendix B, the distribution primitive of every MSD sort.
 //! * [`merge`] — a parallel merge of two sorted sequences (the `PLMerge`
 //!   baseline of the paper's Section 6.3).
 //! * [`kway`] — a parallel k-way merge (loser tree + stable multi-sequence
 //!   selection), the final pass of the out-of-core streaming sorter.
-//! * [`flip`] — parallel in-place reversal, used by the dovetail merge.
 //! * [`random`] — a deterministic splittable hash-based RNG, so that all
 //!   sampling in the sorts is reproducible (Appendix A: determinacy-race
 //!   freedom and internal determinism).
-//! * [`sample`], [`mod@pack`], [`binsearch`], [`mod@slice`] — sampling,
-//!   parallel pack/filter, branchless binary search, and the
+//! * [`mod@pack`], [`binsearch`], [`mod@slice`] — parallel pack/filter,
+//!   branchless binary search, and the
 //!   unsafe-but-checked disjoint-write slice cell that underpins parallel
 //!   scatters.
-//! * [`scatter`] — stable parallel scatter by arbitrary or hashed bucket
-//!   ids, the distribution primitive of the semisort engine.
+//! * [`scatter`] — stable parallel scatter by arbitrary bucket ids, the
+//!   distribution primitive of the semisort engine.
 
 pub mod binsearch;
 pub mod counting_sort;
-pub mod flip;
 pub mod histogram;
 pub mod kway;
 pub mod merge;
@@ -39,27 +37,21 @@ pub mod pack;
 pub mod par;
 pub mod random;
 pub mod reduce;
-pub mod sample;
 pub mod scan;
 pub mod scatter;
-pub mod seq;
 pub mod slice;
 
 pub use binsearch::{lower_bound, lower_bound_by, upper_bound, upper_bound_by};
-pub use counting_sort::{
-    counting_sort_by, counting_sort_inplace_by, counting_sort_with_ids, CountingSortPlan,
-};
-pub use flip::{par_reverse, par_rotate_left};
+pub use counting_sort::{counting_sort_by, counting_sort_with_ids, CountingSortPlan};
 pub use histogram::{histogram, top_k_frequent};
 pub use kway::{kway_merge_by, kway_merge_into, LoserTree, RunSource, SliceSource};
 pub use merge::{par_merge_by, par_merge_into};
 pub use pack::{pack, pack_index, pack_ranges};
 pub use par::{num_threads, parallel_for, parallel_for_grained, with_threads, work_grain};
 pub use random::Rng;
-pub use reduce::{par_max, par_min, par_reduce, par_sum};
-pub use sample::sample_indices;
-pub use scan::{scan_exclusive, scan_exclusive_in_place, scan_inclusive};
-pub use scatter::{hash_scatter_into, scatter_by};
+pub use reduce::{par_max, par_reduce};
+pub use scan::{scan_exclusive, scan_exclusive_in_place};
+pub use scatter::scatter_by;
 pub use slice::UnsafeSliceCell;
 
 /// Default granularity (number of loop indices handled sequentially by one

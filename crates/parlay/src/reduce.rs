@@ -42,11 +42,6 @@ where
     go(data, &identity, &map, &combine)
 }
 
-/// Parallel sum of `map(x)` over the slice.
-pub fn par_sum<T: Sync, M: Fn(&T) -> usize + Sync>(data: &[T], map: M) -> usize {
-    par_reduce(data, 0usize, map, |a, b| a + b)
-}
-
 /// Parallel maximum of `map(x)` over the slice; `None` on an empty slice.
 pub fn par_max<T, K, M>(data: &[T], map: M) -> Option<K>
 where
@@ -61,44 +56,21 @@ where
     Some(par_reduce(data, first, map, |a, b| a.max(b)))
 }
 
-/// Parallel minimum of `map(x)` over the slice; `None` on an empty slice.
-pub fn par_min<T, K, M>(data: &[T], map: M) -> Option<K>
-where
-    T: Sync,
-    K: Ord + Send + Sync + Clone,
-    M: Fn(&T) -> K + Sync,
-{
-    if data.is_empty() {
-        return None;
-    }
-    let first = map(&data[0]);
-    Some(par_reduce(data, first, map, |a, b| a.min(b)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sum_matches_sequential() {
-        let v: Vec<u64> = (0..50_000).collect();
-        let s = par_sum(&v, |&x| x as usize);
-        assert_eq!(s, (0..50_000usize).sum());
-    }
-
-    #[test]
-    fn max_and_min() {
+    fn max_matches_sequential() {
         let v: Vec<i64> = (0..10_000).map(|i| (i * 37 % 9973) - 5000).collect();
         assert_eq!(par_max(&v, |&x| x), v.iter().copied().max());
-        assert_eq!(par_min(&v, |&x| x), v.iter().copied().min());
     }
 
     #[test]
     fn empty_slices() {
         let v: Vec<u32> = vec![];
         assert_eq!(par_max(&v, |&x| x), None);
-        assert_eq!(par_min(&v, |&x| x), None);
-        assert_eq!(par_sum(&v, |&x| x as usize), 0);
+        assert_eq!(par_reduce(&v, 0usize, |&x| x as usize, |a, b| a + b), 0);
     }
 
     #[test]
@@ -113,7 +85,5 @@ mod tests {
     fn single_element() {
         let v = vec![7u8];
         assert_eq!(par_max(&v, |&x| x), Some(7));
-        assert_eq!(par_min(&v, |&x| x), Some(7));
-        assert_eq!(par_sum(&v, |&x| x as usize), 7);
     }
 }

@@ -28,15 +28,6 @@ pub fn scan_exclusive(data: &[usize]) -> (Vec<usize>, usize) {
     (out, total)
 }
 
-/// Inclusive prefix sum, returning the new vector.
-pub fn scan_inclusive(data: &[usize]) -> Vec<usize> {
-    let (mut out, _) = scan_exclusive(data);
-    for (o, d) in out.iter_mut().zip(data.iter()) {
-        *o += *d;
-    }
-    out
-}
-
 /// In-place exclusive prefix sum; returns the total sum of the original
 /// elements.  Parallel (blocked) when the input is large.
 pub fn scan_exclusive_in_place(data: &mut [usize]) -> usize {
@@ -105,12 +96,6 @@ mod tests {
         let (want, wtotal) = reference_exclusive(&v);
         assert_eq!(got, want);
         assert_eq!(total, wtotal);
-    }
-
-    #[test]
-    fn inclusive_scan() {
-        let v = vec![1usize, 2, 3, 4];
-        assert_eq!(scan_inclusive(&v), vec![1, 3, 6, 10]);
     }
 
     #[test]

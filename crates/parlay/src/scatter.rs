@@ -9,7 +9,6 @@
 //! contract.
 
 use crate::counting_sort::{counting_sort_by, CountingSortPlan};
-use crate::random::hash64;
 
 /// Stable parallel scatter from `src` into `dst` by an arbitrary bucket id.
 ///
@@ -27,41 +26,10 @@ where
     counting_sort_by(src, dst, num_buckets, id)
 }
 
-/// Stable parallel scatter into `2^log2_buckets` **hashed** buckets.
-///
-/// Every record's key is hashed ([`hash64`]) and the top `log2_buckets`
-/// bits of the hash select the bucket, so equal keys share a bucket and
-/// adversarially clustered key ranges still spread evenly.  Records of the
-/// same bucket keep their input order.
-///
-/// # Panics
-/// Panics if `src.len() != dst.len()` or `log2_buckets > 32`.
-pub fn hash_scatter_into<T, F>(
-    src: &[T],
-    dst: &mut [T],
-    log2_buckets: u32,
-    key: F,
-) -> CountingSortPlan
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> u64 + Sync,
-{
-    assert!(log2_buckets <= 32, "hash_scatter_into: too many buckets");
-    let shift = 64 - log2_buckets;
-    scatter_by(src, dst, 1usize << log2_buckets, |rec| {
-        if log2_buckets == 0 {
-            0
-        } else {
-            (hash64(key(rec)) >> shift) as usize
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::random::Rng;
-    use std::collections::HashMap;
 
     #[test]
     fn scatter_is_stable_permutation() {
@@ -78,46 +46,5 @@ mod tests {
             assert!(bucket.windows(2).all(|w| w[0].1 < w[1].1), "stability");
         }
         assert_eq!(plan.bucket_offsets.last(), Some(&input.len()));
-    }
-
-    #[test]
-    fn hash_scatter_groups_equal_keys() {
-        let rng = Rng::new(2);
-        let input: Vec<(u64, u32)> = (0..30_000).map(|i| (rng.ith_in(i, 50), i as u32)).collect();
-        let mut dst = vec![(0u64, 0u32); input.len()];
-        let plan = hash_scatter_into(&input, &mut dst, 4, |&(k, _)| k);
-        // Each distinct key lands in exactly one bucket.
-        let mut bucket_of: HashMap<u64, usize> = HashMap::new();
-        for b in 0..plan.num_buckets() {
-            for &(k, _) in &dst[plan.bucket_range(b)] {
-                assert_eq!(*bucket_of.entry(k).or_insert(b), b, "key {k} split");
-            }
-        }
-        assert_eq!(bucket_of.len(), 50);
-    }
-
-    #[test]
-    fn hash_scatter_spreads_sequential_keys() {
-        // Sequential keys would all share low bits; hashing must spread them.
-        let input: Vec<u64> = (0..64_000).collect();
-        let mut dst = vec![0u64; input.len()];
-        let plan = hash_scatter_into(&input, &mut dst, 6, |&k| k);
-        let max_bucket = (0..64).map(|b| plan.bucket_len(b)).max().unwrap();
-        assert!(max_bucket < 4 * 1000, "largest bucket {max_bucket}");
-    }
-
-    #[test]
-    fn zero_log2_buckets_and_empty_input() {
-        let input = [5u64, 5, 7];
-        let mut dst = [0u64; 3];
-        let plan = hash_scatter_into(&input, &mut dst, 0, |&k| k);
-        assert_eq!(plan.num_buckets(), 1);
-        assert_eq!(dst, input);
-
-        let empty: Vec<u64> = vec![];
-        let mut dst: Vec<u64> = vec![];
-        let plan = hash_scatter_into(&empty, &mut dst, 3, |&k| k);
-        assert_eq!(plan.num_buckets(), 8);
-        assert_eq!(plan.bucket_offsets, vec![0; 9]);
     }
 }

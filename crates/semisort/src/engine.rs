@@ -1,6 +1,13 @@
 //! The semisort engine: heavy keys to dedicated buckets, light keys to
 //! hashed buckets, per-bucket grouping — no total order, no recursion.
+//!
+//! Nothing here is tuned separately from the sort: the engine takes a
+//! [`SortConfig`] (sampling seed, heavy-key detection, base-case
+//! threshold), sizes its hashed buckets by the sort's `γ` rule
+//! ([`dtsort::config::radix_bits`]), and routes mostly-distinct inputs to
+//! [`dtsort`] at the fixed [`SORT_DELEGATION_MIN_DISTINCT`].
 
+use dtsort::config::radix_bits;
 use dtsort::{HeavyKeyModel, IntegerKey, SortConfig};
 use parlay::pack::pack_ranges;
 use parlay::par::parallel_for;
@@ -32,64 +39,30 @@ impl<K> Group<K> {
     }
 }
 
-/// Tuning knobs of the semisort engine.
-#[derive(Debug, Clone)]
-pub struct SemisortConfig {
-    /// Sampling / heavy-key-detection knobs and the base-case threshold,
-    /// shared with the full sort.  Only the sampling fields and
-    /// `base_case_threshold` are consulted; merge knobs are irrelevant here.
-    pub sort: SortConfig,
-    /// If set, use exactly this many bits of hashed light buckets
-    /// (`2^bits` buckets) instead of the sort's `log2(∛n)` radix rule.
-    pub light_bucket_bits: Option<u32>,
-    /// Adaptive fallback (on by default): when sampling finds **no** heavy
-    /// keys and the estimated key range is much larger than the input — a
-    /// mostly-distinct dataset like the `Unif-1e9` control — the hashed
-    /// scatter cannot beat the MSD sort's locality, so the engine delegates
-    /// to [`dtsort`] and reads the groups off the sorted array (which then
-    /// come out in ascending key order).
-    pub adaptive_sort_fallback: bool,
-    /// Minimum fraction of *distinct* sample values (in `[0, 1]`) at which
-    /// the adaptive fallback fires, given no heavy keys (default `0.95`).
-    ///
-    /// The interesting operating region is the boundary: `Unif-1e5` inputs
-    /// sample ~98–99% distinct and sit at rough parity between the two
-    /// engines, so raising the threshold above that keeps them on the
-    /// hashed path while `Unif-1e9` (essentially 100% distinct) still
-    /// delegates.  Values above 1 disable the fallback entirely; 0 makes
-    /// every heavy-key-free input delegate.
-    pub sort_delegation_min_distinct: f64,
-}
+/// Minimum fraction of *distinct* sample values at which a heavy-key-free
+/// input is delegated to the sort (see [`delegates_to_sort`]).
+///
+/// The boundary distribution is `Unif-1e5`: a 1e5-value universe sampled a
+/// few thousand times comes back ~98–99% distinct, above this threshold, so
+/// it delegates at rough parity between the two engines, while `Unif-1e3`
+/// (every sample value repeats) stays far below it on the hashed path.
+pub const SORT_DELEGATION_MIN_DISTINCT: f64 = 0.95;
 
-impl Default for SemisortConfig {
-    fn default() -> Self {
-        Self {
-            sort: SortConfig::default(),
-            light_bucket_bits: None,
-            adaptive_sort_fallback: true,
-            sort_delegation_min_distinct: 0.95,
-        }
-    }
-}
-
-impl SemisortConfig {
-    /// Config with the given base-case threshold and defaults elsewhere
-    /// (small thresholds force the full engine on small test inputs).
-    pub fn with_base_case(threshold: usize) -> Self {
-        Self {
-            sort: SortConfig {
-                base_case_threshold: threshold,
-                ..SortConfig::default()
-            },
-            ..Self::default()
-        }
-    }
+/// Bits of hashed light buckets (`2^bits` buckets) for `n` records: the
+/// sort's `log2(∛n)` radix rule, enough buckets that a light bucket's
+/// comparison sort is a small log factor, few enough that the scatter's
+/// counting matrix stays cache-resident.
+fn light_bucket_bits(n: usize) -> u32 {
+    radix_bits(n, 64)
 }
 
 /// The adaptive-fallback routing decision: `true` when `model` found no
-/// heavy keys **and** at least `min_distinct` (a fraction in `[0, 1]`,
-/// [`SemisortConfig::sort_delegation_min_distinct`]) of its samples were
-/// distinct values.
+/// heavy keys **and** at least [`SORT_DELEGATION_MIN_DISTINCT`] of its
+/// samples were distinct values.  Such a mostly-distinct input (the
+/// `Unif-1e9` control) gains nothing from the hashed scatter, because the
+/// MSD sort's locality wins, so the engine delegates to [`dtsort`] and
+/// reads the groups off the sorted array (which then come out in ascending
+/// key order).
 ///
 /// Near-total sample distinctness is the operational "large key range"
 /// signal: a key universe much larger than the sample size (Unif-1e9 at
@@ -98,10 +71,11 @@ impl SemisortConfig {
 /// value repeats) collapses the distinct count far below the sample count.
 /// The sample *maximum* cannot serve here — the paper's generators spread
 /// even a 1000-value universe across the full 64-bit range.
-pub fn delegates_to_sort(model: &HeavyKeyModel, min_distinct: f64) -> bool {
+pub fn delegates_to_sort(model: &HeavyKeyModel) -> bool {
     model.is_empty()
         && model.num_samples() > 0
-        && model.distinct_samples() as f64 >= min_distinct * model.num_samples() as f64
+        && model.distinct_samples() as f64
+            >= SORT_DELEGATION_MIN_DISTINCT * model.num_samples() as f64
 }
 
 /// Semisorts `data` in place by an integer key projection: after the call,
@@ -114,11 +88,15 @@ where
     K: IntegerKey,
     F: Fn(&T) -> K + Sync,
 {
-    semisort_by_key_with(data, key, &SemisortConfig::default())
+    semisort_by_key_with(data, key, &SortConfig::default())
 }
 
-/// [`semisort_by_key`] with an explicit configuration.
-pub fn semisort_by_key_with<T, K, F>(data: &mut [T], key: F, cfg: &SemisortConfig) -> Vec<Group<K>>
+/// [`semisort_by_key`] with an explicit sort configuration: its sampling
+/// seed and heavy-key detection drive the engine's sampling, its
+/// base-case threshold bounds the comparison-sorted inputs and buckets, and
+/// the whole config is passed on wherever the engine delegates to
+/// [`dtsort`].
+pub fn semisort_by_key_with<T, K, F>(data: &mut [T], key: F, cfg: &SortConfig) -> Vec<Group<K>>
 where
     T: Copy + Send + Sync,
     K: IntegerKey,
@@ -131,26 +109,20 @@ where
     let okey = |r: &T| key(r).to_ordered_u64();
 
     // Base case: a stable sort groups (and orders) the whole input.
-    if n <= cfg.sort.base_case_threshold.max(1) {
+    if n <= cfg.base_case_threshold.max(1) {
         data.sort_by_key(okey);
         return extract_groups(data, &key);
     }
 
-    // Step 1: detect heavy keys by sampling.  The bucket width follows the
-    // sort's `log2(∛n)` radix rule: enough buckets that a light bucket's
-    // comparison sort is a small log factor, few enough that the scatter's
-    // counting matrix stays cache-resident.
-    let gamma = cfg
-        .light_bucket_bits
-        .unwrap_or_else(|| cfg.sort.radix_bits(n, 64))
-        .clamp(1, 24);
-    let model = HeavyKeyModel::detect(n, |i| okey(&data[i]), gamma, &cfg.sort);
+    // Step 1: detect heavy keys by sampling.
+    let gamma = light_bucket_bits(n);
+    let model = HeavyKeyModel::detect(n, |i| okey(&data[i]), gamma, cfg);
 
     // Adaptive fallback (ROADMAP): a fully-distinct-looking input gains
     // nothing from hashed grouping — the MSD sort's locality wins — so
     // delegate and read the groups off the totally ordered result.
-    if cfg.adaptive_sort_fallback && delegates_to_sort(&model, cfg.sort_delegation_min_distinct) {
-        dtsort::sort_by_key_with(data, |r| okey(r), &cfg.sort);
+    if delegates_to_sort(&model) {
+        dtsort::sort_by_key_with(data, |r| okey(r), cfg);
         return extract_groups(data, &key);
     }
 
@@ -181,7 +153,6 @@ where
     {
         let cell = UnsafeSliceCell::new(&mut *data);
         let groups_cell = UnsafeSliceCell::new(&mut light_groups);
-        let cfg_ref = &cfg.sort;
         let okey_ref = &okey;
         let key_ref = &key;
         parallel_for(0, num_light, |b| {
@@ -190,10 +161,10 @@ where
                 return;
             }
             let bucket = unsafe { cell.slice_mut(range.start, range.len()) };
-            if bucket.len() > cfg_ref.base_case_threshold.max(1) {
+            if bucket.len() > cfg.base_case_threshold.max(1) {
                 // A hash-flooded bucket (many distinct light keys colliding)
                 // is still grouped correctly by the full stable sort.
-                dtsort::sort_by_key_with(bucket, |r| okey_ref(r), cfg_ref);
+                dtsort::sort_by_key_with(bucket, |r| okey_ref(r), cfg);
             } else {
                 bucket.sort_by_key(okey_ref);
             }
@@ -251,7 +222,7 @@ pub fn semisort_pairs<K: IntegerKey, V: Copy + Send + Sync>(
 /// [`semisort_pairs`] with an explicit configuration.
 pub fn semisort_pairs_with<K: IntegerKey, V: Copy + Send + Sync>(
     records: &mut [(K, V)],
-    cfg: &SemisortConfig,
+    cfg: &SortConfig,
 ) -> Vec<Group<K>> {
     semisort_by_key_with(records, |r| r.0, cfg)
 }
@@ -287,7 +258,7 @@ mod tests {
     /// Checks the semisort contract: output is a permutation of the input,
     /// every group is contiguous and covers exactly one distinct key, and
     /// records within a group keep input order.
-    fn check_grouping(input: &[(u64, u32)], cfg: &SemisortConfig) {
+    fn check_grouping(input: &[(u64, u32)], cfg: &SortConfig) {
         let mut data = input.to_vec();
         let groups = semisort_pairs_with(&mut data, cfg);
 
@@ -320,8 +291,11 @@ mod tests {
         }
     }
 
-    fn small_cfg() -> SemisortConfig {
-        SemisortConfig::with_base_case(64)
+    fn small_cfg() -> SortConfig {
+        SortConfig {
+            base_case_threshold: 64,
+            ..SortConfig::default()
+        }
     }
 
     #[test]
@@ -390,7 +364,7 @@ mod tests {
         // Default config: 2^14 threshold, so this goes down the sort path.
         let rng = Rng::new(4);
         let input: Vec<(u64, u32)> = (0..1000).map(|i| (rng.ith_in(i, 7), i as u32)).collect();
-        check_grouping(&input, &SemisortConfig::default());
+        check_grouping(&input, &SortConfig::default());
     }
 
     #[test]
@@ -466,14 +440,9 @@ mod tests {
         let n = 60_000;
         let input = unif_1e9_input(n);
         let cfg = small_cfg();
-        let okey = |r: &(u64, u32)| r.0;
-        let gamma = cfg
-            .light_bucket_bits
-            .unwrap_or_else(|| cfg.sort.radix_bits(n, 64))
-            .clamp(1, 24);
-        let model = HeavyKeyModel::detect(n, |i| okey(&input[i]), gamma, &cfg.sort);
+        let model = HeavyKeyModel::detect(n, |i| input[i].0, light_bucket_bits(n), &cfg);
         assert!(
-            delegates_to_sort(&model, cfg.sort_delegation_min_distinct),
+            delegates_to_sort(&model),
             "Unif-1e9 must route to the sort fallback \
              (heavy = {}, distinct = {}/{})",
             model.len(),
@@ -506,10 +475,9 @@ mod tests {
             })
             .collect();
         let cfg = small_cfg();
-        let gamma = cfg.sort.radix_bits(n, 64).clamp(1, 24);
-        let model = HeavyKeyModel::detect(n, |i| input[i].0, gamma, &cfg.sort);
+        let model = HeavyKeyModel::detect(n, |i| input[i].0, light_bucket_bits(n), &cfg);
         assert!(
-            !delegates_to_sort(&model, cfg.sort_delegation_min_distinct),
+            !delegates_to_sort(&model),
             "duplicate-heavy input must stay on the hashed engine \
              (distinct = {}/{})",
             model.distinct_samples(),
@@ -526,11 +494,10 @@ mod tests {
         // silently flipping the control distribution off the fallback.
         let n = 2_000_000;
         let input = unif_1e9_input(n);
-        let cfg = SemisortConfig::default();
-        let gamma = cfg.sort.radix_bits(n, 64).clamp(1, 24);
-        let model = HeavyKeyModel::detect(n, |i| input[i].0, gamma, &cfg.sort);
+        let cfg = SortConfig::default();
+        let model = HeavyKeyModel::detect(n, |i| input[i].0, light_bucket_bits(n), &cfg);
         assert!(
-            delegates_to_sort(&model, cfg.sort_delegation_min_distinct),
+            delegates_to_sort(&model),
             "heavy = {}, distinct = {}/{}",
             model.len(),
             model.distinct_samples(),
@@ -539,26 +506,12 @@ mod tests {
     }
 
     #[test]
-    fn fallback_can_be_disabled() {
-        let n = 50_000;
-        let input = unif_1e9_input(n);
-        let cfg = SemisortConfig {
-            adaptive_sort_fallback: false,
-            ..SemisortConfig::with_base_case(64)
-        };
-        // The hashed engine must still produce a correct grouping on the
-        // distribution it is slowest on.
-        check_grouping(&input, &cfg);
-    }
-
-    #[test]
-    fn delegation_threshold_is_configurable_at_the_unif_1e5_boundary() {
+    fn unif_1e5_delegates_at_the_threshold_boundary() {
         // Unif-1e5 is the boundary distribution of the routing decision:
         // a 1e5-value universe sampled a few thousand times comes back
-        // ~98–99% distinct — above the default 95% threshold (so it
+        // ~98–99% distinct — above SORT_DELEGATION_MIN_DISTINCT (so it
         // delegates to the sort, at rough parity) but below full
-        // distinctness.  The threshold is a config field, so a micro-sweep
-        // can move the boundary without editing engine code.
+        // distinctness.
         let n = 60_000;
         let input: Vec<(u64, u32)> = workloads::dist::generate_pairs_u64(
             &workloads::dist::Distribution::Uniform { distinct: 100_000 },
@@ -569,56 +522,25 @@ mod tests {
         .map(|(k, v)| (k, v as u32))
         .collect();
         let cfg = small_cfg();
-        let gamma = cfg.sort.radix_bits(n, 64).clamp(1, 24);
-        let model = HeavyKeyModel::detect(n, |i| input[i].0, gamma, &cfg.sort);
+        let model = HeavyKeyModel::detect(n, |i| input[i].0, light_bucket_bits(n), &cfg);
         let distinct_frac = model.distinct_samples() as f64 / model.num_samples() as f64;
         assert!(
-            (0.95..1.0).contains(&distinct_frac),
-            "premise: Unif-1e5 must sit between the default threshold and \
-             full distinctness (distinct = {}/{})",
+            (SORT_DELEGATION_MIN_DISTINCT..1.0).contains(&distinct_frac),
+            "premise: Unif-1e5 must sit between the threshold and full \
+             distinctness (distinct = {}/{})",
             model.distinct_samples(),
             model.num_samples()
         );
-        // Default 95%: delegates.  Raised above the observed fraction:
-        // stays on the hashed engine.  Zero: everything heavy-key-free
-        // delegates.  (Same model, different knob — no re-sampling.)
-        assert!(delegates_to_sort(&model, cfg.sort_delegation_min_distinct));
-        assert!(!delegates_to_sort(&model, 0.999));
-        assert!(delegates_to_sort(&model, 0.0));
-        // End-to-end: both routes must produce a correct grouping, and the
-        // raised threshold observably changes the route (the sort fallback
-        // returns groups in ascending key order; the hashed engine
-        // scrambles them).
-        check_grouping(&input, &cfg);
-        let hashed_cfg = SemisortConfig {
-            sort_delegation_min_distinct: 0.999,
-            ..small_cfg()
-        };
-        check_grouping(&input, &hashed_cfg);
+        assert!(delegates_to_sort(&model));
+        // End-to-end: the sort fallback returns groups in ascending key
+        // order (the hashed engine scrambles them), and the grouping is
+        // correct.
         let mut delegated = input.clone();
-        let delegated_groups = semisort_pairs_with(&mut delegated, &cfg);
+        let groups = semisort_pairs_with(&mut delegated, &cfg);
         assert!(
-            delegated_groups.windows(2).all(|w| w[0].key < w[1].key),
-            "default threshold must route Unif-1e5 to the sort fallback"
+            groups.windows(2).all(|w| w[0].key < w[1].key),
+            "Unif-1e5 must route to the sort fallback"
         );
-        let mut hashed = input.clone();
-        let hashed_groups = semisort_pairs_with(&mut hashed, &hashed_cfg);
-        assert!(
-            !hashed_groups.windows(2).all(|w| w[0].key < w[1].key),
-            "raised threshold must keep Unif-1e5 on the hashed engine"
-        );
-    }
-
-    #[test]
-    fn light_bucket_override_is_respected() {
-        let rng = Rng::new(8);
-        let input: Vec<(u64, u32)> = (0..50_000)
-            .map(|i| (rng.ith_in(i, 1000), i as u32))
-            .collect();
-        let cfg = SemisortConfig {
-            light_bucket_bits: Some(4),
-            ..SemisortConfig::with_base_case(64)
-        };
         check_grouping(&input, &cfg);
     }
 }

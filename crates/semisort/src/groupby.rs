@@ -5,8 +5,8 @@
 //! over the contiguous groups — the relational group-by shape, served by
 //! grouping instead of full sorting.
 
-use crate::engine::{semisort_pairs_with, Group, SemisortConfig};
-use dtsort::IntegerKey;
+use crate::engine::{semisort_pairs_with, Group};
+use dtsort::{IntegerKey, SortConfig};
 use parlay::par::parallel_for;
 use parlay::slice::UnsafeSliceCell;
 
@@ -25,11 +25,11 @@ pub struct GroupBy<K: IntegerKey, V: Copy + Send + Sync> {
 impl<K: IntegerKey, V: Copy + Send + Sync> GroupBy<K, V> {
     /// Groups `records` by key with the default configuration.
     pub fn new(records: Vec<(K, V)>) -> Self {
-        Self::with_config(records, &SemisortConfig::default())
+        Self::with_config(records, &SortConfig::default())
     }
 
     /// Groups `records` by key with an explicit configuration.
-    pub fn with_config(mut records: Vec<(K, V)>, cfg: &SemisortConfig) -> Self {
+    pub fn with_config(mut records: Vec<(K, V)>, cfg: &SortConfig) -> Self {
         let groups = semisort_pairs_with(&mut records, cfg);
         Self { records, groups }
     }
@@ -128,6 +128,13 @@ mod tests {
     use parlay::random::Rng;
     use std::collections::HashMap;
 
+    fn small_cfg() -> SortConfig {
+        SortConfig {
+            base_case_threshold: 64,
+            ..SortConfig::default()
+        }
+    }
+
     fn skewed_input(n: usize, distinct: u64, seed: u64) -> Vec<(u64, u64)> {
         let rng = Rng::new(seed);
         (0..n)
@@ -157,7 +164,7 @@ mod tests {
         for &(k, v) in &input {
             *want.entry(k).or_default() += v;
         }
-        let g = GroupBy::with_config(input, &SemisortConfig::with_base_case(64));
+        let g = GroupBy::with_config(input, &small_cfg());
         for (k, s) in g.sum_by(|&v| v) {
             assert_eq!(s, want[&k], "key {k}");
         }
@@ -180,7 +187,7 @@ mod tests {
     #[test]
     fn group_records_are_pure() {
         let input = skewed_input(20_000, 9, 3);
-        let g = GroupBy::with_config(input, &SemisortConfig::with_base_case(64));
+        let g = GroupBy::with_config(input, &small_cfg());
         for grp in g.groups() {
             assert!(g.group_records(grp).iter().all(|&(k, _)| k == grp.key));
         }

@@ -29,6 +29,18 @@
 //! they skip step 3 entirely, which is where the win over
 //! sort-then-scan comes from on duplicate-heavy inputs.
 //!
+//! An input whose samples show no heavy key and almost no repeated value
+//! (at least [`SORT_DELEGATION_MIN_DISTINCT`] distinct, like the
+//! `Unif-1e9` control) gains nothing from hashing, so the engine sorts it
+//! with [`dtsort`] instead and reads the groups off the sorted array.
+//!
+//! ## Configuration
+//!
+//! The `_with` entry points and [`GroupBy::with_config`] take the sort's
+//! own [`dtsort::SortConfig`]; the engine has no knobs of its own.  The
+//! hashed-bucket width follows the sort's `γ = log2(∛n)` rule and the
+//! delegation threshold is a constant.
+//!
 //! The output is a grouped permutation of the input: every distinct key
 //! occupies one contiguous range ([`Group`]), records inside a group keep
 //! their input order (the engine is **stable**), but groups appear in no
@@ -64,6 +76,6 @@ mod groupby;
 
 pub use engine::{
     delegates_to_sort, semisort_by_key, semisort_by_key_with, semisort_keys, semisort_pairs,
-    semisort_pairs_with, Group, SemisortConfig,
+    semisort_pairs_with, Group, SORT_DELEGATION_MIN_DISTINCT,
 };
 pub use groupby::GroupBy;

@@ -43,7 +43,7 @@ use crate::spill::SpillValue;
 use crate::spiller::{RunBuilder, RunMerge, Spiller};
 use crate::spillio::SpillIoHandle;
 use dtsort::{IntegerKey, StreamConfig};
-use semisort::{semisort_pairs_with, SemisortConfig};
+use semisort::semisort_pairs_with;
 use std::io;
 use std::marker::PhantomData;
 
@@ -343,11 +343,7 @@ impl<K: IntegerKey, G: Aggregator> RunBuilder for AggRuns<K, G> {
             tags.push((k.to_ordered_u64(), i as u64));
             accs.push(Some(agg.lift(v)));
         }
-        let semi_cfg = SemisortConfig {
-            sort: cfg.sort.clone(),
-            ..SemisortConfig::default()
-        };
-        let mut groups = semisort_pairs_with(&mut tags, &semi_cfg);
+        let mut groups = semisort_pairs_with(&mut tags, &cfg.sort);
         // Runs must be spilled sorted by key for the k-way merge; only the
         // distinct keys of the run are sorted, not its records.
         dtsort::sort_by_key(&mut groups, |g| g.key);

@@ -48,7 +48,7 @@ pub use dtsort::{
     sort_pairs_with_stats, sort_with, sort_with_stats, IntegerKey, MergeStrategy, SortConfig,
     StatsSnapshot, StreamConfig,
 };
-pub use semisort::{semisort_by_key, semisort_pairs, GroupBy, SemisortConfig};
+pub use semisort::{semisort_by_key, semisort_pairs, GroupBy};
 pub use stream::{
     SortedStream, SpillCompression, StreamGroupBy, StreamSorter, StringKey, StringStreamGroupBy,
     StringStreamSorter,

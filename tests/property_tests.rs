@@ -135,12 +135,6 @@ proptest! {
         let mut dst = vec![(0u64, 0u32); all.len()];
         dtsort::dtmerge::dovetail_merge_across(&light, &heavy_slices, &mut dst, &|r: &(u64, u32)| r.0);
         prop_assert_eq!(&dst, &want);
-
-        // In-place merge (Alg. 3).
-        let mut zone = all;
-        let lens: Vec<usize> = heavy.iter().map(|(_, v)| v.len()).collect();
-        dtsort::dtmerge::dovetail_merge_in_place(&mut zone, light.len(), &lens, &|r: &(u64, u32)| r.0);
-        prop_assert_eq!(&zone, &want);
     }
 
     #[test]
