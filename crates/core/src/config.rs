@@ -115,7 +115,7 @@ const RUN_SORT_ID_BYTES: usize = std::mem::size_of::<u16>();
 
 /// On-disk encoding of spilled runs (the `stream` crate).
 ///
-/// Runs are written once and read once (or twice for `finish_into`), so
+/// Runs are written once and read once, so
 /// the codec trades CPU against disk bytes on exactly one round trip.  On
 /// spill-bound workloads bytes written *is* the wall clock, which makes
 /// even a modest ratio a direct speedup.

@@ -1,21 +1,15 @@
-//! Binary search helpers (lower/upper bound).
+//! Binary search helper (lower bound).
 //!
 //! The dovetail merge (paper Alg. 3, line 1) binary-searches every heavy key
-//! in the sorted light bucket to find its insertion point; these helpers
-//! provide the `lower_bound`/`upper_bound` semantics of C++'s standard
-//! library, which ParlayLib code relies on.
+//! in the sorted light bucket to find its insertion point; this helper
+//! provides the `lower_bound` semantics of C++'s standard library, which
+//! ParlayLib code relies on.
 
 /// First index `i` such that `!(slice[i] < key)`, i.e. the first position
 /// where `key` could be inserted while keeping the slice sorted (before any
 /// equal elements).
 pub fn lower_bound<T: Ord>(slice: &[T], key: &T) -> usize {
     lower_bound_by(slice, |x| x.cmp(key))
-}
-
-/// First index `i` such that `key < slice[i]` is false for all `j < i` and
-/// true at `i`, i.e. the insertion point after any equal elements.
-pub fn upper_bound<T: Ord>(slice: &[T], key: &T) -> usize {
-    upper_bound_by(slice, |x| x.cmp(key))
 }
 
 /// Generic lower bound: first index whose element compares `>=` the target,
@@ -36,23 +30,6 @@ pub fn lower_bound_by<T, F: Fn(&T) -> std::cmp::Ordering>(slice: &[T], cmp: F) -
     lo
 }
 
-/// Generic upper bound: first index whose element compares `>` the target.
-pub fn upper_bound_by<T, F: Fn(&T) -> std::cmp::Ordering>(slice: &[T], cmp: F) -> usize {
-    let mut lo = 0usize;
-    let mut len = slice.len();
-    while len > 0 {
-        let half = len / 2;
-        let mid = lo + half;
-        if cmp(&slice[mid]) != std::cmp::Ordering::Greater {
-            lo = mid + 1;
-            len -= half + 1;
-        } else {
-            len = half;
-        }
-    }
-    lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,20 +38,15 @@ mod tests {
     fn bounds_on_simple_slice() {
         let v = vec![1, 3, 3, 3, 5, 9];
         assert_eq!(lower_bound(&v, &3), 1);
-        assert_eq!(upper_bound(&v, &3), 4);
         assert_eq!(lower_bound(&v, &0), 0);
-        assert_eq!(upper_bound(&v, &0), 0);
         assert_eq!(lower_bound(&v, &10), 6);
-        assert_eq!(upper_bound(&v, &10), 6);
         assert_eq!(lower_bound(&v, &4), 4);
-        assert_eq!(upper_bound(&v, &4), 4);
     }
 
     #[test]
     fn empty_slice() {
         let v: Vec<u32> = vec![];
         assert_eq!(lower_bound(&v, &1), 0);
-        assert_eq!(upper_bound(&v, &1), 0);
     }
 
     #[test]
@@ -85,10 +57,7 @@ mod tests {
         v.sort_unstable();
         for probe in 0..1000u32 {
             let lb = lower_bound(&v, &probe);
-            let ub = upper_bound(&v, &probe);
             assert_eq!(lb, v.partition_point(|&x| x < probe));
-            assert_eq!(ub, v.partition_point(|&x| x <= probe));
-            assert!(lb <= ub);
         }
     }
 
@@ -96,8 +65,6 @@ mod tests {
     fn all_equal_elements() {
         let v = vec![7u8; 100];
         assert_eq!(lower_bound(&v, &7), 0);
-        assert_eq!(upper_bound(&v, &7), 100);
         assert_eq!(lower_bound(&v, &6), 0);
-        assert_eq!(upper_bound(&v, &8), 100);
     }
 }

@@ -1,29 +1,19 @@
-//! Parallel k-way merge of sorted sequences.
+//! K-way merge of sorted sequences: the streaming sorter's final pass
+//! (`crates/stream`) merges `k` sorted runs into one sorted output.
 //!
-//! The primitive behind the streaming sorter's final pass
-//! (`crates/stream`): `k` sorted runs are merged into one sorted output.
-//! Two layers are provided:
-//!
-//! * [`LoserTree`] — a classic tournament *loser tree* over `k` cursors.
-//!   Each `pop` performs exactly `⌈log2 k⌉` comparisons (replay of one
-//!   leaf-to-root path), the optimal comparison count for k-way merging.
-//!   It works over any [`RunSource`], so out-of-core callers can plug in
-//!   buffered file readers and merge runs much larger than RAM.
-//! * [`kway_merge_into`] / [`kway_merge_by`] — a parallel in-memory merge:
-//!   the output is recursively split by *stable multi-sequence selection*
-//!   (pick the midpoint of the largest run as pivot, split every run around
-//!   it with the tie-breaking rule below) and the two halves merge in
-//!   parallel via [`rayon::join`]; small pieces fall back to a sequential
-//!   loser tree.
+//! [`LoserTree`] is a classic tournament *loser tree* over `k` cursors.
+//! Each `pop` performs exactly `⌈log2 k⌉` comparisons (replay of one
+//! leaf-to-root path), the optimal comparison count for k-way merging.
+//! It works over any [`RunSource`] — in-memory slices ([`SliceSource`]),
+//! runs delivered block by block ([`BlockSource`]) or the streaming
+//! crate's spill-file cursors — so out-of-core callers merge runs much
+//! larger than RAM.
 //!
 //! **Stability.** Ties always resolve toward the run with the smaller
 //! index, and order within a run is preserved.  If run `i` holds records
 //! that arrived before run `i + 1`'s (as in the streaming sorter, where
 //! runs are created in arrival order), the merge is a stable sort of the
 //! concatenated input.
-
-use crate::binsearch::{lower_bound_by, upper_bound_by};
-use std::cmp::Ordering;
 
 /// A cursor over one sorted run: peek at the head, pop to advance.
 ///
@@ -248,147 +238,18 @@ where
     }
 }
 
-/// Output size below which the parallel merge runs a sequential loser tree.
-const KWAY_GRAIN: usize = 8192;
-
-/// Merges `k` sorted runs into `out`, in parallel, stably (ties favour the
-/// run with the smaller index).
-///
-/// # Panics
-/// Panics if `out.len()` differs from the total length of the runs.
-pub fn kway_merge_into<T, F>(runs: &[&[T]], out: &mut [T], lt: &F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, &T) -> bool + Sync,
-{
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert_eq!(
-        out.len(),
-        total,
-        "kway_merge_into: output length must equal total run length"
-    );
-    kway_rec(runs.to_vec(), out, lt);
-}
-
-/// Merges `k` sorted runs into a fresh vector (stable, parallel).
-pub fn kway_merge_by<T, F>(runs: &[&[T]], lt: &F) -> Vec<T>
-where
-    T: Copy + Send + Sync + Default,
-    F: Fn(&T, &T) -> bool + Sync,
-{
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = vec![T::default(); total];
-    kway_merge_into(runs, &mut out, lt);
-    out
-}
-
-fn kway_rec<T, F>(runs: Vec<&[T]>, out: &mut [T], lt: &F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, &T) -> bool + Sync,
-{
-    // Dropping exhausted runs keeps the relative order of the rest, so the
-    // smaller-index-wins tie rule still encodes arrival order.
-    let runs: Vec<&[T]> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-    match runs.len() {
-        0 => return,
-        1 => {
-            out.copy_from_slice(runs[0]);
-            return;
-        }
-        2 => {
-            crate::merge::par_merge_into(runs[0], runs[1], out, lt);
-            return;
-        }
-        _ => {}
-    }
-    if out.len() <= KWAY_GRAIN {
-        seq_loser_merge(&runs, out, lt);
-        return;
-    }
-
-    // Stable multi-sequence selection: take the midpoint record of the
-    // largest run as pivot and split every run around it.  A record x of
-    // run i belongs left of the pivot (from run j, position p) iff
-    // x < pivot, or x == pivot and i < j, or i == j and pos < p — exactly
-    // the stable merge order.
-    let j = (0..runs.len())
-        .max_by_key(|&i| runs[i].len())
-        .expect("non-empty run set");
-    let p = runs[j].len() / 2;
-    let pivot = &runs[j][p];
-
-    let mut left: Vec<&[T]> = Vec::with_capacity(runs.len());
-    let mut right: Vec<&[T]> = Vec::with_capacity(runs.len());
-    let mut left_total = 0usize;
-    for (i, run) in runs.iter().enumerate() {
-        let split = match i.cmp(&j) {
-            Ordering::Equal => p,
-            // Earlier runs: ties precede the pivot.
-            Ordering::Less => upper_bound_by(run, |x| {
-                if (lt)(pivot, x) {
-                    Ordering::Greater
-                } else {
-                    Ordering::Less
-                }
-            }),
-            // Later runs: ties follow the pivot.
-            Ordering::Greater => lower_bound_by(run, |x| {
-                if (lt)(x, pivot) {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                }
-            }),
-        };
-        left.push(&run[..split]);
-        right.push(&run[split..]);
-        left_total += split;
-    }
-
-    let (out_left, out_right) = out.split_at_mut(left_total);
-    rayon::join(
-        || kway_rec(left, out_left, lt),
-        || kway_rec(right, out_right, lt),
-    );
-}
-
-fn seq_loser_merge<T, F>(runs: &[&[T]], out: &mut [T], lt: &F)
-where
-    T: Copy,
-    F: Fn(&T, &T) -> bool,
-{
-    let sources: Vec<SliceSource<'_, T>> = runs.iter().map(|r| SliceSource::new(r)).collect();
-    let mut tree = LoserTree::new(sources, lt);
-    for slot in out.iter_mut() {
-        *slot = tree.pop().expect("loser tree exhausted early");
-    }
-    debug_assert!(tree.pop().is_none(), "loser tree has leftover records");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::random::Rng;
 
-    fn lt_u64(a: &u64, b: &u64) -> bool {
-        a < b
-    }
-
-    #[test]
-    fn merges_three_small_runs() {
-        let runs: Vec<&[u64]> = vec![&[1, 4, 7], &[2, 5, 8], &[0, 3, 6, 9]];
-        let got = kway_merge_by(&runs, &lt_u64);
-        assert_eq!(got, (0..10).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn handles_empty_and_single_runs() {
-        let empty: &[u64] = &[];
-        assert!(kway_merge_by::<u64, _>(&[], &lt_u64).is_empty());
-        assert!(kway_merge_by(&[empty, empty], &lt_u64).is_empty());
-        let single: Vec<&[u64]> = vec![&[1, 2, 3], empty];
-        assert_eq!(kway_merge_by(&single, &lt_u64), vec![1, 2, 3]);
+    /// Drains a loser tree over `runs`.
+    fn merge<T: Copy>(runs: &[Vec<T>], lt: impl Fn(&T, &T) -> bool) -> Vec<T> {
+        let sources: Vec<SliceSource<'_, T>> = runs
+            .iter()
+            .map(|v| SliceSource::new(v.as_slice()))
+            .collect();
+        LoserTree::new(sources, lt).collect()
     }
 
     #[test]
@@ -404,8 +265,7 @@ mod tests {
             v.sort_unstable();
             runs.push(v);
         }
-        let slices: Vec<&[u64]> = runs.iter().map(|v| v.as_slice()).collect();
-        let got = kway_merge_by(&slices, &lt_u64);
+        let got = merge(&runs, |a: &u64, b: &u64| a < b);
         let mut want: Vec<u64> = runs.concat();
         want.sort_unstable();
         assert_eq!(got, want);
@@ -426,8 +286,7 @@ mod tests {
             v.sort_by_key(|&(key, _)| key);
             runs.push(v);
         }
-        let slices: Vec<&[(u32, u32)]> = runs.iter().map(|v| v.as_slice()).collect();
-        let got = kway_merge_by(&slices, &|a, b| a.0 < b.0);
+        let got = merge(&runs, |a: &(u32, u32), b: &(u32, u32)| a.0 < b.0);
         // Reference: stable sort of run-0 ++ run-1 ++ ... by key.
         let mut want: Vec<(u32, u32)> = runs.concat();
         want.sort_by_key(|&(key, _)| key);
@@ -458,18 +317,10 @@ mod tests {
             v.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
             runs.push(v);
         }
-        let lt = |a: &Rec, b: &Rec| (a.0, a.1) < (b.0, b.1);
-        let sources: Vec<SliceSource<'_, Rec>> = runs
-            .iter()
-            .map(|v| SliceSource::new(v.as_slice()))
-            .collect();
-        let got: Vec<Rec> = LoserTree::new(sources, lt).collect();
+        let got = merge(&runs, |a: &Rec, b: &Rec| (a.0, a.1) < (b.0, b.1));
         let mut want: Vec<Rec> = runs.concat();
         want.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
         assert_eq!(got, want, "composite comparator must merge stably");
-        // Same records through the parallel materializing merge.
-        let slices: Vec<&[Rec]> = runs.iter().map(|v| v.as_slice()).collect();
-        assert_eq!(kway_merge_by(&slices, &lt), want);
     }
 
     #[test]
@@ -558,21 +409,5 @@ mod tests {
         // `None` is terminal: the callback ran exactly once.
         drop(src);
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn kway_merge_into_checks_length() {
-        let runs: Vec<&[u64]> = vec![&[1, 2], &[3]];
-        let mut out = vec![0u64; 3];
-        kway_merge_into(&runs, &mut out, &lt_u64);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "output length")]
-    fn kway_merge_into_wrong_length_panics() {
-        let runs: Vec<&[u64]> = vec![&[1, 2], &[3]];
-        let mut out = vec![0u64; 2];
-        kway_merge_into(&runs, &mut out, &lt_u64);
     }
 }

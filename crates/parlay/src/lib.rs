@@ -16,8 +16,8 @@
 //!   Section 2.4 / Appendix B, the distribution primitive of every MSD sort.
 //! * [`merge`] — a parallel merge of two sorted sequences (the `PLMerge`
 //!   baseline of the paper's Section 6.3).
-//! * [`kway`] — a parallel k-way merge (loser tree + stable multi-sequence
-//!   selection), the final pass of the out-of-core streaming sorter.
+//! * [`kway`] — a stable k-way loser-tree merge, the final pass of the
+//!   out-of-core streaming sorter.
 //! * [`random`] — a deterministic splittable hash-based RNG, so that all
 //!   sampling in the sorts is reproducible (Appendix A: determinacy-race
 //!   freedom and internal determinism).
@@ -41,10 +41,10 @@ pub mod scan;
 pub mod scatter;
 pub mod slice;
 
-pub use binsearch::{lower_bound, lower_bound_by, upper_bound, upper_bound_by};
+pub use binsearch::{lower_bound, lower_bound_by};
 pub use counting_sort::{counting_sort_by, counting_sort_with_ids, CountingSortPlan};
 pub use histogram::{histogram, top_k_frequent};
-pub use kway::{kway_merge_by, kway_merge_into, LoserTree, RunSource, SliceSource};
+pub use kway::{LoserTree, RunSource, SliceSource};
 pub use merge::{par_merge_by, par_merge_into};
 pub use pack::{pack, pack_index, pack_ranges};
 pub use par::{num_threads, parallel_for, parallel_for_grained, with_threads, work_grain};

@@ -431,7 +431,7 @@ impl<E: SessionEngine> Session<E> {
         }
     }
 
-    /// Finishes into a vector (the sorters merge in parallel).
+    /// Finishes into a vector.
     pub fn finish_vec(mut self) -> io::Result<Vec<E::Item>> {
         self.flush()?;
         self.engine.finish_vec().map_err(|e| self.core.fail(e))

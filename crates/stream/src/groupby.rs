@@ -40,7 +40,7 @@
 
 use crate::sorter::MERGE_READ_BUFFER_BYTES;
 use crate::spill::SpillValue;
-use crate::spiller::{RunBuilder, RunMerge, Spiller};
+use crate::spiller::{or_panic, RunBuilder, RunMerge, Spiller};
 use crate::spillio::SpillIoHandle;
 use dtsort::{IntegerKey, StreamConfig};
 use semisort::semisort_pairs_with;
@@ -274,7 +274,7 @@ impl Default for GroupByStats {
 /// → fold per group → spill one partial per distinct key → merge-combine
 /// partials at read time.
 pub struct StreamGroupBy<K: IntegerKey, G: Aggregator> {
-    core: Spiller<AggRuns<K, G>>,
+    pub(crate) core: Spiller<AggRuns<K, G>>,
 }
 
 /// The group-by's half of the spill lifecycle: a full buffer becomes a run
@@ -483,7 +483,10 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
     /// order (one pair per distinct key of the whole stream).
     ///
     /// A writer-side spill error that has not surfaced on a `push` yet
-    /// surfaces here.
+    /// surfaces here.  Mid-merge reads retry transient failures; a read
+    /// error that survives the retries panics the stream (see
+    /// [`crate::SortedStream`]), or comes back as `Err` from
+    /// [`StreamGroupBy::finish_vec`].
     pub fn finish(self) -> io::Result<GroupedStream<K, G>> {
         let (merge, builder) = self.core.into_merge(MERGE_READ_BUFFER_BYTES)?;
         Ok(GroupedStream {
@@ -494,9 +497,15 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
         })
     }
 
-    /// [`StreamGroupBy::finish`], materialized into a vector.
+    /// [`StreamGroupBy::finish`]'s merge drained into a vector, with a
+    /// spill read error that survived the retries returned as `Err`.
     pub fn finish_vec(self) -> io::Result<Vec<(K, G::Acc)>> {
-        Ok(self.finish()?.collect())
+        let mut stream = self.finish()?;
+        let mut out = Vec::new();
+        while let Some(group) = stream.try_next()? {
+            out.push(group);
+        }
+        Ok(out)
     }
 }
 
@@ -510,14 +519,17 @@ pub struct GroupedStream<K: IntegerKey, G: Aggregator> {
     _key: PhantomData<K>,
 }
 
-impl<K: IntegerKey, G: Aggregator> Iterator for GroupedStream<K, G> {
-    type Item = (K, G::Acc);
-
-    fn next(&mut self) -> Option<(K, G::Acc)> {
-        let tree = &mut self.merge.tree;
-        let (key, mut acc) = self.pending.take().or_else(|| tree.pop())?;
+impl<K: IntegerKey, G: Aggregator> GroupedStream<K, G> {
+    fn try_next(&mut self) -> io::Result<Option<(K, G::Acc)>> {
+        let first = match self.pending.take() {
+            Some(partial) => Some(partial),
+            None => self.merge.try_pop()?,
+        };
+        let Some((key, mut acc)) = first else {
+            return Ok(None);
+        };
         loop {
-            match tree.pop() {
+            match self.merge.try_pop()? {
                 // The loser tree yields equal keys in run order, so partials
                 // combine in push order.  Accumulators carrying an embedded
                 // full key (string-keyed streams, where the ordered `u64`
@@ -532,7 +544,15 @@ impl<K: IntegerKey, G: Aggregator> Iterator for GroupedStream<K, G> {
                 }
             }
         }
-        Some((K::from_ordered_u64(key), acc))
+        Ok(Some((K::from_ordered_u64(key), acc)))
+    }
+}
+
+impl<K: IntegerKey, G: Aggregator> Iterator for GroupedStream<K, G> {
+    type Item = (K, G::Acc);
+
+    fn next(&mut self) -> Option<(K, G::Acc)> {
+        or_panic(self.try_next())
     }
 }
 

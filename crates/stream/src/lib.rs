@@ -23,11 +23,15 @@
 //! written to a spill file; the final partial buffer stays in memory.
 //! [`StreamSorter::finish`] merges all runs with a tournament loser tree
 //! ([`parlay::kway::LoserTree`]) behind a streaming iterator whose
-//! footprint stays within the budget, while [`StreamSorter::finish_into`]
-//! uses the parallel k-way merge ([`parlay::kway::kway_merge_into`]) when
-//! the caller wants the result materialized in a slice.  Both merges break
-//! ties toward earlier runs, so the end-to-end sort is **stable** with
-//! respect to push order.
+//! footprint stays within the budget; [`StreamSorter::finish_vec`] drains
+//! the same merge into a vector.  The merge breaks ties toward earlier
+//! runs, so the end-to-end sort is **stable** with respect to push order.
+//! Spill reads retry transient failures in one place, the run reader: a
+//! failed open is opened again, and a read that fails mid-run reopens the
+//! run and skips the records it already served.  A read error that
+//! survives the retries panics the streaming iterator (the records it
+//! yielded are an exact prefix of the output) and is returned as `Err` by
+//! `finish_vec`.
 //!
 //! ## Heavy-key carry-over and the dovetail merge
 //!
@@ -163,8 +167,7 @@
 //! | Need | Call |
 //! |---|---|
 //! | Stream the sorted result, bounded memory | [`StreamSorter::finish`] |
-//! | Materialize into a caller-owned slice, parallel merge | [`StreamSorter::finish_into`] |
-//! | Materialize into a fresh vector | [`StreamSorter::finish_vec`] |
+//! | Materialize into a vector, read errors as `Err` | [`StreamSorter::finish_vec`] (the same merge, drained) |
 //! | Per-key aggregates of a stream, bounded memory | [`StreamGroupBy::finish`] |
 //! | Dedup variable-length payloads per key | [`StreamGroupBy`] + [`FirstAgg`] |
 

@@ -6,7 +6,7 @@
 //! same value notes which threads decode it, which shows where a merge's
 //! read-ahead runs.
 
-use crate::sorter::{var_merge_runs_into, var_sort_run, StreamSorter};
+use crate::sorter::{var_sort_run, StreamSorter};
 use crate::spill::sealed::Sealed;
 use crate::spill::{SpillValue, VarValue};
 use crate::spillio::SpillIoHandle;
@@ -89,24 +89,12 @@ impl SpillValue for SlowValue {
             .insert(std::thread::current().id());
         Vec::<u8>::spill_read(r, scratch, payload_budget).map(|payload| Self { payload })
     }
-    fn spill_placeholder() -> Self {
-        Self {
-            payload: Vec::new(),
-        }
-    }
     fn sort_spill_run<K: IntegerKey>(
         buffer: &mut Vec<(K, Self)>,
         cfg: &SortConfig,
         carry: &[u64],
     ) -> RunReport {
         var_sort_run(buffer, cfg, carry)
-    }
-    fn merge_spill_runs_into<K: IntegerKey>(
-        runs: Vec<Vec<(K, Self)>>,
-        tail: Vec<(K, Self)>,
-        out: &mut [(K, Self)],
-    ) {
-        var_merge_runs_into(runs, tail, out)
     }
 }
 

@@ -98,7 +98,8 @@ impl<V: SpillValue> RunFeed<V> {
     /// stays within the share: half for the underlying buffered reader,
     /// the rest for the decoded batches — of which up to three are alive
     /// at once, hence sixths.  `index` is the run's position in the merge,
-    /// used only to label the `prefetch` trace spans.
+    /// which labels the `prefetch` trace spans and names the run in
+    /// errors.
     ///
     /// The floors below keep the reader functional without re-inflating a
     /// small share: merges only engage read-ahead when the per-run budget
@@ -110,7 +111,7 @@ impl<V: SpillValue> RunFeed<V> {
         reader_budget: usize,
         index: usize,
     ) -> io::Result<Self> {
-        let reader: RunReader<V> = RunReader::open(io, run, (reader_budget / 2).max(64))?;
+        let reader: RunReader<V> = RunReader::open(io, run, index, (reader_budget / 2).max(64))?;
         let block_bytes = (reader_budget / 6).max(64);
         let pool = io.pool().clone();
         let (tx, rx) = sync_channel::<FeedMsg<V>>(1);

@@ -1,16 +1,14 @@
 //! The bounded-memory streaming sorter.
 
 use crate::pipeline::RunFeed;
-use crate::spill::{
-    per_run_reader_budget, with_transient_retry, wrap_spill_err, PodValue, RunReader, SpillValue,
-    SpilledRun, VarValue,
-};
-use crate::spiller::{RunBuilder, RunMerge, Spiller};
+use crate::spill::{per_run_reader_budget, PodValue, RunReader, SpillValue, SpilledRun, VarValue};
+use crate::spiller::{or_panic, ReadErrorSlot, RunBuilder, RunMerge, Spiller};
 use crate::spillio::SpillIoHandle;
 use dtsort::{sort_run_pairs_with, IntegerKey, RunReport, SortConfig, StreamConfig};
-use parlay::kway::{kway_merge_into, BlockSource, RunSource};
+use parlay::kway::{BlockSource, RunSource};
 use std::io;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Total read buffering a final merge splits across its spilled runs
 /// ([`per_run_reader_budget`]): 64 runs get 128 KiB each.
@@ -102,8 +100,8 @@ impl Default for StreamStats {
 /// ([`dtsort::sort_run_pairs_with`]), so duplicate-dominated streams keep
 /// DovetailSort's `O(n)` fast path in every run regardless of how the
 /// stream is chunked.  [`StreamSorter::finish`] k-way merges all runs with
-/// a loser tree into a sorted iterator; [`StreamSorter::finish_into`]
-/// merges in parallel into a caller-provided slice.
+/// a loser tree into a sorted iterator; [`StreamSorter::finish_vec`]
+/// drains the same merge into a vector.
 ///
 /// Values may be fixed-size [`PodValue`]s (spilled as raw byte images) or
 /// variable-length [`VarValue`]s such as `String` and `Vec<u8>` (spilled
@@ -304,6 +302,14 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// synchronously.  Read-ahead also gives way to synchronous reads once
     /// the per-run buffer share drops below 4 KiB (past 2048 runs), which
     /// the `prefetch.disabled_merges` metric counts.
+    ///
+    /// Transient read failures (interrupted or timed-out calls) are
+    /// retried on either path, up to 3 times per read with a backoff of
+    /// 2 ms doubling to at most 50 ms: the run is reopened and the records
+    /// it already served are skipped.  Only a permanent read error (or one
+    /// that outlasts the retries) panics mid-iteration; see
+    /// [`SortedStream`], and [`StreamSorter::finish_vec`] for the same
+    /// merge returning it as `Err`.
     pub fn finish(self) -> io::Result<SortedStream<K, V>> {
         let remaining = self.len();
         let (merge, _) = self.core.into_merge(MERGE_READ_BUFFER_BYTES)?;
@@ -314,70 +320,15 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
         })
     }
 
-    /// Finishes the sort by merging every run, in parallel, into `out`.
-    ///
-    /// All runs are loaded back into memory for the parallel merge, so
-    /// `out` (which the caller sized to the full dataset) dominates the
-    /// footprint.  Use [`StreamSorter::finish`] when the result must not be
-    /// materialized.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.len()`.
-    pub fn finish_into(mut self, out: &mut [(K, V)]) -> io::Result<()> {
-        assert_eq!(
-            out.len(),
-            self.len(),
-            "finish_into: output slice must hold exactly the pushed records"
-        );
-        // One merge span over run loading + the parallel merge, matching
-        // the span the streaming [`StreamSorter::finish`] path records.
-        let _merge_span = obs::enabled().then(|| obs::span!("merge"));
-        let core = &mut self.core;
-        let tail = core.finish_spilling()?;
-        if core.runs.is_empty() && core.pending_runs.is_empty() {
-            for (slot, rec) in out.iter_mut().zip(tail) {
-                *slot = rec;
-            }
-            return Ok(());
-        }
-        let reader_budget = per_run_reader_budget(MERGE_READ_BUFFER_BYTES, core.runs.len());
-        // Load all spilled runs back in parallel: each run is its own file,
-        // so reads are independent and the deserialization fans out across
-        // the pool.  Errors are surfaced after the barrier (first one wins).
-        let mut results: Vec<io::Result<Vec<(K, V)>>> =
-            (0..core.runs.len()).map(|_| Ok(Vec::new())).collect();
-        {
-            let cell = parlay::slice::UnsafeSliceCell::new(&mut results);
-            let runs = &core.runs;
-            let io = &core.io;
-            parlay::par::parallel_for_grained(0, runs.len(), 1, &|i| {
-                // Whole-run granularity: a transient read failure anywhere
-                // in the run re-opens and re-reads it from the start.
-                let res = with_transient_retry(|| {
-                    RunReader::<V>::open(io, &runs[i], reader_budget).and_then(|mut r| r.read_all())
-                })
-                .map(|(records, _)| records)
-                .map_err(|e| wrap_spill_err(&runs[i].path, i, runs[i].bytes, e));
-                unsafe { cell.write(i, res) };
-            });
-        }
-        let mut loaded: Vec<Vec<(K, V)>> =
-            Vec::with_capacity(core.runs.len() + core.pending_runs.len());
-        for res in results {
-            loaded.push(res?);
-        }
-        // Runs reclaimed from failed writes are already in memory; they
-        // follow the disk runs in run order.
-        loaded.extend(core.pending_runs.drain(..));
-        V::merge_spill_runs_into(loaded, tail, out);
-        Ok(())
-    }
-
-    /// [`StreamSorter::finish_into`] allocating the output vector.
+    /// Finishes the sort into a vector: [`StreamSorter::finish`]'s merge,
+    /// drained, with a spill read error that survived the retries returned
+    /// as `Err` instead of a panic.
     pub fn finish_vec(self) -> io::Result<Vec<(K, V)>> {
-        let total = self.len();
-        let mut out = vec![(K::from_ordered_u64(0), V::spill_placeholder()); total];
-        self.finish_into(&mut out)?;
+        let mut stream = self.finish()?;
+        let mut out = Vec::with_capacity(stream.remaining);
+        while let Some(record) = stream.try_next()? {
+            out.push(record);
+        }
         Ok(out)
     }
 }
@@ -418,63 +369,14 @@ pub(crate) fn var_sort_run<K: IntegerKey, V: VarValue>(
     report
 }
 
-/// Pod-path final merge: the parallel k-way merge over the records
-/// themselves (the pre-variable-length fast path, byte-for-byte).
-pub(crate) fn pod_merge_runs_into<K: IntegerKey, V: PodValue>(
-    runs: Vec<Vec<(K, V)>>,
-    tail: Vec<(K, V)>,
-    out: &mut [(K, V)],
-) {
-    let mut slices: Vec<&[(K, V)]> = runs.iter().map(|r| r.as_slice()).collect();
-    slices.push(&tail);
-    kway_merge_into(&slices, out, &|a: &(K, V), b: &(K, V)| a.0 < b.0);
-}
-
-/// Var-path final merge: the parallel k-way merge runs over pod
-/// `(ordered key, slot)` tags, then the owned records are gathered by tag.
-/// Ties favour earlier runs and slots increase within a run, so stability
-/// matches the pod path exactly.
-pub(crate) fn var_merge_runs_into<K: IntegerKey, V: VarValue>(
-    runs: Vec<Vec<(K, V)>>,
-    tail: Vec<(K, V)>,
-    out: &mut [(K, V)],
-) {
-    let mut key_runs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(runs.len() + 1);
-    let mut base = 0u64;
-    for run in runs.iter().chain(std::iter::once(&tail)) {
-        key_runs.push(
-            run.iter()
-                .enumerate()
-                .map(|(i, (k, _))| (k.to_ordered_u64(), base + i as u64))
-                .collect(),
-        );
-        base += run.len() as u64;
-    }
-    debug_assert_eq!(base as usize, out.len());
-    let slices: Vec<&[(u64, u64)]> = key_runs.iter().map(|r| r.as_slice()).collect();
-    let mut merged = vec![(0u64, 0u64); out.len()];
-    kway_merge_into(&slices, &mut merged, &|a: &(u64, u64), b: &(u64, u64)| {
-        a.0 < b.0
-    });
-    let mut slots: Vec<Option<(K, V)>> = Vec::with_capacity(out.len());
-    for run in runs {
-        slots.extend(run.into_iter().map(Some));
-    }
-    slots.extend(tail.into_iter().map(Some));
-    for (slot, &(_, tag)) in out.iter_mut().zip(merged.iter()) {
-        *slot = slots[tag as usize]
-            .take()
-            .expect("each record gathered once");
-    }
-}
-
 /// Opens one merge cursor per spilled run, splitting `read_bytes` of read
 /// buffering across them (the engines pass [`MERGE_READ_BUFFER_BYTES`]).
 /// When `io` reads ahead ([`SpillIoHandle::reads_ahead`]: the host has
 /// more than one CPU), each run gets a [`RunFeed`] decoding blocks ahead
 /// of the merge on the spill I/O pool; otherwise the cursors read
 /// synchronously.  Shared by the sorter and the group-by so the two merge
-/// paths cannot drift.
+/// paths cannot drift.  A cursor whose run fails past its first record
+/// records the error in `failed` and ends the run.
 ///
 /// Read-ahead also gives way to synchronous reads when the per-run share
 /// is below [`MIN_PREFETCH_RUN_BUDGET`] (the double-buffered blocks would
@@ -485,6 +387,7 @@ pub(crate) fn open_run_cursors<V: SpillValue>(
     runs: &[SpilledRun],
     io: &SpillIoHandle,
     read_bytes: usize,
+    failed: &Arc<ReadErrorSlot>,
 ) -> io::Result<Vec<RunCursor<V>>> {
     let reader_budget = per_run_reader_budget(read_bytes, runs.len());
     let wants = io.reads_ahead() && !runs.is_empty();
@@ -495,26 +398,18 @@ pub(crate) fn open_run_cursors<V: SpillValue>(
     let mut cursors: Vec<RunCursor<V>> = Vec::with_capacity(runs.len() + 2);
     if prefetch {
         // Submit every feed before priming any cursor, so all the first
-        // blocks decode in parallel.  Open-time failures (the only ones
-        // with a clean retry point) are retried.
+        // blocks decode in parallel.
         let feeds: Vec<RunFeed<V>> = runs
             .iter()
             .enumerate()
-            .map(|(i, run)| {
-                with_transient_retry(|| RunFeed::open(io, run, reader_budget, i))
-                    .map(|(feed, _)| feed)
-                    .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))
-            })
+            .map(|(i, run)| RunFeed::open(io, run, reader_budget, i))
             .collect::<io::Result<_>>()?;
         for feed in feeds {
-            cursors.push(RunCursor::from_feed(feed)?);
+            cursors.push(RunCursor::from_feed(feed, failed)?);
         }
     } else {
         for (i, run) in runs.iter().enumerate() {
-            let cursor = with_transient_retry(|| RunCursor::open_disk(io, run, reader_budget))
-                .map(|(c, _)| c)
-                .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))?;
-            cursors.push(cursor);
+            cursors.push(RunCursor::open_disk(io, run, i, reader_budget, failed)?);
         }
     }
     Ok(cursors)
@@ -523,7 +418,7 @@ pub(crate) fn open_run_cursors<V: SpillValue>(
 type Refill<V> = Box<dyn FnMut() -> Option<Vec<(u64, V)>> + Send>;
 
 enum CursorInner<V: SpillValue> {
-    Disk(RunReader<V>),
+    Disk(RunReader<V>, Arc<ReadErrorSlot>),
     Memory(std::vec::IntoIter<(u64, V)>),
     Blocks(BlockSource<(u64, V), Refill<V>>),
 }
@@ -536,15 +431,19 @@ pub(crate) struct RunCursor<V: SpillValue> {
 }
 
 impl<V: SpillValue> RunCursor<V> {
+    /// A cursor reading run `index` synchronously.  The first record is
+    /// read here, so early read errors surface as a `Result`.
     pub(crate) fn open_disk(
         io: &SpillIoHandle,
         run: &SpilledRun,
+        index: usize,
         buffer_bytes: usize,
+        failed: &Arc<ReadErrorSlot>,
     ) -> io::Result<Self> {
-        let mut reader = RunReader::open(io, run, buffer_bytes)?;
+        let mut reader = RunReader::open(io, run, index, buffer_bytes)?;
         let current = reader.next_record()?;
         Ok(Self {
-            inner: CursorInner::Disk(reader),
+            inner: CursorInner::Disk(reader, Arc::clone(failed)),
             current,
         })
     }
@@ -560,9 +459,10 @@ impl<V: SpillValue> RunCursor<V> {
 
     /// A cursor fed by a run's read-ahead [`RunFeed`].  The first block is
     /// received here, so early read errors surface as a `Result` exactly
-    /// like [`RunCursor::open_disk`]'s eager first read; errors in later
-    /// blocks panic mid-merge (documented on [`SortedStream`]).
-    pub(crate) fn from_feed(mut feed: RunFeed<V>) -> io::Result<Self> {
+    /// like [`RunCursor::open_disk`]'s eager first read; an error in a
+    /// later block goes to `failed` and ends the run.
+    pub(crate) fn from_feed(mut feed: RunFeed<V>, failed: &Arc<ReadErrorSlot>) -> io::Result<Self> {
+        let failed = Arc::clone(failed);
         let mut first = match feed.recv() {
             Some(res) => Some(res?),
             None => None, // empty run
@@ -591,7 +491,10 @@ impl<V: SpillValue> RunCursor<V> {
                     }
                     Some(block)
                 }
-                Some(Err(e)) => panic!("I/O error reading spilled run: {e}"),
+                Some(Err(e)) => {
+                    failed.record(e);
+                    None
+                }
                 None => None, // clean end of run
             }
         });
@@ -615,13 +518,13 @@ impl<V: SpillValue> RunSource for RunCursor<V> {
         let item = self.current.take()?;
         self.current = match &mut self.inner {
             CursorInner::Memory(iter) => iter.next(),
-            // The merge happens mid-iteration where no Result channel
-            // exists; a read failure on a spill file we just wrote is an
-            // environment fault, reported by panic (documented on
-            // `SortedStream`).
-            CursorInner::Disk(reader) => reader
-                .next_record()
-                .unwrap_or_else(|e| panic!("I/O error reading spilled run: {e}")),
+            CursorInner::Disk(reader, failed) => match reader.next_record() {
+                Ok(record) => record,
+                Err(e) => {
+                    failed.record(e);
+                    None
+                }
+            },
             CursorInner::Blocks(source) => source.pop(),
         };
         Some(item)
@@ -632,21 +535,32 @@ impl<V: SpillValue> RunSource for RunCursor<V> {
 ///
 /// Holds the spill directory alive until dropped; the directory and its
 /// run files are deleted on drop.  Open/initial-read errors surface from
-/// [`StreamSorter::finish`]; an I/O error in the middle of iteration
-/// panics (the spill files live in a directory this process just wrote).
+/// [`StreamSorter::finish`].  Transient read failures mid-iteration are
+/// retried; a permanent one (or one that outlasts the retries) panics
+/// before any record past the failed run's last good one is served, so
+/// the records yielded so far are an exact prefix of the sorted output
+/// (the spill files live in a directory this process just wrote).
 pub struct SortedStream<K: IntegerKey, V: SpillValue> {
     merge: RunMerge<V>,
     remaining: usize,
     _key: PhantomData<K>,
 }
 
+impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
+    fn try_next(&mut self) -> io::Result<Option<(K, V)>> {
+        let Some((key, value)) = self.merge.try_pop()? else {
+            return Ok(None);
+        };
+        self.remaining -= 1;
+        Ok(Some((K::from_ordered_u64(key), value)))
+    }
+}
+
 impl<K: IntegerKey, V: SpillValue> Iterator for SortedStream<K, V> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<(K, V)> {
-        let (key, value) = self.merge.tree.pop()?;
-        self.remaining -= 1;
-        Some((K::from_ordered_u64(key), value))
+        or_panic(self.try_next())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -659,6 +573,7 @@ impl<K: IntegerKey, V: SpillValue> ExactSizeIterator for SortedStream<K, V> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CountAgg, FaultKind, FaultPlan, StreamGroupBy};
     use dtsort::SpillIoMode;
     use parlay::random::Rng;
 
@@ -719,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_into_and_finish_vec_match_iterator() {
+    fn finish_vec_matches_iterator() {
         let n = 20_000usize;
         let rng = Rng::new(12);
         let input: Vec<(u64, u64)> = (0..n)
@@ -732,13 +647,10 @@ mod tests {
         };
         let via_iter: Vec<(u64, u64)> = mk().finish().unwrap().collect();
         let via_vec = mk().finish_vec().unwrap();
-        let mut via_slice = vec![(0u64, 0u64); n];
-        mk().finish_into(&mut via_slice).unwrap();
         let mut want = input;
         want.sort_by_key(|r| r.0);
         assert_eq!(via_iter, want);
         assert_eq!(via_vec, want);
-        assert_eq!(via_slice, want);
     }
 
     #[test]
@@ -795,15 +707,6 @@ mod tests {
         let mut one: StreamSorter<u32, u32> = StreamSorter::new();
         one.push_record(9, 1).unwrap();
         assert_eq!(one.finish_vec().unwrap(), vec![(9, 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "output slice")]
-    fn finish_into_length_mismatch_panics() {
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::new();
-        sorter.push_record(1, 1).unwrap();
-        let mut out = vec![(0u32, 0u32); 5];
-        sorter.finish_into(&mut out).unwrap();
     }
 
     #[test]
@@ -872,13 +775,10 @@ mod tests {
         };
         let via_iter: Vec<(u32, String)> = mk().finish().unwrap().collect();
         let via_vec = mk().finish_vec().unwrap();
-        let mut via_slice = vec![(0u32, String::new()); n];
-        mk().finish_into(&mut via_slice).unwrap();
         let mut want = input;
         want.sort_by_key(|r| r.0);
         assert_eq!(via_iter, want);
         assert_eq!(via_vec, want);
-        assert_eq!(via_slice, want);
     }
 
     #[test]
@@ -1137,25 +1037,12 @@ mod tests {
                 payload,
             })
         }
-        fn spill_placeholder() -> Self {
-            Self {
-                fuse: Arc::new(AtomicI64::new(i64::MAX)),
-                payload: Vec::new(),
-            }
-        }
         fn sort_spill_run<K: IntegerKey>(
             buffer: &mut Vec<(K, Self)>,
             cfg: &SortConfig,
             carry: &[u64],
         ) -> RunReport {
             var_sort_run(buffer, cfg, carry)
-        }
-        fn merge_spill_runs_into<K: IntegerKey>(
-            runs: Vec<Vec<(K, Self)>>,
-            tail: Vec<(K, Self)>,
-            out: &mut [(K, Self)],
-        ) {
-            var_merge_runs_into(runs, tail, out)
         }
     }
 
@@ -1188,7 +1075,7 @@ mod tests {
         let run = &sorter.core.runs[0];
         assert_eq!(std::fs::metadata(&run.path).unwrap().len(), run.bytes);
         let records: Vec<(u64, Grenade)> =
-            RunReader::<Grenade>::open(&SpillIoHandle::blocking(), run, 4096)
+            RunReader::<Grenade>::open(&SpillIoHandle::blocking(), run, 0, 4096)
                 .unwrap()
                 .read_all()
                 .unwrap();
@@ -1261,17 +1148,21 @@ mod tests {
         }
     }
 
-    /// Merges `sorter`'s runs the way [`StreamSorter::finish`] does, but
-    /// splitting `read_bytes` of read buffering across them instead of
+    /// Drains the stream [`StreamSorter::finish`] returns, but with
+    /// `read_bytes` of read buffering split across the runs instead of
     /// [`MERGE_READ_BUFFER_BYTES`].
     fn merge_with_read_budget<V: SpillValue>(
         sorter: StreamSorter<u32, V>,
         read_bytes: usize,
     ) -> io::Result<Vec<(u32, V)>> {
-        let (mut merge, _) = sorter.core.into_merge(read_bytes)?;
-        Ok(std::iter::from_fn(|| merge.tree.pop())
-            .map(|(k, v)| (u32::from_ordered_u64(k), v))
-            .collect())
+        let remaining = sorter.len();
+        let (merge, _) = sorter.core.into_merge(read_bytes)?;
+        let stream = SortedStream {
+            merge,
+            remaining,
+            _key: PhantomData,
+        };
+        Ok(stream.collect())
     }
 
     #[test]
@@ -1536,10 +1427,7 @@ mod tests {
         sorter.push(&batch).unwrap();
         sorter.flush_spills().unwrap();
         assert!(sorter.stats().spilled_runs > 0);
-        let victim = sorter.core.runs[0].path.clone();
-        let mut bytes = std::fs::read(&victim).unwrap();
-        *bytes.last_mut().unwrap() ^= 0x40;
-        std::fs::write(&victim, &bytes).unwrap();
+        flip_last_byte(&sorter.core.runs[0]);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sorter.finish().map(|s| s.count())
         }));
@@ -1555,5 +1443,92 @@ mod tests {
             message.contains("checksum"),
             "corruption must be named a checksum failure, got: {message}"
         );
+
+        // The same bit rot in a later block of a multi-block run, read once
+        // the merge is under way (read-ahead off: the first block primes
+        // the cursor, the bad one is read mid-merge).  `finish_vec` returns
+        // it as `Err`, for the sorter and the group-by alike.
+        let cfg = StreamConfig {
+            spill_compression: dtsort::SpillCompression::DeltaLz,
+            ..batched_cfg(1 << 20)
+        };
+        let keys = (0..60_000u32).map(|i| i.rotate_left(13));
+        let assert_checksum_err = |result: io::Result<usize>, what: &str| {
+            let err = result.expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("checksum"), "{what}: {err}");
+        };
+        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(cfg.clone(), false);
+        for k in keys.clone() {
+            sorter.push_record(k, k).unwrap();
+        }
+        sorter.flush_spills().unwrap();
+        assert!(sorter.core.runs[0].len > crate::spill::BLOCK_MAX_RECORDS);
+        flip_last_byte(&sorter.core.runs[0]);
+        assert_checksum_err(sorter.finish_vec().map(|v| v.len()), "sorter");
+
+        let io = SpillIoHandle::from_config(&cfg).reading_ahead(false);
+        let mut gb: StreamGroupBy<u32, CountAgg> =
+            StreamGroupBy::with_config_and_io(CountAgg, cfg, io);
+        for k in keys {
+            gb.push_record(k, ()).unwrap();
+        }
+        gb.flush_spills().unwrap();
+        assert!(gb.core.runs[0].len > crate::spill::BLOCK_MAX_RECORDS);
+        flip_last_byte(&gb.core.runs[0]);
+        assert_checksum_err(gb.finish_vec().map(|v| v.len()), "group-by");
+    }
+
+    /// Flips a bit of `run`'s last byte, which lies in its last block.
+    fn flip_last_byte(run: &SpilledRun) {
+        let mut bytes = std::fs::read(&run.path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x40;
+        std::fs::write(&run.path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn streaming_merge_absorbs_one_mid_run_transient_read() {
+        // Regression: only opening a run was retried, so one transient
+        // read failure after the cursors were primed panicked the streaming
+        // merge.  The reader now reopens the run and skips what it served.
+        let rng = Rng::new(61);
+        let input: Vec<(u32, u32)> = (0..120_000usize)
+            .map(|i| (rng.ith(i as u64) as u32, i as u32))
+            .collect();
+        let mut want = input.clone();
+        want.sort_by_key(|r| r.0);
+        // Two spilled runs of about 40k records.  The fault lands well past
+        // the reads that prime the cursors: a flat run takes two reads per
+        // record, a compressed one four per block of 8192 records.
+        for (compression, n) in [
+            (dtsort::SpillCompression::Off, 4_000),
+            (dtsort::SpillCompression::DeltaLz, 20),
+        ] {
+            for read_ahead in [false, true] {
+                let ctx = format!("{compression:?}, read-ahead {read_ahead}");
+                let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
+                let io = SpillIoHandle::blocking()
+                    .with_faults(plan.clone())
+                    .reading_ahead(read_ahead);
+                let cfg = StreamConfig {
+                    spill_compression: compression,
+                    ..tiny_cfg(1 << 20)
+                };
+                let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config_and_io(cfg, io);
+                for chunk in input.chunks(4096) {
+                    sorter.push(chunk).unwrap();
+                }
+                sorter.flush_spills().unwrap();
+                let runs = sorter.stats().spilled_runs;
+                assert_eq!(runs, 2, "{ctx}");
+                assert!(
+                    sorter.core.runs[0].len > crate::spill::BLOCK_MAX_RECORDS,
+                    "{ctx}"
+                );
+                let got = merge_with_read_budget(sorter, runs * (8 << 10)).unwrap();
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(plan.injected(), 1, "{ctx}");
+            }
+        }
     }
 }

@@ -325,7 +325,7 @@ impl VarValue for String {
 /// records).
 ///
 /// This trait is **sealed**: the two families have different on-disk
-/// formats and different in-memory sort/merge strategies, and each listed
+/// formats and different in-memory sort strategies, and each listed
 /// type is wired to the right one here.  User code only ever names the
 /// trait in bounds (`StreamSorter<u64, String>` just works).
 pub trait SpillValue: Clone + Send + Sync + 'static + sealed::Sealed {
@@ -353,10 +353,6 @@ pub trait SpillValue: Clone + Send + Sync + 'static + sealed::Sealed {
     where
         Self: Sized;
 
-    /// A cheap placeholder value for pre-sized output buffers.
-    #[doc(hidden)]
-    fn spill_placeholder() -> Self;
-
     /// Stably sorts one buffered run by key, seeding heavy-key detection
     /// with `carry` (see [`dtsort::sort_run_pairs_with`]).
     #[doc(hidden)]
@@ -366,16 +362,6 @@ pub trait SpillValue: Clone + Send + Sync + 'static + sealed::Sealed {
         carry: &[u64],
     ) -> RunReport
     where
-        Self: Sized;
-
-    /// Stably k-way merges the sorted `runs` plus the sorted in-memory
-    /// `tail` into `out` (ties favour earlier runs; the tail is last).
-    #[doc(hidden)]
-    fn merge_spill_runs_into<K: IntegerKey>(
-        runs: Vec<Vec<(K, Self)>>,
-        tail: Vec<(K, Self)>,
-        out: &mut [(K, Self)],
-    ) where
         Self: Sized;
 
     /// Strict-weak order of merge records, used by the final streaming
@@ -399,13 +385,6 @@ pub trait SpillValue: Clone + Send + Sync + 'static + sealed::Sealed {
     fn spill_embedded_key(&self) -> Option<&[u8]> {
         None
     }
-}
-
-/// A value every bit of which is zero (valid for any [`PodValue`]).
-pub(crate) fn pod_zeroed<V: PodValue>() -> V {
-    // SAFETY: PodValue admits every initialized byte pattern, including
-    // all-zeros.
-    unsafe { std::mem::zeroed() }
 }
 
 fn value_bytes<V: PodValue>(v: &V) -> &[u8] {
@@ -494,22 +473,12 @@ macro_rules! impl_pod_spill {
             ) -> io::Result<Self> {
                 pod_spill_read(r, scratch, payload_budget)
             }
-            fn spill_placeholder() -> Self {
-                pod_zeroed()
-            }
             fn sort_spill_run<K: IntegerKey>(
                 buffer: &mut Vec<(K, Self)>,
                 cfg: &SortConfig,
                 carry: &[u64],
             ) -> RunReport {
                 crate::sorter::pod_sort_run(buffer, cfg, carry)
-            }
-            fn merge_spill_runs_into<K: IntegerKey>(
-                runs: Vec<Vec<(K, Self)>>,
-                tail: Vec<(K, Self)>,
-                out: &mut [(K, Self)],
-            ) {
-                crate::sorter::pod_merge_runs_into(runs, tail, out)
             }
         }
     )*};
@@ -550,22 +519,12 @@ impl<T: PodValue, const N: usize> SpillValue for [T; N] {
     ) -> io::Result<Self> {
         pod_spill_read(r, scratch, payload_budget)
     }
-    fn spill_placeholder() -> Self {
-        pod_zeroed()
-    }
     fn sort_spill_run<K: IntegerKey>(
         buffer: &mut Vec<(K, Self)>,
         cfg: &SortConfig,
         carry: &[u64],
     ) -> RunReport {
         crate::sorter::pod_sort_run(buffer, cfg, carry)
-    }
-    fn merge_spill_runs_into<K: IntegerKey>(
-        runs: Vec<Vec<(K, Self)>>,
-        tail: Vec<(K, Self)>,
-        out: &mut [(K, Self)],
-    ) {
-        crate::sorter::pod_merge_runs_into(runs, tail, out)
     }
 }
 
@@ -587,22 +546,12 @@ macro_rules! impl_var_spill {
             ) -> io::Result<Self> {
                 var_spill_read(r, scratch, payload_budget)
             }
-            fn spill_placeholder() -> Self {
-                <$t as VarValue>::from_spill_bytes(&[]).expect("empty payload is valid")
-            }
             fn sort_spill_run<K: IntegerKey>(
                 buffer: &mut Vec<(K, Self)>,
                 cfg: &SortConfig,
                 carry: &[u64],
             ) -> RunReport {
                 crate::sorter::var_sort_run(buffer, cfg, carry)
-            }
-            fn merge_spill_runs_into<K: IntegerKey>(
-                runs: Vec<Vec<(K, Self)>>,
-                tail: Vec<(K, Self)>,
-                out: &mut [(K, Self)],
-            ) {
-                crate::sorter::var_merge_runs_into(runs, tail, out)
             }
         }
     )*};
@@ -772,7 +721,7 @@ pub(crate) fn write_run_with_retry<K: IntegerKey, V: SpillValue>(
 /// pre-compression byte size and encoding, so readers can reject
 /// truncated or overcounted runs in either encoding (and bound their
 /// decode buffers by `raw_bytes`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SpilledRun {
     pub path: PathBuf,
     pub len: usize,
@@ -804,7 +753,79 @@ pub(crate) fn per_run_reader_budget(total_bytes: usize, runs: usize) -> usize {
 /// Buffered sequential reader over one spilled run, decoding either
 /// encoding transparently (the merge and its read-ahead never see block
 /// boundaries).
+///
+/// It is the one place spill reads retry.  A transient failure
+/// ([`is_transient`]) is retried with the spill retry policy — up to 3
+/// retries, after a backoff of 2 ms doubling to at most 50 ms, each
+/// counted in `spill.retries`: at open by opening again, mid-run by
+/// reopening the run and skipping the records already served.  An error
+/// that is permanent, or outlasts the retries, comes back as a
+/// [`SpillError`] naming the run.
 pub(crate) struct RunReader<V: SpillValue> {
+    decoder: RunDecoder<V>,
+    io: SpillIoHandle,
+    run: SpilledRun,
+    /// The run's position among the engine's runs, named by errors.
+    index: usize,
+    buffer_bytes: usize,
+    /// Records returned so far: what a reopened decoder skips.
+    served: usize,
+}
+
+impl<V: SpillValue> RunReader<V> {
+    /// Opens run `index` of an engine with `buffer_bytes` of read
+    /// buffering.
+    pub fn open(
+        io: &SpillIoHandle,
+        run: &SpilledRun,
+        index: usize,
+        buffer_bytes: usize,
+    ) -> io::Result<Self> {
+        let (decoder, _) = with_transient_retry(|| RunDecoder::open(io, run, buffer_bytes))
+            .map_err(|e| wrap_spill_err(&run.path, index, run.bytes, e))?;
+        Ok(Self {
+            decoder,
+            io: io.clone(),
+            run: run.clone(),
+            index,
+            buffer_bytes,
+            served: 0,
+        })
+    }
+
+    /// Reads the next record, or `None` at end of run.
+    pub fn next_record(&mut self) -> io::Result<Option<(u64, V)>> {
+        let record = match self.decoder.next_record() {
+            Ok(record) => record,
+            Err(e) => self.resume(e)?,
+        };
+        self.served += usize::from(record.is_some());
+        Ok(record)
+    }
+
+    /// Retries the read that failed with `failed` (its first attempt):
+    /// each retry reopens the run and skips the records already served.
+    #[cold]
+    fn resume(&mut self, failed: io::Error) -> io::Result<Option<(u64, V)>> {
+        let mut failed = Some(failed);
+        with_transient_retry(|| {
+            if let Some(e) = failed.take() {
+                return Err(e);
+            }
+            self.decoder = RunDecoder::open(&self.io, &self.run, self.buffer_bytes)?;
+            for _ in 0..self.served {
+                self.decoder.next_record()?;
+            }
+            self.decoder.next_record()
+        })
+        .map(|(record, _)| record)
+        .map_err(|e| wrap_spill_err(&self.run.path, self.index, self.run.bytes, e))
+    }
+}
+
+/// One pass of a [`RunReader`] over its run: the open file and the decode
+/// state.
+struct RunDecoder<V: SpillValue> {
     reader: Box<dyn SpillRead>,
     remaining: usize,
     bytes_remaining: u64,
@@ -824,8 +845,8 @@ pub(crate) struct RunReader<V: SpillValue> {
     _value: PhantomData<V>,
 }
 
-impl<V: SpillValue> RunReader<V> {
-    pub fn open(io: &SpillIoHandle, run: &SpilledRun, buffer_bytes: usize) -> io::Result<Self> {
+impl<V: SpillValue> RunDecoder<V> {
+    fn open(io: &SpillIoHandle, run: &SpilledRun, buffer_bytes: usize) -> io::Result<Self> {
         // The caller's budget is honored as given (64-byte floor inside
         // the backend so buffered reads stay functional) — re-inflating
         // small budgets here would undo the aggregate cap of
@@ -862,8 +883,7 @@ impl<V: SpillValue> RunReader<V> {
         })
     }
 
-    /// Reads the next record, or `None` at end of run.
-    pub fn next_record(&mut self) -> io::Result<Option<(u64, V)>> {
+    fn next_record(&mut self) -> io::Result<Option<(u64, V)>> {
         if self.remaining == 0 {
             return Ok(None);
         }
@@ -999,15 +1019,6 @@ impl<V: SpillValue> RunReader<V> {
         self.block_payload_pos = 0;
         Ok(())
     }
-
-    /// Reads all remaining records, reconstructing the key type.
-    pub fn read_all<K: IntegerKey>(&mut self) -> io::Result<Vec<(K, V)>> {
-        let mut out = Vec::with_capacity(self.remaining);
-        while let Some((key, value)) = self.next_record()? {
-            out.push((K::from_ordered_u64(key), value));
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -1025,6 +1036,17 @@ mod tests {
     /// (backend differentials live in `spillio.rs` and `tests/`).
     fn bio() -> SpillIoHandle {
         SpillIoHandle::blocking()
+    }
+
+    impl<V: SpillValue> RunReader<V> {
+        /// Reads all remaining records, reconstructing the key type.
+        pub(crate) fn read_all<K: IntegerKey>(&mut self) -> io::Result<Vec<(K, V)>> {
+            let mut out = Vec::with_capacity(self.run.len - self.served);
+            while let Some((key, value)) = self.next_record()? {
+                out.push((K::from_ordered_u64(key), value));
+            }
+            Ok(out)
+        }
     }
 
     #[test]
@@ -1094,7 +1116,7 @@ mod tests {
         let records: Vec<(u32, u32)> = (0..1000u32).map(|i| (i * 3, i)).collect();
         let run = spill(&path, &records);
         assert_eq!(run.bytes, 12 * 1000);
-        let mut reader = RunReader::<u32>::open(&bio(), &run, 4096).unwrap();
+        let mut reader = RunReader::<u32>::open(&bio(), &run, 0, 4096).unwrap();
         let got: Vec<(u32, u32)> = reader.read_all().unwrap();
         assert_eq!(got, records);
         std::fs::remove_file(path).ok();
@@ -1105,11 +1127,11 @@ mod tests {
         let path = tmp_path("i64unit.bin");
         let records: Vec<(i64, ())> = vec![(i64::MIN, ()), (-1, ()), (0, ()), (i64::MAX, ())];
         let run = spill(&path, &records);
-        let mut reader = RunReader::<()>::open(&bio(), &run, 4096).unwrap();
+        let mut reader = RunReader::<()>::open(&bio(), &run, 0, 4096).unwrap();
         let got: Vec<(i64, ())> = reader.read_all().unwrap();
         assert_eq!(got, records);
         // Ordered-u64 images on disk must be monotone for signed keys.
-        let mut reader = RunReader::<()>::open(&bio(), &run, 4096).unwrap();
+        let mut reader = RunReader::<()>::open(&bio(), &run, 0, 4096).unwrap();
         let mut ordered = Vec::new();
         while let Some((k, ())) = reader.next_record().unwrap() {
             ordered.push(k);
@@ -1123,7 +1145,7 @@ mod tests {
         let path = tmp_path("arr.bin");
         let records: Vec<(u16, [u8; 5])> = (0..100u16).map(|i| (i, [i as u8; 5])).collect();
         let run = spill(&path, &records);
-        let got: Vec<(u16, [u8; 5])> = RunReader::<[u8; 5]>::open(&bio(), &run, 4096)
+        let got: Vec<(u16, [u8; 5])> = RunReader::<[u8; 5]>::open(&bio(), &run, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1146,7 +1168,7 @@ mod tests {
         let run = spill(&path, &records);
         let payload: usize = records.iter().map(|(_, v)| v.len()).sum();
         assert_eq!(run.bytes, (records.len() * 12 + payload) as u64);
-        let got: Vec<(u64, String)> = RunReader::<String>::open(&bio(), &run, 4096)
+        let got: Vec<(u64, String)> = RunReader::<String>::open(&bio(), &run, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1168,7 +1190,7 @@ mod tests {
             })
             .collect();
         let run = spill(&path, &records);
-        let got: Vec<(u32, Vec<u8>)> = RunReader::<Vec<u8>>::open(&bio(), &run, 4096)
+        let got: Vec<(u32, Vec<u8>)> = RunReader::<Vec<u8>>::open(&bio(), &run, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1181,7 +1203,7 @@ mod tests {
         let path2 = tmp_path("varboxed.bin");
         let run2 = spill(&path2, &boxed);
         assert_eq!(run2.bytes, run.bytes);
-        let got2: Vec<(u32, Box<[u8]>)> = RunReader::<Box<[u8]>>::open(&bio(), &run2, 4096)
+        let got2: Vec<(u32, Box<[u8]>)> = RunReader::<Box<[u8]>>::open(&bio(), &run2, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1201,7 +1223,7 @@ mod tests {
             let f = File::options().write(true).open(&path).unwrap();
             f.set_len(cut).unwrap();
             drop(f);
-            let err = match RunReader::<u32>::open(&bio(), &run, 4096) {
+            let err = match RunReader::<u32>::open(&bio(), &run, 0, 4096) {
                 Err(e) => e,
                 Ok(mut reader) => reader
                     .read_all::<u32>()
@@ -1236,7 +1258,7 @@ mod tests {
             let f = File::options().write(true).open(&path).unwrap();
             f.set_len(cut).unwrap();
             drop(f);
-            let err = match RunReader::<String>::open(&bio(), &run, 4096) {
+            let err = match RunReader::<String>::open(&bio(), &run, 0, 4096) {
                 Err(e) => e,
                 Ok(mut reader) => reader
                     .read_all::<u64>()
@@ -1263,13 +1285,13 @@ mod tests {
             compression: SpillCompression::Off,
             retries: 0,
         };
-        let err = match RunReader::<()>::open(&bio(), &run, 4096) {
+        let err = match RunReader::<()>::open(&bio(), &run, 0, 4096) {
             Err(e) => e,
             Ok(_) => panic!("overcount must fail"),
         };
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         // The correct metadata still reads fine.
-        let got: Vec<(u64, ())> = RunReader::<()>::open(&bio(), &good, 4096)
+        let got: Vec<(u64, ())> = RunReader::<()>::open(&bio(), &good, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1294,7 +1316,7 @@ mod tests {
             compression: SpillCompression::Off,
             retries: 0,
         };
-        let mut reader = RunReader::<Vec<u8>>::open(&bio(), &run, 4096).unwrap();
+        let mut reader = RunReader::<Vec<u8>>::open(&bio(), &run, 0, 4096).unwrap();
         let err = reader
             .read_all::<u64>()
             .expect_err("overcounted record count must fail");
@@ -1313,7 +1335,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let mut reader = RunReader::<Vec<u8>>::open(&bio(), &run, 4096).unwrap();
+        let mut reader = RunReader::<Vec<u8>>::open(&bio(), &run, 0, 4096).unwrap();
         let err = reader
             .read_all::<u64>()
             .expect_err("corrupted length prefix must fail");
@@ -1328,7 +1350,7 @@ mod tests {
         let path = tmp_path("var-badutf8.bin");
         let records: Vec<(u64, Vec<u8>)> = vec![(1, vec![0xFF, 0xFE, 0xFD])];
         let run = spill(&path, &records);
-        let mut reader = RunReader::<String>::open(&bio(), &run, 4096).unwrap();
+        let mut reader = RunReader::<String>::open(&bio(), &run, 0, 4096).unwrap();
         let err = reader
             .read_all::<u64>()
             .expect_err("non-UTF-8 String payload must fail");
@@ -1383,7 +1405,7 @@ mod tests {
             run.bytes,
             run.raw_bytes
         );
-        let got: Vec<(u32, u32)> = RunReader::<u32>::open(&bio(), &run, 4096)
+        let got: Vec<(u32, u32)> = RunReader::<u32>::open(&bio(), &run, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1413,13 +1435,13 @@ mod tests {
         records.push((u64::MAX, "final".to_string()));
         let run = spill_lz(&path, &records);
         assert!(run.bytes < run.raw_bytes, "structured text must compress");
-        let got: Vec<(u64, String)> = RunReader::<String>::open(&bio(), &run, 4096)
+        let got: Vec<(u64, String)> = RunReader::<String>::open(&bio(), &run, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
         assert_eq!(got, records);
         // A tiny read buffer must not change the decoded stream.
-        let got_small: Vec<(u64, String)> = RunReader::<String>::open(&bio(), &run, 1)
+        let got_small: Vec<(u64, String)> = RunReader::<String>::open(&bio(), &run, 0, 1)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1444,11 +1466,11 @@ mod tests {
         let flat = spill(&path_a, &records);
         let lz = spill_lz(&path_b, &records);
         assert_eq!(flat.raw_bytes, lz.raw_bytes);
-        let a: Vec<(u64, Vec<u8>)> = RunReader::<Vec<u8>>::open(&bio(), &flat, 4096)
+        let a: Vec<(u64, Vec<u8>)> = RunReader::<Vec<u8>>::open(&bio(), &flat, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
-        let b: Vec<(u64, Vec<u8>)> = RunReader::<Vec<u8>>::open(&bio(), &lz, 4096)
+        let b: Vec<(u64, Vec<u8>)> = RunReader::<Vec<u8>>::open(&bio(), &lz, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1478,7 +1500,7 @@ mod tests {
             .collect();
         let run = spill_lz(&path, &records);
         // Still decodes, and never inflates past raw + headers + keys.
-        let got: Vec<(u64, Vec<u8>)> = RunReader::<Vec<u8>>::open(&bio(), &run, 4096)
+        let got: Vec<(u64, Vec<u8>)> = RunReader::<Vec<u8>>::open(&bio(), &run, 0, 4096)
             .unwrap()
             .read_all()
             .unwrap();
@@ -1503,7 +1525,7 @@ mod tests {
             let f = File::options().write(true).open(&path).unwrap();
             f.set_len(cut).unwrap();
             drop(f);
-            let err = match RunReader::<String>::open(&bio(), &run, 4096) {
+            let err = match RunReader::<String>::open(&bio(), &run, 0, 4096) {
                 Err(e) => e,
                 Ok(mut reader) => reader
                     .read_all::<u64>()
@@ -1531,7 +1553,7 @@ mod tests {
                 bytes[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             }
             std::fs::write(&path, &bytes).unwrap();
-            let mut reader = RunReader::<Vec<u8>>::open(&bio(), &run, 4096).unwrap();
+            let mut reader = RunReader::<Vec<u8>>::open(&bio(), &run, 0, 4096).unwrap();
             assert!(
                 reader.read_all::<u64>().is_err(),
                 "corrupt header field at {offset} must fail"
@@ -1552,7 +1574,7 @@ mod tests {
         let last = bytes.len() - 1; // inside the (single) block's payload
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let mut reader = RunReader::<Vec<u8>>::open(&bio(), &run, 4096).unwrap();
+        let mut reader = RunReader::<Vec<u8>>::open(&bio(), &run, 0, 4096).unwrap();
         let err = reader
             .read_all::<u64>()
             .expect_err("bit rot must fail the block checksum");
@@ -1569,20 +1591,5 @@ mod tests {
             .expect_err("delta encoding requires sorted keys");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn zeroed_pod_values() {
-        assert_eq!(pod_zeroed::<u64>(), 0);
-        assert_eq!(pod_zeroed::<[u32; 3]>(), [0, 0, 0]);
-        pod_zeroed::<()>();
-    }
-
-    #[test]
-    fn spill_placeholders_are_empty() {
-        assert_eq!(String::spill_placeholder(), "");
-        assert_eq!(Vec::<u8>::spill_placeholder(), Vec::<u8>::new());
-        assert_eq!(u64::spill_placeholder(), 0);
-        assert_eq!(Box::<[u8]>::spill_placeholder().len(), 0);
     }
 }

@@ -29,7 +29,9 @@ use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -575,7 +577,9 @@ impl<B: RunBuilder> Spiller<B> {
         read_bytes: usize,
     ) -> io::Result<(RunMerge<B::RunValue>, B)> {
         let tail = self.finish_spilling()?;
-        let mut cursors = open_run_cursors::<B::RunValue>(&self.runs, &self.io, read_bytes)?;
+        let failed = Arc::default();
+        let mut cursors =
+            open_run_cursors::<B::RunValue>(&self.runs, &self.io, read_bytes, &failed)?;
         let in_memory = self.pending_runs.drain(..).chain(Some(tail));
         for run in in_memory.filter(|run| !run.is_empty()) {
             let run = run
@@ -586,6 +590,7 @@ impl<B: RunBuilder> Spiller<B> {
         }
         let merge = RunMerge {
             tree: LoserTree::new(cursors, B::RunValue::spill_record_lt),
+            failed,
             _merge_span: obs::enabled().then(|| obs::span!("merge")),
             _trace: self.trace_guard.take(),
             _space: self.space.take(),
@@ -596,11 +601,44 @@ impl<B: RunBuilder> Spiller<B> {
 
 type MergeTree<V> = LoserTree<RunCursor<V>, fn(&(u64, V), &(u64, V)) -> bool>;
 
+/// The first read error any cursor of one merge hit.  A cursor whose
+/// spilled run fails after its first record records the error here and
+/// ends its run; [`RunMerge::try_pop`] reports it.
+#[derive(Default)]
+pub(crate) struct ReadErrorSlot {
+    /// Stored (`Release`) once `error` holds the error, so the per-pop
+    /// check (`Acquire`) takes the lock only after a failure.
+    set: AtomicBool,
+    error: Mutex<Option<io::Error>>,
+}
+
+impl ReadErrorSlot {
+    #[cold]
+    pub(crate) fn record(&self, e: io::Error) {
+        self.error.lock().expect("read error slot").get_or_insert(e);
+        self.set.store(true, Ordering::Release);
+    }
+
+    fn take(&self) -> Option<io::Error> {
+        if !self.set.load(Ordering::Acquire) {
+            return None;
+        }
+        self.error.lock().expect("read error slot").take()
+    }
+}
+
+/// The streaming iterators' end of [`RunMerge::try_pop`]: `next` has no
+/// error channel, so a spill read error that survived the retries panics.
+pub(crate) fn or_panic<T>(result: io::Result<T>) -> T {
+    result.unwrap_or_else(|e| panic!("I/O error reading spilled run: {e}"))
+}
+
 /// The final k-way merge of a finished engine, plus what must outlive it.
 /// Field order matters: the cursors (and their read-ahead) drop before the
 /// spill directory is deleted.
 pub(crate) struct RunMerge<V: SpillValue> {
-    pub(crate) tree: MergeTree<V>,
+    tree: MergeTree<V>,
+    failed: Arc<ReadErrorSlot>,
     /// Open `merge` span over the stream's lifetime, so prefetch spans can
     /// be shown (and asserted) to overlap it; recorded when it drops.
     _merge_span: Option<obs::SpanGuard>,
@@ -609,6 +647,19 @@ pub(crate) struct RunMerge<V: SpillValue> {
     /// still on: [`obs::SpanGuard`] captures its enable state at start).
     _trace: Option<obs::EnableGuard>,
     _space: Option<SpillSpace>,
+}
+
+impl<V: SpillValue> RunMerge<V> {
+    /// Pops the smallest record left, or the read error that ended one of
+    /// the runs.  The check follows the pop, so no record past a failed
+    /// run's last good one is ever returned.
+    pub(crate) fn try_pop(&mut self) -> io::Result<Option<(u64, V)>> {
+        let record = self.tree.pop();
+        match self.failed.take() {
+            Some(e) => Err(e),
+            None => Ok(record),
+        }
+    }
 }
 
 #[cfg(test)]

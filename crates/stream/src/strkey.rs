@@ -41,7 +41,6 @@ use crate::sorter::{SortedStream, StreamSorter};
 use crate::spill::{sealed::Sealed, SpillValue};
 use crate::spillio::SpillIoHandle;
 use dtsort::{string_key_prefix64, IntegerKey, RunReport, SortConfig, StreamConfig, StringKey};
-use parlay::kway::kway_merge_into;
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 
@@ -144,13 +143,6 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
         })
     }
 
-    fn spill_placeholder() -> Self {
-        Self {
-            key: Box::default(),
-            value: V::spill_placeholder(),
-        }
-    }
-
     /// DovetailSort over `(prefix, index)` tags like the plain var path,
     /// then a stable full-key re-sort of every equal-prefix span: the run
     /// comes out in exact lexicographic key order, push order preserved
@@ -187,47 +179,6 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
         report
     }
 
-    /// Parallel k-way merge over `(prefix, slot)` tags whose comparator
-    /// consults the full key bytes on prefix ties; fully equal keys still
-    /// favour earlier runs (the merge's smaller-index tie rule), keeping
-    /// the materializing path stable like the streaming one.
-    fn merge_spill_runs_into<K: IntegerKey>(
-        runs: Vec<Vec<(K, Self)>>,
-        tail: Vec<(K, Self)>,
-        out: &mut [(K, Self)],
-    ) {
-        let mut key_runs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(runs.len() + 1);
-        let mut full_keys: Vec<&[u8]> = Vec::with_capacity(out.len());
-        let mut base = 0u64;
-        for run in runs.iter().chain(std::iter::once(&tail)) {
-            key_runs.push(
-                run.iter()
-                    .enumerate()
-                    .map(|(i, (k, _))| (k.to_ordered_u64(), base + i as u64))
-                    .collect(),
-            );
-            full_keys.extend(run.iter().map(|(_, v)| &*v.key));
-            base += run.len() as u64;
-        }
-        debug_assert_eq!(base as usize, out.len());
-        let slices: Vec<&[(u64, u64)]> = key_runs.iter().map(|r| r.as_slice()).collect();
-        let mut merged = vec![(0u64, 0u64); out.len()];
-        kway_merge_into(&slices, &mut merged, &|a: &(u64, u64), b: &(u64, u64)| {
-            (a.0, full_keys[a.1 as usize]) < (b.0, full_keys[b.1 as usize])
-        });
-        drop(full_keys);
-        let mut slots: Vec<Option<(K, Self)>> = Vec::with_capacity(out.len());
-        for run in runs {
-            slots.extend(run.into_iter().map(Some));
-        }
-        slots.extend(tail.into_iter().map(Some));
-        for (slot, &(_, tag)) in out.iter_mut().zip(merged.iter()) {
-            *slot = slots[tag as usize]
-                .take()
-                .expect("each record gathered once");
-        }
-    }
-
     fn spill_record_lt(a: &(u64, Self), b: &(u64, Self)) -> bool {
         (a.0, &*a.1.key) < (b.0, &*b.1.key)
     }
@@ -237,13 +188,14 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
     }
 }
 
-/// Rebuilds a typed key from spilled bytes; the bytes were produced from
-/// a valid key by this process, so failure means file corruption — the
-/// same environment fault a mid-merge read error is, reported the same
-/// way (panic; see [`crate::SortedStream`]).
-fn rebuild_key<K: StringKey>(bytes: &[u8]) -> K {
-    K::from_key_bytes(bytes)
-        .unwrap_or_else(|e| panic!("corrupt string key read back from spilled run: {e}"))
+/// Rebuilds a typed record from a merged one; the key bytes were produced
+/// from a valid key by this process, so failure means file corruption —
+/// the same environment fault a mid-merge read error is, reported the
+/// same way (panic; see [`crate::SortedStream`]).
+fn rebuild_record<K: StringKey, V>((_, rec): (u64, StringKeyed<V>)) -> (K, V) {
+    let key = K::from_key_bytes(&rec.key)
+        .unwrap_or_else(|e| panic!("corrupt string key read back from spilled run: {e}"));
+    (key, rec.value)
 }
 
 /// A bounded-memory streaming sorter over **string-keyed** records:
@@ -347,14 +299,15 @@ impl<K: StringKey, V: SpillValue> StringStreamSorter<K, V> {
         })
     }
 
-    /// Finishes via the materializing parallel merge
+    /// [`StringStreamSorter::finish`]'s merge drained into a vector, with
+    /// a spill read error returned as `Err`
     /// ([`crate::StreamSorter::finish_vec`]).
     pub fn finish_vec(self) -> io::Result<Vec<(K, V)>> {
         Ok(self
             .inner
             .finish_vec()?
             .into_iter()
-            .map(|(_, rec)| (rebuild_key(&rec.key), rec.value))
+            .map(rebuild_record)
             .collect())
     }
 }
@@ -369,8 +322,7 @@ impl<K: StringKey, V: SpillValue> Iterator for StringSortedStream<K, V> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<(K, V)> {
-        let (_, rec) = self.inner.next()?;
-        Some((rebuild_key(&rec.key), rec.value))
+        self.inner.next().map(rebuild_record)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -471,9 +423,16 @@ impl<K: StringKey, G: Aggregator> StringStreamGroupBy<K, G> {
         })
     }
 
-    /// [`StringStreamGroupBy::finish`], materialized into a vector.
+    /// [`StringStreamGroupBy::finish`]'s merge drained into a vector, with
+    /// a spill read error returned as `Err`
+    /// ([`crate::StreamGroupBy::finish_vec`]).
     pub fn finish_vec(self) -> io::Result<Vec<(K, G::Acc)>> {
-        Ok(self.finish()?.collect())
+        Ok(self
+            .inner
+            .finish_vec()?
+            .into_iter()
+            .map(rebuild_record)
+            .collect())
     }
 }
 
@@ -487,8 +446,7 @@ impl<K: StringKey, G: Aggregator> Iterator for StringGroupedStream<K, G> {
     type Item = (K, G::Acc);
 
     fn next(&mut self) -> Option<(K, G::Acc)> {
-        let (_, rec) = self.inner.next()?;
-        Some((rebuild_key(&rec.key), rec.value))
+        self.inner.next().map(rebuild_record)
     }
 }
 
@@ -571,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn string_finish_vec_parallel_merge_agrees_with_streaming() {
+    fn string_finish_vec_agrees_with_streaming() {
         let n = 12_000usize;
         let keys = string_keys(n, 32);
         let mk = || {

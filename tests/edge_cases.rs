@@ -5,11 +5,17 @@
 //! is a boundary the merge or the spill machinery could plausibly get
 //! wrong.
 
-use parlay::kway::{kway_merge_by, kway_merge_into, LoserTree, SliceSource};
+use parlay::kway::{LoserTree, SliceSource};
 use stream::{CountAgg, StreamGroupBy, StreamSorter};
 
 fn lt_u64(a: &u64, b: &u64) -> bool {
     a < b
+}
+
+/// Drains a loser tree over `runs` (ties favour the earlier run).
+fn merge_runs<T: Copy>(runs: &[&[T]], lt: impl Fn(&T, &T) -> bool) -> Vec<T> {
+    let sources: Vec<SliceSource<'_, T>> = runs.iter().map(|r| SliceSource::new(r)).collect();
+    LoserTree::new(sources, lt).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -20,16 +26,13 @@ fn lt_u64(a: &u64, b: &u64) -> bool {
 fn kway_all_runs_empty() {
     let empty: &[u64] = &[];
     let runs: Vec<&[u64]> = vec![empty; 7];
-    assert!(kway_merge_by(&runs, &lt_u64).is_empty());
-    let mut out: Vec<u64> = vec![];
-    kway_merge_into(&runs, &mut out, &lt_u64);
-    assert!(out.is_empty());
+    assert!(merge_runs(&runs, lt_u64).is_empty());
 }
 
 #[test]
 fn kway_single_run_is_identity() {
     let run: Vec<u64> = (0..5000).map(|i| i * 3).collect();
-    let got = kway_merge_by(&[run.as_slice()], &lt_u64);
+    let got = merge_runs(&[run.as_slice()], lt_u64);
     assert_eq!(got, run);
 }
 
@@ -39,7 +42,7 @@ fn kway_empty_runs_interleaved_with_data() {
     let a = [1u64, 4, 9];
     let b = [2u64, 3];
     let runs: Vec<&[u64]> = vec![empty, &a, empty, empty, &b, empty];
-    assert_eq!(kway_merge_by(&runs, &lt_u64), vec![1, 2, 3, 4, 9]);
+    assert_eq!(merge_runs(&runs, lt_u64), vec![1, 2, 3, 4, 9]);
 }
 
 #[test]
@@ -52,7 +55,7 @@ fn kway_all_equal_keys_is_stable_across_runs() {
         .map(|r| (0..per).map(|i| (7u32, (r * per + i) as u32)).collect())
         .collect();
     let slices: Vec<&[(u32, u32)]> = runs.iter().map(|v| v.as_slice()).collect();
-    let got = kway_merge_by(&slices, &|a: &(u32, u32), b: &(u32, u32)| a.0 < b.0);
+    let got = merge_runs(&slices, |a: &(u32, u32), b: &(u32, u32)| a.0 < b.0);
     let want: Vec<(u32, u32)> = (0..k * per).map(|i| (7u32, i as u32)).collect();
     assert_eq!(got, want);
 }
@@ -61,7 +64,7 @@ fn kway_all_equal_keys_is_stable_across_runs() {
 fn kway_runs_of_length_one() {
     let singles: Vec<Vec<u64>> = vec![vec![5], vec![1], vec![9], vec![1], vec![0]];
     let slices: Vec<&[u64]> = singles.iter().map(|v| v.as_slice()).collect();
-    assert_eq!(kway_merge_by(&slices, &lt_u64), vec![0, 1, 1, 5, 9]);
+    assert_eq!(merge_runs(&slices, lt_u64), vec![0, 1, 1, 5, 9]);
 }
 
 #[test]
@@ -159,17 +162,13 @@ fn stream_empty_batches_are_harmless() {
 }
 
 #[test]
-fn stream_single_record_and_empty_finish_into() {
+fn stream_single_record_and_empty_finish_vec() {
     let sorter: StreamSorter<u64, ()> = StreamSorter::new();
-    let mut out: Vec<(u64, ())> = vec![];
-    sorter.finish_into(&mut out).unwrap();
-    assert!(out.is_empty());
+    assert!(sorter.finish_vec().unwrap().is_empty());
 
     let mut one: StreamSorter<u64, ()> = StreamSorter::new();
     one.push_record(9, ()).unwrap();
-    let mut out = vec![(0u64, ())];
-    one.finish_into(&mut out).unwrap();
-    assert_eq!(out, vec![(9, ())]);
+    assert_eq!(one.finish_vec().unwrap(), vec![(9, ())]);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ fn group_by_batch_size_one_and_all_equal() {
 
 // ---------------------------------------------------------------------------
 // Spill robustness through the public API: a truncated run file must
-// surface as an io::Error from finish()/finish_into(), never as a shorter
+// surface as an io::Error from finish()/finish_vec(), never as a shorter
 // (or panicking) output.
 // ---------------------------------------------------------------------------
 
@@ -256,12 +255,9 @@ fn truncated_spill_file_fails_materializing_finish() {
     // Truncate exactly one whole record — the subtler case: every read of
     // the shortened file would still succeed until the count runs out.
     let record = std::mem::size_of::<u64>() as u64 + std::mem::size_of::<u32>() as u64;
-    let sorter = truncated_sorter(&base, record);
-    let n = sorter.len();
-    let mut out = vec![(0u32, 0u32); n];
-    let err = sorter
-        .finish_into(&mut out)
-        .expect_err("finish_into() must fail on a truncated run");
+    let err = truncated_sorter(&base, record)
+        .finish_vec()
+        .expect_err("finish_vec() must fail on a truncated run");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
     std::fs::remove_dir_all(&base).ok();
 }

@@ -58,7 +58,7 @@ proptest! {
     }
 
     #[test]
-    fn finish_into_matches_iterator(
+    fn finish_vec_matches_iterator(
         keys in vec(any::<u32>(), 0..3000),
         batch in 1usize..700,
     ) {
@@ -71,9 +71,8 @@ proptest! {
         for chunk in input.chunks(batch) {
             sorter.push(chunk).expect("push");
         }
-        let mut via_slice = vec![(0u32, 0u32); input.len()];
-        sorter.finish_into(&mut via_slice).expect("finish_into");
-        prop_assert_eq!(via_iter, via_slice);
+        let via_vec = sorter.finish_vec().expect("finish_vec");
+        prop_assert_eq!(via_iter, via_vec);
     }
 }
 

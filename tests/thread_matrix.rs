@@ -361,28 +361,3 @@ fn string_keyed_streams_are_thread_count_invariant() {
         }
     }
 }
-
-#[test]
-fn kway_and_boundary_shapes_are_thread_count_invariant() {
-    // Edge-suite shapes: many short runs, empty runs interleaved, all-equal
-    // keys — merged under each thread count.
-    let runs_sets: Vec<Vec<Vec<u64>>> = vec![
-        (0..17).map(|i| vec![i as u64; 3]).collect(),
-        vec![vec![], (0..500).collect(), vec![], (250..750).collect()],
-        vec![vec![5; 100], vec![5; 57], vec![5; 1]],
-        (0..8)
-            .map(|r| (0..300u64).map(|i| i * 8 + r).collect())
-            .collect(),
-    ];
-    for (si, runs) in runs_sets.iter().enumerate() {
-        let slices: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut want: Option<Vec<u64>> = None;
-        for &t in &THREADS {
-            let got = with_threads(t, || parlay::kway::kway_merge_by(&slices, &|a, b| a < b));
-            match &want {
-                None => want = Some(got),
-                Some(w) => assert_eq!(&got, w, "kway merge differs at {t} threads [set {si}]"),
-            }
-        }
-    }
-}
