@@ -11,6 +11,7 @@ pub mod experiments;
 pub mod json;
 pub mod obs_support;
 pub mod runner;
+pub mod spill_modes;
 pub mod table;
 
 pub use cli::Args;

@@ -108,11 +108,6 @@ pub(crate) fn subsample_stride(n: usize) -> usize {
     ((usize::BITS - n.max(2).leading_zeros()) as usize).max(1)
 }
 
-/// Bytes per record of the bucket-id cache a DovetailSort run holds next
-/// to its scratch buffer (one `u16` per record; see
-/// [`parlay::counting_sort::counting_sort_with_ids`]).
-const RUN_SORT_ID_BYTES: usize = std::mem::size_of::<u16>();
-
 /// On-disk encoding of spilled runs (the `stream` crate).
 ///
 /// Runs are written once and read once, so
@@ -149,8 +144,7 @@ pub enum SpillIoMode {
     /// One blocking `std::fs` call per read/write on the calling thread
     /// (buffered).  This is the code path every release so far has run,
     /// kept byte-for-byte as the reference side of the backend
-    /// differential tests — the same role `pipelined_spill = false` plays
-    /// for the writer thread.
+    /// differential tests.
     Blocking,
     /// Positioned-I/O jobs over pooled, recycled buffers on the spill I/O
     /// pool's bounded submission/completion queue (the `stream` crate
@@ -256,55 +250,42 @@ impl BudgetHandle {
 /// detection with keys carried from earlier runs), spills runs to
 /// `spill_dir`, and k-way merges all runs at the end.
 ///
-/// Spill I/O is **pipelined** by default: each sorted run is handed to a
-/// dedicated writer thread (so run `N + 1` is sorted while run `N` streams
-/// to disk); `pipelined_spill = false` turns the writer thread off.  On a
-/// host with more than one CPU the final merge also decodes each run ahead
-/// of the loser tree on a small worker pool — the host decides that, not
-/// a field.  Everything else about spilling is fixed by rule in the
-/// `stream` crate rather than tuned here: the transient-failure retry
-/// policy, the probation window after a writer failure, the merge read
-/// buffer, and the spill I/O pool's size.
+/// Spill I/O is **pipelined**: each sorted run is handed to a dedicated
+/// writer thread, so run `N + 1` is sorted while run `N` streams to disk.
+/// On a host with more than one CPU the final merge also decodes each run
+/// ahead of the loser tree on a small worker pool — the host decides that,
+/// not a field.  Everything else about spilling is fixed by rule in the
+/// `stream` crate rather than tuned here: how the budget splits into
+/// shares, the transient-failure retry policy, the probation window after
+/// a writer failure, the merge read buffer, and the spill I/O pool's size.
+/// Tracing is turned on by the caller (`obs::scoped_enable()`), not by the
+/// config.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Total working-set budget in bytes, split into
-    /// [`StreamConfig::spill_shares`] shares: one buffers incoming
-    /// records, one is the sort's ping-pong scratch plus its bucket-id
-    /// cache, and with [`StreamConfig::pipelined_spill`] one more holds
-    /// the sorted run in flight to the writer thread.  One run therefore
-    /// holds about `memory_budget_bytes / (spill_shares · record_size + 2)`
-    /// records ([`StreamConfig::run_capacity`]).
+    /// Total working-set budget in bytes.  The `stream` crate splits it
+    /// into three equal shares: one buffers incoming records, one is the
+    /// sort's ping-pong scratch plus its bucket-id cache, and one holds the
+    /// sorted run in flight to the writer thread.
     ///
-    /// `record_size` is the *inline* struct size (`size_of::<(K, V)>()`).
+    /// Record sizes are *inline* struct sizes (`size_of::<(K, V)>()`).
     /// For variable-length values (`String`, `Vec<u8>`, `Box<[u8]>`) the
     /// heap payload is not part of that size, so the streaming sorter and
     /// the streaming group-by additionally track the buffered payload
-    /// bytes and spill a run early once they reach
-    /// `memory_budget_bytes / spill_shares` — with in-flight runs counted
-    /// against the budget exactly like buffered ones.
+    /// bytes and spill a run early once they reach one share — with
+    /// in-flight runs counted against the budget exactly like buffered
+    /// ones.
     pub memory_budget_bytes: usize,
     /// Optional live override of `memory_budget_bytes`: when set, every
-    /// budget-derived quantity ([`StreamConfig::run_capacity`], the
-    /// var-length payload threshold) reads the handle's *current* value
-    /// instead of the constant, so a granter (e.g. the server's memory
-    /// governor) can shrink or grow the budget while the engine runs.
-    /// Engines re-check capacity on every push chunk, so a shrink
-    /// triggers an early spill rather than an error.
+    /// budget-derived quantity (the run capacity, the var-length payload
+    /// threshold) reads the handle's *current* value instead of the
+    /// constant, so a granter (e.g. the server's memory governor) can
+    /// shrink or grow the budget while the engine runs.  Engines re-check
+    /// capacity on every push chunk, so a shrink triggers an early spill
+    /// rather than an error.
     pub budget: Option<BudgetHandle>,
     /// Directory for spilled runs; `None` uses the system temp directory.
     /// Each sorter creates (and removes on drop) a unique subdirectory.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Write spilled runs on a background writer thread (the default):
-    /// double buffering, so run `N + 1` sorts while run `N` writes.  At
-    /// most one run is in flight, and it costs one budget share; the
-    /// producer waits for it to be durable before handing over the next
-    /// (backpressure).
-    ///
-    /// `false` disables the writer thread: `push` sorts *and* writes each
-    /// run inline on the calling thread — the path a pipelined engine also
-    /// takes while on probation after a writer failure, and the reference
-    /// side of the pipelined-vs-synchronous differential tests.
-    pub pipelined_spill: bool,
     /// On-disk encoding of spilled runs: [`SpillCompression::Off`] (the
     /// default) writes the flat reference format, while
     /// [`SpillCompression::DeltaLz`] delta-encodes the sorted keys and
@@ -315,26 +296,11 @@ pub struct StreamConfig {
     /// Backend for the spill-file reads and writes themselves:
     /// [`SpillIoMode::Blocking`] (buffered `std::fs` calls on the calling
     /// thread — the byte-for-byte reference) or [`SpillIoMode::Batched`]
-    /// (positioned-I/O jobs on the spill I/O pool).  Orthogonal to
-    /// `pipelined_spill`, which picks *who calls into* the backend,
-    /// not how the bytes move.  Defaults from the `PISORT_SPILL_IO`
-    /// environment variable ([`SpillIoMode::env_default`]).
+    /// (positioned-I/O jobs on the spill I/O pool).  It picks how the
+    /// bytes move, not which thread calls into the backend.  Defaults from
+    /// the `PISORT_SPILL_IO` environment variable
+    /// ([`SpillIoMode::env_default`]).
     pub spill_io: SpillIoMode,
-    /// Turn on the `obs` tracing/metrics layer for this engine's
-    /// lifetime: the streaming sorter and group-by hold an
-    /// `obs::EnableGuard` from construction until the engine (and any
-    /// stream it returned) is dropped, so their spans (`sort_run`,
-    /// `spill_write`, `prefetch`, `merge`) and registry metrics are
-    /// recorded.
-    ///
-    /// The enable state is **scoped and refcounted**: recording stays on
-    /// while *any* traced engine is alive and reverts when the last one
-    /// drops, so one traced session no longer turns tracing on for every
-    /// other tenant of the process forever.  `obs::enable()` /
-    /// `obs::disable()` still force the state process-wide, and the
-    /// `OBS_TRACE` environment variable enables the same machinery
-    /// without touching configs.
-    pub trace: bool,
     /// Configuration of the per-run in-memory DovetailSort.
     pub sort: SortConfig,
 }
@@ -345,10 +311,8 @@ impl Default for StreamConfig {
             memory_budget_bytes: 256 << 20,
             budget: None,
             spill_dir: None,
-            pipelined_spill: true,
             spill_compression: SpillCompression::default(),
             spill_io: SpillIoMode::default(),
-            trace: false,
             sort: SortConfig::default(),
         }
     }
@@ -382,34 +346,6 @@ impl StreamConfig {
             Some(handle) => handle.get(),
             None => self.memory_budget_bytes,
         }
-    }
-
-    /// Number of budget shares the record memory is split into: one
-    /// filling buffer + one sort scratch, plus one for the run in flight
-    /// to the writer when [`StreamConfig::pipelined_spill`] is on — 2 or
-    /// 3.  The in-flight run buffers real bytes, so it must be paid for
-    /// out of the same budget.  The sort-scratch share also holds
-    /// DovetailSort's bucket-id cache (2 bytes per record), so it is
-    /// slightly larger than the others; see [`StreamConfig::run_capacity`].
-    pub fn spill_shares(&self) -> usize {
-        2 + usize::from(self.pipelined_spill)
-    }
-
-    /// Number of records of `record_size` bytes one run may hold: the
-    /// budget over `spill_shares() · record_size + 2` bytes per record —
-    /// `record_size` per share, plus the `u16` bucket id the run sort
-    /// caches next to its scratch copy.
-    ///
-    /// The floor is a single record, so a degenerate budget still makes
-    /// progress but cannot silently multiply: the worst-case resident
-    /// record memory is `max(memory_budget_bytes, spill_shares() ·
-    /// record_size + 2)` — one record per share — never
-    /// the `64 · spill_shares() · record_size` the old `.max(64)` floor
-    /// admitted (e.g. 64 records × 3 shares × a 1 KiB record ≈ 192 KiB
-    /// against a 1 KiB budget).
-    pub fn run_capacity(&self, record_size: usize) -> usize {
-        let per_record = self.spill_shares() * record_size.max(1) + RUN_SORT_ID_BYTES;
-        (self.effective_budget_bytes() / per_record).max(1)
     }
 }
 
@@ -463,75 +399,20 @@ mod tests {
     }
 
     #[test]
-    fn stream_config_run_capacity() {
-        // Synchronous: half the budget buffers records (the rest is sort
-        // scratch).
-        let sync = StreamConfig {
-            pipelined_spill: false,
-            ..StreamConfig::with_memory_budget(1 << 20)
-        };
-        assert_eq!(sync.spill_shares(), 2);
-        assert_eq!(sync.run_capacity(8), (1 << 20) / (16 + RUN_SORT_ID_BYTES));
-        // Pipelined (the default, double buffering): one more share pays
-        // for the run in flight to the writer thread.
-        let piped = StreamConfig::with_memory_budget(1 << 20);
-        assert!(piped.pipelined_spill);
-        assert_eq!(piped.spill_shares(), 3);
-        assert_eq!(piped.run_capacity(8), (1 << 20) / (24 + RUN_SORT_ID_BYTES));
-        // Degenerate budgets clamp to a record floor.
-        assert_eq!(StreamConfig::with_memory_budget(0).run_capacity(8), 1);
-        assert!(StreamConfig::default().memory_budget_bytes > 0);
-    }
-
-    #[test]
-    fn run_capacity_never_overshoots_the_budget() {
-        // Regression: the old `.max(64)` floor admitted 64 records per
-        // budget share under a degenerate budget — buffer + scratch +
-        // in-flight runs far above `memory_budget_bytes`.  The worst case
-        // is now one record per share.  Resident bytes at the peak of a
-        // run sort: one share of records per buffer, scratch copy and
-        // in-flight run, plus the sort's `u16` bucket id per record.
-        for record_size in [1usize, 8, 16, 64, 1024, 64 << 10] {
-            for budget in [0usize, 1, 100, 4096, 1 << 20, 3 << 20] {
-                for pipelined_spill in [false, true] {
-                    let cfg = StreamConfig {
-                        memory_budget_bytes: budget,
-                        pipelined_spill,
-                        ..StreamConfig::default()
-                    };
-                    let run = cfg.run_capacity(record_size);
-                    let per_record = cfg.spill_shares() * record_size + std::mem::size_of::<u16>();
-                    let resident = run * per_record;
-                    let worst = budget.max(per_record);
-                    assert!(
-                        resident <= worst,
-                        "budget {budget}, record {record_size}, pipelined {pipelined_spill}: \
-                         resident {resident} > worst-case {worst}"
-                    );
-                    // The run is as large as the budget allows.
-                    assert!((run + 1) * per_record > budget);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn budget_handle_overrides_the_constant_live() {
         let handle = BudgetHandle::new(1 << 20);
         let cfg = StreamConfig {
             memory_budget_bytes: 64, // must be ignored while a handle is attached
             budget: Some(handle.clone()),
-            pipelined_spill: false,
             ..StreamConfig::default()
         };
         assert_eq!(cfg.effective_budget_bytes(), 1 << 20);
-        assert_eq!(cfg.run_capacity(8), (1 << 20) / 18);
         // A shrink through the handle is visible to an existing config
         // (and all its clones) without rebuilding anything.
         let cloned = cfg.clone();
         handle.set(32 << 10);
-        assert_eq!(cfg.run_capacity(8), (32 << 10) / 18);
-        assert_eq!(cloned.run_capacity(8), (32 << 10) / 18);
+        assert_eq!(cfg.effective_budget_bytes(), 32 << 10);
+        assert_eq!(cloned.effective_budget_bytes(), 32 << 10);
         assert!(cfg.budget.as_ref().unwrap().same_handle(&handle));
         // Without a handle, the constant is the budget.
         assert_eq!(

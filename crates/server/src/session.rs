@@ -88,8 +88,8 @@ pub struct ServerConfig {
     /// The shared spill root and disk quota.
     pub spill: SpillManagerConfig,
     /// Template for every session's [`StreamConfig`] (compression, spill
-    /// mode, sort tuning, ...).  The budget and spill directory fields are
-    /// overridden per session by the leases.
+    /// backend, sort tuning, ...).  The budget and spill directory fields
+    /// are overridden per session by the leases.
     pub base: StreamConfig,
 }
 

@@ -23,7 +23,7 @@
 //!   chaos test into silent wrong output),
 //! * a spill-write panic ([`FaultKind::WritePanic`], off by default:
 //!   meant for targeted worker/writer-thread crash tests, not blanket
-//!   schedules that also cover synchronous spill paths).
+//!   schedules).
 //!
 //! Because the decorator wraps a *handle* and not the backend, fault
 //! scope is per handle: a server can give one session a faulted view of
@@ -69,9 +69,9 @@ pub enum FaultKind {
     /// [`FaultPlan::seeded`]'s default mix: only checksummed spill
     /// formats can detect it.
     CorruptByte = 7,
-    /// The write panics (caught by the spill writer thread / the batched
-    /// pool worker).  **Not** in the default mix: a panic on a
-    /// synchronous spill path would unwind into the caller.
+    /// The write panics (caught by the spill write, on whichever thread
+    /// it runs, and by the batched pool worker).  **Not** in the default
+    /// mix: panics are meant for targeted crash tests.
     WritePanic = 8,
 }
 

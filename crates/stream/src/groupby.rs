@@ -246,8 +246,7 @@ pub struct GroupByStats {
     pub degraded_syncs: u64,
     /// Whether the spill counters are exact right now: `false` while
     /// aggregated runs are in flight to the background spill writer,
-    /// `true` once reconciliation has caught up.  Always `true` with
-    /// [`StreamConfig::pipelined_spill`] off;
+    /// `true` once reconciliation has caught up;
     /// [`StreamGroupBy::flush_spills`] forces it back to `true`.
     pub is_settled: bool,
 }
@@ -294,27 +293,17 @@ impl<K: IntegerKey, G: Aggregator> RunBuilder for AggRuns<K, G> {
     type Stats = GroupByStats;
     const FILE_STEM: &'static str = "agg";
 
-    fn run_capacity(cfg: &StreamConfig) -> usize {
-        // Peak transient footprint per buffered record: the pushed record
-        // itself, plus the `(key, index)` tag pair the semisort moves (and
-        // the scratch copy of it the semisort engine allocates), plus the
-        // lifted accumulator slot — plus, when spills are pipelined, one
-        // partial-aggregate slot for the run in flight (an aggregated run
-        // in flight to the writer holds at most one `(u64, Acc)` record
-        // per buffered record).  Sizing the run from that sum (not just
-        // the input record) keeps aggregation within the configured budget.
-        // Variable-length payloads count their inline struct size only
-        // (see `StreamConfig`).
-        let record_footprint = std::mem::size_of::<(K, G::Input)>()
-            + 2 * std::mem::size_of::<(u64, u64)>()
-            + std::mem::size_of::<Option<G::Acc>>()
-            + usize::from(cfg.pipelined_spill) * std::mem::size_of::<(u64, G::Acc)>();
-        // Floor of 1 (not some larger convenience floor): any higher floor
-        // would admit `floor × record_footprint` resident bytes under a
-        // degenerate budget, silently overshooting it (the same fix as
-        // `StreamConfig::run_capacity`).
-        (cfg.effective_budget_bytes() / record_footprint.max(1)).max(1)
-    }
+    // Peak transient footprint per buffered record: the pushed record
+    // itself, plus the `(key, index)` tag pair the semisort moves (and the
+    // scratch copy of it the semisort engine allocates), plus the lifted
+    // accumulator slot.  Sizing the run from that sum (not just the input
+    // record) keeps aggregation within the configured budget.
+    // Variable-length payloads count their inline struct size only (see
+    // `StreamConfig`).  A run in flight to the writer adds one `(u64, Acc)`
+    // partial per buffered record (see `spiller::run_capacity`).
+    const BUILD_BYTES: usize = std::mem::size_of::<(K, G::Input)>()
+        + 2 * std::mem::size_of::<(u64, u64)>()
+        + std::mem::size_of::<Option<G::Acc>>();
 
     /// Semisorts the buffer and folds each group into one partial
     /// aggregate, returned sorted by (ordered) key.
@@ -455,8 +444,8 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
 
     /// Blocks until the aggregated run in flight to the background spill
     /// writer is durable on disk, surfacing any writer-side error.
-    /// Afterwards [`StreamGroupBy::stats`] is exact.  A no-op with
-    /// [`StreamConfig::pipelined_spill`] off.
+    /// Afterwards [`StreamGroupBy::stats`] is exact.  A no-op when no run
+    /// is in flight.
     pub fn flush_spills(&mut self) -> io::Result<()> {
         self.core.flush_spills()
     }
@@ -705,26 +694,6 @@ mod tests {
             let want: u64 = (0..2000u64).map(|j| k + 10 * j).sum();
             assert_eq!(sum, want, "key {k}");
         }
-    }
-
-    #[test]
-    fn synchronous_spill_sizes_runs_without_in_flight_slots() {
-        use std::mem::size_of;
-        let budget = 1 << 20;
-        let sync = StreamConfig {
-            pipelined_spill: false,
-            ..StreamConfig::with_memory_budget(budget)
-        };
-        assert_eq!(sync.spill_shares(), 2);
-        let resident =
-            size_of::<(u32, u64)>() + 2 * size_of::<(u64, u64)>() + size_of::<Option<u64>>();
-        let capacity = AggRuns::<u32, SumAgg>::run_capacity;
-        assert_eq!(capacity(&sync), budget / resident);
-        let piped = StreamConfig::with_memory_budget(budget);
-        assert_eq!(
-            capacity(&piped),
-            budget / (resident + size_of::<(u64, u64)>())
-        );
     }
 
     #[test]

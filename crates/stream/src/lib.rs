@@ -15,10 +15,9 @@
 //!
 //! [`StreamSorter`] buffers pushed records up to the run capacity derived
 //! from [`dtsort::StreamConfig::memory_budget_bytes`], which is split
-//! into shares ([`dtsort::StreamConfig::spill_shares`]): one buffers
-//! records, one is DovetailSort's ping-pong scratch plus its 2-byte
-//! bucket id per record, and, when spills are pipelined, one pays for the
-//! run in flight to the spill writer.
+//! into three equal shares: one buffers records, one is DovetailSort's
+//! ping-pong scratch plus its 2-byte bucket id per record, and one pays
+//! for the run in flight to the spill writer.
 //! Each full buffer is stably sorted with the paper's DovetailSort and
 //! written to a spill file; the final partial buffer stays in memory.
 //! [`StreamSorter::finish`] merges all runs with a tournament loser tree
@@ -58,35 +57,33 @@
 //!
 //! ## Pipelined spill I/O
 //!
-//! Spilling is pipelined by default: each sorted run is handed to a
-//! dedicated **writer thread**, so run `N + 1` sorts while run `N`
-//! streams to disk (fsync included — a run recorded as spilled is durably
-//! on disk).  At most one run is in flight: the writer hands each run
-//! back with its outcome, and the engine settles run `N` before handing
-//! over run `N + 1` — that wait is the backpressure.  On a host with more
-//! than one CPU the final merge **reads ahead** of the loser tree (the
+//! Spilling is pipelined: each sorted run is handed to a dedicated
+//! **writer thread**, so run `N + 1` sorts while run `N` streams to disk
+//! (fsync included — a run recorded as spilled is durably on disk).  At
+//! most one run is in flight: the writer hands each run back with its
+//! outcome, and the engine settles run `N` before handing over run
+//! `N + 1` — that wait is the backpressure.  On a host with more than one
+//! CPU the final merge **reads ahead** of the loser tree (the
 //! crate-private `pipeline` module): each spilled run's next block is
 //! decoded by a task on the spill I/O pool (2 threads, whatever the run
 //! count), sized by the run's share of an 8 MiB merge read buffer.  On one
-//! CPU the merge reads synchronously, since the decode tasks could not
-//! run alongside it.  The memory budget is split into *spill shares*
-//! ([`dtsort::StreamConfig::spill_shares`]) so the in-flight run is paid
-//! for out of the same budget.  Writer-side errors surface on the next
-//! `push` or on `finish` — never dropped, never a hang — with the failed
-//! run's records reclaimed and the engine entering **degradation
-//! probation**: it spills synchronously until [`PROBATION_SPILLS`]
-//! consecutive spills succeed, then restarts the writer thread (visible
-//! as `spill.degraded_syncs` / [`StreamStats::degraded_syncs`]).
-//! Transient failures (interrupted/timed-out syscalls) are retried before
-//! any of that — up to 3 times, after a deterministic backoff of 2 ms
-//! doubling to at most 50 ms — and errors that survive the retries are
-//! typed [`SpillError`]s naming the run file, run index (the run's
-//! position among the engine's runs, whichever path wrote it) and bytes
-//! attempted.  [`dtsort::StreamConfig::pipelined_spill`] `= false`
-//! writes every run inline on the pushing thread — the path probation
-//! takes, and the reference behavior for the differential tests.  The
-//! crate-private `spiller` module owns this whole lifecycle once for both
-//! engines.
+//! CPU the merge reads synchronously, since the decode tasks could not run
+//! alongside it.  The memory budget is split into three *spill shares* so
+//! the in-flight run is paid for out of the same budget.  Writer-side
+//! errors surface on the next `push` or on `finish` — never dropped, never
+//! a hang — with the failed run's records reclaimed and the engine
+//! entering **degradation probation**: it writes every run inline on the
+//! pushing thread until [`PROBATION_SPILLS`] consecutive spills succeed,
+//! then restarts the writer thread (visible as `spill.degraded_syncs` /
+//! [`StreamStats::degraded_syncs`]).  A panicking value serializer is such
+//! an error too, on either thread.  Transient failures
+//! (interrupted/timed-out syscalls) are retried before any of that — up
+//! to 3 times, after a deterministic backoff of 2 ms doubling to at most
+//! 50 ms — and errors that survive the retries are typed [`SpillError`]s
+//! naming the run file, run index (the run's position among the engine's
+//! runs, whichever path wrote it) and bytes attempted.  The crate-private
+//! `spiller` module owns this whole lifecycle, and the budget split, once
+//! for both engines.
 //!
 //! ## Spill I/O backends
 //!

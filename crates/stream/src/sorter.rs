@@ -2,7 +2,7 @@
 
 use crate::pipeline::RunFeed;
 use crate::spill::{per_run_reader_budget, PodValue, RunReader, SpillValue, SpilledRun, VarValue};
-use crate::spiller::{or_panic, ReadErrorSlot, RunBuilder, RunMerge, Spiller};
+use crate::spiller::{or_panic, ReadErrorSlot, RunBuilder, RunMerge, Spiller, RUN_SORT_ID_BYTES};
 use crate::spillio::SpillIoHandle;
 use dtsort::{sort_run_pairs_with, IntegerKey, RunReport, SortConfig, StreamConfig};
 use parlay::kway::{BlockSource, RunSource};
@@ -69,9 +69,8 @@ pub struct StreamStats {
     /// Whether the spill counters are exact right now: `false` while runs
     /// are in flight to the background spill writer (their bytes are not
     /// yet in `spilled_runs` / `spilled_bytes`), `true` once reconciliation
-    /// has caught up.  Always `true` with
-    /// [`StreamConfig::pipelined_spill`] off;
-    /// [`StreamSorter::flush_spills`] forces it back to `true`.
+    /// has caught up.  [`StreamSorter::flush_spills`] forces it back to
+    /// `true`.
     pub is_settled: bool,
 }
 
@@ -107,9 +106,9 @@ impl Default for StreamStats {
 /// variable-length [`VarValue`]s such as `String` and `Vec<u8>` (spilled
 /// length-prefixed); see [`SpillValue`].  For variable-length values the
 /// sorter additionally tracks the buffered payload bytes and spills early
-/// once they reach one budget share
-/// ([`StreamConfig::spill_shares`]), so a stream of large values cannot
-/// overshoot the budget through the record-count heuristic.
+/// once they reach one budget share (a third of the budget), so a stream
+/// of large values cannot overshoot the budget through the record-count
+/// heuristic.
 ///
 /// ```
 /// use stream::StreamSorter;
@@ -149,9 +148,9 @@ impl<K: IntegerKey, V: SpillValue> RunBuilder for SortRuns<K, V> {
     type Stats = StreamStats;
     const FILE_STEM: &'static str = "run";
 
-    fn run_capacity(cfg: &StreamConfig) -> usize {
-        cfg.run_capacity(std::mem::size_of::<(K, V)>())
-    }
+    // One share of records buffered and one of sort scratch, with its
+    // bucket-id cache.
+    const BUILD_BYTES: usize = 2 * std::mem::size_of::<(K, V)>() + RUN_SORT_ID_BYTES;
 
     /// Sorts the buffer in place, updates the carry from the sort's
     /// report, and hands the sorted buffer over as the run (`out` becomes
@@ -261,8 +260,8 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
 
     /// Blocks until the run in flight to the background spill writer is
     /// durable on disk, surfacing any writer-side error.  Afterwards
-    /// [`StreamSorter::stats`] is exact.  A no-op with
-    /// [`StreamConfig::pipelined_spill`] off.
+    /// [`StreamSorter::stats`] is exact.  A no-op when no run is in
+    /// flight.
     pub fn flush_spills(&mut self) -> io::Result<()> {
         self.core.flush_spills()
     }
@@ -1048,51 +1047,56 @@ mod tests {
 
     #[test]
     fn panic_mid_spill_leaves_every_recorded_run_complete_on_disk() {
-        // Synchronous mode: the injected panic unwinds straight through
-        // `write_run`'s `BufWriter`, the classic silent-truncation shape.
-        // The invariant under test: a run the sorter *recorded* as spilled
-        // is fully on disk — only the never-recorded run may be partial.
-        let cfg = StreamConfig {
-            pipelined_spill: false,
-            ..tiny_cfg(16 << 10)
-        };
-        let mut sorter: StreamSorter<u64, Grenade> = pinned_sorter(cfg, false);
+        // A synchronous spill (the path probation takes) panics in the
+        // middle of its write, through `write_run`'s `BufWriter` — the
+        // classic silent-truncation shape.  The panic must come back as an
+        // error with the run still queued and its partial file removed, so
+        // every run the sorter *recorded* as spilled is fully on disk.
+        let mut sorter: StreamSorter<u64, Grenade> = pinned_sorter(tiny_cfg(16 << 10), false);
         let capacity = sorter.core.run_capacity;
+        sorter.core.degraded = Some(crate::PROBATION_SPILLS);
         // Detonate in the middle of the second run's write.
         let fuse = Arc::new(AtomicI64::new(capacity as i64 + (capacity / 2) as i64));
         let n = 4 * capacity;
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for i in 0..n as u64 {
-                sorter.push_record(i % 97, Grenade::new(&fuse, i)).unwrap();
+        let mut input: Vec<(u64, Grenade)> = Vec::new();
+        let mut errors = 0usize;
+        for i in 0..n as u64 {
+            let record = (i % 97, Grenade::new(&fuse, i));
+            input.push(record.clone());
+            if let Err(e) = sorter.push_record(record.0, record.1) {
+                assert!(e.to_string().contains("panicked"), "unexpected error: {e}");
+                errors += 1;
+                // The interrupted run is queued for a retry, not recorded,
+                // and its partial file is gone.
+                assert_eq!(sorter.core.runs.len(), 1, "one run recorded");
+                assert_eq!(sorter.core.pending_runs.len(), 1, "the run is kept");
+                let dir = sorter.core.runs[0].path.parent().unwrap();
+                assert!(!dir.join("run-000001.bin").exists(), "partial file removed");
             }
-        }))
-        .is_err();
-        assert!(panicked, "the fuse must have gone off mid-write");
-        assert_eq!(sorter.stats().spilled_runs, 1, "one run recorded");
-        assert_eq!(sorter.core.runs.len(), 1);
-        // The recorded run reads back completely — byte size, record count
-        // and payloads all intact.
-        let run = &sorter.core.runs[0];
-        assert_eq!(std::fs::metadata(&run.path).unwrap().len(), run.bytes);
-        let records: Vec<(u64, Grenade)> =
-            RunReader::<Grenade>::open(&SpillIoHandle::blocking(), run, 0, 4096)
-                .unwrap()
-                .read_all()
-                .unwrap();
-        assert_eq!(records.len(), run.len);
-        assert!(records
-            .iter()
-            .all(|(_, g)| g.payload.starts_with(b"payload-")));
-        // The panicking run's file is the partial one: it was never
-        // recorded, and its truncation is visible on disk.
-        let dir = run.path.parent().unwrap();
-        let partial = dir.join("run-000001.bin");
-        assert!(partial.exists(), "the interrupted write left a file");
-        let complete_run_bytes = run.bytes;
-        assert!(
-            std::fs::metadata(&partial).unwrap().len() < complete_run_bytes,
-            "the unrecorded file must be visibly incomplete"
-        );
+        }
+        assert_eq!(errors, 1, "the fuse must have gone off mid-write once");
+        assert_eq!(sorter.stats().records_pushed, n as u64);
+        // Every recorded run reads back completely — byte size, record
+        // count and payloads all intact.
+        assert!(sorter.core.runs.len() > 2);
+        for run in &sorter.core.runs {
+            assert_eq!(std::fs::metadata(&run.path).unwrap().len(), run.bytes);
+            let records: Vec<(u64, Grenade)> =
+                RunReader::<Grenade>::open(&SpillIoHandle::blocking(), run, 0, 4096)
+                    .unwrap()
+                    .read_all()
+                    .unwrap();
+            assert_eq!(records.len(), run.len);
+            assert!(records
+                .iter()
+                .all(|(_, g)| g.payload.starts_with(b"payload-")));
+        }
+        let got = sorter.finish_vec().unwrap();
+        let mut want = input;
+        want.sort_by_key(|r| r.0);
+        let got_payloads: Vec<&[u8]> = got.iter().map(|(_, g)| g.payload.as_slice()).collect();
+        let want_payloads: Vec<&[u8]> = want.iter().map(|(_, g)| g.payload.as_slice()).collect();
+        assert_eq!(got_payloads, want_payloads, "stable, lossless recovery");
     }
 
     #[test]
@@ -1228,12 +1232,9 @@ mod tests {
         // An injected short write (the full-disk shape) under the batched
         // backend: the failing spill surfaces on a push, the run's records
         // are reclaimed, and the final merge loses nothing.
-        let cfg = StreamConfig {
-            pipelined_spill: false,
-            ..batched_cfg(16 << 10)
-        };
         let io = SpillIoHandle::batched(2, 8).reading_ahead(false);
-        let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config_and_io(cfg, io.clone());
+        let mut sorter: StreamSorter<u64, u64> =
+            StreamSorter::with_config_and_io(batched_cfg(16 << 10), io.clone());
         let capacity = sorter.core.run_capacity;
         let run_bytes = (capacity * 16) as u64; // flat: 8B key + 8B value
         io.inject_write_failure_after(run_bytes + run_bytes / 2);

@@ -9,12 +9,17 @@
 //! reclaimed from failed writes, degradation probation, the retried
 //! synchronous write, the spill accounting, and opening the final merge.
 //!
-//! With [`StreamConfig::pipelined_spill`] on, at most one run is in flight
-//! to the writer thread: run `N + 1` is built while run `N` is written,
-//! and run `N` settles (accounted, or reclaimed on failure) before run
-//! `N + 1` is handed over.  Turned off, every run is written synchronously
-//! on the pushing thread — the same path probation takes after a writer
-//! failure.
+//! At most one run is in flight to the writer thread: run `N + 1` is
+//! built while run `N` is written, and run `N` settles (accounted, or
+//! reclaimed on failure) before run `N + 1` is handed over.  While on
+//! probation after a writer failure, every run is written synchronously
+//! on the pushing thread instead.
+//!
+//! The budget split lives here too: the budget is divided into
+//! [`SPILL_SHARES`] equal shares, and a run holds as many records as the
+//! budget pays for at the engine's per-record footprint
+//! ([`RunBuilder::BUILD_BYTES`] plus one run record for the run in flight;
+//! see [`run_capacity`]).
 
 use crate::metrics::m;
 use crate::sorter::{open_run_cursors, RunCursor};
@@ -42,6 +47,31 @@ use std::time::Instant;
 /// not for the rest of the engine's life.
 pub const PROBATION_SPILLS: u32 = 4;
 
+/// Bytes per record of the bucket-id cache a DovetailSort run holds next
+/// to its scratch buffer (one `u16` per record; see
+/// [`parlay::counting_sort::counting_sort_with_ids`]).
+pub(crate) const RUN_SORT_ID_BYTES: usize = std::mem::size_of::<u16>();
+
+/// Number of equal shares the budget splits into: one filling buffer,
+/// one sort scratch, and one for the run in flight to the writer, which
+/// buffers real bytes and so is paid for out of the same budget.
+pub(crate) const SPILL_SHARES: usize = 3;
+
+/// Records one of `B`'s runs may hold under the budget in force right now:
+/// each buffered record costs [`RunBuilder::BUILD_BYTES`] plus one run
+/// record in the run in flight to the writer (a built run holds at most
+/// one record per buffered record).
+///
+/// The floor is a single record, so a degenerate budget still makes
+/// progress but cannot silently multiply: the worst-case resident record
+/// memory is `max(budget, per_record)` — one record per share — never the
+/// `64 · per_record` an old `.max(64)` floor admitted (e.g. 64 records ×
+/// 3 shares × a 1 KiB record ≈ 192 KiB against a 1 KiB budget).
+fn run_capacity<B: RunBuilder>(cfg: &StreamConfig) -> usize {
+    let per_record = B::BUILD_BYTES + std::mem::size_of::<(B::RunKey, B::RunValue)>();
+    (cfg.effective_budget_bytes() / per_record).max(1)
+}
+
 /// The engine-specific half of the spill lifecycle.
 pub(crate) trait RunBuilder {
     /// Key of a pushed record.
@@ -58,8 +88,9 @@ pub(crate) trait RunBuilder {
     /// run position).
     const FILE_STEM: &'static str;
 
-    /// Records one run may hold under the budget in force right now.
-    fn run_capacity(cfg: &StreamConfig) -> usize;
+    /// Bytes one buffered record costs at the peak of building its run:
+    /// the buffered record plus whatever the build allocates per record.
+    const BUILD_BYTES: usize;
 
     /// Drains `buffer` into one run sorted by key, reusing `out` (an empty,
     /// possibly recycled vector) for the run when it can.
@@ -154,16 +185,7 @@ impl<K: IntegerKey, V: SpillValue> RunWriter<K, V> {
             .name("pisort-spill-writer".to_string())
             .spawn(move || {
                 for (path, index, run) in job_rx {
-                    // A panicking value serializer becomes an error, so the
-                    // run's records still come back to the engine.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        write_spill_run(&io, &path, index, &run, compression)
-                    }))
-                    .unwrap_or_else(|panic| {
-                        std::fs::remove_file(&path).ok();
-                        let msg = panic_message(panic.as_ref());
-                        Err(io::Error::other(format!("spill writer panicked: {msg}")))
-                    });
+                    let result = write_spill_run(&io, &path, index, &run, compression);
                     if reply_tx.send((run, result)).is_err() {
                         break;
                     }
@@ -191,7 +213,9 @@ impl<K, V> Drop for RunWriter<K, V> {
 
 /// Writes `run` to `path` as run `index`, retrying transient failures.
 /// A failed write leaves no file behind and surfaces as a typed
-/// [`crate::SpillError`] naming the run.
+/// [`crate::SpillError`] naming the run.  A panicking value serializer is
+/// such a failure too, on the writer thread and the pushing thread alike,
+/// so the run's records always stay with the engine.
 fn write_spill_run<K: IntegerKey, V: SpillValue>(
     io: &SpillIoHandle,
     path: &Path,
@@ -201,11 +225,17 @@ fn write_spill_run<K: IntegerKey, V: SpillValue>(
 ) -> io::Result<SpilledRun> {
     let start = obs::enabled().then(Instant::now);
     let _span = start.map(|_| obs::span!("spill_write", run = index));
-    let result = write_run_with_retry(io, path, run, compression).map_err(|e| {
-        std::fs::remove_file(path).ok();
-        let attempted = run.iter().map(|(_, v)| 8 + v.spill_size() as u64).sum();
-        wrap_spill_err(path, index, attempted, e)
-    });
+    let write = AssertUnwindSafe(|| write_run_with_retry(io, path, run, compression));
+    let result = catch_unwind(write)
+        .unwrap_or_else(|panic| {
+            let msg = panic_message(panic.as_ref());
+            Err(io::Error::other(format!("spill writer panicked: {msg}")))
+        })
+        .map_err(|e| {
+            std::fs::remove_file(path).ok();
+            let attempted = run.iter().map(|(_, v)| 8 + v.spill_size() as u64).sum();
+            wrap_spill_err(path, index, attempted, e)
+        });
     if let Some(start) = start {
         m().write_ns.record_duration(start.elapsed());
     }
@@ -246,17 +276,11 @@ pub(crate) struct Spiller<B: RunBuilder> {
     // before the spill space deletes the directory under it.
     pub(crate) pipeline: Option<RunWriter<B::RunKey, B::RunValue>>,
     pub(crate) space: Option<SpillSpace>,
-    /// Scoped obs enable for [`StreamConfig::trace`]; transferred to the
-    /// finished stream so recording covers the merge drain too.
-    trace_guard: Option<obs::EnableGuard>,
 }
 
 impl<B: RunBuilder> Spiller<B> {
     pub(crate) fn new(cfg: StreamConfig, io: SpillIoHandle, builder: B) -> Self {
-        // Scoped, not sticky: tracing reverts when this engine (and any
-        // stream it returns) is dropped.
-        let trace_guard = cfg.trace.then(obs::scoped_enable);
-        let run_capacity = B::run_capacity(&cfg);
+        let run_capacity = run_capacity::<B>(&cfg);
         Self {
             cfg,
             io,
@@ -272,7 +296,6 @@ impl<B: RunBuilder> Spiller<B> {
             stats: B::Stats::default(),
             pipeline: None,
             space: None,
-            trace_guard,
         }
     }
 
@@ -282,7 +305,7 @@ impl<B: RunBuilder> Spiller<B> {
     /// early spill instead of an over-budget buffer.
     fn refresh_run_capacity(&mut self) {
         if self.cfg.budget.is_some() {
-            self.run_capacity = B::run_capacity(&self.cfg);
+            self.run_capacity = run_capacity::<B>(&self.cfg);
         }
     }
 
@@ -371,7 +394,7 @@ impl<B: RunBuilder> Spiller<B> {
             && (self.buffer.len() >= self.run_capacity
                 || (B::Value::SPILL_FIXED_SIZE.is_none()
                     && self.buffered_value_bytes
-                        >= self.cfg.effective_budget_bytes() / self.cfg.spill_shares()))
+                        >= self.cfg.effective_budget_bytes() / SPILL_SHARES))
     }
 
     fn should_spill(&self) -> bool {
@@ -428,12 +451,18 @@ impl<B: RunBuilder> Spiller<B> {
         // Buffer the record *before* any spill attempt: on a spill error
         // the caller's (possibly only) copy of the value is then owned by
         // the engine rather than dropped on the error return.
-        if B::Value::SPILL_FIXED_SIZE.is_none() {
-            self.buffered_value_bytes += value.spill_size();
-        }
-        self.buffer.push((key, value));
-        self.stats.note_pushed(1);
+        self.buffer_record((key, value));
         self.shrink_to_budget()
+    }
+
+    /// Moves one record into the buffer without a spill attempt, with the
+    /// same accounting as [`Spiller::buffer_chunk`].
+    pub(crate) fn buffer_record(&mut self, record: (B::Key, B::Value)) {
+        if B::Value::SPILL_FIXED_SIZE.is_none() {
+            self.buffered_value_bytes += record.1.spill_size();
+        }
+        self.buffer.push(record);
+        self.stats.note_pushed(1);
     }
 
     /// Turns the buffer into one run, reusing the buffer of the last run
@@ -465,7 +494,7 @@ impl<B: RunBuilder> Spiller<B> {
         if !self.buffer_needs_spill() {
             return Ok(());
         }
-        if !self.cfg.pipelined_spill || self.degraded.is_some() {
+        if self.degraded.is_some() {
             // The queue is empty here, so this writes exactly the new run
             // and, on failure, keeps it queued for the next attempt.
             let run = self.build_run();
@@ -505,8 +534,7 @@ impl<B: RunBuilder> Spiller<B> {
         self.runs.push(spilled);
         // One clean synchronous spill while on probation: count it, and
         // once enough have succeeded, lift the probation so the next spill
-        // restarts the writer.  `pipelined_spill = false` is a choice, not
-        // a degradation.
+        // restarts the writer.
         if let Some(left) = self.degraded {
             self.stats.note_degraded_sync();
             self.degraded = Some(left.saturating_sub(1)).filter(|&left| left > 0);
@@ -592,7 +620,6 @@ impl<B: RunBuilder> Spiller<B> {
             tree: LoserTree::new(cursors, B::RunValue::spill_record_lt),
             failed,
             _merge_span: obs::enabled().then(|| obs::span!("merge")),
-            _trace: self.trace_guard.take(),
             _space: self.space.take(),
         };
         Ok((merge, self.builder))
@@ -642,10 +669,6 @@ pub(crate) struct RunMerge<V: SpillValue> {
     /// Open `merge` span over the stream's lifetime, so prefetch spans can
     /// be shown (and asserted) to overlap it; recorded when it drops.
     _merge_span: Option<obs::SpanGuard>,
-    /// Keeps [`StreamConfig::trace`]'s scoped enable alive through the
-    /// merge drain (the span above is recorded on drop, while tracing is
-    /// still on: [`obs::SpanGuard`] captures its enable state at start).
-    _trace: Option<obs::EnableGuard>,
     _space: Option<SpillSpace>,
 }
 
@@ -664,8 +687,99 @@ impl<V: SpillValue> RunMerge<V> {
 
 #[cfg(test)]
 mod tests {
-    use crate::StreamSorter;
-    use dtsort::StreamConfig;
+    use super::*;
+    use crate::groupby::AggRuns;
+    use crate::sorter::SortRuns;
+    use crate::{StreamGroupBy, StreamSorter, SumAgg};
+    use dtsort::BudgetHandle;
+
+    #[test]
+    fn run_capacity_splits_the_budget_into_shares() {
+        // 8-byte records: one share buffers them, one is sort scratch, and
+        // one pays for the run in flight to the writer thread.
+        let cfg = StreamConfig::with_memory_budget(1 << 20);
+        assert_eq!(
+            run_capacity::<SortRuns<u32, u32>>(&cfg),
+            (1 << 20) / (24 + RUN_SORT_ID_BYTES)
+        );
+        // Degenerate budgets clamp to a record floor.
+        let empty = StreamConfig::with_memory_budget(0);
+        assert_eq!(run_capacity::<SortRuns<u32, u32>>(&empty), 1);
+        assert!(StreamConfig::default().memory_budget_bytes > 0);
+    }
+
+    /// Asserts that `B`'s runs of `record_size`-byte records never hold
+    /// more than the budget pays for, and as much as it does.
+    fn assert_runs_fit_the_budget<B: RunBuilder>(record_size: usize) {
+        for budget in [0usize, 1, 100, 4096, 1 << 20, 3 << 20] {
+            let cfg = StreamConfig::with_memory_budget(budget);
+            let run = run_capacity::<B>(&cfg);
+            let per_record = SPILL_SHARES * record_size + RUN_SORT_ID_BYTES;
+            let resident = run * per_record;
+            let worst = budget.max(per_record);
+            assert!(
+                resident <= worst,
+                "budget {budget}, record {record_size}: resident {resident} > worst-case {worst}"
+            );
+            // The run is as large as the budget allows.
+            assert!((run + 1) * per_record > budget);
+        }
+    }
+
+    #[test]
+    fn run_capacity_never_overshoots_the_budget() {
+        // Regression: the old `.max(64)` floor admitted 64 records per
+        // budget share under a degenerate budget — buffer + scratch +
+        // in-flight runs far above `memory_budget_bytes`.  The worst case
+        // is now one record per share.  Resident bytes at the peak of a
+        // run sort: one share of records per buffer, scratch copy and
+        // in-flight run, plus the sort's `u16` bucket id per record.
+        assert_runs_fit_the_budget::<SortRuns<u8, ()>>(1);
+        assert_runs_fit_the_budget::<SortRuns<u32, u32>>(8);
+        assert_runs_fit_the_budget::<SortRuns<u64, u64>>(16);
+        assert_runs_fit_the_budget::<SortRuns<u64, u128>>(32);
+        assert_runs_fit_the_budget::<SortRuns<u64, String>>(32);
+    }
+
+    #[test]
+    fn group_by_runs_pay_for_the_partial_in_flight() {
+        // A group-by's buffered record costs its build footprint plus one
+        // `(u64, Acc)` partial of the aggregated run in flight.
+        use std::mem::size_of;
+        let budget = 1 << 20;
+        let gb: StreamGroupBy<u32, SumAgg> =
+            StreamGroupBy::with_config(SumAgg, StreamConfig::with_memory_budget(budget));
+        let build =
+            size_of::<(u32, u64)>() + 2 * size_of::<(u64, u64)>() + size_of::<Option<u64>>();
+        assert_eq!(AggRuns::<u32, SumAgg>::BUILD_BYTES, build);
+        assert_eq!(
+            gb.core.run_capacity,
+            budget / (build + size_of::<(u64, u64)>())
+        );
+    }
+
+    #[test]
+    fn budget_handle_resizes_the_run_capacity_live() {
+        let handle = BudgetHandle::new(1 << 20);
+        let cfg = StreamConfig {
+            memory_budget_bytes: 64, // must be ignored while a handle is attached
+            budget: Some(handle.clone()),
+            ..StreamConfig::default()
+        };
+        // 16-byte records, 3 shares.
+        let per_record = SPILL_SHARES * 16 + RUN_SORT_ID_BYTES;
+        let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config(cfg.clone());
+        assert_eq!(sorter.core.run_capacity, (1 << 20) / per_record);
+        // A shrink through the handle reaches the running engine and every
+        // clone of the config without rebuilding anything.
+        handle.set(32 << 10);
+        sorter.shrink_to_budget().unwrap();
+        assert_eq!(sorter.core.run_capacity, (32 << 10) / per_record);
+        assert_eq!(
+            run_capacity::<SortRuns<u64, u64>>(&cfg),
+            (32 << 10) / per_record
+        );
+    }
 
     #[test]
     fn pipelined_spill_reuses_the_buffer_the_writer_hands_back() {

@@ -7,9 +7,7 @@
 //!
 //! * [`SpillIoMode::Blocking`] — today's code path, byte-for-byte: a
 //!   `BufWriter` over `File::create` for runs, a `BufReader` over
-//!   `File::open` for merges.  This is the differential reference, the
-//!   same role [`dtsort::StreamConfig::pipelined_spill`] `= false`
-//!   plays for the writer thread.
+//!   `File::open` for merges.  This is the differential reference.
 //! * [`SpillIoMode::Batched`] — positioned-I/O jobs over pooled, recycled
 //!   buffers, in the queue-pair discipline of userspace-NVMe runtimes:
 //!   bounded queue depth, poll completions, recycle buffers.  Writers

@@ -188,6 +188,13 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
     }
 }
 
+/// The integer-keyed record a string-keyed one rides as: the key's 8-byte
+/// prefix, and the full key bytes beside the value.
+fn string_keyed<K: StringKey, V: SpillValue>(key: &K, value: V) -> (u64, StringKeyed<V>) {
+    let prefix = string_key_prefix64(key.key_bytes());
+    (prefix, StringKeyed::new(key, value))
+}
+
 /// Rebuilds a typed record from a merged one; the key bytes were produced
 /// from a valid key by this process, so failure means file corruption —
 /// the same environment fault a mid-merge read error is, reported the
@@ -206,7 +213,7 @@ fn rebuild_record<K: StringKey, V>((_, rec): (u64, StringKeyed<V>)) -> (K, V) {
 /// ([`dtsort::string_key_prefix64`]) and the full key travels in the
 /// spilled payload; see the module docs for why the result is exactly
 /// lexicographic and stable.  All [`StreamConfig`] knobs (budget, spill
-/// compression, pipelining, read-ahead) apply unchanged.
+/// compression, spill backend) apply unchanged.
 pub struct StringStreamSorter<K: StringKey, V: SpillValue = ()> {
     inner: StreamSorter<u64, StringKeyed<V>>,
     _key: PhantomData<fn() -> K>,
@@ -241,29 +248,28 @@ impl<K: StringKey, V: SpillValue> StringStreamSorter<K, V> {
 
     /// Appends one record, spilling a full run if due.
     pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
-        let prefix = string_key_prefix64(key.key_bytes());
-        self.inner
-            .push_record(prefix, StringKeyed::new(&key, value))
+        let (prefix, keyed) = string_keyed(&key, value);
+        self.inner.push_record(prefix, keyed)
     }
 
     /// Appends a batch of records (cloning each; use
     /// [`StringStreamSorter::push_record`] to move values in).
     ///
     /// Like [`crate::StreamSorter::push`], a spill error does not drop
-    /// the rest of the slice: every record is buffered before its spill
-    /// attempt, and the first error is reported once the whole slice is
-    /// owned by the sorter.
+    /// the rest of the slice: the records after the failed spill are
+    /// buffered without another spill attempt, and the error is reported
+    /// once the whole slice is owned by the sorter.
     pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
-        let mut first_err = None;
-        for (k, v) in records {
+        let mut records = records.iter();
+        for (k, v) in records.by_ref() {
             if let Err(e) = self.push_record(k.clone(), v.clone()) {
-                first_err.get_or_insert(e);
+                for (k, v) in records {
+                    self.inner.core.buffer_record(string_keyed(k, v.clone()));
+                }
+                return Err(e);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Total records accepted so far.
@@ -394,9 +400,8 @@ impl<K: StringKey, G: Aggregator> StringStreamGroupBy<K, G> {
 
     /// Appends one record, aggregating and spilling a full run if due.
     pub fn push_record(&mut self, key: K, value: G::Input) -> io::Result<()> {
-        let prefix = string_key_prefix64(key.key_bytes());
-        self.inner
-            .push_record(prefix, StringKeyed::new(&key, value))
+        let (prefix, keyed) = string_keyed(&key, value);
+        self.inner.push_record(prefix, keyed)
     }
 
     /// Counters (spills, collapse ratio, ...).
@@ -657,5 +662,29 @@ mod tests {
         for (k, c) in &got {
             assert_eq!(*c, want[k.as_str()], "key {k:?}");
         }
+    }
+
+    #[test]
+    fn failed_slice_push_spills_once_and_keeps_every_record() {
+        // Regression: `push` went record by record, so after one failed
+        // spill every remaining record of the slice retried the pending
+        // run — 4753 failed writes for one 5000-record push here.  Now
+        // the rest of the slice is buffered in one go, as the integer
+        // engines do.
+        let keys = string_keys(5_000, 41);
+        let input: Vec<(String, u64)> = keys.into_iter().zip(0u64..).collect();
+        let mut want = input.clone();
+        want.sort_by(|a, b| a.0.cmp(&b.0));
+        // Every spill write fails with ENOSPC; runs that never reach the
+        // disk are merged from memory.
+        let plan = crate::FaultPlan::seeded_kinds(7, 1, &[crate::FaultKind::WriteEnospc]);
+        let cfg = tiny_cfg(16 << 10);
+        let io = SpillIoHandle::from_config(&cfg).with_faults(plan.clone());
+        let mut sorter: StringStreamSorter<String, u64> =
+            StringStreamSorter::with_config_and_io(cfg, io);
+        assert!(sorter.push(&input).is_err());
+        assert_eq!(plan.injected(), 1);
+        assert_eq!(sorter.len(), input.len());
+        assert_eq!(sorter.finish_vec().unwrap(), want);
     }
 }

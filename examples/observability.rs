@@ -15,14 +15,11 @@ use workloads::dist::{generate_keys, Distribution};
 
 fn main() {
     let n = 2_000_000usize;
-    // `trace: true` flips the global obs switch; `OBS_TRACE=1` in the
+    // Tracing stays on while this guard lives; `OBS_TRACE=1` in the
     // environment would do the same without touching code.
-    let cfg = StreamConfig {
-        // An eighth of the dataset: forces several spilled runs.
-        memory_budget_bytes: n * 8 / 8,
-        trace: true,
-        ..StreamConfig::default()
-    };
+    let _trace = obs::scoped_enable();
+    // An eighth of the dataset: forces several spilled runs.
+    let cfg = StreamConfig::with_memory_budget(n * 8 / 8);
 
     println!("generating {n} zipf-distributed records...");
     let keys = generate_keys(&Distribution::Zipfian { s: 1.2 }, n, 32, 7);

@@ -75,13 +75,12 @@ fn fault_specs() -> Vec<(u64, u64)> {
     vec![(0xC4A0_5001, 23), (0xC4A0_5002, 23)]
 }
 
-/// The backend × (codec, spill-mode) matrix each chaos scenario sweeps.
-fn cells() -> Vec<(&'static str, SpillCompression, bool)> {
-    use SpillCompression::{DeltaLz, Off};
+/// The backend × codec matrix each chaos scenario sweeps.
+fn cells() -> Vec<(&'static str, SpillCompression)> {
     let mut m = Vec::new();
     for backend in ["blocking", "batched"] {
-        for (c, s) in [(Off, true), (Off, false), (DeltaLz, true), (DeltaLz, false)] {
-            m.push((backend, c, s));
+        for c in [SpillCompression::Off, SpillCompression::DeltaLz] {
+            m.push((backend, c));
         }
     }
     m
@@ -97,11 +96,10 @@ fn make_io(backend: &str) -> SpillIoHandle {
     }
 }
 
-fn cfg(base: &Path, compression: SpillCompression, synchronous: bool) -> dtsort::StreamConfig {
+fn cfg(base: &Path, compression: SpillCompression) -> dtsort::StreamConfig {
     dtsort::StreamConfig {
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
-        pipelined_spill: !synchronous,
         ..dtsort::StreamConfig::with_memory_budget(16 << 10)
     }
 }
@@ -137,17 +135,17 @@ fn faulted_sorts_are_byte_identical_or_loudly_typed() {
             let input = generate_pairs_u32(dist, N, 0xC4A0_0000 + di as u64);
             let mut want = input.clone();
             want.sort_by_key(|r| r.0);
-            for (backend, compression, synchronous) in cells() {
+            for (backend, compression) in cells() {
                 let ctx = format!(
                     "sorter seed={seed} period={period} dist={} backend={backend} \
-                     compression={compression:?} sync={synchronous}",
+                     compression={compression:?}",
                     dist.label()
                 );
                 let base = case_dir("sort");
                 let plan = FaultPlan::seeded(seed ^ (di as u64) << 32, period);
                 let io = make_io(backend).with_faults(plan.clone());
                 let mut sorter: StreamSorter<u32, u32> =
-                    StreamSorter::with_config_and_io(cfg(&base, compression, synchronous), io);
+                    StreamSorter::with_config_and_io(cfg(&base, compression), io);
                 let mut push_err = None;
                 for chunk in input.chunks(CHUNK) {
                     if let Err(e) = sorter.push(chunk) {
@@ -210,16 +208,16 @@ fn faulted_group_bys_aggregate_exactly_or_loudly_typed() {
     let want: Vec<(u32, u64)> = want.into_iter().collect();
     let mut injected_total = 0u64;
     for (seed, period) in fault_specs() {
-        for (backend, compression, synchronous) in cells() {
+        for (backend, compression) in cells() {
             let ctx = format!(
                 "group-by seed={seed} period={period} backend={backend} \
-                 compression={compression:?} sync={synchronous}"
+                 compression={compression:?}"
             );
             let base = case_dir("group");
             let plan = FaultPlan::seeded_kinds(seed, period, WRITE_SIDE);
             let io = make_io(backend).with_faults(plan.clone());
             let mut gb: StreamGroupBy<u32, SumAgg> =
-                StreamGroupBy::with_config_and_io(SumAgg, cfg(&base, compression, synchronous), io);
+                StreamGroupBy::with_config_and_io(SumAgg, cfg(&base, compression), io);
             let mut push_err = None;
             for chunk in input.chunks(CHUNK) {
                 if let Err(e) = gb.push(chunk) {
@@ -259,16 +257,14 @@ fn single_transient_faults_are_recovered_exactly_with_visible_retries() {
         ("fsync", FaultKind::FsyncTransient, 2),
         ("read", FaultKind::ReadTransient, 3),
     ];
-    for (backend, compression, synchronous) in cells() {
+    for (backend, compression) in cells() {
         for (name, kind, n) in targets {
-            let ctx = format!(
-                "targeted {name} backend={backend} compression={compression:?} sync={synchronous}"
-            );
+            let ctx = format!("targeted {name} backend={backend} compression={compression:?}");
             let base = case_dir("nth");
             let plan = FaultPlan::nth(kind, n);
             let io = make_io(backend).with_faults(plan.clone());
             let mut sorter: StreamSorter<u32, u32> =
-                StreamSorter::with_config_and_io(cfg(&base, compression, synchronous), io);
+                StreamSorter::with_config_and_io(cfg(&base, compression), io);
             for chunk in input.chunks(CHUNK) {
                 sorter.push(chunk).unwrap_or_else(|e| {
                     panic!("single transient fault must be absorbed [{ctx}]: {e}")
@@ -302,7 +298,7 @@ fn single_transient_faults_are_recovered_exactly_with_visible_retries() {
     }
 }
 
-/// A torn write on the pipelined path surfaces exactly one loud, typed
+/// A torn write on the writer thread surfaces exactly one loud, typed
 /// error, engages degradation probation (visible in the stats), rewrites
 /// the reclaimed run synchronously — and loses not a single record.
 #[test]
@@ -320,7 +316,7 @@ fn torn_write_degrades_recovers_and_reports_probation() {
         let plan = FaultPlan::nth(FaultKind::TornWrite, 4);
         let io = make_io(backend).with_faults(plan.clone());
         let mut sorter: StreamSorter<u32, u32> =
-            StreamSorter::with_config_and_io(cfg(&base, SpillCompression::Off, false), io);
+            StreamSorter::with_config_and_io(cfg(&base, SpillCompression::Off), io);
         // The broken pipeline reports its error on exactly one push (or
         // the flush); afterwards the engine carries on synchronously.
         let mut errors = 0usize;
@@ -363,7 +359,7 @@ fn mid_merge_read_faults_are_loud_and_clean_up() {
             let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
             let io = make_io(backend).with_faults(plan.clone());
             let mut sorter: StreamSorter<u32, u32> =
-                StreamSorter::with_config_and_io(cfg(&base, SpillCompression::DeltaLz, true), io);
+                StreamSorter::with_config_and_io(cfg(&base, SpillCompression::DeltaLz), io);
             for chunk in input.chunks(CHUNK) {
                 sorter.push(chunk).unwrap();
             }
@@ -475,10 +471,10 @@ impl ModelEngine {
 /// Model-based test of the shared spill lifecycle: a seeded random
 /// sequence of slice pushes, single-record pushes, grant shrinks through a
 /// live [`dtsort::BudgetHandle`] and flushes, under one single-shot
-/// write-side fault, against both engines, synchronous and pipelined, on
-/// both backends.  After every step the engine must agree with the model:
-/// every record handed over is counted (even on a failed step), and
-/// probation never serves more degraded synchronous spills than the
+/// write-side fault, against both engines on both backends.  After every
+/// step the engine must agree with the model: every record handed over
+/// is counted (even on a failed step), and probation never serves more
+/// degraded synchronous spills than the
 /// injected faults can explain.  The finish is exact, or typed and clean.
 #[test]
 fn spill_lifecycle_matches_a_reference_model_under_single_faults() {
@@ -494,90 +490,87 @@ fn spill_lifecycle_matches_a_reference_model_under_single_faults() {
     let mut injected_total = 0u64;
     let mut step_errors = 0usize;
     for group in [false, true] {
-        for pipelined in [false, true] {
-            for backend in ["blocking", "batched"] {
-                for (ki, &kind) in WRITE_SIDE.iter().enumerate() {
-                    let seed = (ki as u64) << 8 | u64::from(pipelined) << 4 | u64::from(group);
-                    let rng = parlay::random::Rng::new(0xC4A0_A000 ^ seed);
-                    let mut draws = 0u64;
-                    let mut draw = |n: u64| {
-                        draws += 1;
-                        rng.ith_in(draws, n)
-                    };
-                    let ctx = format!(
-                        "model group={group} pipelined={pipelined} backend={backend} kind={kind:?}"
-                    );
-                    let base = case_dir("model");
-                    let plan = FaultPlan::nth(kind, draw(6));
-                    let io = make_io(backend).with_faults(plan.clone());
-                    let handle = dtsort::BudgetHandle::new(GRANT);
-                    let cfg = dtsort::StreamConfig {
-                        spill_dir: Some(base.clone()),
-                        pipelined_spill: pipelined,
-                        ..dtsort::StreamConfig::with_budget_handle(handle.clone())
-                    };
-                    let probation = u64::from(stream::PROBATION_SPILLS);
-                    let mut engine = if group {
-                        ModelEngine::Group(StreamGroupBy::with_config_and_io(SumAgg, cfg, io))
-                    } else {
-                        ModelEngine::Sort(StreamSorter::with_config_and_io(cfg, io))
-                    };
-                    let mut pushed: Vec<(u32, u32)> = Vec::new();
-                    for step in 0..60 {
-                        let outcome = match draw(10) {
-                            0..=4 => {
-                                let from = pushed.len();
-                                for _ in 0..1 + draw(700) {
-                                    pushed.push((draw(300) as u32, pushed.len() as u32));
-                                }
-                                engine.push(&pushed[from..])
+        for backend in ["blocking", "batched"] {
+            for (ki, &kind) in WRITE_SIDE.iter().enumerate() {
+                // Bit 4 is the writer-thread path's bit, kept so each case
+                // keeps its seed.
+                let seed = (ki as u64) << 8 | 1 << 4 | u64::from(group);
+                let rng = parlay::random::Rng::new(0xC4A0_A000 ^ seed);
+                let mut draws = 0u64;
+                let mut draw = |n: u64| {
+                    draws += 1;
+                    rng.ith_in(draws, n)
+                };
+                let ctx = format!("model group={group} backend={backend} kind={kind:?}");
+                let base = case_dir("model");
+                let plan = FaultPlan::nth(kind, draw(6));
+                let io = make_io(backend).with_faults(plan.clone());
+                let handle = dtsort::BudgetHandle::new(GRANT);
+                let cfg = dtsort::StreamConfig {
+                    spill_dir: Some(base.clone()),
+                    ..dtsort::StreamConfig::with_budget_handle(handle.clone())
+                };
+                let probation = u64::from(stream::PROBATION_SPILLS);
+                let mut engine = if group {
+                    ModelEngine::Group(StreamGroupBy::with_config_and_io(SumAgg, cfg, io))
+                } else {
+                    ModelEngine::Sort(StreamSorter::with_config_and_io(cfg, io))
+                };
+                let mut pushed: Vec<(u32, u32)> = Vec::new();
+                for step in 0..60 {
+                    let outcome = match draw(10) {
+                        0..=4 => {
+                            let from = pushed.len();
+                            for _ in 0..1 + draw(700) {
+                                pushed.push((draw(300) as u32, pushed.len() as u32));
                             }
-                            5 | 6 => {
-                                let mut result = Ok(());
-                                for _ in 0..1 + draw(40) {
-                                    let (k, v) = (draw(300) as u32, pushed.len() as u32);
-                                    pushed.push((k, v));
-                                    result = result.and(engine.push_record(k, v));
-                                }
-                                result
-                            }
-                            7 => {
-                                // Reclaim a third of the grant, or hand the
-                                // full grant back.
-                                let grant = if draw(2) == 0 {
-                                    (handle.get() * 2 / 3).max(4 << 10)
-                                } else {
-                                    GRANT
-                                };
-                                handle.set(grant);
-                                engine.shrink_to_budget()
-                            }
-                            _ => engine.flush_spills(),
-                        };
-                        if let Err(e) = outcome {
-                            assert_attributable(&e, &format!("{ctx} step={step}"));
-                            step_errors += 1;
+                            engine.push(&pushed[from..])
                         }
-                        let (records_pushed, degraded_syncs) = engine.counters();
-                        assert_eq!(
-                            records_pushed,
-                            pushed.len() as u64,
-                            "every handed-over record is counted [{ctx} step={step}]"
-                        );
-                        assert!(
-                            degraded_syncs <= probation * plan.injected(),
-                            "{degraded_syncs} degraded syncs from {} faults [{ctx} step={step}]",
-                            plan.injected()
-                        );
+                        5 | 6 => {
+                            let mut result = Ok(());
+                            for _ in 0..1 + draw(40) {
+                                let (k, v) = (draw(300) as u32, pushed.len() as u32);
+                                pushed.push((k, v));
+                                result = result.and(engine.push_record(k, v));
+                            }
+                            result
+                        }
+                        7 => {
+                            // Reclaim a third of the grant, or hand the
+                            // full grant back.
+                            let grant = if draw(2) == 0 {
+                                (handle.get() * 2 / 3).max(4 << 10)
+                            } else {
+                                GRANT
+                            };
+                            handle.set(grant);
+                            engine.shrink_to_budget()
+                        }
+                        _ => engine.flush_spills(),
+                    };
+                    if let Err(e) = outcome {
+                        assert_attributable(&e, &format!("{ctx} step={step}"));
+                        step_errors += 1;
                     }
-                    let want = engine.reference(&pushed);
-                    match engine.finish() {
-                        Ok(got) => assert_eq!(got, want, "finish must match the model [{ctx}]"),
-                        Err(e) => assert_attributable(&e, &ctx),
-                    }
-                    assert_empty_and_remove(&base, &ctx);
-                    injected_total += plan.injected();
+                    let (records_pushed, degraded_syncs) = engine.counters();
+                    assert_eq!(
+                        records_pushed,
+                        pushed.len() as u64,
+                        "every handed-over record is counted [{ctx} step={step}]"
+                    );
+                    assert!(
+                        degraded_syncs <= probation * plan.injected(),
+                        "{degraded_syncs} degraded syncs from {} faults [{ctx} step={step}]",
+                        plan.injected()
+                    );
                 }
+                let want = engine.reference(&pushed);
+                match engine.finish() {
+                    Ok(got) => assert_eq!(got, want, "finish must match the model [{ctx}]"),
+                    Err(e) => assert_attributable(&e, &ctx),
+                }
+                assert_empty_and_remove(&base, &ctx);
+                injected_total += plan.injected();
             }
         }
     }

@@ -186,32 +186,25 @@ fn semisort_partition_agrees_with_sorted_reference() {
     }
 }
 
-/// The four spill configurations of the format matrix: both encodings
-/// (flat reference vs delta-compressed blocks) under both spill modes
-/// (synchronous reference vs pipelined writer thread).
-fn spill_format_matrix() -> [(stream::SpillCompression, bool); 4] {
-    use stream::SpillCompression::{DeltaLz, Off};
-    [(Off, true), (Off, false), (DeltaLz, true), (DeltaLz, false)]
-}
+/// The spill encodings of the format matrix: the flat reference and
+/// delta-compressed blocks.
+const SPILL_ENCODINGS: [stream::SpillCompression; 2] = [
+    stream::SpillCompression::Off,
+    stream::SpillCompression::DeltaLz,
+];
 
-fn spill_cfg(
-    budget: usize,
-    compression: stream::SpillCompression,
-    synchronous: bool,
-) -> dtsort::StreamConfig {
+fn spill_cfg(budget: usize, compression: stream::SpillCompression) -> dtsort::StreamConfig {
     dtsort::StreamConfig {
         spill_compression: compression,
-        pipelined_spill: !synchronous,
         ..dtsort::StreamConfig::with_memory_budget(budget)
     }
 }
 
 #[test]
 fn compressed_spills_are_byte_identical_to_uncompressed_pod() {
-    // Pod records through every (encoding, spill-mode) combination must
-    // reproduce the std-sort reference exactly; the uncompressed
-    // synchronous run is the differential baseline the compressed block
-    // format is held to.
+    // Pod records through both encodings must reproduce the std-sort
+    // reference exactly; the uncompressed run is the differential
+    // baseline the compressed block format is held to.
     use stream::{SpillCompression, StreamSorter};
     let picks = [
         Distribution::Uniform {
@@ -225,13 +218,13 @@ fn compressed_spills_are_byte_identical_to_uncompressed_pod() {
         let input = generate_pairs_u32(dist, N, seed);
         let mut want = input.clone();
         want.sort_by_key(|r| r.0);
-        for (compression, synchronous) in spill_format_matrix() {
+        for compression in SPILL_ENCODINGS {
             let ctx = format!(
-                "dist={} seed={seed} compression={compression:?} sync={synchronous}",
+                "dist={} seed={seed} compression={compression:?}",
                 dist.label()
             );
             let mut sorter: StreamSorter<u32, u32> =
-                StreamSorter::with_config(spill_cfg(16 << 10, compression, synchronous));
+                StreamSorter::with_config(spill_cfg(16 << 10, compression));
             for chunk in input.chunks(777) {
                 sorter.push(chunk).unwrap();
             }
@@ -263,11 +256,11 @@ fn compressed_spills_are_byte_identical_to_uncompressed_varlen() {
     let input = generate_string_pairs(&dist, N, 32, seed, 0, 96);
     let mut want = input.clone();
     want.sort_by_key(|r| r.0);
-    for (compression, synchronous) in spill_format_matrix() {
-        let ctx = format!("compression={compression:?} sync={synchronous} seed={seed}");
+    for compression in SPILL_ENCODINGS {
+        let ctx = format!("compression={compression:?} seed={seed}");
         let mk = || {
             let mut sorter: StreamSorter<u64, String> =
-                StreamSorter::with_config(spill_cfg(64 << 10, compression, synchronous));
+                StreamSorter::with_config(spill_cfg(64 << 10, compression));
             for chunk in input.chunks(777) {
                 sorter.push(chunk).unwrap();
             }
@@ -314,10 +307,10 @@ fn string_keyed_sorter_agrees_with_comparison_sort_across_formats() {
         .collect();
     let mut want = input.clone();
     want.sort_by(|a, b| a.0.cmp(&b.0));
-    for (compression, synchronous) in spill_format_matrix() {
-        let ctx = format!("compression={compression:?} sync={synchronous} seed={seed}");
+    for compression in SPILL_ENCODINGS {
+        let ctx = format!("compression={compression:?} seed={seed}");
         let mut sorter: StringStreamSorter<String, u32> =
-            StringStreamSorter::with_config(spill_cfg(64 << 10, compression, synchronous));
+            StringStreamSorter::with_config(spill_cfg(64 << 10, compression));
         for chunk in input.chunks(777) {
             sorter.push(chunk).unwrap();
         }
@@ -331,8 +324,9 @@ fn string_keyed_sorter_agrees_with_comparison_sort_across_formats() {
 fn spill_io_backends_produce_identical_output_at_one_and_four_threads() {
     // The batched spill I/O backend is held to the blocking reference the
     // way the compressed format is held to the flat one: pod, varlen and
-    // string-keyed records through every (encoding, spill-mode) cell must
-    // come out *identical* under both backends, at 1 and 4 worker
+    // string-keyed records through both encodings must come out
+    // *identical* under both backends, and the pod records equal to the
+    // std stable sort, at 1 and 4 worker
     // threads.  Both sides pin `spill_io` explicitly so a CI environment
     // override (`PISORT_SPILL_IO`) cannot collapse the comparison.
     use parlay::par::with_threads;
@@ -341,6 +335,8 @@ fn spill_io_backends_produce_identical_output_at_one_and_four_threads() {
     let seed = case_seed(5000);
     let dist = Distribution::Zipfian { s: 1.2 };
     let pod_input = generate_pairs_u32(&dist, N, seed);
+    let mut pod_want = pod_input.clone();
+    pod_want.sort_by_key(|r| r.0);
     let var_input = generate_string_pairs(&dist, N, 32, seed, 0, 96);
     let str_input: Vec<(String, u32)> = pod_input
         .iter()
@@ -353,35 +349,35 @@ fn spill_io_backends_produce_identical_output_at_one_and_four_threads() {
         })
         .collect();
 
-    let io_cfg = |mode, compression, synchronous| dtsort::StreamConfig {
+    let io_cfg = |mode, compression| dtsort::StreamConfig {
         spill_io: mode,
-        ..spill_cfg(32 << 10, compression, synchronous)
+        ..spill_cfg(32 << 10, compression)
     };
 
     for threads in [1usize, 4] {
-        for (compression, synchronous) in spill_format_matrix() {
-            let ctx = format!(
-                "threads={threads} compression={compression:?} sync={synchronous} seed={seed}"
-            );
+        for compression in SPILL_ENCODINGS {
+            let ctx = format!("threads={threads} compression={compression:?} seed={seed}");
             with_threads(threads, || {
                 let run_pod = |mode| {
                     let mut s: StreamSorter<u32, u32> =
-                        StreamSorter::with_config(io_cfg(mode, compression, synchronous));
+                        StreamSorter::with_config(io_cfg(mode, compression));
                     for chunk in pod_input.chunks(777) {
                         s.push(chunk).unwrap();
                     }
                     assert!(s.stats().spilled_runs > 1, "expected spills [{ctx}]");
                     s.finish().unwrap().collect::<Vec<(u32, u32)>>()
                 };
+                let blocking = run_pod(SpillIoMode::Blocking);
+                assert_eq!(blocking, pod_want, "pod reference divergence [{ctx}]");
                 assert_eq!(
-                    run_pod(SpillIoMode::Blocking),
+                    blocking,
                     run_pod(SpillIoMode::Batched),
                     "pod backend divergence [{ctx}]"
                 );
 
                 let run_var = |mode| {
                     let mut s: StreamSorter<u64, String> =
-                        StreamSorter::with_config(io_cfg(mode, compression, synchronous));
+                        StreamSorter::with_config(io_cfg(mode, compression));
                     for chunk in var_input.chunks(777) {
                         s.push(chunk).unwrap();
                     }
@@ -396,7 +392,7 @@ fn spill_io_backends_produce_identical_output_at_one_and_four_threads() {
 
                 let run_str = |mode| {
                     let mut s: StringStreamSorter<String, u32> =
-                        StringStreamSorter::with_config(io_cfg(mode, compression, synchronous));
+                        StringStreamSorter::with_config(io_cfg(mode, compression));
                     for chunk in str_input.chunks(777) {
                         s.push(chunk).unwrap();
                     }

@@ -23,10 +23,9 @@ fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// A budget small enough that the workloads below spill several runs.
-fn spilling_cfg(trace: bool) -> StreamConfig {
+fn spilling_cfg() -> StreamConfig {
     StreamConfig {
         memory_budget_bytes: 32 << 10,
-        trace,
         sort: SortConfig {
             base_case_threshold: 64,
             ..SortConfig::default()
@@ -63,91 +62,67 @@ fn moved(before: &MetricsSnapshot, after: &MetricsSnapshot, prefix: &str) -> Vec
 fn metrics_mirror_stream_sorter_stats_exactly() {
     let _guard = obs_lock();
     obs::enable();
-    for pipelined_spill in [false, true] {
-        let before = obs::global().snapshot();
-        let cfg = StreamConfig {
-            pipelined_spill,
-            ..spilling_cfg(true)
-        };
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
-        let data = input(60_000);
-        for chunk in data.chunks(997) {
-            sorter.push(chunk).unwrap();
-        }
-        // Settle the pipelined writer so the inline stats are exact, then
-        // the registry deltas must match them number for number.
-        sorter.flush_spills().unwrap();
-        let stats = sorter.stats().clone();
-        assert!(stats.is_settled);
-        assert!(
-            stats.spilled_runs > 0,
-            "workload must spill [pipelined {pipelined_spill}]"
-        );
-        let after = obs::global().snapshot();
-        let delta = |name: &str| after.counter(name) - before.counter(name);
-        assert_eq!(delta("stream.records_pushed"), stats.records_pushed);
-        assert_eq!(delta("stream.spilled_runs"), stats.spilled_runs as u64);
-        assert_eq!(delta("stream.spilled_bytes"), stats.spilled_bytes);
-        let got: Vec<(u32, u32)> = sorter.finish().unwrap().collect();
-        let mut want = data;
-        want.sort_by_key(|r| r.0);
-        assert_eq!(got, want);
-        let bleed = moved(&before, &obs::global().snapshot(), "groupby.");
-        assert!(
-            bleed.is_empty(),
-            "sorter moved {bleed:?} [pipelined {pipelined_spill}]"
-        );
+    let before = obs::global().snapshot();
+    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg());
+    let data = input(60_000);
+    for chunk in data.chunks(997) {
+        sorter.push(chunk).unwrap();
     }
+    // Settle the pipelined writer so the inline stats are exact, then
+    // the registry deltas must match them number for number.
+    sorter.flush_spills().unwrap();
+    let stats = sorter.stats().clone();
+    assert!(stats.is_settled);
+    assert!(stats.spilled_runs > 0, "workload must spill");
+    let after = obs::global().snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("stream.records_pushed"), stats.records_pushed);
+    assert_eq!(delta("stream.spilled_runs"), stats.spilled_runs as u64);
+    assert_eq!(delta("stream.spilled_bytes"), stats.spilled_bytes);
+    let got: Vec<(u32, u32)> = sorter.finish().unwrap().collect();
+    let mut want = data;
+    want.sort_by_key(|r| r.0);
+    assert_eq!(got, want);
+    let bleed = moved(&before, &obs::global().snapshot(), "groupby.");
+    assert!(bleed.is_empty(), "sorter moved {bleed:?}");
 }
 
 #[test]
 fn metrics_mirror_groupby_stats_exactly() {
     let _guard = obs_lock();
     obs::enable();
-    for pipelined_spill in [false, true] {
-        let before = obs::global().snapshot();
-        let cfg = StreamConfig {
-            pipelined_spill,
-            ..spilling_cfg(true)
-        };
-        let mut gb: StreamGroupBy<u32, CountAgg> = StreamGroupBy::with_config(CountAgg, cfg);
-        let n = 4096 * 30u32;
-        for i in 0..n {
-            gb.push_record(i % 4096, ()).unwrap();
-        }
-        gb.flush_spills().unwrap();
-        let stats = gb.stats().clone();
-        assert!(stats.is_settled);
-        assert!(
-            stats.spilled_runs > 0,
-            "workload must spill [pipelined {pipelined_spill}]"
-        );
-        let after = obs::global().snapshot();
-        let delta = |name: &str| after.counter(name) - before.counter(name);
-        assert_eq!(delta("groupby.records_pushed"), stats.records_pushed);
-        assert_eq!(delta("groupby.spilled_runs"), stats.spilled_runs as u64);
-        assert_eq!(delta("groupby.spilled_bytes"), stats.spilled_bytes);
-        assert_eq!(
-            delta("groupby.partial_aggregates"),
-            stats.partial_aggregates
-        );
-        let got: Vec<(u32, u64)> = gb.finish().unwrap().collect();
-        assert_eq!(got.len(), 4096);
-        assert!(got.iter().all(|&(_, c)| c == u64::from(n) / 4096));
-        let bleed = moved(&before, &obs::global().snapshot(), "stream.");
-        assert!(
-            bleed.is_empty(),
-            "group-by moved {bleed:?} [pipelined {pipelined_spill}]"
-        );
+    let before = obs::global().snapshot();
+    let mut gb: StreamGroupBy<u32, CountAgg> = StreamGroupBy::with_config(CountAgg, spilling_cfg());
+    let n = 4096 * 30u32;
+    for i in 0..n {
+        gb.push_record(i % 4096, ()).unwrap();
     }
+    gb.flush_spills().unwrap();
+    let stats = gb.stats().clone();
+    assert!(stats.is_settled);
+    assert!(stats.spilled_runs > 0, "workload must spill");
+    let after = obs::global().snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("groupby.records_pushed"), stats.records_pushed);
+    assert_eq!(delta("groupby.spilled_runs"), stats.spilled_runs as u64);
+    assert_eq!(delta("groupby.spilled_bytes"), stats.spilled_bytes);
+    assert_eq!(
+        delta("groupby.partial_aggregates"),
+        stats.partial_aggregates
+    );
+    let got: Vec<(u32, u64)> = gb.finish().unwrap().collect();
+    assert_eq!(got.len(), 4096);
+    assert!(got.iter().all(|&(_, c)| c == u64::from(n) / 4096));
+    let bleed = moved(&before, &obs::global().snapshot(), "stream.");
+    assert!(bleed.is_empty(), "group-by moved {bleed:?}");
 }
 
 #[test]
 fn stats_settle_only_after_flush() {
     let _guard = obs_lock();
-    // Pipelined mode: right after a push that submitted a run to the
-    // background writer, the spill counters lag and `is_settled` says so.
-    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg(false));
+    // Right after a push that submitted a run to the background writer,
+    // the spill counters lag and `is_settled` says so.
+    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg());
     assert!(sorter.stats().is_settled, "nothing in flight initially");
     let data = input(60_000);
     sorter.push(&data).unwrap();
@@ -158,17 +133,6 @@ fn stats_settle_only_after_flush() {
     sorter.flush_spills().unwrap();
     assert!(sorter.stats().is_settled, "flush_spills settles the stats");
     assert_eq!(sorter.stats().records_pushed, data.len() as u64);
-    drop(sorter);
-
-    // Synchronous mode never has anything in flight.
-    let cfg = StreamConfig {
-        pipelined_spill: false,
-        ..spilling_cfg(false)
-    };
-    let mut sync_sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
-    sync_sorter.push(&data).unwrap();
-    assert!(sync_sorter.stats().is_settled);
-    assert!(sync_sorter.stats().spilled_runs > 0);
 }
 
 #[test]
@@ -180,7 +144,7 @@ fn disabled_tracing_records_nothing() {
     std::thread::sleep(std::time::Duration::from_millis(20));
     let _ = obs::drain_spans();
     let touches_before = obs::global().touches();
-    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg(false));
+    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg());
     let data = input(60_000);
     for chunk in data.chunks(997) {
         sorter.push(chunk).unwrap();
@@ -201,14 +165,15 @@ fn disabled_tracing_records_nothing() {
 #[test]
 fn traced_session_does_not_leak_tracing_into_the_next() {
     let _guard = obs_lock();
-    // Regression (sticky trace flag): `StreamConfig::trace` used to flip a
-    // process-global that stayed on forever, so one traced session turned
-    // tracing on for every later tenant.  It is now a scoped, refcounted
-    // enable owned by the engine: once a traced session is fully dropped,
-    // an untraced session must record nothing.
+    // Regression (sticky trace flag): a per-engine trace switch used to
+    // flip a process-global that stayed on forever, so one traced session
+    // turned tracing on for every later tenant.  Tracing is now a scoped,
+    // refcounted enable the caller holds: once a traced session and its
+    // guard are dropped, an untraced session must record nothing.
     obs::disable();
     let run = |trace: bool| {
-        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg(trace));
+        let _trace = trace.then(obs::scoped_enable);
+        let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg());
         let data = input(60_000);
         for chunk in data.chunks(997) {
             sorter.push(chunk).unwrap();
@@ -244,7 +209,7 @@ fn trace_exports_have_documented_shape() {
     let _guard = obs_lock();
     obs::enable();
     let _ = obs::drain_spans();
-    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg(true));
+    let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(spilling_cfg());
     let data = input(60_000);
     for chunk in data.chunks(997) {
         sorter.push(chunk).unwrap();

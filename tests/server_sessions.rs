@@ -9,8 +9,7 @@
 //! input, never of the run partitioning or the interleaving.  Each case in
 //! this suite pushes the same inputs through (a) plain solo sorters with a
 //! fixed budget and (b) a crowded server with reclaim-inducing admissions,
-//! and asserts the outputs are identical, across the sync/pipelined spill
-//! paths and both spill codecs.
+//! and asserts the outputs are identical, across both spill codecs.
 //!
 //! Thread counts: CI re-runs this suite under `RAYON_NUM_THREADS ∈ {1, 2, 4}`
 //! (the thread-matrix job), which covers schedule-dependence of the shared
@@ -30,15 +29,8 @@ const N: usize = 12_000;
 /// Interleave granularity (odd, so chunk boundaries drift across runs).
 const CHUNK: usize = 499;
 
-/// The spill-path matrix: sync/pipelined × spill codec.
-fn spill_modes() -> Vec<(&'static str, bool, SpillCompression)> {
-    vec![
-        ("sync/off", true, SpillCompression::Off),
-        ("sync/delta-lz", true, SpillCompression::DeltaLz),
-        ("pipelined/off", false, SpillCompression::Off),
-        ("pipelined/delta-lz", false, SpillCompression::DeltaLz),
-    ]
-}
+/// The spill codecs every differential case runs under.
+const SPILL_CODECS: [SpillCompression; 2] = [SpillCompression::Off, SpillCompression::DeltaLz];
 
 /// One input per session, drawn from distinct paper distributions so the
 /// sessions stress different code paths (uniform, skewed, heavy keys).
@@ -53,9 +45,8 @@ fn session_inputs() -> Vec<Vec<(u32, u32)>> {
 }
 
 /// A small base config that spills aggressively at test sizes.
-fn base_config(synchronous: bool, codec: SpillCompression) -> StreamConfig {
+fn base_config(codec: SpillCompression) -> StreamConfig {
     StreamConfig {
-        pipelined_spill: !synchronous,
         spill_compression: codec,
         sort: SortConfig {
             base_case_threshold: 64,
@@ -67,15 +58,11 @@ fn base_config(synchronous: bool, codec: SpillCompression) -> StreamConfig {
 
 /// Solo reference: one engine per input, fixed private budget, default
 /// (per-engine) spill directory.
-fn solo_outputs(
-    inputs: &[Vec<(u32, u32)>],
-    synchronous: bool,
-    codec: SpillCompression,
-) -> Vec<Vec<(u32, u32)>> {
+fn solo_outputs(inputs: &[Vec<(u32, u32)>], codec: SpillCompression) -> Vec<Vec<(u32, u32)>> {
     inputs
         .iter()
         .map(|input| {
-            let mut cfg = base_config(synchronous, codec);
+            let mut cfg = base_config(codec);
             cfg.memory_budget_bytes = 32 << 10;
             let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
             for chunk in input.chunks(CHUNK) {
@@ -88,11 +75,7 @@ fn solo_outputs(
 
 /// Shared-server run: all sessions admitted up front (each admission
 /// reclaims budget from the live ones), pushes interleaved round-robin.
-fn server_outputs(
-    inputs: &[Vec<(u32, u32)>],
-    synchronous: bool,
-    codec: SpillCompression,
-) -> Vec<Vec<(u32, u32)>> {
+fn server_outputs(inputs: &[Vec<(u32, u32)>], codec: SpillCompression) -> Vec<Vec<(u32, u32)>> {
     let server = SortServer::new(ServerConfig {
         governor: GovernorConfig {
             // Tight ceiling: sessions are granted far less than requested
@@ -102,7 +85,7 @@ fn server_outputs(
             admission: AdmissionPolicy::Reject,
         },
         spill: SpillManagerConfig::default(),
-        base: base_config(synchronous, codec),
+        base: base_config(codec),
     })
     .unwrap();
 
@@ -146,13 +129,19 @@ fn server_outputs(
 #[test]
 fn interleaved_sessions_match_solo_runs_across_spill_modes() {
     let inputs = session_inputs();
-    for (mode, synchronous, codec) in spill_modes() {
-        let want = solo_outputs(&inputs, synchronous, codec);
-        let got = server_outputs(&inputs, synchronous, codec);
-        for (s, (got_s, want_s)) in got.iter().zip(&want).enumerate() {
+    for codec in SPILL_CODECS {
+        let want = solo_outputs(&inputs, codec);
+        let got = server_outputs(&inputs, codec);
+        for (s, ((got_s, want_s), input)) in got.iter().zip(&want).zip(&inputs).enumerate() {
             assert_eq!(
                 got_s, want_s,
-                "session {s} output differs from its solo run [{mode}]"
+                "session {s} output differs from its solo run [{codec:?}]"
+            );
+            let mut sorted = input.clone();
+            sorted.sort_by_key(|r| r.0);
+            assert_eq!(
+                got_s, &sorted,
+                "session {s} is not a stable sort [{codec:?}]"
             );
         }
     }
@@ -172,7 +161,7 @@ fn interleaved_group_sessions_match_solo_runs() {
             admission: AdmissionPolicy::Reject,
         },
         spill: SpillManagerConfig::default(),
-        base: base_config(false, SpillCompression::DeltaLz),
+        base: base_config(SpillCompression::DeltaLz),
     })
     .unwrap();
     let mut sessions: Vec<_> = (0..inputs.len())
@@ -239,7 +228,7 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
         spill: SpillManagerConfig::default(),
         base: StreamConfig {
             spill_io: SpillIoMode::Batched,
-            ..base_config(false, SpillCompression::Off)
+            ..base_config(SpillCompression::Off)
         },
     })
     .unwrap();
@@ -322,12 +311,13 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
 }
 
 /// Regression: `shrink_to_budget` called the engine directly, skipping the
-/// session's quota charge and quarantine.  With synchronous spilling, a
-/// forced spill after a reclaim must be charged to the disk quota right
-/// away, and a failed one must come back as a typed [`SessionError`].
+/// session's quota charge and quarantine.  A spill forced by a reclaim
+/// first settles the run already in flight to the writer thread, so that
+/// run must be charged to the disk quota right away, and a failed one
+/// must come back as a typed [`SessionError`].
 #[test]
 fn shrink_to_budget_charges_the_quota_and_quarantines_failures() {
-    let input: Vec<(u32, u32)> = (0..3_000u32).map(|i| (i.rotate_left(13), i)).collect();
+    let input: Vec<(u32, u32)> = (0..4_000u32).map(|i| (i.rotate_left(13), i)).collect();
     for faulted in [false, true] {
         let server = SortServer::new(ServerConfig {
             governor: GovernorConfig {
@@ -336,7 +326,7 @@ fn shrink_to_budget_charges_the_quota_and_quarantines_failures() {
                 admission: AdmissionPolicy::Reject,
             },
             spill: SpillManagerConfig::default(),
-            base: base_config(true, SpillCompression::Off),
+            base: base_config(SpillCompression::Off),
         })
         .unwrap();
         let mut a = if faulted {
@@ -346,25 +336,28 @@ fn shrink_to_budget_charges_the_quota_and_quarantines_failures() {
             server.open_sort::<u32, u32>("tenant-a", 64 << 10)
         }
         .unwrap();
-        // 3000 records fit the full 64 KiB grant without spilling.
+        // Under the full 64 KiB grant the first run spills during the push
+        // and is left in flight; the rest of the records stay buffered.
         a.push(&input).unwrap();
+        assert!(!a.stats().is_settled, "premise: a run in flight");
         assert_eq!(a.stats().spilled_runs, 0);
         // Admitting a second session halves A's grant below its buffer.
         let _b = server.open_sort::<u32, u32>("tenant-b", 64 << 10).unwrap();
         assert!(a.granted_bytes() < 64 << 10);
         let shrunk = a.shrink_to_budget();
         if faulted {
-            let err = shrunk.expect_err("the injected ENOSPC must fail the forced spill");
+            let err = shrunk.expect_err("the injected ENOSPC must fail the settled spill");
             assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
             let session_err = SessionError::from_io(&err).expect("typed SessionError");
             assert_eq!(session_err.tenant, "tenant-a");
         } else {
             shrunk.unwrap();
-            assert_eq!(a.stats().spilled_runs, 1, "the shrink forced a spill");
+            assert_eq!(a.stats().spilled_runs, 1, "the run in flight settled");
+            assert!(!a.stats().is_settled, "the shrink forced a spill");
             assert_eq!(
                 server.spill_manager().charged_bytes(),
                 a.stats().spilled_bytes,
-                "the forced spill is charged at once, not on the next push"
+                "the settled spill is charged at once, not on the next push"
             );
             assert!(server.spill_manager().charged_bytes() > 0);
         }

@@ -1,14 +1,14 @@
 //! Spill-file lifecycle: every spill file a stream engine creates must be
 //! gone from disk after the engine is torn down — on normal completion,
 //! on early drop, during panic unwinding, and after I/O errors — for the
-//! sorter and the group-by, under synchronous and pipelined spilling and
-//! both spill encodings.
+//! sorter and the group-by, under both spill encodings and both I/O
+//! backends.
 //!
 //! Each scenario points `spill_dir` at a test-owned base directory, so
 //! "cleaned up" is simply "the base directory is empty again": the unique
 //! per-engine spill subdirectory (and everything in it) is removed by the
 //! engine's drop glue, which must also hold while the background writer
-//! thread of the pipelined path is mid-flight.
+//! thread is mid-flight.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -43,29 +43,21 @@ fn assert_empty_and_remove(base: &Path, ctx: &str) {
     std::fs::remove_dir_all(base).ok();
 }
 
-fn cfg(
-    base: &Path,
-    compression: SpillCompression,
-    synchronous: bool,
-    io: SpillIoMode,
-) -> dtsort::StreamConfig {
+fn cfg(base: &Path, compression: SpillCompression, io: SpillIoMode) -> dtsort::StreamConfig {
     dtsort::StreamConfig {
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
-        pipelined_spill: !synchronous,
         spill_io: io,
         ..dtsort::StreamConfig::with_memory_budget(16 << 10)
     }
 }
 
-/// The (compression, spill-mode, io-backend) matrix every scenario below
-/// runs under.
-fn matrix() -> Vec<(SpillCompression, bool, SpillIoMode)> {
-    use SpillCompression::{DeltaLz, Off};
+/// The (compression, io-backend) matrix every scenario below runs under.
+fn matrix() -> Vec<(SpillCompression, SpillIoMode)> {
     let mut m = Vec::new();
     for io in [SpillIoMode::Blocking, SpillIoMode::Batched] {
-        for (c, s) in [(Off, true), (Off, false), (DeltaLz, true), (DeltaLz, false)] {
-            m.push((c, s, io));
+        for c in [SpillCompression::Off, SpillCompression::DeltaLz] {
+            m.push((c, io));
         }
     }
     m
@@ -74,10 +66,9 @@ fn matrix() -> Vec<(SpillCompression, bool, SpillIoMode)> {
 fn spilled_sorter(
     base: &Path,
     compression: SpillCompression,
-    sync: bool,
     io: SpillIoMode,
 ) -> StreamSorter<u32, u32> {
-    let mut s: StreamSorter<u32, u32> = StreamSorter::with_config(cfg(base, compression, sync, io));
+    let mut s: StreamSorter<u32, u32> = StreamSorter::with_config(cfg(base, compression, io));
     let batch: Vec<(u32, u32)> = (0..20_000u32).map(|i| (i.rotate_left(16), i)).collect();
     s.push(&batch).unwrap();
     assert!(s.stats().spilled_runs > 0, "premise: runs on disk");
@@ -87,11 +78,10 @@ fn spilled_sorter(
 fn spilled_group_by(
     base: &Path,
     compression: SpillCompression,
-    sync: bool,
     io: SpillIoMode,
 ) -> StreamGroupBy<u32, SumAgg> {
     let mut g: StreamGroupBy<u32, SumAgg> =
-        StreamGroupBy::with_config(SumAgg, cfg(base, compression, sync, io));
+        StreamGroupBy::with_config(SumAgg, cfg(base, compression, io));
     let batch: Vec<(u32, u64)> = (0..40_000u32).map(|i| (i.rotate_left(16), 1)).collect();
     g.push(&batch).unwrap();
     assert!(g.stats().spilled_runs > 0, "premise: partials on disk");
@@ -100,12 +90,10 @@ fn spilled_group_by(
 
 #[test]
 fn sorter_cleans_up_after_full_drain() {
-    for (compression, sync, io) in matrix() {
-        let ctx = format!("sorter drain compression={compression:?} sync={sync} io={io:?}");
+    for (compression, io) in matrix() {
+        let ctx = format!("sorter drain compression={compression:?} io={io:?}");
         let base = case_dir("sorter-drain");
-        let stream = spilled_sorter(&base, compression, sync, io)
-            .finish()
-            .unwrap();
+        let stream = spilled_sorter(&base, compression, io).finish().unwrap();
         assert!(std::fs::read_dir(&base).unwrap().count() > 0, "[{ctx}]");
         let n = stream.count();
         assert_eq!(n, 20_000, "[{ctx}]");
@@ -115,22 +103,19 @@ fn sorter_cleans_up_after_full_drain() {
 
 #[test]
 fn sorter_cleans_up_when_dropped_before_and_mid_merge() {
-    for (compression, sync, io) in matrix() {
+    for (compression, io) in matrix() {
         // Dropped without ever calling finish (spills possibly in flight
         // to the writer thread).
-        let ctx = format!("sorter early-drop compression={compression:?} sync={sync} io={io:?}");
+        let ctx = format!("sorter early-drop compression={compression:?} io={io:?}");
         let base = case_dir("sorter-drop");
-        drop(spilled_sorter(&base, compression, sync, io));
+        drop(spilled_sorter(&base, compression, io));
         assert_empty_and_remove(&base, &ctx);
 
         // Dropped with the merge only partially consumed: run cursors and
         // read-ahead prefetchers are still open on the spill files.
-        let ctx =
-            format!("sorter mid-merge-drop compression={compression:?} sync={sync} io={io:?}");
+        let ctx = format!("sorter mid-merge-drop compression={compression:?} io={io:?}");
         let base = case_dir("sorter-middrop");
-        let mut stream = spilled_sorter(&base, compression, sync, io)
-            .finish()
-            .unwrap();
+        let mut stream = spilled_sorter(&base, compression, io).finish().unwrap();
         for _ in 0..100 {
             stream.next().unwrap();
         }
@@ -141,28 +126,23 @@ fn sorter_cleans_up_when_dropped_before_and_mid_merge() {
 
 #[test]
 fn group_by_cleans_up_after_full_drain_and_early_drop() {
-    for (compression, sync, io) in matrix() {
-        let ctx = format!("group-by drain compression={compression:?} sync={sync} io={io:?}");
+    for (compression, io) in matrix() {
+        let ctx = format!("group-by drain compression={compression:?} io={io:?}");
         let base = case_dir("groupby-drain");
-        let groups = spilled_group_by(&base, compression, sync, io)
-            .finish()
-            .unwrap();
+        let groups = spilled_group_by(&base, compression, io).finish().unwrap();
         assert!(std::fs::read_dir(&base).unwrap().count() > 0, "[{ctx}]");
         let total: u64 = groups.map(|(_, c)| c).sum();
         assert_eq!(total, 40_000, "[{ctx}]");
         assert_empty_and_remove(&base, &ctx);
 
-        let ctx = format!("group-by early-drop compression={compression:?} sync={sync} io={io:?}");
+        let ctx = format!("group-by early-drop compression={compression:?} io={io:?}");
         let base = case_dir("groupby-drop");
-        drop(spilled_group_by(&base, compression, sync, io));
+        drop(spilled_group_by(&base, compression, io));
         assert_empty_and_remove(&base, &ctx);
 
-        let ctx =
-            format!("group-by mid-merge-drop compression={compression:?} sync={sync} io={io:?}");
+        let ctx = format!("group-by mid-merge-drop compression={compression:?} io={io:?}");
         let base = case_dir("groupby-middrop");
-        let mut groups = spilled_group_by(&base, compression, sync, io)
-            .finish()
-            .unwrap();
+        let mut groups = spilled_group_by(&base, compression, io).finish().unwrap();
         groups.next().unwrap();
         drop(groups);
         assert_empty_and_remove(&base, &ctx);
@@ -173,16 +153,16 @@ fn group_by_cleans_up_after_full_drain_and_early_drop() {
 fn spill_files_are_cleaned_up_during_panic_unwinding() {
     // A panic on the owning thread unwinds through the engine's drop glue,
     // which must still stop the writer thread and remove the directory.
-    for (compression, sync, io) in matrix() {
+    for (compression, io) in matrix() {
         for engine in ["sorter", "group-by"] {
-            let ctx = format!("{engine} panic compression={compression:?} sync={sync} io={io:?}");
+            let ctx = format!("{engine} panic compression={compression:?} io={io:?}");
             let base = case_dir("panic");
             let thrown = catch_unwind(AssertUnwindSafe(|| {
                 if engine == "sorter" {
-                    let _s = spilled_sorter(&base, compression, sync, io);
+                    let _s = spilled_sorter(&base, compression, io);
                     panic!("consumer bug [{ctx}]");
                 } else {
-                    let _g = spilled_group_by(&base, compression, sync, io);
+                    let _g = spilled_group_by(&base, compression, io);
                     panic!("consumer bug [{ctx}]");
                 }
             }));
@@ -197,10 +177,10 @@ fn spill_files_are_cleaned_up_after_merge_io_errors() {
     // Deleting a spill file out from under the sorter makes finish() fail
     // at cursor-open time; the error path must still tear down the spill
     // directory (including the surviving runs).
-    for (compression, sync, io) in matrix() {
-        let ctx = format!("io-error compression={compression:?} sync={sync} io={io:?}");
+    for (compression, io) in matrix() {
+        let ctx = format!("io-error compression={compression:?} io={io:?}");
         let base = case_dir("ioerr");
-        let mut sorter = spilled_sorter(&base, compression, sync, io);
+        let mut sorter = spilled_sorter(&base, compression, io);
         sorter.flush_spills().unwrap();
         // Remove one run file from the engine's unique spill subdirectory.
         let sub = std::fs::read_dir(&base).unwrap().next().unwrap().unwrap();
@@ -234,11 +214,11 @@ fn spill_files_are_cleaned_up_after_injected_faults() {
         ("read", FaultKind::ReadTransient, 1),
         ("mid-merge-read", FaultKind::ReadTransient, 40),
     ];
-    for (compression, sync, io) in matrix() {
+    for (compression, io) in matrix() {
         for &(name, kind, n) in scenarios {
-            let ctx = format!("fault {name} compression={compression:?} sync={sync} io={io:?}");
+            let ctx = format!("fault {name} compression={compression:?} io={io:?}");
             let base = case_dir("fault");
-            let engine_cfg = cfg(&base, compression, sync, io);
+            let engine_cfg = cfg(&base, compression, io);
             let handle =
                 SpillIoHandle::from_config(&engine_cfg).with_faults(FaultPlan::nth(kind, n));
             let outcome = catch_unwind(AssertUnwindSafe(|| {
