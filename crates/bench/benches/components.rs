@@ -1,14 +1,18 @@
 //! Criterion micro-benchmarks of the algorithmic components: the stable
 //! blocked counting sort (Step 2), the parallel merge baseline, the
-//! sampling step, and the parallel primitives (scan, reduce) they are built
-//! from.
+//! sampling step, the parallel primitives (scan, reduce) they are built
+//! from, and the streaming engines' final k-way loser-tree merge, run from
+//! memory on the run shape of perfbench's `stream_spill` workload so the
+//! merge thread's cost shows without spill I/O.
 //!
 //! Run with `cargo bench -p bench --bench components`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dtsort::config::SortConfig;
+use parlay::kway::{ByKey, LoserTree, SliceSource};
 use parlay::random::Rng;
 use std::time::Duration;
+use workloads::dist::{generate_keys, Distribution};
 
 const N: usize = 500_000;
 
@@ -96,11 +100,66 @@ fn bench_primitives(c: &mut Criterion) {
     group.finish();
 }
 
+/// Runs of `stream_spill`'s shape: 4M records pushed as 2M Zipf-1.2 then
+/// 2M Unif-1e9 32-bit keys, cut into 26 runs of ~154k records (13 per
+/// distribution), each stably sorted by key.  Values are push indices.
+fn stream_spill_runs() -> Vec<Vec<(u64, u32)>> {
+    const HALF: usize = 2_000_000;
+    const RUNS_PER_HALF: usize = 13;
+    let dists = [
+        Distribution::Zipfian { s: 1.2 },
+        Distribution::Uniform {
+            distinct: 1_000_000_000,
+        },
+    ];
+    let mut runs = Vec::new();
+    for (d, dist) in dists.iter().enumerate() {
+        let keys = generate_keys(dist, HALF, 32, 11 + d as u64);
+        let first = d * HALF;
+        let records: Vec<(u64, u32)> = keys
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (k, (first + i) as u32))
+            .collect();
+        for chunk in records.chunks(HALF.div_ceil(RUNS_PER_HALF)) {
+            let mut run = chunk.to_vec();
+            run.sort_by_key(|r| r.0);
+            runs.push(run);
+        }
+    }
+    runs
+}
+
+fn bench_kway_merge(c: &mut Criterion) {
+    let runs = stream_spill_runs();
+    let total: usize = runs.iter().map(Vec::len).sum();
+    let mut group = c.benchmark_group("kway_merge");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    // One output buffer for every sample, so page faults on a fresh
+    // 64 MB buffer stay out of the merge's time.
+    let mut out: Vec<(u64, u32)> = Vec::with_capacity(total);
+    group.bench_function(format!("stream_spill_{}_runs", runs.len()), |b| {
+        b.iter(|| {
+            out.clear();
+            let sources: Vec<_> = runs
+                .iter()
+                .map(|r| SliceSource::new(r.as_slice()))
+                .collect();
+            out.extend(LoserTree::new(sources, ByKey(|r: &(u64, u32)| r.0)));
+            out.len()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_counting_sort,
     bench_merge,
     bench_sampling,
-    bench_primitives
+    bench_primitives,
+    bench_kway_merge
 );
 criterion_main!(benches);

@@ -1,19 +1,28 @@
-//! K-way merge of sorted sequences: the streaming sorter's final pass
+//! K-way merge of sorted sequences: the streaming engines' final pass
 //! (`crates/stream`) merges `k` sorted runs into one sorted output.
 //!
 //! [`LoserTree`] is a classic tournament *loser tree* over `k` cursors.
-//! Each `pop` performs exactly `⌈log2 k⌉` comparisons (replay of one
-//! leaf-to-root path), the optimal comparison count for k-way merging.
-//! It works over any [`RunSource`] — in-memory slices ([`SliceSource`]),
-//! runs delivered block by block ([`BlockSource`]) or the streaming
-//! crate's spill-file cursors — so out-of-core callers merge runs much
-//! larger than RAM.
+//! Each `pop` replays one leaf-to-root path: `⌈log2 k⌉` matches, the
+//! optimal comparison count for k-way merging.  It works over any
+//! [`RunSource`] — in-memory slices ([`SliceSource`]), runs delivered
+//! block by block ([`BlockSource`]) or the streaming crate's spill-file
+//! cursors — so out-of-core callers merge runs much larger than RAM.
+//!
+//! **Order.** A [`MergeOrder`] orders records by a `u64` key, then by an
+//! optional record tie-break among equal keys ([`MergeOrder::TIE_BREAK`]:
+//! the streaming crate's string-keyed records, whose 8-byte key prefixes
+//! can collide), then by run index.  The tree caches each run's head as
+//! one integer word of `(exhausted bit, key, run index)`, so a match costs
+//! one integer compare and a branch-free select; the tie-break is called
+//! only when two live heads have equal keys and the order asks for it.
 //!
 //! **Stability.** Ties always resolve toward the run with the smaller
 //! index, and order within a run is preserved.  If run `i` holds records
 //! that arrived before run `i + 1`'s (as in the streaming sorter, where
 //! runs are created in arrival order), the merge is a stable sort of the
 //! concatenated input.
+
+use std::hint::select_unpredictable;
 
 /// A cursor over one sorted run: peek at the head, pop to advance.
 ///
@@ -115,110 +124,159 @@ impl<T, F: FnMut() -> Option<Vec<T>>> RunSource for BlockSource<T, F> {
     }
 }
 
-/// Tournament loser tree over `k` run sources.
+/// How a [`LoserTree`] orders records: by an order-preserving `u64` key,
+/// then — only if [`MergeOrder::TIE_BREAK`] is set — by
+/// [`MergeOrder::tie_lt`] among equal keys, then by run index.
 ///
-/// The tree stores, at every internal node, the *loser* of the match played
-/// there; the overall winner sits at the root.  Popping the winner replays
-/// only its leaf-to-root path: `⌈log2 k⌉` comparisons per output record.
-/// Exhausted runs lose every match, so the merge finishes cleanly without
-/// sentinel keys.  Ties favour the smaller run index (stability).
-///
-/// The comparator may be **any strict weak ordering** over the record
-/// type, not only a key projection: the index tie rule (`i < j` wins on
-/// `!(lt)(b, a)`) only assumes that "neither strictly smaller" means
-/// *equivalent under `lt`*, which every strict weak ordering guarantees.
-/// Composite comparators — e.g. ordering spilled string records by
-/// `(u64 prefix, full key bytes)` so equal prefixes tie-break on the
-/// embedded key — therefore merge stably with no extra comparator calls:
-/// records the comparator cannot distinguish still come out in run-index
-/// (arrival) order.
-pub struct LoserTree<S, F> {
-    sources: Vec<S>,
-    /// `tree[0]` is the current winner; `tree[1..k2]` hold match losers.
-    tree: Vec<usize>,
-    /// Number of leaves (k rounded up to a power of two).
-    k2: usize,
-    lt: F,
+/// [`ByKey`] builds a key-only order from a closure.
+pub trait MergeOrder<T> {
+    /// Whether two records with equal keys can still differ in order.  If
+    /// not, equal keys go by run index alone and `tie_lt` is never called.
+    const TIE_BREAK: bool = false;
+
+    /// The record's key; the merged output is non-decreasing in it.
+    fn key(&self, item: &T) -> u64;
+
+    /// A strict weak order among records with equal keys.
+    fn tie_lt(&self, _a: &T, _b: &T) -> bool {
+        false
+    }
 }
 
-impl<S, F> LoserTree<S, F>
+/// Orders records by a `u64` key projection alone.
+pub struct ByKey<F>(pub F);
+
+impl<T, F: Fn(&T) -> u64> MergeOrder<T> for ByKey<F> {
+    #[inline]
+    fn key(&self, item: &T) -> u64 {
+        (self.0)(item)
+    }
+}
+
+/// Bits of a head word that hold the run index.
+const RUN_BITS: u32 = 32;
+/// Set in the head word of an exhausted run (or a padding leaf): above the
+/// key bits, so it loses to every live head, whatever its key.
+const EXHAUSTED: u128 = 1 << (64 + RUN_BITS);
+
+/// Tournament loser tree over `k` run sources.
+///
+/// Each run's head is cached as one `u128` word, `(exhausted bit, key,
+/// run index)` from the high bits down, so that comparing two words
+/// compares the heads' keys and breaks key ties by run index.  The tree
+/// stores, at every internal node, the word of the *loser* of the match
+/// played there; the winner's word sits in slot 0.  Popping the winner
+/// reads its run's next head once and replays only its leaf-to-root path:
+/// `⌈log2 k⌉` matches of one integer compare and a branch-free select
+/// each, touching no other run.  Exhausted runs lose every match: the
+/// exhausted bit sits above the key bits, so no key (not even `u64::MAX`)
+/// is reserved as a sentinel.
+///
+/// Under a [`MergeOrder`] with [`MergeOrder::TIE_BREAK`], a match between
+/// two live heads with equal keys calls [`MergeOrder::tie_lt`] once: for
+/// runs `i < j`, run `i` wins unless `j`'s head is strictly smaller, so
+/// records the tie-break cannot tell apart still come out in run-index
+/// (arrival) order.
+pub struct LoserTree<S, O> {
+    sources: Vec<S>,
+    /// `tree[0]` is the winner's head word; `tree[1..k2]` hold the losers'.
+    tree: Vec<u128>,
+    /// Number of leaves (k rounded up to a power of two).
+    k2: usize,
+    order: O,
+}
+
+impl<S, O> LoserTree<S, O>
 where
     S: RunSource,
-    F: Fn(&S::Item, &S::Item) -> bool,
+    O: MergeOrder<S::Item>,
 {
-    pub fn new(sources: Vec<S>, lt: F) -> Self {
+    pub fn new(sources: Vec<S>, order: O) -> Self {
         let k2 = sources.len().next_power_of_two().max(1);
+        assert!(k2 <= 1 << RUN_BITS, "a loser tree merges at most 2^32 runs");
         let mut this = Self {
             sources,
-            tree: vec![usize::MAX; k2],
+            tree: vec![EXHAUSTED; k2],
             k2,
-            lt,
+            order,
         };
-        if !this.sources.is_empty() {
-            this.tree[0] = this.init_winner(1);
-        }
+        this.tree[0] = this.init_winner(1);
         this
     }
 
-    /// `true` if run `i`'s head wins against run `j`'s (ties favour the
-    /// smaller index; exhausted runs always lose).
-    ///
-    /// One comparator call per match: since the tie rule is index-based,
-    /// for `i < j` run `i` wins exactly when `j`'s head is not strictly
-    /// smaller — no second call needed to distinguish ties.
-    fn beats(&self, i: usize, j: usize) -> bool {
-        match (self.head(i), self.head(j)) {
-            (Some(a), Some(b)) => {
-                if i < j {
-                    !(self.lt)(b, a)
-                } else {
-                    (self.lt)(a, b)
-                }
-            }
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => i < j,
+    /// The head word of run `run` (a padding leaf past the last run reads
+    /// as exhausted).
+    #[inline]
+    fn head_word(&self, run: usize) -> u128 {
+        match self.sources.get(run).and_then(RunSource::peek) {
+            Some(item) => u128::from(self.order.key(item)) << RUN_BITS | run as u128,
+            None => EXHAUSTED | run as u128,
         }
     }
 
-    fn head(&self, i: usize) -> Option<&S::Item> {
-        self.sources.get(i).and_then(|s| s.peek())
+    /// Plays head word `a` against `b`; returns `(winner, loser)`.
+    ///
+    /// The compare and the select work on the words' 64-bit halves: LLVM
+    /// lowers a `u128` compare-and-select to a branch, which mispredicts
+    /// on about every other match of a merge.
+    #[inline(always)]
+    fn play(&self, a: u128, b: u128) -> (u128, u128) {
+        let (a_hi, a_lo, b_hi, b_lo) = ((a >> 64) as u64, a as u64, (b >> 64) as u64, b as u64);
+        let a_wins = if O::TIE_BREAK && a >> RUN_BITS == b >> RUN_BITS && a < EXHAUSTED {
+            self.tie_wins(a, b)
+        } else {
+            (a_hi < b_hi) | ((a_hi == b_hi) & (a_lo < b_lo))
+        };
+        let winner = u128::from(select_unpredictable(a_wins, a_hi, b_hi)) << 64
+            | u128::from(select_unpredictable(a_wins, a_lo, b_lo));
+        (winner, a ^ b ^ winner)
+    }
+
+    /// `true` if live head `a` beats live head `b` of equal key: one
+    /// `tie_lt` call, since the smaller run index wins when neither head
+    /// is strictly smaller.
+    fn tie_wins(&self, a: u128, b: u128) -> bool {
+        let head = |word: u128| {
+            let run = word as u32 as usize;
+            (run, self.sources[run].peek().expect("a live head word"))
+        };
+        let ((i, x), (j, y)) = (head(a), head(b));
+        if i < j {
+            !self.order.tie_lt(y, x)
+        } else {
+            self.order.tie_lt(x, y)
+        }
     }
 
     /// Plays the tournament below internal node `node`, storing losers,
-    /// returning the winner (a run index, possibly of a phantom leaf).
-    fn init_winner(&mut self, node: usize) -> usize {
+    /// returning the winner's head word.
+    fn init_winner(&mut self, node: usize) -> u128 {
         if node >= self.k2 {
-            return node - self.k2;
+            return self.head_word(node - self.k2);
         }
         let left = self.init_winner(2 * node);
         let right = self.init_winner(2 * node + 1);
-        let (winner, loser) = if self.beats(left, right) {
-            (left, right)
-        } else {
-            (right, left)
-        };
+        let (winner, loser) = self.play(left, right);
         self.tree[node] = loser;
         winner
     }
 
     /// Removes and returns the globally smallest head record.
     pub fn pop(&mut self) -> Option<S::Item> {
-        let winner = self.tree[0];
-        if winner == usize::MAX {
+        let top = self.tree[0];
+        if top >= EXHAUSTED {
             return None;
         }
-        let item = self.sources[winner].pop()?;
+        let run = top as u32 as usize;
+        let item = self.sources[run].pop()?;
         // Replay the winner's path: at each ancestor, the stored loser may
-        // now beat the advanced run.
-        let mut current = winner;
-        let mut node = (self.k2 + winner) / 2;
+        // now beat the run's new head.
+        let mut current = self.head_word(run);
+        let mut node = (self.k2 + run) / 2;
         while node >= 1 {
-            let rival = self.tree[node];
-            if self.beats(rival, current) {
-                self.tree[node] = current;
-                current = rival;
-            }
+            let (winner, loser) = self.play(self.tree[node], current);
+            self.tree[node] = loser;
+            current = winner;
             node /= 2;
         }
         self.tree[0] = current;
@@ -226,10 +284,10 @@ where
     }
 }
 
-impl<S, F> Iterator for LoserTree<S, F>
+impl<S, O> Iterator for LoserTree<S, O>
 where
     S: RunSource,
-    F: Fn(&S::Item, &S::Item) -> bool,
+    O: MergeOrder<S::Item>,
 {
     type Item = S::Item;
 
@@ -243,13 +301,33 @@ mod tests {
     use super::*;
     use crate::random::Rng;
 
+    /// Orders records by a key projection, then equal keys by `lt`: the
+    /// shape of the streaming crate's string-key order.
+    struct ByKeyThen<F, L>(F, L);
+
+    impl<T, F: Fn(&T) -> u64, L: Fn(&T, &T) -> bool> MergeOrder<T> for ByKeyThen<F, L> {
+        const TIE_BREAK: bool = true;
+
+        fn key(&self, item: &T) -> u64 {
+            (self.0)(item)
+        }
+
+        fn tie_lt(&self, a: &T, b: &T) -> bool {
+            (self.1)(a, b)
+        }
+    }
+
     /// Drains a loser tree over `runs`.
-    fn merge<T: Copy>(runs: &[Vec<T>], lt: impl Fn(&T, &T) -> bool) -> Vec<T> {
+    fn merge<T: Copy, O: MergeOrder<T>>(runs: &[Vec<T>], order: O) -> Vec<T> {
         let sources: Vec<SliceSource<'_, T>> = runs
             .iter()
             .map(|v| SliceSource::new(v.as_slice()))
             .collect();
-        LoserTree::new(sources, lt).collect()
+        LoserTree::new(sources, order).collect()
+    }
+
+    fn by_value() -> ByKey<fn(&u64) -> u64> {
+        ByKey(|&x| x)
     }
 
     #[test]
@@ -265,7 +343,7 @@ mod tests {
             v.sort_unstable();
             runs.push(v);
         }
-        let got = merge(&runs, |a: &u64, b: &u64| a < b);
+        let got = merge(&runs, by_value());
         let mut want: Vec<u64> = runs.concat();
         want.sort_unstable();
         assert_eq!(got, want);
@@ -286,7 +364,7 @@ mod tests {
             v.sort_by_key(|&(key, _)| key);
             runs.push(v);
         }
-        let got = merge(&runs, |a: &(u32, u32), b: &(u32, u32)| a.0 < b.0);
+        let got = merge(&runs, ByKey(|r: &(u32, u32)| u64::from(r.0)));
         // Reference: stable sort of run-0 ++ run-1 ++ ... by key.
         let mut want: Vec<(u32, u32)> = runs.concat();
         want.sort_by_key(|&(key, _)| key);
@@ -295,12 +373,11 @@ mod tests {
 
     #[test]
     fn tie_breaking_comparators_merge_stably() {
-        // Regression for the strict-weak-ordering claim on the tie rule:
-        // records are (prefix, full_key, tag) triples merged by the
-        // composite order (prefix, full_key) — the shape the string-key
-        // spill merge uses, where equal u64 prefixes tie-break on the
-        // embedded key bytes.  Records equal under the *composite* order
-        // must still come out in run-index order (tags prove it).
+        // Records are (prefix, full_key, tag) triples merged by the prefix
+        // key, then the full key among equal prefixes — the shape of the
+        // string-key spill merge, where equal u64 prefixes tie-break on
+        // the embedded key bytes.  Records equal in both must still come
+        // out in run-index order (tags prove it).
         type Rec = (u64, &'static str, u32);
         let keys = ["aa", "ab", "ba", "bb"];
         let k = 4;
@@ -317,7 +394,10 @@ mod tests {
             v.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
             runs.push(v);
         }
-        let got = merge(&runs, |a: &Rec, b: &Rec| (a.0, a.1) < (b.0, b.1));
+        let got = merge(
+            &runs,
+            ByKeyThen(|r: &Rec| r.0, |a: &Rec, b: &Rec| a.1 < b.1),
+        );
         let mut want: Vec<Rec> = runs.concat();
         want.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
         assert_eq!(got, want, "composite comparator must merge stably");
@@ -333,19 +413,18 @@ mod tests {
             SliceSource::new(&b[..]),
             SliceSource::new(&c[..]),
         ];
-        let tree = LoserTree::new(sources, |x: &u64, y: &u64| x < y);
+        let tree = LoserTree::new(sources, by_value());
         let got: Vec<u64> = tree.collect();
         assert_eq!(got, vec![0, 1, 2, 5, 6, 7, 8, 9, 10]);
     }
 
     #[test]
     fn loser_tree_on_empty_and_tiny_inputs() {
-        let mut empty: LoserTree<SliceSource<'_, u64>, _> =
-            LoserTree::new(Vec::new(), |x: &u64, y: &u64| x < y);
+        let mut empty: LoserTree<SliceSource<'_, u64>, _> = LoserTree::new(Vec::new(), by_value());
         assert_eq!(empty.pop(), None);
 
         let one = [3u64];
-        let mut single = LoserTree::new(vec![SliceSource::new(&one[..])], |x: &u64, y: &u64| x < y);
+        let mut single = LoserTree::new(vec![SliceSource::new(&one[..])], by_value());
         assert_eq!(single.pop(), Some(3));
         assert_eq!(single.pop(), None);
     }
@@ -389,7 +468,7 @@ mod tests {
                 BlockSource::new(move || iter.next())
             })
             .collect();
-        let tree = LoserTree::new(sources, |a: &u64, b: &u64| a < b);
+        let tree = LoserTree::new(sources, by_value());
         let got: Vec<u64> = tree.collect();
         let mut want: Vec<u64> = runs.concat();
         want.sort_unstable();
@@ -409,5 +488,99 @@ mod tests {
         // `None` is terminal: the callback ran exactly once.
         drop(src);
         assert_eq!(calls, 1);
+    }
+
+    /// `(key, tag)` records, merged by key; tags say which run and position
+    /// each record came from.
+    type Tagged = (u64, u32);
+
+    fn by_tagged_key() -> ByKey<fn(&Tagged) -> u64> {
+        ByKey(|r| r.0)
+    }
+
+    /// Stable reference: the runs concatenated in run order, stably sorted
+    /// by key.
+    fn stable_reference(runs: &[Vec<Tagged>]) -> Vec<Tagged> {
+        let mut want = runs.concat();
+        want.sort_by_key(|r| r.0);
+        want
+    }
+
+    #[test]
+    fn max_keys_beat_exhausted_runs() {
+        // `u64::MAX` is a real key: it must come out, after every smaller
+        // key, even once other runs are exhausted and their heads read as
+        // exhausted.  Runs 0 and 2 end first; run 3 is empty.
+        let runs: Vec<Vec<Tagged>> = vec![
+            vec![(0, 0), (u64::MAX - 1, 1)],
+            vec![(5, 2), (u64::MAX, 3), (u64::MAX, 4)],
+            vec![(u64::MAX, 5)],
+            vec![],
+            vec![(1, 6), (u64::MAX, 7)],
+        ];
+        assert_eq!(merge(&runs, by_tagged_key()), stable_reference(&runs));
+        let all_max: Vec<Vec<u64>> = vec![vec![u64::MAX; 3], vec![], vec![u64::MAX]];
+        assert_eq!(merge(&all_max, by_value()), vec![u64::MAX; 4]);
+    }
+
+    #[test]
+    fn run_counts_around_powers_of_two_merge_stably() {
+        // k = 0, 1, 2, 3 and 33, with one short run (run 0) that ends
+        // mid-merge while the others still hold smaller and larger keys.
+        for k in [0u32, 1, 2, 3, 33] {
+            let runs: Vec<Vec<Tagged>> = (0..k)
+                .map(|r| {
+                    let len = if r == 0 { 7 } else { 200 + 13 * r };
+                    let mut run: Vec<Tagged> = (0..len)
+                        .map(|i| (u64::from((i * 7 + r * 3) % 61), r * 1000 + i))
+                        .collect();
+                    run.sort_by_key(|x| x.0);
+                    run
+                })
+                .collect();
+            assert_eq!(
+                merge(&runs, by_tagged_key()),
+                stable_reference(&runs),
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn colliding_keys_tie_break_on_the_record_and_stay_stable() {
+        // Two full keys per 8-byte prefix, spread across runs: equal
+        // prefixes must come out in full-key order, and equal full keys
+        // in run order.  The tie-break runs only on equal prefixes.
+        type Rec = (u64, [u8; 2], u32);
+        let calls = std::cell::Cell::new(0usize);
+        let runs: Vec<Vec<Rec>> = (0..5u32)
+            .map(|r| {
+                let mut run: Vec<Rec> = (0..120)
+                    .map(|i| {
+                        let prefix = u64::from((i + r) % 4);
+                        (
+                            prefix,
+                            [prefix as u8, ((i * 5 + r) % 2) as u8],
+                            r * 1000 + i,
+                        )
+                    })
+                    .collect();
+                run.sort_by_key(|x| (x.0, x.1));
+                run
+            })
+            .collect();
+        let order = ByKeyThen(
+            |r: &Rec| r.0,
+            |a: &Rec, b: &Rec| {
+                assert_eq!(a.0, b.0, "tie-break called on unequal keys");
+                calls.set(calls.get() + 1);
+                a.1 < b.1
+            },
+        );
+        let got = merge(&runs, order);
+        let mut want = runs.concat();
+        want.sort_by_key(|x| (x.0, x.1));
+        assert_eq!(got, want);
+        assert!(calls.get() > 0, "equal prefixes must reach the tie-break");
     }
 }

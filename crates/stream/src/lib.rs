@@ -23,8 +23,13 @@
 //! [`StreamSorter::finish`] merges all runs with a tournament loser tree
 //! ([`parlay::kway::LoserTree`]) behind a streaming iterator whose
 //! footprint stays within the budget; [`StreamSorter::finish_vec`] drains
-//! the same merge into a vector.  The merge breaks ties toward earlier
-//! runs, so the end-to-end sort is **stable** with respect to push order.
+//! the same merge into a vector.  The tree caches each run's head as one
+//! integer word (exhausted bit, ordered `u64` key, run index), so a match
+//! is one integer compare and a branch-free select, and a pop touches
+//! only the winning run's cursor.  Equal keys go to the earlier run, so
+//! the end-to-end sort is **stable** with respect to push order.  Only
+//! string-keyed records, whose 8-byte key prefixes can collide, make the
+//! tree look at a record: equal prefixes tie-break on the full key.
 //! Spill reads retry transient failures in one place, the run reader: a
 //! failed open is opened again, and a read that fails mid-run reopens the
 //! run and skips the records it already served.  A read error that

@@ -1,8 +1,9 @@
 //! Observability tests that need crate internals: a spill value with an
-//! artificially slow serializer proves — from the emitted trace alone —
-//! that the pipelined spill path really overlaps run sorting on the caller
-//! thread with run writing on the background writer thread, and — from
-//! its write counter — that dropping an engine joins that thread.  The
+//! artificially slow serializer (and, in the overlap test, a rendezvous
+//! between its sort and its writes) proves — from the emitted trace alone
+//! — that the pipelined spill path really overlaps run sorting on the
+//! caller thread with run writing on the background writer thread, and —
+//! from its write counter — that dropping an engine joins that thread.  The
 //! same value notes which threads decode it, which shows where a merge's
 //! read-ahead runs.
 
@@ -16,7 +17,7 @@ use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -38,6 +39,69 @@ static WRITES: AtomicUsize = AtomicUsize::new(0);
 fn decoders() -> &'static Mutex<HashSet<ThreadId>> {
     static DECODERS: OnceLock<Mutex<HashSet<ThreadId>>> = OnceLock::new();
     DECODERS.get_or_init(Default::default)
+}
+
+/// A rendezvous between run sorts and run writes that makes sort/write
+/// overlap hold by construction rather than by timing: while armed, sort
+/// `s` (for `1 <= s <= forced`) waits inside its `sort_run` span until
+/// the writer has begun run `s - 1`, and the writer waits inside that
+/// run's `spill_write` span until sort `s` has begun.  So each of those
+/// sort spans overlaps a write span, whatever the CPU count.  Runs must
+/// hold exactly `run_len` records.
+struct Rendezvous {
+    run_len: usize,
+    forced: usize,
+    /// Run sorts begun since arming.
+    sorts: usize,
+    /// Records the writer began serializing since arming.
+    written: usize,
+}
+
+fn rendezvous() -> &'static (Mutex<Option<Rendezvous>>, Condvar) {
+    static RENDEZVOUS: OnceLock<(Mutex<Option<Rendezvous>>, Condvar)> = OnceLock::new();
+    RENDEZVOUS.get_or_init(Default::default)
+}
+
+/// Arms (`Some`) or disarms (`None`) the rendezvous.
+fn arm_rendezvous(state: Option<Rendezvous>) {
+    *rendezvous().0.lock().unwrap() = state;
+    rendezvous().1.notify_all();
+}
+
+/// Wakes the other side, then waits until `done` holds or the rendezvous
+/// is disarmed; panics after a generous timeout rather than hang.
+fn wait_until(guard: MutexGuard<'static, Option<Rendezvous>>, done: impl Fn(&Rendezvous) -> bool) {
+    rendezvous().1.notify_all();
+    let (_guard, timeout) = rendezvous()
+        .1
+        .wait_timeout_while(guard, Duration::from_secs(30), |r| {
+            !r.as_ref().is_none_or(&done)
+        })
+        .unwrap();
+    assert!(!timeout.timed_out(), "sort/write rendezvous timed out");
+}
+
+/// The writer's side, before it serializes a record: the first record of
+/// run `r < forced` waits for sort `r + 1` to begin.
+fn writer_rendezvous() {
+    let mut guard = rendezvous().0.lock().unwrap();
+    let Some(r) = guard.as_mut() else { return };
+    let (run, first) = (r.written / r.run_len, r.written % r.run_len == 0);
+    r.written += 1;
+    let wait = first && run < r.forced;
+    wait_until(guard, |r| !wait || r.sorts > run + 1);
+}
+
+/// The sorting side, inside the `sort_run` span: sort `s` with
+/// `1 <= s <= forced` waits for the writer to begin run `s - 1`.
+fn sort_rendezvous() {
+    let mut guard = rendezvous().0.lock().unwrap();
+    let Some(r) = guard.as_mut() else { return };
+    let sort = r.sorts;
+    r.sorts += 1;
+    let wait = (1..=r.forced).contains(&sort);
+    let begun = sort.saturating_sub(1) * r.run_len;
+    wait_until(guard, |r| !wait || r.written > begun);
 }
 
 /// A var-length value whose serializer sleeps per record, making spill
@@ -74,6 +138,7 @@ impl SpillValue for SlowValue {
         4 + self.payload.len()
     }
     fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
+        writer_rendezvous();
         std::thread::sleep(WRITE_DELAY);
         WRITES.fetch_add(1, Ordering::SeqCst);
         self.payload.spill_write(w)
@@ -94,6 +159,7 @@ impl SpillValue for SlowValue {
         cfg: &SortConfig,
         carry: &[u64],
     ) -> RunReport {
+        sort_rendezvous();
         var_sort_run(buffer, cfg, carry)
     }
 }
@@ -115,11 +181,20 @@ fn pipelined_spill_trace_shows_sort_write_overlap() {
     // Start from a clean slate so the assertions below only see this
     // sorter's spans (concurrent tests may add spans, never remove ours).
     let _ = obs::drain_spans();
+    // Sorts 1 and 2 each meet the writer mid-run, so at least two
+    // sort_run spans overlap a spill_write span even on one CPU.
+    arm_rendezvous(Some(Rendezvous {
+        run_len: capacity,
+        forced: 2,
+        sorts: 0,
+        written: 0,
+    }));
     let n = 6 * capacity as u64;
     for i in 0..n {
         sorter.push_record(i % 193, SlowValue::new(i)).unwrap();
     }
     let got = sorter.finish_vec().unwrap();
+    arm_rendezvous(None);
     assert_eq!(got.len(), n as usize);
     assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
 
@@ -138,7 +213,7 @@ fn pipelined_spill_trace_shows_sort_write_overlap() {
     );
     // The pipelining claim, read off the trace: while the writer thread is
     // busy with run N, the caller thread is already sorting a later run.
-    // With the artificial write latency this must hold for several runs.
+    // The rendezvous makes this hold for two runs by construction.
     let overlapping_sorts = sorts
         .iter()
         .filter(|s| writes.iter().any(|w| s.overlaps(w)))

@@ -364,23 +364,22 @@ pub trait SpillValue: Clone + Send + Sync + 'static + sealed::Sealed {
     where
         Self: Sized;
 
-    /// Strict-weak order of merge records, used by the final streaming
-    /// loser tree.  The default compares ordered-`u64` keys alone; values
-    /// with an embedded full key (string-keyed records) override it to
-    /// tie-break equal key prefixes on the full key bytes, which is what
-    /// makes the 8-byte-prefix mapping order-preserving end to end.
+    /// Whether records with equal ordered-`u64` keys can still differ in
+    /// order.  `false` (the default): the final merge orders them by run
+    /// alone and never looks at a value.  Values with an embedded full key
+    /// (string-keyed records, whose 8-byte key prefixes can collide) set
+    /// it, and the merge then tie-breaks equal keys on
+    /// [`SpillValue::spill_embedded_key`], which is what makes the
+    /// 8-byte-prefix mapping order-preserving end to end.
     #[doc(hidden)]
-    fn spill_record_lt(a: &(u64, Self), b: &(u64, Self)) -> bool
-    where
-        Self: Sized,
-    {
-        a.0 < b.0
-    }
+    const SPILL_TIE_BREAK: bool = false;
 
     /// Full-key bytes embedded in the payload, for values that carry
-    /// their own key (string-keyed records).  The streaming group-by uses
-    /// this to sub-group records whose `u64` key prefixes collide and to
-    /// refuse to combine partials of different full keys.
+    /// their own key (string-keyed records).  The final merge tie-breaks
+    /// equal key prefixes on it ([`SpillValue::SPILL_TIE_BREAK`]); the
+    /// streaming group-by uses it to sub-group records whose `u64` key
+    /// prefixes collide and to refuse to combine partials of different
+    /// full keys.
     #[doc(hidden)]
     fn spill_embedded_key(&self) -> Option<&[u8]> {
         None

@@ -29,7 +29,7 @@ use crate::spill::{
 use crate::spillio::SpillIoHandle;
 use crate::{GroupByStats, StreamStats};
 use dtsort::{IntegerKey, SpillCompression, StreamConfig};
-use parlay::kway::LoserTree;
+use parlay::kway::{LoserTree, MergeOrder};
 use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -617,7 +617,7 @@ impl<B: RunBuilder> Spiller<B> {
             cursors.push(RunCursor::from_memory(run));
         }
         let merge = RunMerge {
-            tree: LoserTree::new(cursors, B::RunValue::spill_record_lt),
+            tree: LoserTree::new(cursors, SpillOrder),
             failed,
             _merge_span: obs::enabled().then(|| obs::span!("merge")),
             _space: self.space.take(),
@@ -626,7 +626,26 @@ impl<B: RunBuilder> Spiller<B> {
     }
 }
 
-type MergeTree<V> = LoserTree<RunCursor<V>, fn(&(u64, V), &(u64, V)) -> bool>;
+/// The final merge's record order: the ordered-`u64` key, then — for
+/// values whose equal keys are not equivalent
+/// ([`SpillValue::SPILL_TIE_BREAK`]) — the embedded full key, then run
+/// order (push order).
+struct SpillOrder;
+
+impl<V: SpillValue> MergeOrder<(u64, V)> for SpillOrder {
+    const TIE_BREAK: bool = V::SPILL_TIE_BREAK;
+
+    #[inline]
+    fn key(&self, record: &(u64, V)) -> u64 {
+        record.0
+    }
+
+    fn tie_lt(&self, a: &(u64, V), b: &(u64, V)) -> bool {
+        a.1.spill_embedded_key() < b.1.spill_embedded_key()
+    }
+}
+
+type MergeTree<V> = LoserTree<RunCursor<V>, SpillOrder>;
 
 /// The first read error any cursor of one merge hit.  A cursor whose
 /// spilled run fails after its first record records the error here and

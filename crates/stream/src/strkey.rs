@@ -11,10 +11,10 @@
 //!
 //! * **within a run**: after the DovetailSort pass over `(prefix, index)`
 //!   tags, equal-prefix spans are stably re-sorted by full key;
-//! * **across runs**: the loser-tree comparator
-//!   ([`crate::SpillValue::spill_record_lt`]) compares `(prefix, full
-//!   key)` pairs, and fully equal keys still favour earlier runs, so the
-//!   end-to-end sort stays stable;
+//! * **across runs**: [`StringKeyed`] sets
+//!   [`crate::SpillValue::SPILL_TIE_BREAK`], so the final loser tree
+//!   breaks equal prefixes on the full key bytes, and fully equal keys
+//!   still favour earlier runs, so the end-to-end sort stays stable;
 //! * **in the group-by**: prefix-colliding keys are sub-grouped by the
 //!   embedded key bytes before folding, and the merge refuses to combine
 //!   partials whose full keys differ.
@@ -98,6 +98,7 @@ impl<V: SpillValue> Sealed for StringKeyed<V> {}
 
 impl<V: SpillValue> SpillValue for StringKeyed<V> {
     const SPILL_FIXED_SIZE: Option<usize> = None;
+    const SPILL_TIE_BREAK: bool = true;
 
     fn spill_size(&self) -> usize {
         4 + self.key.len() + self.value.spill_size()
@@ -177,10 +178,6 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
             s = e;
         }
         report
-    }
-
-    fn spill_record_lt(a: &(u64, Self), b: &(u64, Self)) -> bool {
-        (a.0, &*a.1.key) < (b.0, &*b.1.key)
     }
 
     fn spill_embedded_key(&self) -> Option<&[u8]> {

@@ -1,21 +1,21 @@
 //! Edge-case coverage for the k-way merge (`parlay::kway`) and the
-//! streaming crate: empty runs, single runs, all-equal keys, batch size 1,
-//! degenerate memory budgets, and corrupted spill files.  The module tests
-//! of those crates cover the well-formed multi-run cases; everything here
-//! is a boundary the merge or the spill machinery could plausibly get
-//! wrong.
+//! streaming crate: empty runs, single runs, all-equal keys, extreme keys,
+//! colliding string-key prefixes, batch size 1, degenerate memory budgets,
+//! and corrupted spill files.  The module tests of those crates cover the
+//! well-formed multi-run cases; everything here is a boundary the merge or
+//! the spill machinery could plausibly get wrong.
 
-use parlay::kway::{LoserTree, SliceSource};
-use stream::{CountAgg, StreamGroupBy, StreamSorter};
+use parlay::kway::{ByKey, LoserTree, MergeOrder, SliceSource};
+use stream::{CountAgg, StreamGroupBy, StreamSorter, StringStreamSorter};
 
-fn lt_u64(a: &u64, b: &u64) -> bool {
-    a < b
+fn by_u64() -> ByKey<fn(&u64) -> u64> {
+    ByKey(|&x| x)
 }
 
 /// Drains a loser tree over `runs` (ties favour the earlier run).
-fn merge_runs<T: Copy>(runs: &[&[T]], lt: impl Fn(&T, &T) -> bool) -> Vec<T> {
+fn merge_runs<T: Copy>(runs: &[&[T]], order: impl MergeOrder<T>) -> Vec<T> {
     let sources: Vec<SliceSource<'_, T>> = runs.iter().map(|r| SliceSource::new(r)).collect();
-    LoserTree::new(sources, lt).collect()
+    LoserTree::new(sources, order).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -26,13 +26,13 @@ fn merge_runs<T: Copy>(runs: &[&[T]], lt: impl Fn(&T, &T) -> bool) -> Vec<T> {
 fn kway_all_runs_empty() {
     let empty: &[u64] = &[];
     let runs: Vec<&[u64]> = vec![empty; 7];
-    assert!(merge_runs(&runs, lt_u64).is_empty());
+    assert!(merge_runs(&runs, by_u64()).is_empty());
 }
 
 #[test]
 fn kway_single_run_is_identity() {
     let run: Vec<u64> = (0..5000).map(|i| i * 3).collect();
-    let got = merge_runs(&[run.as_slice()], lt_u64);
+    let got = merge_runs(&[run.as_slice()], by_u64());
     assert_eq!(got, run);
 }
 
@@ -42,36 +42,38 @@ fn kway_empty_runs_interleaved_with_data() {
     let a = [1u64, 4, 9];
     let b = [2u64, 3];
     let runs: Vec<&[u64]> = vec![empty, &a, empty, empty, &b, empty];
-    assert_eq!(merge_runs(&runs, lt_u64), vec![1, 2, 3, 4, 9]);
+    assert_eq!(merge_runs(&runs, by_u64()), vec![1, 2, 3, 4, 9]);
 }
 
 #[test]
 fn kway_all_equal_keys_is_stable_across_runs() {
     // Every record has the same key; the merge must emit run 0's records
-    // first, then run 1's, ... — each in input order.
-    let k = 6;
-    let per = 3000usize;
-    let runs: Vec<Vec<(u32, u32)>> = (0..k)
-        .map(|r| (0..per).map(|i| (7u32, (r * per + i) as u32)).collect())
-        .collect();
-    let slices: Vec<&[(u32, u32)]> = runs.iter().map(|v| v.as_slice()).collect();
-    let got = merge_runs(&slices, |a: &(u32, u32), b: &(u32, u32)| a.0 < b.0);
-    let want: Vec<(u32, u32)> = (0..k * per).map(|i| (7u32, i as u32)).collect();
-    assert_eq!(got, want);
+    // first, then run 1's, ... — each in input order.  33 runs pad the
+    // tree to 64 leaves.
+    for k in [6, 33] {
+        let per = 3000usize;
+        let runs: Vec<Vec<(u32, u32)>> = (0..k)
+            .map(|r| (0..per).map(|i| (7u32, (r * per + i) as u32)).collect())
+            .collect();
+        let slices: Vec<&[(u32, u32)]> = runs.iter().map(|v| v.as_slice()).collect();
+        let got = merge_runs(&slices, ByKey(|r: &(u32, u32)| u64::from(r.0)));
+        let want: Vec<(u32, u32)> = (0..k * per).map(|i| (7u32, i as u32)).collect();
+        assert_eq!(got, want, "k = {k}");
+    }
 }
 
 #[test]
 fn kway_runs_of_length_one() {
     let singles: Vec<Vec<u64>> = vec![vec![5], vec![1], vec![9], vec![1], vec![0]];
     let slices: Vec<&[u64]> = singles.iter().map(|v| v.as_slice()).collect();
-    assert_eq!(merge_runs(&slices, lt_u64), vec![0, 1, 1, 5, 9]);
+    assert_eq!(merge_runs(&slices, by_u64()), vec![0, 1, 1, 5, 9]);
 }
 
 #[test]
 fn loser_tree_all_sources_empty() {
     let empty: [u64; 0] = [];
     let sources: Vec<SliceSource<'_, u64>> = (0..5).map(|_| SliceSource::new(&empty[..])).collect();
-    let mut tree = LoserTree::new(sources, |x: &u64, y: &u64| x < y);
+    let mut tree = LoserTree::new(sources, by_u64());
     assert_eq!(tree.pop(), None);
     assert_eq!(tree.pop(), None, "pop after exhaustion must stay None");
 }
@@ -86,7 +88,7 @@ fn loser_tree_non_power_of_two_source_count() {
         .iter()
         .map(|v| SliceSource::new(v.as_slice()))
         .collect();
-    let tree = LoserTree::new(sources, |x: &u64, y: &u64| x < y);
+    let tree = LoserTree::new(sources, by_u64());
     let got: Vec<u64> = tree.collect();
     assert_eq!(got, (0..500).collect::<Vec<u64>>());
 }
@@ -169,6 +171,54 @@ fn stream_single_record_and_empty_finish_vec() {
     let mut one: StreamSorter<u64, ()> = StreamSorter::new();
     one.push_record(9, ()).unwrap();
     assert_eq!(one.finish_vec().unwrap(), vec![(9, ())]);
+}
+
+#[test]
+fn stream_extreme_i64_keys_survive_the_merge() {
+    // `i64::MAX` maps to the ordered key `u64::MAX` and `i64::MIN` to 0:
+    // both must merge like any other key, ahead of the exhausted runs,
+    // across many spilled runs.
+    let mut sorter: StreamSorter<i64, u32> = StreamSorter::with_config(tiny_budget_cfg(1 << 10));
+    let keys = [i64::MAX, i64::MIN, 0, i64::MAX, -1, i64::MIN, 1];
+    let n = 3000u32;
+    for i in 0..n {
+        sorter
+            .push_record(keys[i as usize % keys.len()], i)
+            .unwrap();
+    }
+    assert!(sorter.stats().spilled_runs > 2);
+    let got = sorter.finish_vec().unwrap();
+    let mut want: Vec<(i64, u32)> = (0..n).map(|i| (keys[i as usize % keys.len()], i)).collect();
+    want.sort_by_key(|r| r.0);
+    assert_eq!(got, want);
+}
+
+#[test]
+fn stream_string_keys_with_colliding_prefixes_merge_in_full_key_order() {
+    // Every key shares its 8-byte prefix with others ("collide-" + one of
+    // a few suffixes), so across runs the merge can only order them by
+    // the full key bytes; equal full keys must keep push order.
+    let mut sorter: StringStreamSorter<String, u32> =
+        StringStreamSorter::with_config(tiny_budget_cfg(4 << 10));
+    let suffixes = ["b", "a", "ab", "", "c", "aa"];
+    let prefixes = ["collide-", "collidf-"];
+    let n = 3000u32;
+    let key = |i: u32| {
+        let i = i as usize;
+        format!(
+            "{}{}",
+            prefixes[i / 7 % 2],
+            suffixes[(i * 5) % suffixes.len()]
+        )
+    };
+    for i in 0..n {
+        sorter.push_record(key(i), i).unwrap();
+    }
+    assert!(sorter.stats().spilled_runs > 2);
+    let got: Vec<(String, u32)> = sorter.finish().unwrap().collect();
+    let mut want: Vec<(String, u32)> = (0..n).map(|i| (key(i), i)).collect();
+    want.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(got, want);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@
 //! an aggregate folded in push order) at every thread count of the
 //! determinism matrix — and a spill directory that fails under the writer
 //! thread must surface the error on `push` or `finish`, never hang or drop
-//! records.  The reference in each `*_matches_synchronous*` test stands
-//! where the synchronous-spill engine used to.
+//! records.  Every engine spills on the background writer thread, so the
+//! `*_pipelined_match*_synchronous*` tests (named for the synchronous
+//! engine they were once compared with) check the writer-thread path
+//! against a stable sort or an aggregate folded in push order.
 
 use parlay::par::with_threads;
 use pisort::dtsort::{SortConfig, StreamConfig};
@@ -47,6 +49,8 @@ fn stable_sorted(input: &[(u32, u32)]) -> Vec<(u32, u32)> {
     want
 }
 
+/// Pod sorts that spill on the writer thread equal a stable sort of the
+/// input, for each key distribution at every thread count.
 #[test]
 fn pod_sort_pipelined_matches_synchronous_across_threads() {
     for (di, dist) in dists().iter().enumerate() {
@@ -67,6 +71,8 @@ fn pod_sort_pipelined_matches_synchronous_across_threads() {
     }
 }
 
+/// `finish_vec` of a pod sort that spilled on the writer thread equals a
+/// stable sort of the input.
 #[test]
 fn pod_finish_into_pipelined_matches_synchronous() {
     let input = generate_pairs_u32(&Distribution::Zipfian { s: 1.0 }, N, 0xABCD);
@@ -79,6 +85,8 @@ fn pod_finish_into_pipelined_matches_synchronous() {
     );
 }
 
+/// Variable-length (`String`) sorts that spill on the writer thread equal
+/// a stable sort of the input at every thread count.
 #[test]
 fn varlen_sort_pipelined_matches_synchronous_across_threads() {
     let input = generate_string_pairs(&Distribution::Zipfian { s: 1.2 }, 12_000, 32, 7, 0, 96);
@@ -97,6 +105,9 @@ fn varlen_sort_pipelined_matches_synchronous_across_threads() {
     }
 }
 
+/// Group-bys that spill on the writer thread equal their aggregates folded
+/// in push order: sums per key, and per-bucket concatenations, which
+/// change if runs or merge ties are reordered.  At every thread count.
 #[test]
 fn group_bys_pipelined_match_synchronous_across_threads() {
     // SumAgg: associative-commutative pod accumulators.  ConcatAgg:
@@ -147,6 +158,8 @@ fn group_bys_pipelined_match_synchronous_across_threads() {
     }
 }
 
+/// A first-value group-by over `String` values that spills on the writer
+/// thread keeps, for each key, the value pushed first.
 #[test]
 fn varlen_dedup_pipelined_matches_synchronous() {
     let input = generate_string_pairs(
