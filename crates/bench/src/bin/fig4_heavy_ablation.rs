@@ -10,7 +10,7 @@
 //! Usage: `cargo run -p bench --release --bin fig4_heavy_ablation -- [--n 1e7] [--reps 3] [--threads 1]`
 
 use bench::experiments::measure_heavy_ablation;
-use bench::{git_revision, json_escape, write_bench_json, Args, Table};
+use bench::{json_escape, write_bench_json, Args, Table};
 use workloads::dist::ablation_instances;
 
 /// One instance of the ablation: median seconds with and without heavy-key
@@ -69,7 +69,6 @@ fn main() {
     let args = Args::parse();
     args.apply_thread_limit();
     let threads = rayon::current_num_threads();
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "Fig. 4(a)(b) reproduction — {threads} threads.  Paper reference: +25% average on 32-bit, 1.50x on 64-bit."
     );
@@ -96,14 +95,6 @@ fn main() {
             ("n", args.n.to_string()),
             ("reps", args.reps.to_string()),
             ("threads", threads.to_string()),
-            ("host_cpus", host_cpus.to_string()),
-            (
-                "git_rev",
-                format!(
-                    "\"{}\"",
-                    json_escape(&git_revision(std::path::Path::new(".")))
-                ),
-            ),
             ("geomean_speedup_32", format!("{geomean_32:.3}")),
             ("geomean_speedup_64", format!("{geomean_64:.3}")),
         ],

@@ -43,7 +43,7 @@ struct Measurement {
     speedup_vs_1: f64,
 }
 
-fn write_json(path: &str, n: usize, bits: u32, host_cpus: usize, rows: &[Measurement]) {
+fn write_json(path: &str, n: usize, bits: u32, rows: &[Measurement]) {
     let rendered: Vec<String> = rows
         .iter()
         .map(|m| {
@@ -60,11 +60,7 @@ fn write_json(path: &str, n: usize, bits: u32, host_cpus: usize, rows: &[Measure
     write_bench_json(
         path,
         "scalability_threads",
-        &[
-            ("n", n.to_string()),
-            ("bits", bits.to_string()),
-            ("host_cpus", host_cpus.to_string()),
-        ],
+        &[("n", n.to_string()), ("bits", bits.to_string())],
         &rendered,
     );
 }
@@ -130,5 +126,5 @@ fn main() {
         println!("-- self-speedup (relative to 1 thread) --");
         speedup_table.print();
     }
-    write_json("BENCH_scalability.json", args.n, args.bits, host_cpus, &all);
+    write_json("BENCH_scalability.json", args.n, args.bits, &all);
 }

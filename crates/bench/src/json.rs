@@ -15,18 +15,28 @@ pub fn json_escape(s: &str) -> String {
 /// Writes the standard bench envelope to `path`:
 ///
 /// ```json
-/// { "bench": <name>, <scalars...>, "results": [ <rows...> ] }
+/// { "bench": <name>, <scalars...>, "host_cpus": <n>, "git_rev": <rev>,
+///   "results": [ <rows...> ] }
 /// ```
 ///
 /// `scalars` are emitted in order as raw JSON values (callers pass
 /// pre-formatted numbers); each element of `rows` must be one complete
-/// JSON object literal.  Logs the outcome to stdout/stderr like every
-/// bench binary always has.
+/// JSON object literal.  Every envelope is stamped with the host's CPU
+/// count (as the process's CPU affinity sees it) and the git revision of
+/// the checkout in the current directory ([`git_revision`]), so callers
+/// pass neither.  Logs the outcome to stdout/stderr like every bench
+/// binary always has.
 pub fn write_bench_json(path: &str, bench: &str, scalars: &[(&str, String)], rows: &[String]) {
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let git_rev = git_revision(std::path::Path::new("."));
+    let stamps = [
+        ("host_cpus", host_cpus.to_string()),
+        ("git_rev", format!("\"{}\"", json_escape(&git_rev))),
+    ];
     let mut body = String::new();
     body.push_str("{\n");
     body.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    for (key, value) in scalars {
+    for (key, value) in scalars.iter().chain(&stamps) {
         body.push_str(&format!("  \"{}\": {},\n", json_escape(key), value));
     }
     body.push_str("  \"results\": [\n");
@@ -94,6 +104,27 @@ mod tests {
         assert!(body.contains("\"n\": 5"));
         assert!(body.contains("{\"x\": 1},"));
         assert!(body.ends_with("  ]\n}\n"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn envelope_stamps_host_cpus_and_git_rev_once() {
+        let dir = std::env::temp_dir().join(format!("pisort-stamp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.json");
+        write_bench_json(
+            path.to_str().unwrap(),
+            "demo",
+            &[("threads", "2".to_string())],
+            &[],
+        );
+        let body = std::fs::read_to_string(&path).unwrap();
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(body.matches("\"host_cpus\":").count(), 1, "{body}");
+        assert!(body.contains(&format!("\"host_cpus\": {cpus},")), "{body}");
+        assert_eq!(body.matches("\"git_rev\":").count(), 1, "{body}");
+        let rev = git_revision(std::path::Path::new("."));
+        assert!(body.contains(&format!("\"git_rev\": \"{rev}\",")), "{body}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

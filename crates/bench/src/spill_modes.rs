@@ -10,7 +10,7 @@
 //! alike, and each batched row carries the median of its same-rep
 //! blocking-vs-batched speedups.
 
-use crate::{git_revision, json_escape, obs_json_fields, write_bench_json, ObsPhaseDeltas};
+use crate::{json_escape, obs_json_fields, write_bench_json, ObsPhaseDeltas};
 use crate::{ObsProbe, Table};
 use dtsort::{IntegerKey, SpillCompression, SpillIoMode, StreamConfig};
 use std::time::Instant;
@@ -294,10 +294,9 @@ pub fn table(payload_mbps: bool, baseline: Option<(&str, f64)>, n: usize) -> Tab
 }
 
 /// Writes `rows` to `path` as bench `bench`, stamped with the input size,
-/// batch, pool threads, the host's CPU count and the git revision of the
-/// checkout in the current directory.
+/// batch and pool threads (and, by [`write_bench_json`], the host's CPU
+/// count and the git revision).
 pub fn write_json(path: &str, bench: &str, n: usize, batch: usize, rows: &[Measurement]) {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let rendered: Vec<String> = rows.iter().map(Measurement::json).collect();
     write_bench_json(
         path,
@@ -306,14 +305,6 @@ pub fn write_json(path: &str, bench: &str, n: usize, batch: usize, rows: &[Measu
             ("n", n.to_string()),
             ("batch", batch.to_string()),
             ("threads", rayon::current_num_threads().to_string()),
-            ("host_cpus", host_cpus.to_string()),
-            (
-                "git_rev",
-                format!(
-                    "\"{}\"",
-                    json_escape(&git_revision(std::path::Path::new(".")))
-                ),
-            ),
         ],
         &rendered,
     );

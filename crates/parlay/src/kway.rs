@@ -4,9 +4,10 @@
 //! [`LoserTree`] is a classic tournament *loser tree* over `k` cursors.
 //! Each `pop` replays one leaf-to-root path: `⌈log2 k⌉` matches, the
 //! optimal comparison count for k-way merging.  It works over any
-//! [`RunSource`] — in-memory slices ([`SliceSource`]), runs delivered
-//! block by block ([`BlockSource`]) or the streaming crate's spill-file
-//! cursors — so out-of-core callers merge runs much larger than RAM.
+//! [`RunSource`] — in-memory slices ([`SliceSource`]) or runs delivered
+//! block by block ([`BlockSource`], the streaming crate's cursor over
+//! spilled runs) — so out-of-core callers merge runs much larger than
+//! RAM.
 //!
 //! **Order.** A [`MergeOrder`] orders records by a `u64` key, then by an
 //! optional record tie-break among equal keys ([`MergeOrder::TIE_BREAK`]:
@@ -26,8 +27,8 @@ use std::hint::select_unpredictable;
 
 /// A cursor over one sorted run: peek at the head, pop to advance.
 ///
-/// Implemented here for in-memory slices ([`SliceSource`]); the streaming
-/// crate implements it for buffered spill-file readers.
+/// Implemented here for in-memory slices ([`SliceSource`]) and for runs
+/// delivered in blocks ([`BlockSource`]).
 pub trait RunSource {
     type Item;
     /// The current head of the run, or `None` when exhausted.
@@ -65,10 +66,10 @@ impl<T: Copy> RunSource for SliceSource<'_, T> {
 }
 
 /// [`RunSource`] over a run delivered as a sequence of record *blocks* by a
-/// refill callback — the cursor shape of read-ahead merging: a prefetcher
-/// decodes blocks of a spilled run into a bounded channel on its own
-/// thread, and the merge-side cursor refills from that channel only when
-/// its current block runs dry.
+/// refill callback — the streaming crate's merge cursor: a spilled run's
+/// feed decodes its blocks (ahead on a worker pool, or inline in the
+/// callback), and the cursor refills only when its current block runs
+/// dry.
 ///
 /// `refill` returns the next block or `None` when the run is exhausted;
 /// `None` is terminal (the callback is not invoked again).  Empty blocks

@@ -509,7 +509,8 @@ pub struct GroupedStream<K: IntegerKey, G: Aggregator> {
 }
 
 impl<K: IntegerKey, G: Aggregator> GroupedStream<K, G> {
-    fn try_next(&mut self) -> io::Result<Option<(K, G::Acc)>> {
+    /// The next group, or the spill read error that ended a run.
+    pub(crate) fn try_next(&mut self) -> io::Result<Option<(K, G::Acc)>> {
         let first = match self.pending.take() {
             Some(partial) => Some(partial),
             None => self.merge.try_pop()?,

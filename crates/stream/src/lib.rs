@@ -30,12 +30,17 @@
 //! the end-to-end sort is **stable** with respect to push order.  Only
 //! string-keyed records, whose 8-byte key prefixes can collide, make the
 //! tree look at a record: equal prefixes tie-break on the full key.
+//! Every cursor has one shape, a run delivered in record blocks: each
+//! spilled run's blocks come from its feed, decoded ahead on the spill
+//! I/O pool or inline on the merging thread (see below), and each
+//! in-memory run is a single block.
 //! Spill reads retry transient failures in one place, the run reader: a
 //! failed open is opened again, and a read that fails mid-run reopens the
 //! run and skips the records it already served.  A read error that
-//! survives the retries panics the streaming iterator (the records it
-//! yielded are an exact prefix of the output) and is returned as `Err` by
-//! `finish_vec`.
+//! survives the retries ends its run.  In a run's first block, decoded
+//! before the merge starts, it is returned as `Err` by `finish`; later,
+//! it panics the streaming iterator (the records it yielded are an exact
+//! prefix of the output) and is returned as `Err` by `finish_vec`.
 //!
 //! ## Heavy-key carry-over and the dovetail merge
 //!
@@ -72,8 +77,9 @@
 //! crate-private `pipeline` module): each spilled run's next block is
 //! decoded by a task on the spill I/O pool (2 threads, whatever the run
 //! count), sized by the run's share of an 8 MiB merge read buffer.  On one
-//! CPU the merge reads synchronously, since the decode tasks could not run
-//! alongside it.  The memory budget is split into three *spill shares* so
+//! CPU the decode tasks could not run alongside the merge, so the merging
+//! thread decodes each block itself, through the same feed and decode
+//! loop.  The memory budget is split into three *spill shares* so
 //! the in-flight run is paid for out of the same budget.  Writer-side
 //! errors surface on the next `push` or on `finish` — never dropped, never
 //! a hang — with the failed run's records reclaimed and the engine

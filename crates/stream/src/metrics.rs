@@ -1,7 +1,7 @@
 //! Registry handles for the streaming engines' metrics.
 //!
 //! One lazily initialized bundle of handles into [`obs::global`], shared
-//! by the sorter, the group-by, the spill writer, and the read-ahead
+//! by the sorter, the group-by, the spill writer, and the merge's run
 //! feeds.
 //! Every call site gates on [`obs::enabled`] *before* touching [`m`], so a
 //! fully disabled run never registers anything — the first `m()` call is
@@ -28,11 +28,11 @@
 //! | `spill.bytes_written` | counter | bytes through `write_run` (both engines, sync + pipelined; post-compression) |
 //! | `spill.raw_bytes` | counter | pre-compression (flat-encoding) bytes through `write_run`; the ratio against `spill.bytes_written` is the compression win |
 //! | `spill.queue_depth` | gauge | runs in flight to the writer thread (0 or 1) |
-//! | `prefetch.refill_ns` | histogram | per-block decode latency (read-ahead task, on a pool worker or inline) |
-//! | `prefetch.stall_ns` | histogram | merge-side wait for the next block |
-//! | `prefetch.blocks_prefetched` | counter | blocks decoded ahead of the merge |
+//! | `prefetch.refill_ns` | histogram | per-block decode latency of a run feed's decode step (on a pool worker, or inline on the merging thread) |
+//! | `prefetch.stall_ns` | histogram | merge-side wait for each block, the first included; for a feed decoding inline, the decode itself |
+//! | `prefetch.blocks_prefetched` | counter | blocks decoded for the merge (ahead on the pool or inline) |
 //! | `prefetch.blocks_consumed` | counter | blocks the merge actually took |
-//! | `prefetch.disabled_merges` | counter | merges that wanted read-ahead but ran without it (per-run budget below `MIN_PREFETCH_RUN_BUDGET`) |
+//! | `prefetch.disabled_merges` | counter | merges that wanted read-ahead but decoded inline (per-run budget below `MIN_PREFETCH_RUN_BUDGET`) |
 //! | `spillio.jobs` | counter | jobs submitted to the spill I/O pool (read-ahead decode steps, plus `Batched` pwrite/pread) |
 //! | `spillio.queue_depth` | gauge | pool jobs in flight (queued + running) |
 //! | `spillio.inline_jobs` | counter | jobs run inline by their submitter because the queue was at depth (submit never blocks) |

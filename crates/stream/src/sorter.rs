@@ -1,26 +1,15 @@
 //! The bounded-memory streaming sorter.
 
-use crate::pipeline::RunFeed;
-use crate::spill::{per_run_reader_budget, PodValue, RunReader, SpillValue, SpilledRun, VarValue};
-use crate::spiller::{or_panic, ReadErrorSlot, RunBuilder, RunMerge, Spiller, RUN_SORT_ID_BYTES};
+use crate::spill::{PodValue, SpillValue, VarValue};
+use crate::spiller::{or_panic, RunBuilder, RunMerge, Spiller, RUN_SORT_ID_BYTES};
 use crate::spillio::SpillIoHandle;
 use dtsort::{sort_run_pairs_with, IntegerKey, RunReport, SortConfig, StreamConfig};
-use parlay::kway::{BlockSource, RunSource};
 use std::io;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 /// Total read buffering a final merge splits across its spilled runs
-/// ([`per_run_reader_budget`]): 64 runs get 128 KiB each.
+/// ([`crate::spill::per_run_reader_budget`]): 64 runs get 128 KiB each.
 pub(crate) const MERGE_READ_BUFFER_BYTES: usize = 8 << 20;
-
-/// Below this per-run share of the merge read buffer the read-ahead stage
-/// is skipped: a run's feed double-buffers its share, and at a few hundred
-/// bytes per buffer the task overhead dwarfs the read it hides.  Merges
-/// that would have read ahead but lost it to this floor bump the
-/// `prefetch.disabled_merges` metric.  With [`MERGE_READ_BUFFER_BYTES`]
-/// that takes more than 2048 runs.
-pub(crate) const MIN_PREFETCH_RUN_BUDGET: usize = 4096;
 
 /// Upper bound on the heavy keys carried from one run's sampling into the
 /// next (each carried key costs one bucket in the next run's root
@@ -292,23 +281,26 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// The iterator holds one read buffer per spilled run (together 8 MiB
     /// of read buffering, split evenly) plus the final in-memory run, so
     /// its footprint stays bounded no matter how large the dataset grew.
-    /// On a host with more than one CPU, each spilled run is decoded ahead
-    /// of the merge by tasks on the spill I/O pool (2 threads, whatever
-    /// the run count), so the loser tree pops from prefetched blocks
-    /// instead of blocking on cold reads; runs beyond the pool's queue
-    /// depth decode inline on the merging thread.  On one CPU the decode
-    /// tasks could not overlap the merge, so the runs are read
-    /// synchronously.  Read-ahead also gives way to synchronous reads once
-    /// the per-run buffer share drops below 4 KiB (past 2048 runs), which
-    /// the `prefetch.disabled_merges` metric counts.
+    /// Every spilled run reaches the loser tree as decoded blocks.  On a
+    /// host with more than one CPU the blocks are decoded ahead of the
+    /// merge by tasks on the spill I/O pool (2 threads, whatever the run
+    /// count), so the tree pops from prefetched blocks instead of waiting
+    /// on cold reads; runs beyond the pool's queue depth decode inline.  On
+    /// one CPU the decode tasks could not overlap the merge, so the merging
+    /// thread decodes each block itself when it needs it.  Read-ahead also
+    /// gives way to inline decoding once the per-run buffer share drops
+    /// below 4 KiB (past 2048 runs), which the `prefetch.disabled_merges`
+    /// metric counts.
     ///
-    /// Transient read failures (interrupted or timed-out calls) are
-    /// retried on either path, up to 3 times per read with a backoff of
-    /// 2 ms doubling to at most 50 ms: the run is reopened and the records
-    /// it already served are skipped.  Only a permanent read error (or one
-    /// that outlasts the retries) panics mid-iteration; see
-    /// [`SortedStream`], and [`StreamSorter::finish_vec`] for the same
-    /// merge returning it as `Err`.
+    /// Each run's first block is decoded here, so a read error in it comes
+    /// back as `Err` from `finish` itself.  Transient read failures
+    /// (interrupted or timed-out calls) are retried, up to 3 times per
+    /// read with a backoff of 2 ms doubling to at most 50 ms: the run is
+    /// reopened and the records it already served are skipped.  Only a
+    /// permanent read error (or one that outlasts the retries) in a later
+    /// block panics mid-iteration; see [`SortedStream`], and
+    /// [`StreamSorter::finish_vec`] for the same merge returning it as
+    /// `Err`.
     pub fn finish(self) -> io::Result<SortedStream<K, V>> {
         let remaining = self.len();
         let (merge, _) = self.core.into_merge(MERGE_READ_BUFFER_BYTES)?;
@@ -368,177 +360,16 @@ pub(crate) fn var_sort_run<K: IntegerKey, V: VarValue>(
     report
 }
 
-/// Opens one merge cursor per spilled run, splitting `read_bytes` of read
-/// buffering across them (the engines pass [`MERGE_READ_BUFFER_BYTES`]).
-/// When `io` reads ahead ([`SpillIoHandle::reads_ahead`]: the host has
-/// more than one CPU), each run gets a [`RunFeed`] decoding blocks ahead
-/// of the merge on the spill I/O pool; otherwise the cursors read
-/// synchronously.  Shared by the sorter and the group-by so the two merge
-/// paths cannot drift.  A cursor whose run fails past its first record
-/// records the error in `failed` and ends the run.
-///
-/// Read-ahead also gives way to synchronous reads when the per-run share
-/// is below [`MIN_PREFETCH_RUN_BUDGET`] (the double-buffered blocks would
-/// be too small to hide any read latency); the
-/// `prefetch.disabled_merges` metric reports that rather than only a
-/// slower merge.
-pub(crate) fn open_run_cursors<V: SpillValue>(
-    runs: &[SpilledRun],
-    io: &SpillIoHandle,
-    read_bytes: usize,
-    failed: &Arc<ReadErrorSlot>,
-) -> io::Result<Vec<RunCursor<V>>> {
-    let reader_budget = per_run_reader_budget(read_bytes, runs.len());
-    let wants = io.reads_ahead() && !runs.is_empty();
-    let prefetch = wants && reader_budget >= MIN_PREFETCH_RUN_BUDGET;
-    if wants && !prefetch && obs::enabled() {
-        crate::metrics::m().prefetch_disabled_merges.incr();
-    }
-    let mut cursors: Vec<RunCursor<V>> = Vec::with_capacity(runs.len() + 2);
-    if prefetch {
-        // Submit every feed before priming any cursor, so all the first
-        // blocks decode in parallel.
-        let feeds: Vec<RunFeed<V>> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, run)| RunFeed::open(io, run, reader_budget, i))
-            .collect::<io::Result<_>>()?;
-        for feed in feeds {
-            cursors.push(RunCursor::from_feed(feed, failed)?);
-        }
-    } else {
-        for (i, run) in runs.iter().enumerate() {
-            cursors.push(RunCursor::open_disk(io, run, i, reader_budget, failed)?);
-        }
-    }
-    Ok(cursors)
-}
-
-type Refill<V> = Box<dyn FnMut() -> Option<Vec<(u64, V)>> + Send>;
-
-enum CursorInner<V: SpillValue> {
-    Disk(RunReader<V>, Arc<ReadErrorSlot>),
-    Memory(std::vec::IntoIter<(u64, V)>),
-    Blocks(BlockSource<(u64, V), Refill<V>>),
-}
-
-/// One run's cursor in the final merge ([`parlay::kway::RunSource`]).
-/// Shared with the streaming group-by merge ([`crate::groupby`]).
-pub(crate) struct RunCursor<V: SpillValue> {
-    inner: CursorInner<V>,
-    current: Option<(u64, V)>,
-}
-
-impl<V: SpillValue> RunCursor<V> {
-    /// A cursor reading run `index` synchronously.  The first record is
-    /// read here, so early read errors surface as a `Result`.
-    pub(crate) fn open_disk(
-        io: &SpillIoHandle,
-        run: &SpilledRun,
-        index: usize,
-        buffer_bytes: usize,
-        failed: &Arc<ReadErrorSlot>,
-    ) -> io::Result<Self> {
-        let mut reader = RunReader::open(io, run, index, buffer_bytes)?;
-        let current = reader.next_record()?;
-        Ok(Self {
-            inner: CursorInner::Disk(reader, Arc::clone(failed)),
-            current,
-        })
-    }
-
-    pub(crate) fn from_memory(records: Vec<(u64, V)>) -> Self {
-        let mut iter = records.into_iter();
-        let current = iter.next();
-        Self {
-            inner: CursorInner::Memory(iter),
-            current,
-        }
-    }
-
-    /// A cursor fed by a run's read-ahead [`RunFeed`].  The first block is
-    /// received here, so early read errors surface as a `Result` exactly
-    /// like [`RunCursor::open_disk`]'s eager first read; an error in a
-    /// later block goes to `failed` and ends the run.
-    pub(crate) fn from_feed(mut feed: RunFeed<V>, failed: &Arc<ReadErrorSlot>) -> io::Result<Self> {
-        let failed = Arc::clone(failed);
-        let mut first = match feed.recv() {
-            Some(res) => Some(res?),
-            None => None, // empty run
-        };
-        let refill: Refill<V> = Box::new(move || {
-            if let Some(block) = first.take() {
-                if obs::enabled() {
-                    crate::metrics::m().blocks_consumed.incr();
-                }
-                return Some(block);
-            }
-            // The receive is where the merge stalls when the read-ahead
-            // is not actually ahead; record the wait so the prefetch
-            // stage's effectiveness is measurable.
-            let stall_start = obs::enabled().then(std::time::Instant::now);
-            let received = feed.recv();
-            if let Some(start) = stall_start {
-                crate::metrics::m()
-                    .prefetch_stall_ns
-                    .record_duration(start.elapsed());
-            }
-            match received {
-                Some(Ok(block)) => {
-                    if obs::enabled() {
-                        crate::metrics::m().blocks_consumed.incr();
-                    }
-                    Some(block)
-                }
-                Some(Err(e)) => {
-                    failed.record(e);
-                    None
-                }
-                None => None, // clean end of run
-            }
-        });
-        let mut source = BlockSource::new(refill);
-        let current = source.pop();
-        Ok(Self {
-            inner: CursorInner::Blocks(source),
-            current,
-        })
-    }
-}
-
-impl<V: SpillValue> RunSource for RunCursor<V> {
-    type Item = (u64, V);
-
-    fn peek(&self) -> Option<&(u64, V)> {
-        self.current.as_ref()
-    }
-
-    fn pop(&mut self) -> Option<(u64, V)> {
-        let item = self.current.take()?;
-        self.current = match &mut self.inner {
-            CursorInner::Memory(iter) => iter.next(),
-            CursorInner::Disk(reader, failed) => match reader.next_record() {
-                Ok(record) => record,
-                Err(e) => {
-                    failed.record(e);
-                    None
-                }
-            },
-            CursorInner::Blocks(source) => source.pop(),
-        };
-        Some(item)
-    }
-}
-
 /// Streaming sorted output of a [`StreamSorter`] (ascending, stable).
 ///
 /// Holds the spill directory alive until dropped; the directory and its
-/// run files are deleted on drop.  Open/initial-read errors surface from
-/// [`StreamSorter::finish`].  Transient read failures mid-iteration are
-/// retried; a permanent one (or one that outlasts the retries) panics
-/// before any record past the failed run's last good one is served, so
-/// the records yielded so far are an exact prefix of the sorted output
-/// (the spill files live in a directory this process just wrote).
+/// run files are deleted on drop.  Errors opening a run or decoding its
+/// first block surface from [`StreamSorter::finish`].  Transient read
+/// failures mid-iteration are retried; a permanent one (or one that
+/// outlasts the retries) panics before any record past the failed run's
+/// last good one is served, so the records yielded so far are an exact
+/// prefix of the sorted output (the spill files live in a directory this
+/// process just wrote).
 pub struct SortedStream<K: IntegerKey, V: SpillValue> {
     merge: RunMerge<V>,
     remaining: usize,
@@ -546,7 +377,8 @@ pub struct SortedStream<K: IntegerKey, V: SpillValue> {
 }
 
 impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
-    fn try_next(&mut self) -> io::Result<Option<(K, V)>> {
+    /// The next record, or the spill read error that ended a run.
+    pub(crate) fn try_next(&mut self) -> io::Result<Option<(K, V)>> {
         let Some((key, value)) = self.merge.try_pop()? else {
             return Ok(None);
         };
@@ -572,7 +404,9 @@ impl<K: IntegerKey, V: SpillValue> ExactSizeIterator for SortedStream<K, V> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CountAgg, FaultKind, FaultPlan, StreamGroupBy};
+    use crate::pipeline::MIN_PREFETCH_RUN_BUDGET;
+    use crate::spill::{per_run_reader_budget, RunReader, SpilledRun};
+    use crate::{CountAgg, FaultKind, FaultPlan, StreamGroupBy, StringStreamSorter};
     use dtsort::SpillIoMode;
     use parlay::random::Rng;
 
@@ -1172,8 +1006,9 @@ mod tests {
     #[test]
     fn below_floor_merge_reads_synchronously_and_counts_it() {
         // A per-run share of the read budget under the 4 KiB floor turns
-        // the read-ahead off even on a handle that reads ahead; the
-        // fallback is counted and still merges every run exactly.
+        // the read-ahead off even on a handle that reads ahead: the feeds
+        // decode inline, the fallback is counted, and every run still
+        // merges exactly.
         let _obs = obs::scoped_enable();
         let rng = Rng::new(23);
         let input: Vec<(u32, u32)> = (0..40_000usize)
@@ -1446,45 +1281,141 @@ mod tests {
         );
 
         // The same bit rot in a later block of a multi-block run, read once
-        // the merge is under way (read-ahead off: the first block primes
-        // the cursor, the bad one is read mid-merge).  `finish_vec` returns
-        // it as `Err`, for the sorter and the group-by alike.
+        // the merge is under way (read-ahead off: the inline feeds decode a
+        // sixth of each run's share per block, so with five runs the first
+        // block primes the cursor and the bad one is decoded mid-merge).
+        // `finish_vec` returns it as `Err`, for the sorter, the group-by
+        // and the string-keyed sorter alike.
         let cfg = StreamConfig {
             spill_compression: dtsort::SpillCompression::DeltaLz,
             ..batched_cfg(1 << 20)
         };
-        let keys = (0..60_000u32).map(|i| i.rotate_left(13));
-        let assert_checksum_err = |result: io::Result<usize>, what: &str| {
-            let err = result.expect_err(what);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
-            assert!(err.to_string().contains("checksum"), "{what}: {err}");
+        let keys = || (0..240_000u32).map(|i| i.rotate_left(13));
+        let io = || SpillIoHandle::from_config(&cfg).reading_ahead(false);
+        let sorter = || {
+            let mut sorter: StreamSorter<u32, u32> =
+                StreamSorter::with_config_and_io(cfg.clone(), io());
+            for k in keys() {
+                sorter.push_record(k, k).unwrap();
+            }
+            sorter.flush_spills().unwrap();
+            assert!(sorter.core.runs.len() >= 5, "{:?}", sorter.stats());
+            flip_last_byte(&sorter.core.runs[0]);
+            sorter
         };
-        let mut sorter: StreamSorter<u32, u32> = pinned_sorter(cfg.clone(), false);
-        for k in keys.clone() {
-            sorter.push_record(k, k).unwrap();
-        }
-        sorter.flush_spills().unwrap();
-        assert!(sorter.core.runs[0].len > crate::spill::BLOCK_MAX_RECORDS);
-        flip_last_byte(&sorter.core.runs[0]);
-        assert_checksum_err(sorter.finish_vec().map(|v| v.len()), "sorter");
+        assert!(
+            sorter().finish().is_ok(),
+            "sorter: primed before the bad block"
+        );
+        assert_checksum_err(sorter().finish_vec(), "sorter");
 
-        let io = SpillIoHandle::from_config(&cfg).reading_ahead(false);
-        let mut gb: StreamGroupBy<u32, CountAgg> =
-            StreamGroupBy::with_config_and_io(CountAgg, cfg, io);
-        for k in keys {
-            gb.push_record(k, ()).unwrap();
+        let group_by = || {
+            let mut gb: StreamGroupBy<u32, CountAgg> =
+                StreamGroupBy::with_config_and_io(CountAgg, cfg.clone(), io());
+            for k in keys() {
+                gb.push_record(k, ()).unwrap();
+            }
+            gb.flush_spills().unwrap();
+            assert!(gb.core.runs.len() >= 5, "{:?}", gb.stats());
+            flip_last_byte(&gb.core.runs[0]);
+            gb
+        };
+        assert!(
+            group_by().finish().is_ok(),
+            "group-by: primed before the bad block"
+        );
+        assert_checksum_err(group_by().finish_vec(), "group-by");
+
+        let strings = || {
+            let mut sorter: StringStreamSorter<String, u32> =
+                StringStreamSorter::with_config_and_io(cfg.clone(), io());
+            for k in keys() {
+                sorter.push_record(format!("{k:08x}"), k).unwrap();
+            }
+            sorter.flush_spills().unwrap();
+            let runs = &sorter.inner.core.runs;
+            assert!(runs.len() >= 5, "{:?}", sorter.stats());
+            flip_last_byte(&runs[0]);
+            sorter
+        };
+        assert!(
+            strings().finish().is_ok(),
+            "strings: primed before the bad block"
+        );
+        assert_checksum_err(strings().finish_vec(), "string sorter");
+    }
+
+    #[test]
+    fn a_corrupted_first_block_fails_finish_on_either_read_path() {
+        // A decode error in a run's first block is met while the merge
+        // primes its cursors, so `finish()` itself returns it, and so does
+        // `finish_vec`: for the sorter and the group-by, with the feeds
+        // decoding ahead on the pool or inline.  Run 1 is corrupted, so
+        // every run before and after it is primed too.
+        let cfg = StreamConfig {
+            spill_compression: dtsort::SpillCompression::DeltaLz,
+            ..tiny_cfg(64 << 10)
+        };
+        let keys = || (0..20_000u32).map(|i| i.rotate_left(13));
+        for read_ahead in [false, true] {
+            let io = || SpillIoHandle::from_config(&cfg).reading_ahead(read_ahead);
+            let sorter = || {
+                let mut sorter: StreamSorter<u32, u32> =
+                    StreamSorter::with_config_and_io(cfg.clone(), io());
+                for k in keys() {
+                    sorter.push_record(k, k).unwrap();
+                }
+                sorter.flush_spills().unwrap();
+                assert!(sorter.core.runs.len() > 2, "{:?}", sorter.stats());
+                flip_byte(&sorter.core.runs[1], |_| FIRST_BLOCK_KEY_BYTE);
+                sorter
+            };
+            let ctx = format!("sorter, read-ahead {read_ahead}");
+            assert_checksum_err(sorter().finish().map(drop), &ctx);
+            assert_checksum_err(sorter().finish_vec(), &ctx);
+
+            let group_by = || {
+                let mut gb: StreamGroupBy<u32, CountAgg> =
+                    StreamGroupBy::with_config_and_io(CountAgg, cfg.clone(), io());
+                for k in keys() {
+                    gb.push_record(k, ()).unwrap();
+                }
+                gb.flush_spills().unwrap();
+                assert!(gb.core.runs.len() > 2, "{:?}", gb.stats());
+                flip_byte(&gb.core.runs[1], |_| FIRST_BLOCK_KEY_BYTE);
+                gb
+            };
+            let ctx = format!("group-by, read-ahead {read_ahead}");
+            assert_checksum_err(group_by().finish().map(drop), &ctx);
+            assert_checksum_err(group_by().finish_vec(), &ctx);
         }
-        gb.flush_spills().unwrap();
-        assert!(gb.core.runs[0].len > crate::spill::BLOCK_MAX_RECORDS);
-        flip_last_byte(&gb.core.runs[0]);
-        assert_checksum_err(gb.finish_vec().map(|v| v.len()), "group-by");
+    }
+
+    /// A byte of a compressed run's first block key stream, just past the
+    /// block's 21-byte header.
+    const FIRST_BLOCK_KEY_BYTE: usize = 22;
+
+    /// Asserts that `result` is the `InvalidData` error of a failed block
+    /// checksum.
+    fn assert_checksum_err<T>(result: io::Result<T>, what: &str) {
+        let Err(err) = result else {
+            panic!("{what}: a corrupted run must not merge cleanly");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains("checksum"), "{what}: {err}");
+    }
+
+    /// Flips a bit of byte `at(len)` of `run`'s `len`-byte file.
+    fn flip_byte(run: &SpilledRun, at: fn(usize) -> usize) {
+        let mut bytes = std::fs::read(&run.path).unwrap();
+        let i = at(bytes.len());
+        bytes[i] ^= 0x40;
+        std::fs::write(&run.path, &bytes).unwrap();
     }
 
     /// Flips a bit of `run`'s last byte, which lies in its last block.
     fn flip_last_byte(run: &SpilledRun) {
-        let mut bytes = std::fs::read(&run.path).unwrap();
-        *bytes.last_mut().unwrap() ^= 0x40;
-        std::fs::write(&run.path, &bytes).unwrap();
+        flip_byte(run, |len| len - 1);
     }
 
     #[test]

@@ -738,19 +738,22 @@ pub(crate) struct SpilledRun {
 /// Read-buffer bytes granted to each of `runs` spilled runs during a
 /// merge: an equal split of `total_bytes`, capped at 8 MiB per run and
 /// floored at 64 bytes (just enough to keep `BufReader` functional).
+/// Each run's [`crate::pipeline::RunFeed`] splits its share between its
+/// buffered reader and its decoded blocks.
 ///
 /// The aggregate across all runs is therefore
 /// `max(total_bytes, 64 · runs)` — the old 4 KiB floor let a 64-run merge
-/// claim 256 KiB of buffers against a 16 KiB budget.  Callers that want
-/// read-ahead gate on [`crate::sorter::MIN_PREFETCH_RUN_BUDGET`] instead
-/// of relying on a generous floor here.  The single clamp shared by the
-/// sorter and the group-by, so the two paths cannot drift.
+/// claim 256 KiB of buffers against a 16 KiB budget.  Read-ahead on the
+/// pool gates on [`crate::pipeline::MIN_PREFETCH_RUN_BUDGET`] instead of
+/// relying on a generous floor here; below it the feeds decode inline.
+/// The single clamp shared by the sorter and the group-by, so the two
+/// paths cannot drift.
 pub(crate) fn per_run_reader_budget(total_bytes: usize, runs: usize) -> usize {
     (total_bytes / runs.max(1)).clamp(64, 8 << 20)
 }
 
 /// Buffered sequential reader over one spilled run, decoding either
-/// encoding transparently (the merge and its read-ahead never see block
+/// encoding transparently (the merge's feeds never see the on-disk block
 /// boundaries).
 ///
 /// It is the one place spill reads retry.  A transient failure

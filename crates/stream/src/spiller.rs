@@ -22,7 +22,7 @@
 //! see [`run_capacity`]).
 
 use crate::metrics::m;
-use crate::sorter::{open_run_cursors, RunCursor};
+use crate::pipeline::{open_run_cursors, RunCursor};
 use crate::spill::{
     panic_message, wrap_spill_err, write_run_with_retry, SpillSpace, SpillValue, SpilledRun,
 };
@@ -605,16 +605,24 @@ impl<B: RunBuilder> Spiller<B> {
         read_bytes: usize,
     ) -> io::Result<(RunMerge<B::RunValue>, B)> {
         let tail = self.finish_spilling()?;
-        let failed = Arc::default();
+        let failed = Arc::<ReadErrorSlot>::default();
         let mut cursors =
             open_run_cursors::<B::RunValue>(&self.runs, &self.io, read_bytes, &failed)?;
+        // The cursors hold their first blocks: a run that failed in its
+        // first block is reported here, before the merge starts.
+        if let Some(e) = failed.take() {
+            return Err(e);
+        }
+        // Each in-memory run (reclaimed or the tail) is its cursor's one
+        // block.
         let in_memory = self.pending_runs.drain(..).chain(Some(tail));
         for run in in_memory.filter(|run| !run.is_empty()) {
-            let run = run
-                .into_iter()
-                .map(|(k, v)| (k.to_ordered_u64(), v))
-                .collect();
-            cursors.push(RunCursor::from_memory(run));
+            let mut block = Some(
+                run.into_iter()
+                    .map(|(k, v)| (k.to_ordered_u64(), v))
+                    .collect(),
+            );
+            cursors.push(RunCursor::new(Box::new(move || block.take())));
         }
         let merge = RunMerge {
             tree: LoserTree::new(cursors, SpillOrder),
@@ -648,8 +656,9 @@ impl<V: SpillValue> MergeOrder<(u64, V)> for SpillOrder {
 type MergeTree<V> = LoserTree<RunCursor<V>, SpillOrder>;
 
 /// The first read error any cursor of one merge hit.  A cursor whose
-/// spilled run fails after its first record records the error here and
-/// ends its run; [`RunMerge::try_pop`] reports it.
+/// spilled run fails records the error here and ends its run;
+/// [`Spiller::into_merge`] reports one from a run's first block, and
+/// [`RunMerge::try_pop`] one from a later block.
 #[derive(Default)]
 pub(crate) struct ReadErrorSlot {
     /// Stored (`Release`) once `error` holds the error, so the per-pop

@@ -28,7 +28,8 @@
 //! Whether merges read ahead at all is the handle's decision, made once
 //! when it is built: only on a host with more than one CPU.  On one CPU
 //! the decode tasks cannot run while the merge does, and page-cache-warm
-//! reads make them pure overhead, so the merge reads synchronously.
+//! reads make them pure overhead, so the merging thread decodes each
+//! block itself.
 //!
 //! ## No pool thread ever blocks on pool work
 //!
@@ -47,7 +48,7 @@
 //!   depth, the submitter runs the job inline on its own thread
 //!   (backpressure by inline execution), so worker-originated
 //!   submissions cannot wedge the pool either — and a merge with more
-//!   runs than queue slots decodes the overflow synchronously instead of
+//!   runs than queue slots decodes the overflow inline instead of
 //!   starving it.
 //!
 //! ## Error contract

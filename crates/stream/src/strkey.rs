@@ -212,7 +212,7 @@ fn rebuild_record<K: StringKey, V>((_, rec): (u64, StringKeyed<V>)) -> (K, V) {
 /// lexicographic and stable.  All [`StreamConfig`] knobs (budget, spill
 /// compression, spill backend) apply unchanged.
 pub struct StringStreamSorter<K: StringKey, V: SpillValue = ()> {
-    inner: StreamSorter<u64, StringKeyed<V>>,
+    pub(crate) inner: StreamSorter<u64, StringKeyed<V>>,
     _key: PhantomData<fn() -> K>,
 }
 
@@ -306,12 +306,12 @@ impl<K: StringKey, V: SpillValue> StringStreamSorter<K, V> {
     /// a spill read error returned as `Err`
     /// ([`crate::StreamSorter::finish_vec`]).
     pub fn finish_vec(self) -> io::Result<Vec<(K, V)>> {
-        Ok(self
-            .inner
-            .finish_vec()?
-            .into_iter()
-            .map(rebuild_record)
-            .collect())
+        let mut stream = self.inner.finish()?;
+        let mut out = Vec::with_capacity(stream.len());
+        while let Some(record) = stream.try_next()? {
+            out.push(rebuild_record(record));
+        }
+        Ok(out)
     }
 }
 
@@ -429,12 +429,12 @@ impl<K: StringKey, G: Aggregator> StringStreamGroupBy<K, G> {
     /// a spill read error returned as `Err`
     /// ([`crate::StreamGroupBy::finish_vec`]).
     pub fn finish_vec(self) -> io::Result<Vec<(K, G::Acc)>> {
-        Ok(self
-            .inner
-            .finish_vec()?
-            .into_iter()
-            .map(rebuild_record)
-            .collect())
+        let mut stream = self.inner.finish()?;
+        let mut out = Vec::new();
+        while let Some(group) = stream.try_next()? {
+            out.push(rebuild_record(group));
+        }
+        Ok(out)
     }
 }
 
