@@ -1,12 +1,19 @@
 //! PLIS-class baseline: a **stable parallel MSD radix sort** without
 //! heavy-key detection (paper Alg. 1, the algorithm analyzed in
-//! Theorem 4.4, and the "Plain" variant of the Fig. 4(a)(b) ablation).
+//! Theorem 4.4).
 //!
 //! Each level distributes the records into `2^γ` buckets by the current
 //! digit using the stable blocked counting sort, then recurses into each
 //! bucket in parallel; subproblems below the base-case threshold are
 //! finished with a stable comparison sort.  Data ping-pongs between the
 //! input array and one scratch buffer, as in DovetailSort.
+//!
+//! This is no longer exactly the "Plain" variant of the Fig. 4(a)(b)
+//! ablation (`dtsort::SortConfig::plain`): Plain shares DovetailSort's
+//! base case, which finishes subproblems with stable 8-bit counting passes
+//! over their remaining key bits (a comparison sort only on the smallest),
+//! while PLIS keeps the paper's comparison base case, as the baseline the
+//! paper measured.
 
 use crate::dtsort_key::IntegerKey;
 use parlay::counting_sort::counting_sort_by;

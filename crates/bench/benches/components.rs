@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the algorithmic components: the stable
-//! blocked counting sort (Step 2), the parallel merge baseline, the
-//! sampling step, the parallel primitives (scan, reduce) they are built
-//! from, and the streaming engines' final k-way loser-tree merge, run from
-//! memory on the run shape of perfbench's `stream_spill` workload so the
-//! merge thread's cost shows without spill I/O.
+//! blocked counting sort (Step 2), DTSort's integer base case against the
+//! comparison sort it replaced, the parallel merge baseline, the sampling
+//! step, the parallel primitives (scan, reduce) they are built from, and
+//! the streaming engines' final k-way loser-tree merge, run from memory on
+//! the run shape of perfbench's `stream_spill` workload so the merge
+//! thread's cost shows without spill I/O.
 //!
 //! Run with `cargo bench -p bench --bench components`.
 
@@ -41,6 +42,89 @@ fn bench_counting_sort(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// Records sorted per sample of the `base_case` group: `BASE_CASE_BATCH / n`
+/// independent subproblems of `n` records each.
+const BASE_CASE_BATCH: usize = 1 << 16;
+
+/// Times `dtsort::recurse::counting_base_case` against the stable
+/// `sort_by_key` on subproblems of `n` records whose keys are uniform over
+/// `bits` bits, for the record shapes of the paper's evaluation.  Where
+/// `sort_by_key` wins (the smallest `n`, more so at more key bits) is what
+/// the base case leaves to its comparison fallback.
+fn bench_base_case(c: &mut Criterion) {
+    let mut group = c.benchmark_group("base_case");
+    group.sample_size(15);
+    group.warm_up_time(Duration::from_millis(200));
+    group.measurement_time(Duration::from_secs(1));
+    let shapes: [(&str, &[u32]); 2] = [("u32_u32", &[8, 16, 32]), ("u64_u64", &[16, 32, 64])];
+    for (shape, widths) in shapes {
+        for &bits in widths {
+            for n in [16usize, 32, 64, 128, 256, 1024, 4096, 1 << 14] {
+                let rng = Rng::new(u64::from(bits) * 31 + n as u64);
+                let mask = dtsort::key::low_mask(bits);
+                let keys: Vec<u64> = (0..BASE_CASE_BATCH)
+                    .map(|i| rng.ith(i as u64) & mask)
+                    .collect();
+                match shape {
+                    "u32_u32" => {
+                        let input: Vec<(u32, u32)> = keys
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &k)| (k as u32, i as u32))
+                            .collect();
+                        base_case_pair(&mut group, shape, bits, n, &input, |r| u64::from(r.0));
+                    }
+                    _ => {
+                        let input: Vec<(u64, u64)> = keys
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &k)| (k, i as u64))
+                            .collect();
+                        base_case_pair(&mut group, shape, bits, n, &input, |r| r.0);
+                    }
+                }
+            }
+        }
+    }
+    group.finish();
+}
+
+/// One `counting`/`sort_by_key` pair of the `base_case` group.
+fn base_case_pair<T: Copy + Default>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    shape: &str,
+    bits: u32,
+    n: usize,
+    input: &[T],
+    key: impl Fn(&T) -> u64 + Copy,
+) {
+    let mut scratch = vec![T::default(); n];
+    group.bench_function(format!("{shape}/{bits}b/n{n}/counting"), |b| {
+        b.iter_batched(
+            || input.to_vec(),
+            |mut v| {
+                for chunk in v.chunks_mut(n) {
+                    dtsort::recurse::counting_base_case(chunk, &mut scratch, &key, bits);
+                }
+                v
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    group.bench_function(format!("{shape}/{bits}b/n{n}/sort_by_key"), |b| {
+        b.iter_batched(
+            || input.to_vec(),
+            |mut v| {
+                for chunk in v.chunks_mut(n) {
+                    chunk.sort_by_key(key);
+                }
+                v
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
 }
 
 fn bench_merge(c: &mut Criterion) {
@@ -157,6 +241,7 @@ fn bench_kway_merge(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_counting_sort,
+    bench_base_case,
     bench_merge,
     bench_sampling,
     bench_primitives,

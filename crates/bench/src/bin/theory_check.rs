@@ -10,8 +10,11 @@
 //!   merge at the root only) as duplication grows.
 //!
 //! The harness prints, for each instance, the detected heavy keys, the
-//! fraction of records that bypassed recursion, and the records-moved-per-
-//! record work proxy.
+//! fraction of records that bypassed recursion, the fraction that base
+//! cases finished and how much of that the comparison fallback (subproblems
+//! below its size cutover) did instead of the counting passes, and
+//! the records-moved-per-record work proxy.  Base cases are not counted as
+//! moves.
 //!
 //! Usage: `cargo run -p bench --release --bin theory_check -- [--n 1e7] [--bits 32]`
 
@@ -59,6 +62,7 @@ fn main() {
         "heavy keys",
         "heavy rec %",
         "base-case rec %",
+        "cmp-sorted rec %",
         "levels",
         "moves/rec",
     ]);
@@ -71,6 +75,7 @@ fn main() {
             format!("{}", snap.heavy_keys),
             format!("{:.1}%", 100.0 * snap.heavy_records as f64 / n),
             format!("{:.1}%", 100.0 * snap.base_case_records as f64 / n),
+            format!("{:.2}%", 100.0 * snap.comparison_sorted_records as f64 / n),
             format!("{}", snap.max_depth),
             format!("{:.2}", snap.records_moved() as f64 / n),
         ]);

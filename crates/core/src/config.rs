@@ -12,7 +12,7 @@
 //! |---|---|
 //! | `heavy_detection` | Fig. 4(a)(b) "Plain" ablation ([`SortConfig::plain`]) |
 //! | `merge_strategy` | Fig. 4(c)(d) merge ablation (`fig4_merge_ablation`) |
-//! | `base_case_threshold` | tests that reach recursion on small inputs (paper `θ = 2^14`) |
+//! | `base_case_threshold` | tests that reach recursion on small inputs (paper `θ = 2^14`; base cases are counting-sorted, a comparison sort only on the tiniest) |
 //! | `seed` | sampling-seed sweeps in the tests (`tests/config_matrix.rs`) |
 
 /// Strategy used by Step 4 (interleaving heavy and light buckets).
@@ -36,8 +36,12 @@ pub enum MergeStrategy {
 /// Configuration of a DovetailSort run.
 #[derive(Debug, Clone)]
 pub struct SortConfig {
-    /// Base-case threshold `θ`: subproblems of at most this many records are
-    /// handled by a stable comparison sort (paper default `2^14`).
+    /// Base-case threshold `θ`: subproblems of at most this many records
+    /// skip the distribution and are finished by the base case (paper
+    /// default `2^14`).  The base case sorts by stable 8-bit counting passes
+    /// over the subproblem's remaining key bits; a stable comparison sort
+    /// finishes it instead only below a fixed cutover (fewer than 16 records
+    /// per pass).
     pub base_case_threshold: usize,
     /// Enable sampling-based heavy-key detection (Step 1).  Disabling it
     /// yields the "Plain" MSD radix sort of the Fig. 4(a)(b) ablation.

@@ -15,10 +15,15 @@ use std::time::Duration;
 pub struct SortStats {
     /// Number of recursive DTSort calls (excluding base cases).
     pub recursive_calls: AtomicU64,
-    /// Number of comparison-sort base cases.
+    /// Number of base cases (subproblems at or below `θ`, out of key bits,
+    /// or overflow buckets).
     pub base_case_calls: AtomicU64,
-    /// Total records handled by comparison-sort base cases.
+    /// Total records handled by base cases.
     pub base_case_records: AtomicU64,
+    /// Base-case records finished by the comparison fallback instead of the
+    /// counting passes, i.e. subproblems below its size cutover (a subset of
+    /// `base_case_records`).
+    pub comparison_sorted_records: AtomicU64,
     /// Number of distinct heavy keys detected, summed over all calls.
     pub heavy_keys: AtomicU64,
     /// Records placed into heavy buckets (they skip all further recursion).
@@ -66,6 +71,7 @@ impl SortStats {
             recursive_calls: g(&self.recursive_calls),
             base_case_calls: g(&self.base_case_calls),
             base_case_records: g(&self.base_case_records),
+            comparison_sorted_records: g(&self.comparison_sorted_records),
             heavy_keys: g(&self.heavy_keys),
             heavy_records: g(&self.heavy_records),
             overflow_records: g(&self.overflow_records),
@@ -88,6 +94,7 @@ pub struct StatsSnapshot {
     pub recursive_calls: u64,
     pub base_case_calls: u64,
     pub base_case_records: u64,
+    pub comparison_sorted_records: u64,
     pub heavy_keys: u64,
     pub heavy_records: u64,
     pub overflow_records: u64,
@@ -126,6 +133,10 @@ impl StatsSnapshot {
         set("sort.recursive_calls", self.recursive_calls);
         set("sort.base_case_calls", self.base_case_calls);
         set("sort.base_case_records", self.base_case_records);
+        set(
+            "sort.comparison_sorted_records",
+            self.comparison_sorted_records,
+        );
         set("sort.heavy_keys", self.heavy_keys);
         set("sort.heavy_records", self.heavy_records);
         set("sort.overflow_records", self.overflow_records);

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) of the core invariants:
 //!
 //! * every sort produces a non-decreasing permutation of its input;
-//! * stable sorts equal the standard library's stable sort exactly;
+//! * stable sorts equal the standard library's stable sort exactly, also
+//!   through DTSort's root base case on inputs of up to `θ = 2^14` records;
 //! * the dovetail merge equals a reference merge;
 //! * the counting sort equals a stable sort by bucket id;
 //! * the parallel merge equals the sequential merge;
@@ -33,6 +34,23 @@ proptest! {
             // modest proptest input sizes.
             let cfg = dtsort::SortConfig { base_case_threshold: 32, ..Default::default() };
             dtsort::sort_pairs_with(&mut got, &cfg);
+            prop_assert_eq!(got, reference_pairs(&input));
+        }
+    }
+
+    #[test]
+    fn dtsort_root_base_case_equals_std_stable_sort(
+        keys in vec(any::<u32>(), 256..16_385),
+        modulus in 1u32..5000,
+    ) {
+        // At the default θ = 2^14 these inputs never distribute: the root
+        // base case sorts them by counting passes (wide keys) or with
+        // many ties (keys modulo a small bound).
+        for keyset in [keys.clone(), keys.iter().map(|k| k % modulus).collect()] {
+            let input: Vec<(u32, u16)> = keyset.iter().enumerate()
+                .map(|(i, &k)| (k, i as u16)).collect();
+            let mut got = input.clone();
+            dtsort::sort_pairs(&mut got);
             prop_assert_eq!(got, reference_pairs(&input));
         }
     }
