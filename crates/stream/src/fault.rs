@@ -111,7 +111,8 @@ struct PlanInner {
     target: Option<(FaultKind, u64)>,
     /// Per-kind operation counters — the deterministic clock.
     counters: [AtomicU64; NUM_KINDS],
-    injected: AtomicU64,
+    /// Per-kind injected faults.
+    injected: [AtomicU64; NUM_KINDS],
 }
 
 /// A deterministic, shareable fault schedule.  Clones share the same
@@ -142,7 +143,7 @@ impl FaultPlan {
                 mask,
                 target,
                 counters: std::array::from_fn(|_| AtomicU64::new(0)),
-                injected: AtomicU64::new(0),
+                injected: std::array::from_fn(|_| AtomicU64::new(0)),
             }),
         }
     }
@@ -186,7 +187,25 @@ impl FaultPlan {
 
     /// Faults injected so far, across every decorator sharing this plan.
     pub fn injected(&self) -> u64 {
-        self.inner.injected.load(Ordering::Relaxed)
+        self.inner
+            .injected
+            .iter()
+            .map(|n| n.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Faults of `kind` injected so far, across every decorator sharing
+    /// this plan: how a test checks that a schedule reached a given site
+    /// (the read side, say) and not only some other.
+    pub fn injected_of(&self, kind: FaultKind) -> u64 {
+        self.inner.injected[kind as usize].load(Ordering::Relaxed)
+    }
+
+    /// Operations of `kind` the plan has decided on so far, faulted or
+    /// not: what a targeted test counts on a clean pass to aim
+    /// [`FaultPlan::nth`] at a point of the same workload.
+    pub fn operations(&self, kind: FaultKind) -> u64 {
+        self.inner.counters[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Advances `kind`'s operation counter and decides whether this
@@ -203,7 +222,7 @@ impl FaultPlan {
             }
         };
         if hit {
-            p.injected.fetch_add(1, Ordering::Relaxed);
+            p.injected[kind as usize].fetch_add(1, Ordering::Relaxed);
             if obs::enabled() {
                 crate::metrics::m().fault_injected.incr();
             }
@@ -449,6 +468,9 @@ mod tests {
             "exactly the 3rd finish faults"
         );
         assert_eq!(plan.injected(), 1);
+        assert_eq!(plan.injected_of(FaultKind::FsyncTransient), 1);
+        assert_eq!(plan.injected_of(FaultKind::WriteTransient), 0);
+        assert_eq!(plan.operations(FaultKind::FsyncTransient), 6);
     }
 
     #[test]

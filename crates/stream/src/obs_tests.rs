@@ -14,7 +14,7 @@ use crate::spillio::SpillIoHandle;
 use crate::{FirstAgg, StreamGroupBy};
 use dtsort::{IntegerKey, RunReport, SortConfig, SpillIoMode, StreamConfig};
 use std::collections::HashSet;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
@@ -137,22 +137,18 @@ impl SpillValue for SlowValue {
     fn spill_size(&self) -> usize {
         4 + self.payload.len()
     }
-    fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
+    fn spill_encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
         writer_rendezvous();
         std::thread::sleep(WRITE_DELAY);
         WRITES.fetch_add(1, Ordering::SeqCst);
-        self.payload.spill_write(w)
+        self.payload.spill_encode(out)
     }
-    fn spill_read(
-        r: &mut dyn Read,
-        scratch: &mut Vec<u8>,
-        payload_budget: u64,
-    ) -> io::Result<Self> {
+    fn spill_decode(src: &mut &[u8]) -> io::Result<Self> {
         decoders()
             .lock()
             .unwrap()
             .insert(std::thread::current().id());
-        Vec::<u8>::spill_read(r, scratch, payload_budget).map(|payload| Self { payload })
+        Vec::<u8>::spill_decode(src).map(|payload| Self { payload })
     }
     fn sort_spill_run<K: IntegerKey>(
         buffer: &mut Vec<(K, Self)>,

@@ -9,9 +9,12 @@
 //! backend, so the loser tree pops from warm memory while the next block
 //! decodes, and a k-way merge needs the pool's 2 threads instead of k.
 //! Otherwise the merging thread runs each step itself when it needs the
-//! next block.  Either way one decode loop, [`decode_one_block`], feeds
-//! the merge, and every cursor ([`RunCursor`]) has the same shape: the
-//! blocks of a feed, or an in-memory run as a single block.  The write
+//! next block.  Either way each step is one block decode,
+//! [`decode_one_block`]: a single [`RunReader::read_block`] call that
+//! decodes whole records from the run's read window (flat) or decoded
+//! block payload (compressed), never a call per record.  Every cursor
+//! ([`RunCursor`]) has the same shape: the blocks of a feed, or an
+//! in-memory run as a single block.  The write
 //! side of spill pipelining (one run in flight to a background writer)
 //! lives in the crate-private `spiller` module.
 
@@ -78,32 +81,18 @@ pub(crate) fn open_run_cursors<V: SpillValue>(
         .collect())
 }
 
-/// Decodes the next batch of records (roughly `block_bytes` of decoded
-/// payload) from `reader`; returns the batch and whether the run is now
-/// exhausted.
+/// Decodes the next batch of records (roughly `block_bytes` of encoded
+/// bytes) from `reader` in one [`RunReader::read_block`] call; returns
+/// the batch and whether the run is now exhausted.
 fn decode_one_block<V: SpillValue>(
     reader: &mut RunReader<V>,
     block_bytes: usize,
 ) -> io::Result<(Vec<(u64, V)>, bool)> {
     let refill_start = obs::enabled().then(Instant::now);
-    let mut block: Vec<(u64, V)> = Vec::new();
-    let mut bytes = 0usize;
-    let mut end_of_run = false;
-    loop {
-        match reader.next_record()? {
-            Some((key, value)) => {
-                bytes += 8 + value.spill_size();
-                block.push((key, value));
-                if bytes >= block_bytes {
-                    break;
-                }
-            }
-            None => {
-                end_of_run = true;
-                break;
-            }
-        }
-    }
+    // Fixed-size records fill a block of known length; size it once.
+    let records = V::SPILL_FIXED_SIZE.map_or(0, |size| block_bytes.div_ceil(8 + size));
+    let mut block = Vec::with_capacity(records);
+    let end_of_run = reader.read_block(block_bytes, &mut block)?;
     if let Some(start) = refill_start {
         m().prefetch_refill_ns.record_duration(start.elapsed());
         if !block.is_empty() {
@@ -157,7 +146,8 @@ impl<V: SpillValue> RunFeed<V> {
     /// synchronously) and, if `ahead`, submits its first decode step to
     /// the handle's pool.  `reader_budget` is this run's share of the
     /// merge read budget, split so the total stays within the share: half
-    /// for the underlying buffered reader, the rest for the decoded
+    /// for the run's reader (a flat run's read window, and `Batched`'s
+    /// read-ahead; see `RunReader::open`), the rest for the decoded
     /// batches — of which up to three are alive at once, hence sixths.
     /// `index` is the run's position in the merge, which labels the
     /// `prefetch` trace spans and names the run in errors.
@@ -357,6 +347,42 @@ mod tests {
                 }
                 assert!(blocks > 5, "expected several blocks, got {blocks}");
                 assert_eq!(got, records);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn feed_resumes_at_the_next_unserved_record_after_a_transient_read() {
+        use crate::{FaultKind, FaultPlan};
+        let dir = tmp_dir("resume");
+        let path = dir.join("run.bin");
+        let records: Vec<(u64, u64)> = (0..10_000u64).map(|i| (i, i * 3)).collect();
+        for (clean, ahead) in feed_inputs(2, 8) {
+            for compression in [SpillCompression::Off, SpillCompression::DeltaLz] {
+                let run = write_run(&clean, &path, &records, compression).unwrap();
+                let drain = |plan: &FaultPlan| {
+                    let io = clean.with_faults(plan.clone());
+                    let mut feed = RunFeed::<u64>::open(&io, &run, 8 << 10, 0, ahead).unwrap();
+                    let mut got: Vec<(u64, u64)> = Vec::new();
+                    while let Some(block) = feed.recv() {
+                        got.extend(block.expect("a transient read must be absorbed"));
+                    }
+                    got
+                };
+                // A clean pass counts the run's reads; then one transient
+                // failure at its first, a middle and its last read.  Any
+                // record served twice or skipped changes the stream.
+                let counter = FaultPlan::nth(FaultKind::ReadTransient, u64::MAX);
+                assert_eq!(drain(&counter), records);
+                let reads = counter.operations(FaultKind::ReadTransient);
+                assert!(reads >= 3, "{compression:?}: only {reads} reads");
+                for n in [0, reads / 2, reads - 1] {
+                    let ctx = format!("{compression:?}, ahead {ahead}, read {n} of {reads}");
+                    let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
+                    assert_eq!(drain(&plan), records, "{ctx}");
+                    assert_eq!(plan.injected(), 1, "{ctx}");
+                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();

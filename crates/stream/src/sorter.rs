@@ -814,11 +814,10 @@ mod tests {
     // -----------------------------------------------------------------
 
     use crate::spill::sealed::Sealed;
-    use std::io::{Read, Write};
     use std::sync::atomic::{AtomicI64, Ordering};
     use std::sync::Arc;
 
-    /// A var-length value that panics inside `spill_write` when its shared
+    /// A var-length value that panics inside `spill_encode` when its shared
     /// fuse counts down to zero (exactly once).
     #[derive(Debug, Clone)]
     struct Grenade {
@@ -854,18 +853,14 @@ mod tests {
         fn spill_size(&self) -> usize {
             4 + self.payload.len()
         }
-        fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
+        fn spill_encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
             if self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
                 panic!("injected spill-write failure");
             }
-            self.payload.spill_write(w)
+            self.payload.spill_encode(out)
         }
-        fn spill_read(
-            r: &mut dyn Read,
-            scratch: &mut Vec<u8>,
-            payload_budget: u64,
-        ) -> io::Result<Self> {
-            Vec::<u8>::spill_read(r, scratch, payload_budget).map(|payload| Self {
+        fn spill_decode(src: &mut &[u8]) -> io::Result<Self> {
+            Vec::<u8>::spill_decode(src).map(|payload| Self {
                 fuse: Arc::new(AtomicI64::new(i64::MAX)),
                 payload,
             })
@@ -1429,35 +1424,47 @@ mod tests {
             .collect();
         let mut want = input.clone();
         want.sort_by_key(|r| r.0);
-        // Two spilled runs of about 40k records.  The fault lands well past
-        // the reads that prime the cursors: a flat run takes two reads per
-        // record, a compressed one four per block of 8192 records.
-        for (compression, n) in [
-            (dtsort::SpillCompression::Off, 4_000),
-            (dtsort::SpillCompression::DeltaLz, 20),
+        // Two spilled runs of about 40k records, each read a window (flat)
+        // or a block's three sections (compressed) per call.  A clean pass
+        // counts the merge's reads; the fault lands at half of them, so
+        // mid-run in both runs (their uniform keys interleave) and well
+        // past the reads that prime the cursors.
+        for compression in [
+            dtsort::SpillCompression::Off,
+            dtsort::SpillCompression::DeltaLz,
         ] {
             for read_ahead in [false, true] {
                 let ctx = format!("{compression:?}, read-ahead {read_ahead}");
-                let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
-                let io = SpillIoHandle::blocking()
-                    .with_faults(plan.clone())
-                    .reading_ahead(read_ahead);
-                let cfg = StreamConfig {
-                    spill_compression: compression,
-                    ..tiny_cfg(1 << 20)
+                let merge = |plan: &FaultPlan| {
+                    let io = SpillIoHandle::blocking()
+                        .with_faults(plan.clone())
+                        .reading_ahead(read_ahead);
+                    let cfg = StreamConfig {
+                        spill_compression: compression,
+                        ..tiny_cfg(1 << 20)
+                    };
+                    let mut sorter: StreamSorter<u32, u32> =
+                        StreamSorter::with_config_and_io(cfg, io);
+                    for chunk in input.chunks(4096) {
+                        sorter.push(chunk).unwrap();
+                    }
+                    sorter.flush_spills().unwrap();
+                    let runs = sorter.stats().spilled_runs;
+                    assert_eq!(runs, 2, "{ctx}");
+                    assert!(
+                        sorter.core.runs[0].len > crate::spill::BLOCK_MAX_RECORDS,
+                        "{ctx}"
+                    );
+                    merge_with_read_budget(sorter, runs * (8 << 10)).unwrap()
                 };
-                let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config_and_io(cfg, io);
-                for chunk in input.chunks(4096) {
-                    sorter.push(chunk).unwrap();
-                }
-                sorter.flush_spills().unwrap();
-                let runs = sorter.stats().spilled_runs;
-                assert_eq!(runs, 2, "{ctx}");
-                assert!(
-                    sorter.core.runs[0].len > crate::spill::BLOCK_MAX_RECORDS,
-                    "{ctx}"
-                );
-                let got = merge_with_read_budget(sorter, runs * (8 << 10)).unwrap();
+                let counter = FaultPlan::nth(FaultKind::ReadTransient, u64::MAX);
+                assert_eq!(merge(&counter), want, "{ctx}");
+                let reads = counter.operations(FaultKind::ReadTransient);
+                let n = reads / 2;
+                // Priming takes at most one block, three reads, per run.
+                assert!(n > 3 * 2, "{ctx}: {reads} reads leave no mid-run read");
+                let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
+                let got = merge(&plan);
                 assert_eq!(got, want, "{ctx}");
                 assert_eq!(plan.injected(), 1, "{ctx}");
             }

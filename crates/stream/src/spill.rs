@@ -28,9 +28,16 @@
 //! ([`dtsort::IntegerKey::to_ordered_u64`]), so the merge compares raw
 //! `u64`s and the original key type is reconstructed only on output.
 //! Fixed-format values are written as their in-memory bytes, which is why
-//! they must implement the padding-free [`PodValue`] contract; var-format
-//! values stream through a reusable side buffer sized to the largest value
-//! seen, never through `size_of::<V>()` scratch.
+//! they must implement the padding-free [`PodValue`] contract.
+//!
+//! Records cross the I/O boundary a buffer at a time.  The value codec
+//! works on byte slices ([`SpillValue`]'s hidden `spill_encode` /
+//! `spill_decode`): the flat writer encodes records into one reused chunk
+//! of about 64 KiB and hands each chunk to the backend in one write, and
+//! the reader ([`RunReader::read_block`]) reads a window of the run at a
+//! time and decodes every whole record in it.  A record cut by the
+//! window's edge is carried to the front of the next window; a value
+//! longer than the window grows it, never past the bytes left in the run.
 //!
 //! The **compressed block** encoding groups records into independently
 //! decodable blocks (at most [`BLOCK_MAX_RECORDS`] records or roughly
@@ -56,10 +63,11 @@
 //! Keys within a run are sorted, so the deltas are non-negative and
 //! small — most encode in one byte.  The payload bytes are exactly what
 //! the flat encoding would have written after each key (length prefixes
-//! included), so one `spill_read` path decodes values from either
-//! encoding.  Decoding is transparent: [`RunReader`] yields identical
-//! records for both, which is what the compression differential tests
-//! assert end to end.
+//! included), so one decode path serves both encodings: `spill_decode`
+//! over a slice, the flat run's read window or a block's decoded payload.
+//! Decoding is transparent: [`RunReader`] yields identical records for
+//! both, which is what the compression differential tests assert end to
+//! end.
 //!
 //! Every [`SpilledRun`] records its record count, its exact on-disk byte
 //! size *and* its pre-compression byte size, so truncated spill files are
@@ -338,18 +346,21 @@ pub trait SpillValue: Clone + Send + Sync + 'static + sealed::Sealed {
     #[doc(hidden)]
     fn spill_size(&self) -> usize;
 
-    /// Writes this value's payload (length prefix included).  The sink is
-    /// a `dyn Write` so the same serializer feeds both the flat spill
-    /// file and the in-memory payload buffer of a compressed block.
+    /// Appends this value's payload (length prefix included) to `out`.
+    /// One encoder feeds both encodings: the flat writer's chunk buffer
+    /// and the payload section of a compressed block.
     #[doc(hidden)]
-    fn spill_write(&self, w: &mut dyn Write) -> io::Result<()>;
+    fn spill_encode(&self, out: &mut Vec<u8>) -> io::Result<()>;
 
-    /// Reads one payload; `payload_budget` is the number of bytes left in
-    /// the run (or decoded block) after the record's key, bounding length
-    /// prefixes so a corrupted prefix cannot read past the run (or
-    /// allocate unboundedly).
+    /// Decodes one payload from the front of `src` and advances `src`
+    /// past it.  `src` holds the bytes left in the flat run's read window
+    /// or in the decoded block, so a length prefix is checked against it
+    /// before it drives a copy or an allocation: a `src` that ends inside
+    /// the payload, or a prefix longer than `src`, is
+    /// [`io::ErrorKind::UnexpectedEof`] (the flat reader then reads more
+    /// of the run, if any is left, and decodes the record again).
     #[doc(hidden)]
-    fn spill_read(r: &mut dyn Read, scratch: &mut Vec<u8>, payload_budget: u64) -> io::Result<Self>
+    fn spill_decode(src: &mut &[u8]) -> io::Result<Self>
     where
         Self: Sized;
 
@@ -403,54 +414,58 @@ fn short_run_err(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, what.to_string())
 }
 
-fn pod_spill_read<V: PodValue>(
-    r: &mut dyn Read,
-    scratch: &mut Vec<u8>,
-    payload_budget: u64,
-) -> io::Result<V> {
-    let n = size_of::<V>();
-    if (n as u64) > payload_budget {
-        return Err(short_run_err("spilled run ended mid-value"));
+/// Splits the first `n` bytes off `src`; `what` names the short read.
+fn take<'a>(src: &mut &'a [u8], n: usize, what: &str) -> io::Result<&'a [u8]> {
+    if src.len() < n {
+        return Err(short_run_err(what));
     }
-    scratch.resize(n, 0);
-    r.read_exact(scratch)?;
-    Ok(value_from_bytes(scratch))
+    let (head, rest) = src.split_at(n);
+    *src = rest;
+    Ok(head)
 }
 
-fn var_spill_write<V: VarValue>(v: &V, w: &mut dyn Write) -> io::Result<()> {
-    let bytes = v.as_spill_bytes();
+/// Appends `bytes` behind their `u32` LE length prefix; `what` names the
+/// field in the error for a slice the prefix cannot express.
+pub(crate) fn encode_prefixed(bytes: &[u8], out: &mut Vec<u8>, what: &str) -> io::Result<()> {
     let len = u32::try_from(bytes.len()).map_err(|_| {
         io::Error::new(
             io::ErrorKind::InvalidInput,
             format!(
-                "value of {} bytes exceeds the u32 spill length prefix",
+                "{what} of {} bytes exceeds the u32 spill length prefix",
                 bytes.len()
             ),
         )
     })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(bytes)
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(bytes);
+    Ok(())
 }
 
-fn var_spill_read<V: VarValue>(
-    r: &mut dyn Read,
-    scratch: &mut Vec<u8>,
-    payload_budget: u64,
-) -> io::Result<V> {
-    if payload_budget < 4 {
-        return Err(short_run_err("spilled run ended mid-length-prefix"));
-    }
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u64::from(u32::from_le_bytes(len_bytes));
-    if len > payload_budget - 4 {
-        return Err(short_run_err(
-            "value length prefix exceeds the bytes remaining in the spilled run",
-        ));
-    }
-    scratch.resize(len as usize, 0);
-    r.read_exact(scratch)?;
-    V::from_spill_bytes(scratch)
+/// Splits one `u32` LE length-prefixed byte string off `src`.
+pub(crate) fn decode_prefixed<'a>(src: &mut &'a [u8]) -> io::Result<&'a [u8]> {
+    let len = take(src, 4, "spilled run ended mid-length-prefix")?;
+    let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+    take(
+        src,
+        len,
+        "length prefix exceeds the bytes remaining in the spilled run",
+    )
+}
+
+fn pod_spill_decode<V: PodValue>(src: &mut &[u8]) -> io::Result<V> {
+    take(src, size_of::<V>(), "spilled run ended mid-value").map(value_from_bytes)
+}
+
+fn var_spill_decode<V: VarValue>(src: &mut &[u8]) -> io::Result<V> {
+    V::from_spill_bytes(decode_prefixed(src)?)
+}
+
+/// Decodes one flat-encoded record, `key (8 bytes, LE) | payload`, from
+/// the front of `src`.
+fn decode_flat_record<V: SpillValue>(src: &mut &[u8]) -> io::Result<(u64, V)> {
+    let key = take(src, 8, "spilled run ended mid-key")?;
+    let key = u64::from_le_bytes(key.try_into().expect("8 bytes"));
+    Ok((key, V::spill_decode(src)?))
 }
 
 macro_rules! impl_pod_spill {
@@ -462,15 +477,12 @@ macro_rules! impl_pod_spill {
             fn spill_size(&self) -> usize {
                 size_of::<$t>()
             }
-            fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
-                w.write_all(value_bytes(self))
+            fn spill_encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
+                out.extend_from_slice(value_bytes(self));
+                Ok(())
             }
-            fn spill_read(
-                r: &mut dyn Read,
-                scratch: &mut Vec<u8>,
-                payload_budget: u64,
-            ) -> io::Result<Self> {
-                pod_spill_read(r, scratch, payload_budget)
+            fn spill_decode(src: &mut &[u8]) -> io::Result<Self> {
+                pod_spill_decode(src)
             }
             fn sort_spill_run<K: IntegerKey>(
                 buffer: &mut Vec<(K, Self)>,
@@ -508,15 +520,12 @@ impl<T: PodValue, const N: usize> SpillValue for [T; N] {
     fn spill_size(&self) -> usize {
         size_of::<Self>()
     }
-    fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
-        w.write_all(value_bytes(self))
+    fn spill_encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        out.extend_from_slice(value_bytes(self));
+        Ok(())
     }
-    fn spill_read(
-        r: &mut dyn Read,
-        scratch: &mut Vec<u8>,
-        payload_budget: u64,
-    ) -> io::Result<Self> {
-        pod_spill_read(r, scratch, payload_budget)
+    fn spill_decode(src: &mut &[u8]) -> io::Result<Self> {
+        pod_spill_decode(src)
     }
     fn sort_spill_run<K: IntegerKey>(
         buffer: &mut Vec<(K, Self)>,
@@ -535,15 +544,11 @@ macro_rules! impl_var_spill {
             fn spill_size(&self) -> usize {
                 4 + self.as_spill_bytes().len()
             }
-            fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
-                var_spill_write(self, w)
+            fn spill_encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
+                encode_prefixed(self.as_spill_bytes(), out, "value")
             }
-            fn spill_read(
-                r: &mut dyn Read,
-                scratch: &mut Vec<u8>,
-                payload_budget: u64,
-            ) -> io::Result<Self> {
-                var_spill_read(r, scratch, payload_budget)
+            fn spill_decode(src: &mut &[u8]) -> io::Result<Self> {
+                var_spill_decode(src)
             }
             fn sort_spill_run<K: IntegerKey>(
                 buffer: &mut Vec<(K, Self)>,
@@ -564,6 +569,10 @@ pub(crate) const BLOCK_RAW_TARGET: usize = 64 << 10;
 /// Upper bound on records per compressed block, bounding the decoded key
 /// buffer even for zero-payload values.
 pub(crate) const BLOCK_MAX_RECORDS: usize = 8192;
+/// Bytes the flat writer encodes before handing them to the backend in
+/// one write (the last chunk of a run, and one holding a larger value,
+/// differ).
+const RUN_WRITE_CHUNK_BYTES: usize = 64 << 10;
 /// Bytes of the fixed compressed-block header:
 /// `record_count u32 | key_stream_len u32 | payload_raw_len u32 |
 /// payload_enc_len u32 | crc32 u32 | enc u8`.
@@ -576,8 +585,8 @@ fn bad_run_data(what: &str) -> io::Error {
 /// Writes the compressed block encoding of `records`; returns
 /// `(bytes_on_disk, raw_bytes)` where `raw_bytes` is what the flat
 /// encoding would have written.
-fn write_run_blocks<W: Write, K: IntegerKey, V: SpillValue>(
-    writer: &mut W,
+fn write_run_blocks<K: IntegerKey, V: SpillValue>(
+    writer: &mut dyn Write,
     records: &[(K, V)],
 ) -> io::Result<(u64, u64)> {
     let mut bytes = 0u64;
@@ -609,11 +618,11 @@ fn write_run_blocks<W: Write, K: IntegerKey, V: SpillValue>(
                 codec::write_varint(&mut key_stream, delta);
             }
             prev_key = key;
-            v.spill_write(&mut payload)?;
-            raw_bytes += 8 + v.spill_size() as u64;
+            v.spill_encode(&mut payload)?;
             count += 1;
             i += 1;
         }
+        raw_bytes += (8 * count + payload.len()) as u64;
         enc.clear();
         codec::lz_compress(&payload, &mut enc);
         // Store-raw fallback: incompressible blocks cost 21 header bytes,
@@ -624,27 +633,50 @@ fn write_run_blocks<W: Write, K: IntegerKey, V: SpillValue>(
             (0, &payload)
         };
         let crc = codec::crc32_update(codec::crc32_update(0, &key_stream), body);
-        let too_big = |_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "compressed block section exceeds the u32 header field",
-            )
+        let field = |len: usize| {
+            u32::try_from(len).map(u32::to_le_bytes).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "compressed block section exceeds the u32 header field",
+                )
+            })
         };
-        writer.write_all(&(count as u32).to_le_bytes())?;
-        writer.write_all(
-            &u32::try_from(key_stream.len())
-                .map_err(too_big)?
-                .to_le_bytes(),
-        )?;
-        writer.write_all(&u32::try_from(payload.len()).map_err(too_big)?.to_le_bytes())?;
-        writer.write_all(&u32::try_from(body.len()).map_err(too_big)?.to_le_bytes())?;
-        writer.write_all(&crc.to_le_bytes())?;
-        writer.write_all(&[flag])?;
+        let mut header = [0u8; BLOCK_HEADER_BYTES];
+        header[0..4].copy_from_slice(&field(count)?);
+        header[4..8].copy_from_slice(&field(key_stream.len())?);
+        header[8..12].copy_from_slice(&field(payload.len())?);
+        header[12..16].copy_from_slice(&field(body.len())?);
+        header[16..20].copy_from_slice(&crc.to_le_bytes());
+        header[20] = flag;
+        writer.write_all(&header)?;
         writer.write_all(&key_stream)?;
         writer.write_all(body)?;
         bytes += (BLOCK_HEADER_BYTES + key_stream.len() + body.len()) as u64;
     }
     Ok((bytes, raw_bytes))
+}
+
+/// Writes the flat encoding of `records`, `key (8 bytes, LE) | payload`
+/// per record, encoded into one reused chunk of about
+/// [`RUN_WRITE_CHUNK_BYTES`] that goes to `writer` in one call; returns
+/// the bytes written.
+fn write_run_flat<K: IntegerKey, V: SpillValue>(
+    writer: &mut dyn Write,
+    records: &[(K, V)],
+) -> io::Result<u64> {
+    let mut bytes = 0u64;
+    let mut chunk = Vec::with_capacity(RUN_WRITE_CHUNK_BYTES);
+    for (key, value) in records {
+        chunk.extend_from_slice(&key.to_ordered_u64().to_le_bytes());
+        value.spill_encode(&mut chunk)?;
+        if chunk.len() >= RUN_WRITE_CHUNK_BYTES {
+            writer.write_all(&chunk)?;
+            bytes += chunk.len() as u64;
+            chunk.clear();
+        }
+    }
+    writer.write_all(&chunk)?;
+    Ok(bytes + chunk.len() as u64)
 }
 
 /// Writes a sorted run to `path` through the `io` backend in the given
@@ -664,12 +696,7 @@ pub(crate) fn write_run<K: IntegerKey, V: SpillValue>(
     let mut writer: Box<dyn SpillWrite> = io.create(path)?;
     let (bytes, raw_bytes) = match compression {
         SpillCompression::Off => {
-            let mut bytes = 0u64;
-            for (key, value) in records {
-                writer.write_all(&key.to_ordered_u64().to_le_bytes())?;
-                value.spill_write(&mut writer)?;
-                bytes += 8 + value.spill_size() as u64;
-            }
+            let bytes = write_run_flat(&mut writer, records)?;
             (bytes, bytes)
         }
         SpillCompression::DeltaLz => write_run_blocks(&mut writer, records)?,
@@ -737,9 +764,9 @@ pub(crate) struct SpilledRun {
 
 /// Read-buffer bytes granted to each of `runs` spilled runs during a
 /// merge: an equal split of `total_bytes`, capped at 8 MiB per run and
-/// floored at 64 bytes (just enough to keep `BufReader` functional).
+/// floored at 64 bytes (just enough to keep a read window functional).
 /// Each run's [`crate::pipeline::RunFeed`] splits its share between its
-/// buffered reader and its decoded blocks.
+/// reader (read window and backend read-ahead) and its decoded blocks.
 ///
 /// The aggregate across all runs is therefore
 /// `max(total_bytes, 64 · runs)` — the old 4 KiB floor let a 64-run merge
@@ -752,17 +779,18 @@ pub(crate) fn per_run_reader_budget(total_bytes: usize, runs: usize) -> usize {
     (total_bytes / runs.max(1)).clamp(64, 8 << 20)
 }
 
-/// Buffered sequential reader over one spilled run, decoding either
-/// encoding transparently (the merge's feeds never see the on-disk block
-/// boundaries).
+/// Sequential reader over one spilled run that decodes it a block of
+/// records at a time, either encoding transparently (the merge's feeds
+/// never see the on-disk block boundaries).
 ///
 /// It is the one place spill reads retry.  A transient failure
 /// ([`is_transient`]) is retried with the spill retry policy — up to 3
 /// retries, after a backoff of 2 ms doubling to at most 50 ms, each
 /// counted in `spill.retries`: at open by opening again, mid-run by
-/// reopening the run and skipping the records already served.  An error
-/// that is permanent, or outlasts the retries, comes back as a
-/// [`SpillError`] naming the run.
+/// reopening the run, skipping the records already served through the
+/// same block decode, and decoding the failed block again.  An error that
+/// is permanent, or outlasts the retries, comes back as a [`SpillError`]
+/// naming the run.
 pub(crate) struct RunReader<V: SpillValue> {
     decoder: RunDecoder<V>,
     io: SpillIoHandle,
@@ -776,7 +804,7 @@ pub(crate) struct RunReader<V: SpillValue> {
 
 impl<V: SpillValue> RunReader<V> {
     /// Opens run `index` of an engine with `buffer_bytes` of read
-    /// buffering.
+    /// buffering (see [`RunDecoder::open`]).
     pub fn open(
         io: &SpillIoHandle,
         run: &SpilledRun,
@@ -795,65 +823,93 @@ impl<V: SpillValue> RunReader<V> {
         })
     }
 
-    /// Reads the next record, or `None` at end of run.
-    pub fn next_record(&mut self) -> io::Result<Option<(u64, V)>> {
-        let record = match self.decoder.next_record() {
-            Ok(record) => record,
-            Err(e) => self.resume(e)?,
-        };
-        self.served += usize::from(record.is_some());
-        Ok(record)
+    /// Appends the run's next records to `out` until their encoded bytes
+    /// reach `block_bytes` (at least one record) or the run ends; returns
+    /// whether the run has ended.  On error `out` is left as it was.
+    pub fn read_block(&mut self, block_bytes: usize, out: &mut Vec<(u64, V)>) -> io::Result<bool> {
+        let block_bytes = block_bytes.max(1);
+        let start = out.len();
+        if let Err(e) = self.decoder.decode(out, block_bytes, usize::MAX) {
+            out.truncate(start);
+            self.resume(e, block_bytes, out)?;
+        }
+        self.served += out.len() - start;
+        Ok(self.decoder.remaining == 0)
     }
 
-    /// Retries the read that failed with `failed` (its first attempt):
-    /// each retry reopens the run and skips the records already served.
+    /// Retries the block read that failed with `failed` (its first
+    /// attempt): each retry reopens the run, skips the records already
+    /// served and decodes the block again.
     #[cold]
-    fn resume(&mut self, failed: io::Error) -> io::Result<Option<(u64, V)>> {
+    fn resume(
+        &mut self,
+        failed: io::Error,
+        block_bytes: usize,
+        out: &mut Vec<(u64, V)>,
+    ) -> io::Result<()> {
+        let start = out.len();
         let mut failed = Some(failed);
         with_transient_retry(|| {
             if let Some(e) = failed.take() {
                 return Err(e);
             }
+            out.truncate(start);
             self.decoder = RunDecoder::open(&self.io, &self.run, self.buffer_bytes)?;
-            for _ in 0..self.served {
-                self.decoder.next_record()?;
-            }
-            self.decoder.next_record()
+            self.decoder.skip(self.served, block_bytes)?;
+            self.decoder.decode(out, block_bytes, usize::MAX)
         })
-        .map(|(record, _)| record)
-        .map_err(|e| wrap_spill_err(&self.run.path, self.index, self.run.bytes, e))
+        .map(|((), _)| ())
+        .map_err(|e| {
+            out.truncate(start);
+            wrap_spill_err(&self.run.path, self.index, self.run.bytes, e)
+        })
     }
 }
 
 /// One pass of a [`RunReader`] over its run: the open file and the decode
-/// state.
+/// state.  Both encodings decode records from the bytes `buf[pos..end]`
+/// with [`SpillValue::spill_decode`]: for a flat run a window of the run
+/// read straight from the file, for a compressed run the decoded payload
+/// of the current block (whose keys are in `block_keys`).
 struct RunDecoder<V: SpillValue> {
     reader: Box<dyn SpillRead>,
+    /// Records not yet decoded.
     remaining: usize,
-    bytes_remaining: u64,
+    /// Bytes of the run not yet read from the file.
+    unread: u64,
     /// Decoded (flat-equivalent) bytes left, from `SpilledRun::raw_bytes`;
     /// bounds the block decode buffers against corrupt headers.
     raw_remaining: u64,
     compression: SpillCompression,
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// Bytes a flat run's window holds: what each read asks for.
+    window: usize,
     /// Decoded keys of the current block (`DeltaLz` only).
     block_keys: Vec<u64>,
-    /// Decoded payload of the current block (`DeltaLz` only).
-    block_payload: Vec<u8>,
     block_next: usize,
-    block_payload_pos: usize,
-    /// Side buffer values stream through; for var-format runs it grows to
-    /// the largest value of the run and is reused across records.
+    /// Staging buffer for a block's encoded sections (`DeltaLz` only).
     scratch: Vec<u8>,
     _value: PhantomData<V>,
 }
 
 impl<V: SpillValue> RunDecoder<V> {
+    /// Opens `run` with `buffer_bytes` of read buffering.  A flat run
+    /// reads into a window of half of them (no larger than the run) and
+    /// gives the backend the other half: `Blocking` reads straight into
+    /// the window, `Batched` reads ahead in chunks of that half.  A
+    /// compressed run, which stages each block's sections in `scratch`,
+    /// gives the backend all of them.
     fn open(io: &SpillIoHandle, run: &SpilledRun, buffer_bytes: usize) -> io::Result<Self> {
-        // The caller's budget is honored as given (64-byte floor inside
-        // the backend so buffered reads stay functional) — re-inflating
-        // small budgets here would undo the aggregate cap of
-        // `per_run_reader_budget`.
-        let (reader, actual) = io.open(&run.path, buffer_bytes)?;
+        // The caller's budget is honored as given (64-byte floors so
+        // reads stay functional) — re-inflating small budgets here would
+        // undo the aggregate cap of `per_run_reader_budget`.
+        let (window, backend_bytes) = match run.compression {
+            SpillCompression::Off => (buffer_bytes / 2, buffer_bytes / 2),
+            SpillCompression::DeltaLz => (0, buffer_bytes),
+        };
+        let (reader, actual) = io.open(&run.path, backend_bytes)?;
         // Validate the file length eagerly: a truncated spill file must
         // surface as an I/O error here, at open time, rather than as a
         // mid-merge failure (or, worse, a silently shorter output if a
@@ -873,73 +929,174 @@ impl<V: SpillValue> RunDecoder<V> {
         Ok(Self {
             reader,
             remaining: run.len,
-            bytes_remaining: run.bytes,
+            unread: run.bytes,
             raw_remaining: run.raw_bytes,
             compression: run.compression,
+            buf: Vec::new(),
+            pos: 0,
+            end: 0,
+            window: (window.max(64) as u64).min(run.bytes) as usize,
             block_keys: Vec::new(),
-            block_payload: Vec::new(),
             block_next: 0,
-            block_payload_pos: 0,
             scratch: Vec::new(),
             _value: PhantomData,
         })
     }
 
-    fn next_record(&mut self) -> io::Result<Option<(u64, V)>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
+    /// Appends records to `out` until their encoded bytes reach
+    /// `block_bytes`, `max_records` are appended or the run ends.  After
+    /// an error the decoder is dropped (the reader reopens the run), so
+    /// the error paths leave its state as they find it.
+    fn decode(
+        &mut self,
+        out: &mut Vec<(u64, V)>,
+        block_bytes: usize,
+        max_records: usize,
+    ) -> io::Result<()> {
+        let want = self.remaining.min(max_records);
         match self.compression {
-            SpillCompression::Off => self.next_record_flat(),
-            SpillCompression::DeltaLz => self.next_record_block(),
+            SpillCompression::Off => self.decode_flat(out, block_bytes, want),
+            SpillCompression::DeltaLz => self.decode_blocks(out, block_bytes, want),
         }
     }
 
-    fn next_record_flat(&mut self) -> io::Result<Option<(u64, V)>> {
-        if self.bytes_remaining < 8 {
-            // The run claims more records than its bytes can hold; refuse
-            // to read past the end rather than serve garbage.
-            return Err(short_run_err(
-                "spilled run record count exceeds its byte size",
-            ));
+    /// Decodes and drops the next `n` records, a block at a time.
+    fn skip(&mut self, mut n: usize, block_bytes: usize) -> io::Result<()> {
+        let mut dropped = Vec::new();
+        while n > 0 {
+            if self.remaining == 0 {
+                return Err(short_run_err(
+                    "spilled run holds fewer records than were served",
+                ));
+            }
+            self.decode(&mut dropped, block_bytes, n)?;
+            n -= dropped.len();
+            dropped.clear();
         }
-        let mut key_bytes = [0u8; 8];
-        self.reader.read_exact(&mut key_bytes)?;
-        let payload_budget = self.bytes_remaining - 8;
-        let value = V::spill_read(&mut self.reader, &mut self.scratch, payload_budget)?;
-        self.bytes_remaining = payload_budget - value.spill_size() as u64;
-        self.remaining -= 1;
-        Ok(Some((u64::from_le_bytes(key_bytes), value)))
+        Ok(())
     }
 
-    fn next_record_block(&mut self) -> io::Result<Option<(u64, V)>> {
-        if self.block_next == self.block_keys.len() {
-            self.read_block()?;
+    fn decode_flat(
+        &mut self,
+        out: &mut Vec<(u64, V)>,
+        block_bytes: usize,
+        want: usize,
+    ) -> io::Result<()> {
+        let mut left = want;
+        let mut bytes = 0usize;
+        while left > 0 && bytes < block_bytes {
+            let mut src = &self.buf[self.pos..self.end];
+            let avail = src.len();
+            let stop = block_bytes - bytes;
+            let mut short = None;
+            while left > 0 && avail - src.len() < stop {
+                let record_start = src;
+                match decode_flat_record::<V>(&mut src) {
+                    Ok(record) => {
+                        out.push(record);
+                        left -= 1;
+                    }
+                    Err(e) => {
+                        src = record_start;
+                        short = Some(e);
+                        break;
+                    }
+                }
+            }
+            let used = avail - src.len();
+            self.pos += used;
+            bytes += used;
+            let Some(e) = short else { continue };
+            // A record cut by the window's edge is what an `UnexpectedEof`
+            // with run bytes still unread means: read on and decode it
+            // again.  With the whole run read, it is a short run.
+            if e.kind() != io::ErrorKind::UnexpectedEof {
+                return Err(e);
+            }
+            if self.unread == 0 {
+                return Err(if self.pos == self.end {
+                    // The run claims more records than its bytes hold.
+                    short_run_err("spilled run record count exceeds its byte size")
+                } else {
+                    e
+                });
+            }
+            self.refill()?;
         }
-        let key = self.block_keys[self.block_next];
-        let mut cursor: &[u8] = &self.block_payload[self.block_payload_pos..];
-        let budget = cursor.len() as u64;
-        let value = V::spill_read(&mut cursor, &mut self.scratch, budget)?;
-        self.block_payload_pos = self.block_payload.len() - cursor.len();
-        self.block_next += 1;
-        self.remaining -= 1;
-        self.raw_remaining = self
-            .raw_remaining
-            .saturating_sub(8 + value.spill_size() as u64);
-        Ok(Some((key, value)))
+        self.remaining -= want - left;
+        Ok(())
     }
 
-    /// Decodes the next compressed block into `block_keys` /
-    /// `block_payload`.  Every size in the header is validated against
-    /// the run's recorded byte counts before it drives an allocation, so
-    /// a corrupted header cannot read past the run or balloon memory.
-    fn read_block(&mut self) -> io::Result<()> {
-        if self.bytes_remaining < BLOCK_HEADER_BYTES as u64 {
+    /// Moves the undecoded tail of a flat run's window to its front and
+    /// reads the run's next bytes behind it, up to the window's size.  A
+    /// tail that fills the window (one value longer than it) doubles the
+    /// window first.  No read goes past the run's end, so the window,
+    /// like the value it holds, never outgrows the bytes left in the run
+    /// — a corrupt length prefix included.
+    fn refill(&mut self) -> io::Result<()> {
+        let carried = self.end - self.pos;
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.pos = 0;
+        self.end = carried;
+        if self.buf.len() < self.window {
+            self.buf.resize(self.window, 0);
+        }
+        if carried == self.buf.len() {
+            let grown = (2 * carried as u64).min(carried as u64 + self.unread);
+            self.buf.resize(grown as usize, 0);
+        }
+        let n = ((self.buf.len() - carried) as u64).min(self.unread) as usize;
+        self.reader
+            .read_exact(&mut self.buf[carried..carried + n])?;
+        self.unread -= n as u64;
+        self.end = carried + n;
+        Ok(())
+    }
+
+    fn decode_blocks(
+        &mut self,
+        out: &mut Vec<(u64, V)>,
+        block_bytes: usize,
+        want: usize,
+    ) -> io::Result<()> {
+        let mut left = want;
+        let mut bytes = 0usize;
+        while left > 0 && bytes < block_bytes {
+            if self.block_next == self.block_keys.len() {
+                self.next_block()?;
+            }
+            let keys = &self.block_keys[self.block_next..];
+            let keys = &keys[..keys.len().min(left)];
+            let mut src = &self.buf[self.pos..self.end];
+            let avail = src.len();
+            let stop = block_bytes - bytes;
+            let mut n = 0usize;
+            while n < keys.len() && 8 * n + (avail - src.len()) < stop {
+                let value = V::spill_decode(&mut src)?;
+                out.push((keys[n], value));
+                n += 1;
+            }
+            let used = avail - src.len();
+            self.pos += used;
+            self.block_next += n;
+            left -= n;
+            bytes += 8 * n + used;
+        }
+        self.remaining -= want - left;
+        Ok(())
+    }
+
+    /// Reads and decodes the next compressed block into `block_keys` and
+    /// `buf`.  Every size in the header is validated against the run's
+    /// recorded byte counts before it drives an allocation, so a corrupted
+    /// header cannot read past the run or balloon memory.
+    fn next_block(&mut self) -> io::Result<()> {
+        if self.unread < BLOCK_HEADER_BYTES as u64 {
             return Err(short_run_err("spilled run ended mid-block-header"));
         }
         let mut header = [0u8; BLOCK_HEADER_BYTES];
         self.reader.read_exact(&mut header)?;
-        self.bytes_remaining -= BLOCK_HEADER_BYTES as u64;
+        self.unread -= BLOCK_HEADER_BYTES as u64;
         let count = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
         let key_stream_len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as u64;
         let payload_raw_len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as u64;
@@ -951,7 +1108,7 @@ impl<V: SpillValue> RunDecoder<V> {
                 "block record count disagrees with the run metadata",
             ));
         }
-        if key_stream_len + payload_enc_len > self.bytes_remaining {
+        if key_stream_len + payload_enc_len > self.unread {
             return Err(short_run_err(
                 "block section sizes exceed the bytes remaining in the run",
             ));
@@ -970,7 +1127,7 @@ impl<V: SpillValue> RunDecoder<V> {
         // never as silently wrong keys or payload bytes.
         self.scratch.resize(key_stream_len as usize, 0);
         self.reader.read_exact(&mut self.scratch)?;
-        self.bytes_remaining -= key_stream_len;
+        self.unread -= key_stream_len;
         let key_crc = codec::crc32_update(0, &self.scratch);
         // Key stream: absolute first key, then non-negative deltas.  The
         // decode is bounded by the validated `count` either way, so
@@ -997,28 +1154,32 @@ impl<V: SpillValue> RunDecoder<V> {
         // checksum must match before a byte of it is interpreted.
         self.scratch.resize(payload_enc_len as usize, 0);
         self.reader.read_exact(&mut self.scratch)?;
-        self.bytes_remaining -= payload_enc_len;
+        self.unread -= payload_enc_len;
         if codec::crc32_update(key_crc, &self.scratch) != crc {
             self.block_keys.clear();
             return Err(bad_run_data("block checksum mismatch"));
         }
         // Payload: LZ-compressed or stored raw.
-        self.block_payload.clear();
+        self.buf.clear();
         match enc {
             0 => {
                 if payload_enc_len != payload_raw_len {
                     return Err(bad_run_data("stored-raw block sizes disagree"));
                 }
-                self.block_payload.extend_from_slice(&self.scratch);
+                self.buf.extend_from_slice(&self.scratch);
             }
             1 => {
-                let (encoded, payload) = (&self.scratch, &mut self.block_payload);
+                let (encoded, payload) = (&self.scratch, &mut self.buf);
                 codec::lz_decompress(encoded, payload, payload_raw_len as usize)?;
             }
             _ => return Err(bad_run_data("unknown block payload encoding")),
         }
+        self.raw_remaining = self
+            .raw_remaining
+            .saturating_sub(8 * count as u64 + payload_raw_len);
         self.block_next = 0;
-        self.block_payload_pos = 0;
+        self.pos = 0;
+        self.end = self.buf.len();
         Ok(())
     }
 }
@@ -1041,13 +1202,15 @@ mod tests {
     }
 
     impl<V: SpillValue> RunReader<V> {
-        /// Reads all remaining records, reconstructing the key type.
+        /// Reads all remaining records in blocks of about 4 KiB,
+        /// reconstructing the key type.
         pub(crate) fn read_all<K: IntegerKey>(&mut self) -> io::Result<Vec<(K, V)>> {
-            let mut out = Vec::with_capacity(self.run.len - self.served);
-            while let Some((key, value)) = self.next_record()? {
-                out.push((K::from_ordered_u64(key), value));
-            }
-            Ok(out)
+            let mut raw = Vec::with_capacity(self.run.len - self.served);
+            while !self.read_block(4096, &mut raw)? {}
+            Ok(raw
+                .into_iter()
+                .map(|(key, value)| (K::from_ordered_u64(key), value))
+                .collect())
         }
     }
 
@@ -1135,10 +1298,8 @@ mod tests {
         // Ordered-u64 images on disk must be monotone for signed keys.
         let mut reader = RunReader::<()>::open(&bio(), &run, 0, 4096).unwrap();
         let mut ordered = Vec::new();
-        while let Some((k, ())) = reader.next_record().unwrap() {
-            ordered.push(k);
-        }
-        assert!(ordered.windows(2).all(|w| w[0] < w[1]));
+        assert!(reader.read_block(usize::MAX, &mut ordered).unwrap());
+        assert!(ordered.windows(2).all(|w| w[0].0 < w[1].0));
         std::fs::remove_file(path).ok();
     }
 
@@ -1582,6 +1743,147 @@ mod tests {
             .expect_err("bit rot must fail the block checksum");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "got: {err}");
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Read windows the codec tests decode under: small enough that
+    /// records straddle the window's edge, and the window of a one-run
+    /// merge.  A flat run's window is half of the reader's buffer bytes.
+    fn codec_windows() -> [usize; 4] {
+        let merge = per_run_reader_budget(crate::sorter::MERGE_READ_BUFFER_BYTES, 1) / 2;
+        [64, 100, 4 << 10, merge / 2]
+    }
+
+    /// Writes `records` in both encodings and reads each back under every
+    /// [`codec_windows`] window, in blocks of one record and of about 1 KiB:
+    /// the decoded records, compared through `view`, must be the input.
+    fn assert_codec_roundtrips<K, V, P>(name: &str, records: &[(K, V)], view: impl Fn(&V) -> P)
+    where
+        K: IntegerKey + PartialEq + std::fmt::Debug,
+        V: SpillValue,
+        P: PartialEq + std::fmt::Debug,
+    {
+        let want: Vec<(K, P)> = records.iter().map(|(k, v)| (*k, view(v))).collect();
+        for compression in [SpillCompression::Off, SpillCompression::DeltaLz] {
+            let path = tmp_path(&format!("codec-{name}-{compression:?}.bin"));
+            let run = write_run(&bio(), &path, records, compression).unwrap();
+            for window in codec_windows() {
+                for block_bytes in [1, 1 << 10] {
+                    let ctx = format!("{name} {compression:?} window {window} block {block_bytes}");
+                    let mut reader = RunReader::<V>::open(&bio(), &run, 0, 2 * window).unwrap();
+                    let mut raw = Vec::new();
+                    while !reader.read_block(block_bytes, &mut raw).expect(&ctx) {}
+                    let got: Vec<(K, P)> = raw
+                        .iter()
+                        .map(|(k, v)| (K::from_ordered_u64(*k), view(v)))
+                        .collect();
+                    assert_eq!(got, want, "{ctx}");
+                }
+            }
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    /// Value lengths for the var-length codec cases: empty, short, about
+    /// a window, and one of 10 000 bytes, longer than every small window.
+    fn var_len(i: usize) -> usize {
+        match i % 7 {
+            0 => 0,
+            1 => 90 + i % 13,
+            2 => 4000 + i % 200,
+            _ if i == 300 => 10_000,
+            _ => i % 37,
+        }
+    }
+
+    fn var_bytes(i: usize) -> Vec<u8> {
+        (0..var_len(i)).map(|j| (i * 31 + j) as u8).collect()
+    }
+
+    #[test]
+    fn value_codec_roundtrips_every_value_family_under_both_encodings() {
+        let n = 700usize;
+        let key = |i: usize| i as u64 * 3;
+        let records: Vec<(u32, u32)> = (0..n).map(|i| (key(i) as u32, i as u32 * 7)).collect();
+        assert_codec_roundtrips("u32", &records, |v| *v);
+        let records: Vec<(u64, u64)> = (0..n).map(|i| (key(i), u64::MAX - i as u64)).collect();
+        assert_codec_roundtrips("u64", &records, |v| *v);
+        let records: Vec<(u64, [u16; 3])> = (0..n)
+            .map(|i| (key(i), [i as u16, !(i as u16), 3]))
+            .collect();
+        assert_codec_roundtrips("u16x3", &records, |v| *v);
+        let records: Vec<(u64, ())> = (0..n).map(|i| (key(i), ())).collect();
+        assert_codec_roundtrips("unit", &records, |v| *v);
+        let records: Vec<(u64, Vec<u8>)> = (0..n).map(|i| (key(i), var_bytes(i))).collect();
+        assert_codec_roundtrips("vec", &records, Vec::clone);
+        let records: Vec<(u64, Box<[u8]>)> = (0..n)
+            .map(|i| (key(i), var_bytes(i).into_boxed_slice()))
+            .collect();
+        assert_codec_roundtrips("boxed", &records, Box::clone);
+        let records: Vec<(u64, String)> = (0..n)
+            .map(|i| (key(i), "ü".repeat(var_len(i) / 2)))
+            .collect();
+        assert_codec_roundtrips("string", &records, String::clone);
+        let records: Vec<(u64, crate::StringKeyed<u32>)> = (0..n)
+            .map(|i| {
+                let full_key = var_bytes(i);
+                (key(i), crate::StringKeyed::new(&full_key, i as u32))
+            })
+            .collect();
+        assert_codec_roundtrips("string-keyed", &records, |v| {
+            (v.key_bytes().to_vec(), *v.value())
+        });
+    }
+
+    #[test]
+    fn flat_run_file_is_each_key_then_its_payload() {
+        // Fixed values: the ordered key as 8 LE bytes, then the value's
+        // bytes.  30 000 records span several write chunks.
+        let path = tmp_path("golden-pod.bin");
+        let records: Vec<(u32, u32)> = (0..30_000u32).map(|i| (i * 5, 0xA0B0_C0D0 ^ i)).collect();
+        let run = spill(&path, &records);
+        let mut want = Vec::new();
+        for (k, v) in &records {
+            want.extend_from_slice(&u64::from(*k).to_le_bytes());
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(run.bytes, want.len() as u64);
+        assert!(
+            std::fs::read(&path).unwrap() == want,
+            "fixed-value run bytes"
+        );
+        // Var values: key, then the u32 LE length, then the bytes; the
+        // 70 000-byte value is longer than a write chunk.
+        let records: Vec<(u64, String)> = vec![
+            (5, String::new()),
+            (9, "héllo".to_string()),
+            (11, "z".repeat(70_000)),
+            (u64::MAX, "last".to_string()),
+        ];
+        let run = spill(&path, &records);
+        let mut want = Vec::new();
+        for (k, v) in &records {
+            want.extend_from_slice(&k.to_le_bytes());
+            want.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            want.extend_from_slice(v.as_bytes());
+        }
+        assert_eq!(run.bytes, want.len() as u64);
+        assert!(std::fs::read(&path).unwrap() == want, "var-value run bytes");
+        // String-keyed values: key, the full key length-prefixed, then the
+        // wrapped value's payload.
+        let full = b"full-key".to_vec();
+        let records = vec![(3u64, crate::StringKeyed::new(&full, 0x0102_0304u32))];
+        let run = spill(&path, &records);
+        let mut want = 3u64.to_le_bytes().to_vec();
+        want.extend_from_slice(&(full.len() as u32).to_le_bytes());
+        want.extend_from_slice(&full);
+        want.extend_from_slice(&0x0102_0304u32.to_le_bytes());
+        assert_eq!(run.bytes, want.len() as u64);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            want,
+            "string-keyed run bytes"
+        );
         std::fs::remove_file(path).ok();
     }
 

@@ -2,12 +2,14 @@
 //!
 //! Every spilled byte the streaming engines read or write flows through a
 //! [`SpillIoHandle`], so `spill.rs`, `pipeline.rs` and the engines never
-//! name `File`/`BufReader`/`BufWriter` directly.  Two backends exist,
-//! selected by [`dtsort::StreamConfig::spill_io`]:
+//! name `File`/`BufWriter` directly.  Two backends exist, selected by
+//! [`dtsort::StreamConfig::spill_io`]:
 //!
-//! * [`SpillIoMode::Blocking`] — today's code path, byte-for-byte: a
-//!   `BufWriter` over `File::create` for runs, a `BufReader` over
-//!   `File::open` for merges.  This is the differential reference.
+//! * [`SpillIoMode::Blocking`] — plain file calls: a `BufWriter` over
+//!   `File::create` for runs, and reads from `File::open` straight into
+//!   the caller's buffer for merges (the run reader reads a window of the
+//!   run per call, so a second buffer would only add a copy).  This is
+//!   the differential reference.
 //! * [`SpillIoMode::Batched`] — positioned-I/O jobs over pooled, recycled
 //!   buffers, in the queue-pair discipline of userspace-NVMe runtimes:
 //!   bounded queue depth, poll completions, recycle buffers.  Writers
@@ -64,7 +66,7 @@
 use crate::metrics::m;
 use dtsort::{SpillIoMode, StreamConfig};
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -101,15 +103,16 @@ pub(crate) trait SpillWrite: Write + Send {
     fn finish(self: Box<Self>) -> io::Result<()>;
 }
 
-/// Buffered sequential source over one spill run.
+/// Sequential source over one spill run.
 pub(crate) trait SpillRead: Read + Send {}
 
 /// The sealed backend interface: open/create files for spill traffic.
 pub(crate) trait SpillIo: Send + Sync + sealed_io::Sealed {
     fn create(&self, path: &Path) -> io::Result<Box<dyn SpillWrite>>;
-    /// Opens `path` for sequential reading with roughly `buffer_bytes` of
-    /// read buffering; returns the reader and the file's current length
-    /// (for the caller's truncation check).
+    /// Opens `path` for sequential reading; returns the reader and the
+    /// file's current length (for the caller's truncation check).
+    /// `Batched` reads ahead in positioned-read chunks of `buffer_bytes`
+    /// (two in flight); `Blocking` keeps no buffer of its own.
     fn open(&self, path: &Path, buffer_bytes: usize) -> io::Result<(Box<dyn SpillRead>, u64)>;
     fn mode(&self) -> SpillIoMode;
     /// Failure injection: error every write after `bytes` more bytes
@@ -147,7 +150,7 @@ impl std::fmt::Debug for SpillIoHandle {
 }
 
 impl SpillIoHandle {
-    /// The blocking backend (today's `BufWriter`/`BufReader` path).
+    /// The blocking backend (`BufWriter` writes, unbuffered reads).
     pub fn blocking() -> Self {
         Self::new(
             SpillIoMode::Blocking,
@@ -279,11 +282,10 @@ impl SpillIo for BlockingIo {
         }))
     }
 
-    fn open(&self, path: &Path, buffer_bytes: usize) -> io::Result<(Box<dyn SpillRead>, u64)> {
+    fn open(&self, path: &Path, _buffer_bytes: usize) -> io::Result<(Box<dyn SpillRead>, u64)> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        let reader = BufReader::with_capacity(buffer_bytes.max(64), file);
-        Ok((Box::new(BlockingReader { reader }), len))
+        Ok((Box::new(BlockingReader { file }), len))
     }
 
     fn mode(&self) -> SpillIoMode {
@@ -313,13 +315,15 @@ impl SpillWrite for BlockingWriter {
     }
 }
 
+/// Reads go straight into the caller's buffer: the run reader's window
+/// is the only read buffer, so it is not copied through a second one.
 struct BlockingReader {
-    reader: BufReader<File>,
+    file: File,
 }
 
 impl Read for BlockingReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.reader.read(buf)
+        self.file.read(buf)
     }
 }
 

@@ -38,10 +38,10 @@
 
 use crate::groupby::{Aggregator, GroupedStream, StreamGroupBy};
 use crate::sorter::{SortedStream, StreamSorter};
-use crate::spill::{sealed::Sealed, SpillValue};
+use crate::spill::{decode_prefixed, encode_prefixed, sealed::Sealed, SpillValue};
 use crate::spillio::SpillIoHandle;
 use dtsort::{string_key_prefix64, IntegerKey, RunReport, SortConfig, StreamConfig, StringKey};
-use std::io::{self, Read, Write};
+use std::io;
 use std::marker::PhantomData;
 
 use crate::groupby::GroupByStats;
@@ -90,10 +90,6 @@ impl<V: SpillValue> StringKeyed<V> {
     }
 }
 
-fn short_record(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::UnexpectedEof, what.to_string())
-}
-
 impl<V: SpillValue> Sealed for StringKeyed<V> {}
 
 impl<V: SpillValue> SpillValue for StringKeyed<V> {
@@ -104,44 +100,15 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
         4 + self.key.len() + self.value.spill_size()
     }
 
-    fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
-        let len = u32::try_from(self.key.len()).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "string key of {} bytes exceeds the u32 spill length prefix",
-                    self.key.len()
-                ),
-            )
-        })?;
-        w.write_all(&len.to_le_bytes())?;
-        w.write_all(&self.key)?;
-        self.value.spill_write(w)
+    fn spill_encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        encode_prefixed(&self.key, out, "string key")?;
+        self.value.spill_encode(out)
     }
 
-    fn spill_read(
-        r: &mut dyn Read,
-        scratch: &mut Vec<u8>,
-        payload_budget: u64,
-    ) -> io::Result<Self> {
-        if payload_budget < 4 {
-            return Err(short_record("spilled run ended mid-key-length"));
-        }
-        let mut len_bytes = [0u8; 4];
-        r.read_exact(&mut len_bytes)?;
-        let key_len = u64::from(u32::from_le_bytes(len_bytes));
-        if key_len > payload_budget - 4 {
-            return Err(short_record(
-                "string key length prefix exceeds the bytes remaining in the spilled run",
-            ));
-        }
-        let mut key = vec![0u8; key_len as usize];
-        r.read_exact(&mut key)?;
-        let value = V::spill_read(r, scratch, payload_budget - 4 - key_len)?;
-        Ok(Self {
-            key: key.into_boxed_slice(),
-            value,
-        })
+    fn spill_decode(src: &mut &[u8]) -> io::Result<Self> {
+        let key = decode_prefixed(src)?.into();
+        let value = V::spill_decode(src)?;
+        Ok(Self { key, value })
     }
 
     /// DovetailSort over `(prefix, index)` tags like the plain var path,

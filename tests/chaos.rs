@@ -127,6 +127,14 @@ fn faulted_sorts_are_byte_identical_or_loudly_typed() {
         },
         Distribution::Zipfian { s: 1.2 },
     ];
+    // Faults fired on each side of the spill: the sweep must reach both
+    // the run writes and the merge's reads.
+    const WRITE_SIDE: &[FaultKind] = &[
+        FaultKind::WriteEnospc,
+        FaultKind::WriteTransient,
+        FaultKind::TornWrite,
+    ];
+    let (mut read_side, mut write_side) = (0u64, 0u64);
     let mut injected_total = 0u64;
     let mut recovered = 0usize;
     let mut errored = 0usize;
@@ -172,6 +180,8 @@ fn faulted_sorts_are_byte_identical_or_loudly_typed() {
                 }
                 assert_empty_and_remove(&base, &ctx);
                 injected_total += plan.injected();
+                read_side += plan.injected_of(FaultKind::ReadTransient);
+                write_side += WRITE_SIDE.iter().map(|&k| plan.injected_of(k)).sum::<u64>();
             }
         }
     }
@@ -179,6 +189,11 @@ fn faulted_sorts_are_byte_identical_or_loudly_typed() {
         injected_total > 0,
         "the chaos sweep must actually inject faults \
          (recovered={recovered} errored={errored})"
+    );
+    assert!(
+        read_side > 0 && write_side > 0,
+        "the chaos sweep must fault both the merge's reads ({read_side}) and \
+         the run writes ({write_side}) (recovered={recovered} errored={errored})"
     );
 }
 

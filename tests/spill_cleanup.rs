@@ -207,34 +207,50 @@ fn spill_files_are_cleaned_up_after_injected_faults() {
     // engine absorbs the fault, surfaces a typed error, or panics
     // mid-drain (the documented streaming-read contract), teardown must
     // leave the base directory empty.
-    let scenarios: &[(&str, FaultKind, u64)] = &[
-        ("write-enospc", FaultKind::WriteEnospc, 2),
-        ("torn-write", FaultKind::TornWrite, 2),
-        ("fsync", FaultKind::FsyncTransient, 1),
-        ("read", FaultKind::ReadTransient, 1),
-        ("mid-merge-read", FaultKind::ReadTransient, 40),
+    //
+    // `None` aims the fault at half of the reads a clean pass of the same
+    // workload makes: each run is read a window or a block at a time, so
+    // a fixed index can outnumber the merge's reads.
+    let scenarios: &[(&str, FaultKind, Option<u64>)] = &[
+        ("write-enospc", FaultKind::WriteEnospc, Some(2)),
+        ("torn-write", FaultKind::TornWrite, Some(2)),
+        ("fsync", FaultKind::FsyncTransient, Some(1)),
+        ("read", FaultKind::ReadTransient, Some(1)),
+        ("mid-merge-read", FaultKind::ReadTransient, None),
     ];
     for (compression, io) in matrix() {
         for &(name, kind, n) in scenarios {
             let ctx = format!("fault {name} compression={compression:?} io={io:?}");
-            let base = case_dir("fault");
-            let engine_cfg = cfg(&base, compression, io);
-            let handle =
-                SpillIoHandle::from_config(&engine_cfg).with_faults(FaultPlan::nth(kind, n));
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut s: StreamSorter<u32, u32> =
-                    StreamSorter::with_config_and_io(engine_cfg, handle);
-                let batch: Vec<(u32, u32)> =
-                    (0..20_000u32).map(|i| (i.rotate_left(16), i)).collect();
-                let _ = s.push(&batch);
-                // Drain partially on success, so drop still holds open
-                // cursors; an Err from finish tears down immediately.
-                if let Ok(mut stream) = s.finish() {
-                    for _ in 0..200 {
-                        stream.next();
+            let run = |plan: &FaultPlan| {
+                let base = case_dir("fault");
+                let engine_cfg = cfg(&base, compression, io);
+                let handle = SpillIoHandle::from_config(&engine_cfg).with_faults(plan.clone());
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut s: StreamSorter<u32, u32> =
+                        StreamSorter::with_config_and_io(engine_cfg, handle);
+                    let batch: Vec<(u32, u32)> =
+                        (0..20_000u32).map(|i| (i.rotate_left(16), i)).collect();
+                    let _ = s.push(&batch);
+                    // Drain partially on success, so drop still holds open
+                    // cursors; an Err from finish tears down immediately.
+                    if let Ok(mut stream) = s.finish() {
+                        for _ in 0..200 {
+                            stream.next();
+                        }
                     }
-                }
-            }));
+                }));
+                (base, outcome)
+            };
+            let n = n.unwrap_or_else(|| {
+                let counter = FaultPlan::nth(kind, u64::MAX);
+                let (base, outcome) = run(&counter);
+                assert!(outcome.is_ok(), "clean pass [{ctx}]");
+                assert_empty_and_remove(&base, &ctx);
+                counter.operations(kind) / 2
+            });
+            let plan = FaultPlan::nth(kind, n);
+            let (base, outcome) = run(&plan);
+            assert_eq!(plan.injected(), 1, "the fault must fire [{ctx}]");
             if let Err(panic) = outcome {
                 let msg = panic
                     .downcast_ref::<&str>()
