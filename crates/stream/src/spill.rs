@@ -944,9 +944,9 @@ impl<V: SpillValue> RunDecoder<V> {
     }
 
     /// Appends records to `out` until their encoded bytes reach
-    /// `block_bytes`, `max_records` are appended or the run ends.  After
-    /// an error the decoder is dropped (the reader reopens the run), so
-    /// the error paths leave its state as they find it.
+    /// `block_bytes`, `max_records` are appended or the run ends.  An
+    /// error can leave the decode state part-way through a record: the
+    /// reader then drops this decoder and reopens the run.
     fn decode(
         &mut self,
         out: &mut Vec<(u64, V)>,

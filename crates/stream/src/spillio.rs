@@ -285,7 +285,7 @@ impl SpillIo for BlockingIo {
     fn open(&self, path: &Path, _buffer_bytes: usize) -> io::Result<(Box<dyn SpillRead>, u64)> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        Ok((Box::new(BlockingReader { file }), len))
+        Ok((Box::new(file), len))
     }
 
     fn mode(&self) -> SpillIoMode {
@@ -315,19 +315,10 @@ impl SpillWrite for BlockingWriter {
     }
 }
 
-/// Reads go straight into the caller's buffer: the run reader's window
-/// is the only read buffer, so it is not copied through a second one.
-struct BlockingReader {
-    file: File,
-}
-
-impl Read for BlockingReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.file.read(buf)
-    }
-}
-
-impl SpillRead for BlockingReader {}
+/// `Blocking` reads go straight into the caller's buffer: the run
+/// reader's window is the only read buffer, so it is not copied through a
+/// second one.
+impl SpillRead for File {}
 
 // ---------------------------------------------------------------------------
 // The job pool, and the batched backend on top of it.
