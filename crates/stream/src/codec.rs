@@ -1,20 +1,32 @@
 //! Zero-dependency codecs for the compressed spill-run format.
 //!
-//! Two primitives, both hand-rolled so the workspace stays free of
+//! Three primitives, all hand-rolled so the workspace stays free of
 //! external crates:
 //!
+//! * **CRC-32C** (Castagnoli, [`crc32c`]) — the per-block checksum.  On
+//!   x86_64 with SSE4.2 it runs the `crc32` instruction over 8-byte words
+//!   (about 5 GB/s against about 0.3 GB/s for a byte-at-a-time table);
+//!   elsewhere a slicing-by-8 table loop computes the same function.  The
+//!   CPU check is made on each call ([`std::arch::is_x86_feature_detected`]
+//!   caches it), so there is no setting.
 //! * **LEB128 varints** — the sorted `u64` keys of a run are monotone, so
 //!   each block stores the first key absolute and the rest as unsigned
 //!   deltas; small deltas encode in one byte.
-//! * **A mini-LZ77 byte compressor** (`lz_compress` / `lz_decompress`) in
-//!   the LZ4 block style: greedy hash-table matching, token bytes packing
-//!   literal/match lengths in two nibbles with 255-chained extensions,
-//!   `u16 LE` match offsets, minimum match length 4, and a literals-only
-//!   final sequence.  The decompressor is bounded by the caller's
+//! * **A mini-LZ77 byte compressor** ([`LzCompressor`] / `lz_decompress`)
+//!   in the LZ4 block style: token bytes packing literal/match lengths in
+//!   two nibbles with 255-chained extensions, `u16 LE` match offsets,
+//!   minimum match length 4, and a literals-only final sequence.  The
+//!   matcher is LZ4's accelerated one: a single-entry hash table of 4-byte
+//!   prefixes (one table per compressor, reused for every block of a run),
+//!   a step that grows by one byte every 64 misses so incompressible data
+//!   is skimmed instead of probed at every byte, and match extension 8
+//!   bytes at a time.  The decompressor is bounded by the caller's
 //!   expected output size, so corrupt input cannot over-allocate.
 //!
-//! Neither primitive knows about records or blocks; framing lives in
+//! None of the primitives knows about records or blocks; framing lives in
 //! `spill.rs`.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::io;
 
@@ -25,35 +37,101 @@ const MIN_MATCH: usize = 4;
 const HASH_BITS: u32 = 13;
 /// Largest back-reference distance an offset can express.
 const MAX_OFFSET: usize = u16::MAX as usize;
+/// Misses between two increments of the compressor's search step: the
+/// step is `1 + misses / 2^SKIP_TRIGGER` (LZ4's `LZ4_skipTrigger`).
+const SKIP_TRIGGER: u32 = 6;
+/// The reflected CRC-32C (Castagnoli) polynomial.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
 
 fn corrupt(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("corrupt block: {what}"))
 }
 
-/// CRC-32 (IEEE 802.3, reflected, poly `0xEDB88320`) over `data`,
+/// CRC-32C (Castagnoli, reflected, poly `0x82F63B78`) over `data`,
 /// continuing from `state` (pass 0 to start; chain calls to checksum a
-/// logical concatenation).  Table-driven and dependency-free, used for
-/// the per-block checksums of the compressed spill format.
-pub(crate) fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
+/// logical concatenation).  The per-block checksum of the compressed
+/// spill format, on both the write and the read side.
+pub(crate) fn crc32c(state: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `crc32c_sse42` only needs SSE4.2, which the CPU was
+        // just checked to support.
+        return unsafe { crc32c_sse42(state, data) };
+    }
+    crc32c_sw(state, data)
+}
+
+/// [`crc32c`] on the SSE4.2 `crc32` instruction, 8 bytes per step.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32c_sse42(state: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = data.chunks_exact(8);
+    let mut crc = u64::from(!state);
+    for word in &mut words {
+        crc = _mm_crc32_u64(crc, u64::from_le_bytes(word.try_into().unwrap()));
+    }
+    let mut crc = crc as u32;
+    for &byte in words.remainder() {
+        crc = _mm_crc32_u8(crc, byte);
+    }
+    !crc
+}
+
+/// Slicing-by-8 tables: `T[0]` is the bytewise table, and `T[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes.
+static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
+
+const fn crc32c_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC32C_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    });
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// [`crc32c`] in portable code: slicing-by-8 over 8-byte words, then a
+/// byte at a time.
+fn crc32c_sw(state: u32, data: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    let mut words = data.chunks_exact(8);
     let mut crc = !state;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    for word in &mut words {
+        let lo = u32::from_le_bytes(word[..4].try_into().unwrap()) ^ crc;
+        let hi = u32::from_le_bytes(word[4..].try_into().unwrap());
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -98,6 +176,30 @@ fn load4(src: &[u8], i: usize) -> u32 {
     u32::from_le_bytes(src[i..i + 4].try_into().unwrap())
 }
 
+#[inline]
+fn load8(src: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(src[i..i + 8].try_into().unwrap())
+}
+
+/// Length of the common prefix of `src[earlier..]` and `src[later..]`
+/// (`earlier < later`), stopping at the end of `src`: 8 bytes per step,
+/// the first differing byte found by the lowest set bit of the XOR.
+#[inline]
+fn match_len(src: &[u8], earlier: usize, later: usize) -> usize {
+    let mut n = 0;
+    while later + n + 8 <= src.len() {
+        let diff = load8(src, earlier + n) ^ load8(src, later + n);
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    while later + n < src.len() && src[earlier + n] == src[later + n] {
+        n += 1;
+    }
+    n
+}
+
 /// Emit one LZ sequence: `lit` literals followed by a match of `len`
 /// bytes at back-distance `offset` (`offset == 0` means final
 /// literals-only sequence, no match part).
@@ -128,33 +230,52 @@ fn emit_sequence(out: &mut Vec<u8>, lit: &[u8], offset: usize, len: usize) {
     }
 }
 
-/// Compress `src` into `out` (appending).  Always succeeds; worst case
-/// the output is slightly larger than the input (the caller falls back
-/// to storing raw when that happens).
-pub(crate) fn lz_compress(src: &[u8], out: &mut Vec<u8>) {
-    let mut table = vec![0u32; 1 << HASH_BITS]; // position + 1; 0 = empty
-    let mut i = 0usize;
-    let mut anchor = 0usize;
-    while i + MIN_MATCH <= src.len() {
-        let h = hash4(load4(src, i));
-        let cand = table[h] as usize;
-        table[h] = (i + 1) as u32;
-        if cand > 0 {
-            let c = cand - 1;
-            if i - c <= MAX_OFFSET && src[c..c + MIN_MATCH] == src[i..i + MIN_MATCH] {
-                let mut len = MIN_MATCH;
-                while i + len < src.len() && src[c + len] == src[i + len] {
-                    len += 1;
-                }
-                emit_sequence(out, &src[anchor..i], i - c, len);
-                i += len;
-                anchor = i;
-                continue;
-            }
+/// The LZ compressor of one spilled run: owns the match-candidate hash
+/// table, so a run's blocks share one allocation.
+pub(crate) struct LzCompressor {
+    /// Position + 1 of the last 4-byte prefix seen per hash; 0 = empty.
+    table: Box<[u32; 1 << HASH_BITS]>,
+}
+
+impl LzCompressor {
+    pub(crate) fn new() -> Self {
+        Self {
+            table: Box::new([0; 1 << HASH_BITS]),
         }
-        i += 1;
     }
-    emit_sequence(out, &src[anchor..], 0, 0);
+
+    /// Compress `src` into `out` (appending).  Always succeeds; worst case
+    /// the output is slightly larger than the input (the caller falls back
+    /// to storing raw when that happens).  Each call is independent of
+    /// the ones before it: the table is cleared first, so a match never
+    /// reaches into an earlier block.
+    pub(crate) fn compress(&mut self, src: &[u8], out: &mut Vec<u8>) {
+        let table = &mut self.table;
+        table.fill(0);
+        let mut i = 0usize;
+        let mut anchor = 0usize;
+        let mut misses = 0usize;
+        while i + MIN_MATCH <= src.len() {
+            let prefix = load4(src, i);
+            let h = hash4(prefix);
+            let cand = table[h] as usize;
+            table[h] = (i + 1) as u32;
+            if cand > 0 {
+                let c = cand - 1;
+                if i - c <= MAX_OFFSET && load4(src, c) == prefix {
+                    let len = MIN_MATCH + match_len(src, c + MIN_MATCH, i + MIN_MATCH);
+                    emit_sequence(out, &src[anchor..i], i - c, len);
+                    i += len;
+                    anchor = i;
+                    misses = 0;
+                    continue;
+                }
+            }
+            i += 1 + (misses >> SKIP_TRIGGER);
+            misses += 1;
+        }
+        emit_sequence(out, &src[anchor..], 0, 0);
+    }
 }
 
 /// Decompress `src` into `out` (appending), producing exactly
@@ -215,12 +336,16 @@ pub(crate) fn lz_decompress(
         if out.len() + mlen > limit {
             return Err(corrupt("match run past expected output size"));
         }
-        // Overlapping copies (offset < mlen) are how the format expresses
-        // runs, so copy byte-wise from the already-written output.
+        // A match copies from `offset` bytes back.  Overlapping copies
+        // (offset < mlen) are how the format expresses runs: the bytes
+        // from `start` repeat with period `offset`, so copy whole periods,
+        // doubling each pass.  A non-overlapping match is a single pass.
         let start = out.len() - offset;
-        for j in 0..mlen {
-            let b = out[start + j];
-            out.push(b);
+        let mut left = mlen;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
     if out.len() != limit {
@@ -235,7 +360,7 @@ mod tests {
 
     fn roundtrip(data: &[u8]) -> (usize, Vec<u8>) {
         let mut enc = Vec::new();
-        lz_compress(data, &mut enc);
+        LzCompressor::new().compress(data, &mut enc);
         let mut dec = Vec::new();
         lz_decompress(&enc, &mut dec, data.len()).expect("decompress");
         assert_eq!(dec, data);
@@ -243,20 +368,53 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors_and_chains() {
-        // The classic IEEE CRC-32 check values.
-        assert_eq!(crc32_update(0, b""), 0);
-        assert_eq!(crc32_update(0, b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32_update(0, b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-        // Chaining equals checksumming the concatenation.
-        let whole = crc32_update(0, b"123456789");
-        let chained = crc32_update(crc32_update(0, b"1234"), b"56789");
-        assert_eq!(whole, chained);
+    fn crc32c_matches_known_vectors_and_chains() {
+        // RFC 3720 appendix B.4 and the standard CRC-32C check value, on
+        // the entry point and on the portable fallback.
+        let zeros = [0u8; 32];
+        let ones = [0xFFu8; 32];
+        for crc in [crc32c, crc32c_sw] {
+            assert_eq!(crc(0, b""), 0);
+            assert_eq!(crc(0, &zeros), 0x8A91_36AA);
+            assert_eq!(crc(0, &ones), 0x62A8_AB43);
+            assert_eq!(crc(0, b"123456789"), 0xE306_9283);
+        }
+        // Chaining in pieces equals checksumming the whole, whatever the
+        // cut (inside or across 8-byte words).
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 31 + 7) as u8).collect();
+        let whole = crc32c(0, &data);
+        for cut in [0, 1, 7, 8, 9, 63, 100, 199, 200] {
+            assert_eq!(
+                crc32c(crc32c(0, &data[..cut]), &data[cut..]),
+                whole,
+                "cut {cut}"
+            );
+        }
+        let three = crc32c(crc32c(crc32c(0, &data[..5]), &data[5..77]), &data[77..]);
+        assert_eq!(three, whole);
         // A single flipped bit changes the checksum.
-        assert_ne!(crc32_update(0, b"123456789"), crc32_update(0, b"123456788"));
+        assert_ne!(crc32c(0, b"123456789"), crc32c(0, b"123456788"));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn hardware_crc32c_equals_the_slicing_by_8_fallback() {
+        if !std::arch::is_x86_feature_detected!("sse4.2") {
+            return;
+        }
+        let data: Vec<u8> = (0..265u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=257 {
+                let bytes = &data[start..start + len];
+                for state in [0, 0xDEAD_BEEF] {
+                    // SAFETY: the CPU supports SSE4.2, checked above.
+                    let hw = unsafe { crc32c_sse42(state, bytes) };
+                    assert_eq!(hw, crc32c_sw(state, bytes), "start {start} len {len}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -340,9 +498,94 @@ mod tests {
     }
 
     #[test]
+    fn accelerated_compressor_roundtrips_edge_shapes() {
+        // Every short length, including those below one 4-byte prefix and
+        // around one 8-byte extension step.
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i % 5) as u8).collect();
+        for len in 0..=64 {
+            roundtrip(&bytes[..len]);
+        }
+        // A match that runs to the last byte, reached both by the 8-byte
+        // extension and by the byte-wise tail.
+        for tail in 0..9 {
+            let mut data = b"0123456789abcdef".to_vec();
+            data.extend_from_slice(b"0123456789abcdef");
+            data.extend_from_slice(&b"0123456789abcdef"[..tail]);
+            let (enc_len, _) = roundtrip(&data);
+            assert!(
+                enc_len < data.len(),
+                "the repeat must be matched (tail {tail})"
+            );
+        }
+        // Period-1 and period-3 runs of every length up to a few extension
+        // steps, so matches overlap their own source.
+        for len in 0..40 {
+            roundtrip(&b"a".repeat(len));
+            roundtrip(&b"xyz".repeat(len));
+        }
+        // One compressor reused across blocks: an earlier block's table
+        // entries never become matches in a later one.
+        let mut lz = LzCompressor::new();
+        for data in [
+            b"abcdabcdabcdabcd".repeat(9),
+            b"abcdefgh".repeat(3),
+            b"zzzz".to_vec(),
+        ] {
+            let mut enc = Vec::new();
+            lz.compress(&data, &mut enc);
+            let mut dec = Vec::new();
+            lz_decompress(&enc, &mut dec, data.len()).expect("decompress");
+            assert_eq!(dec, data);
+        }
+    }
+
+    /// Encoded bytes of [`sorted_zipf_index_blocks`] under the greedy
+    /// compressor this matcher replaced, which tried a match at every
+    /// byte and extended it a byte at a time.
+    const GREEDY_ENCODED_LEN_U32: usize = 131_186;
+    const GREEDY_ENCODED_LEN_U64: usize = 131_871;
+
+    /// The payload of a sorted `(Zipf-1.2 key, input index)` run, in
+    /// 8192-record blocks as `spill.rs` writes them: `u32` or `u64`
+    /// indices, ascending under each duplicate key.
+    fn sorted_zipf_index_blocks(index_bytes: usize) -> Vec<Vec<u8>> {
+        use workloads::dist::{generate_pairs_u32, Distribution};
+        let mut recs = generate_pairs_u32(&Distribution::Zipfian { s: 1.2 }, 32_768, 0x5EED_0001);
+        recs.sort_by_key(|r| r.0);
+        recs.chunks(8192)
+            .map(|block| {
+                block
+                    .iter()
+                    .flat_map(|r| u64::from(r.1).to_le_bytes()[..index_bytes].to_vec())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn accelerated_compressor_stays_within_one_percent_of_greedy() {
+        let mut lz = LzCompressor::new();
+        for (index_bytes, greedy) in [(4, GREEDY_ENCODED_LEN_U32), (8, GREEDY_ENCODED_LEN_U64)] {
+            let mut total = 0;
+            for block in sorted_zipf_index_blocks(index_bytes) {
+                let mut enc = Vec::new();
+                lz.compress(&block, &mut enc);
+                let mut dec = Vec::new();
+                lz_decompress(&enc, &mut dec, block.len()).expect("decompress");
+                assert_eq!(dec, block);
+                total += enc.len();
+            }
+            assert!(
+                total * 100 <= greedy * 101,
+                "{index_bytes}-byte indices: {total} encoded bytes vs {greedy} greedy"
+            );
+        }
+    }
+
+    #[test]
     fn lz_decompress_rejects_corruption() {
         let mut enc = Vec::new();
-        lz_compress(&b"hello world hello world hello world".repeat(4), &mut enc);
+        LzCompressor::new().compress(&b"hello world hello world hello world".repeat(4), &mut enc);
         let good_len = 35 * 4;
         // Wrong expected length: both directions must fail, not panic.
         let mut out = Vec::new();

@@ -55,10 +55,13 @@
 //! └──────────────────────────────────────────────────────────────────────┘  × blocks
 //! ```
 //!
-//! `crc32` is the IEEE CRC-32 of the key stream followed by the encoded
-//! payload, verified on decode **before** either section is interpreted —
-//! silent bit rot in a spill file surfaces as
-//! [`io::ErrorKind::InvalidData`] instead of wrong records.
+//! `crc32` is the CRC-32C (Castagnoli) of the key stream followed by the
+//! encoded payload (`codec::crc32c`: the SSE4.2 instruction where the CPU
+//! has it, a slicing-by-8 table otherwise), verified on decode **before**
+//! any record of the block is served — silent bit rot in a spill file
+//! surfaces as [`io::ErrorKind::InvalidData`] instead of wrong records.
+//! Runs never outlive the process that wrote them, so the polynomial is
+//! not a compatibility concern.
 //!
 //! Keys within a run are sorted, so the deltas are non-negative and
 //! small — most encode in one byte.  The payload bytes are exactly what
@@ -594,6 +597,7 @@ fn write_run_blocks<K: IntegerKey, V: SpillValue>(
     let mut key_stream = Vec::new();
     let mut payload = Vec::new();
     let mut enc = Vec::new();
+    let mut lz = codec::LzCompressor::new();
     let mut i = 0usize;
     while i < records.len() {
         key_stream.clear();
@@ -624,7 +628,7 @@ fn write_run_blocks<K: IntegerKey, V: SpillValue>(
         }
         raw_bytes += (8 * count + payload.len()) as u64;
         enc.clear();
-        codec::lz_compress(&payload, &mut enc);
+        lz.compress(&payload, &mut enc);
         // Store-raw fallback: incompressible blocks cost 21 header bytes,
         // never an inflated payload.
         let (flag, body): (u8, &[u8]) = if enc.len() < payload.len() {
@@ -632,7 +636,7 @@ fn write_run_blocks<K: IntegerKey, V: SpillValue>(
         } else {
             (0, &payload)
         };
-        let crc = codec::crc32_update(codec::crc32_update(0, &key_stream), body);
+        let crc = codec::crc32c(codec::crc32c(0, &key_stream), body);
         let field = |len: usize| {
             u32::try_from(len).map(u32::to_le_bytes).map_err(|_| {
                 io::Error::new(
@@ -1128,7 +1132,7 @@ impl<V: SpillValue> RunDecoder<V> {
         self.scratch.resize(key_stream_len as usize, 0);
         self.reader.read_exact(&mut self.scratch)?;
         self.unread -= key_stream_len;
-        let key_crc = codec::crc32_update(0, &self.scratch);
+        let key_crc = codec::crc32c(0, &self.scratch);
         // Key stream: absolute first key, then non-negative deltas.  The
         // decode is bounded by the validated `count` either way, so
         // running it ahead of the checksum cannot balloon memory.
@@ -1137,7 +1141,14 @@ impl<V: SpillValue> RunDecoder<V> {
         let mut cursor: &[u8] = &self.scratch;
         let mut prev = 0u64;
         for i in 0..count {
-            let delta = codec::read_varint(&mut cursor)?;
+            // Most deltas of a sorted run fit in one byte.
+            let delta = match cursor {
+                [byte, rest @ ..] if *byte < 0x80 => {
+                    cursor = rest;
+                    u64::from(*byte)
+                }
+                _ => codec::read_varint(&mut cursor)?,
+            };
             let key = if i == 0 {
                 delta
             } else {
@@ -1155,7 +1166,7 @@ impl<V: SpillValue> RunDecoder<V> {
         self.scratch.resize(payload_enc_len as usize, 0);
         self.reader.read_exact(&mut self.scratch)?;
         self.unread -= payload_enc_len;
-        if codec::crc32_update(key_crc, &self.scratch) != crc {
+        if codec::crc32c(key_crc, &self.scratch) != crc {
             self.block_keys.clear();
             return Err(bad_run_data("block checksum mismatch"));
         }
@@ -1743,6 +1754,51 @@ mod tests {
             .expect_err("bit rot must fail the block checksum");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "got: {err}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_multi_block_run_is_invalid_data() {
+        // Mostly-zero values compress, so each block's raw payload
+        // reaches `BLOCK_RAW_TARGET` in a few dozen records while its
+        // sections stay small enough to flip every byte.  Keys step by
+        // varied amounts, so the key streams hold multi-byte varints.
+        let records: Vec<(u64, Vec<u8>)> = (0..200u64)
+            .map(|i| {
+                let mut v = vec![0u8; 3000 + (i as usize % 7) * 100];
+                v[0] = i as u8;
+                (i * i * 37, v)
+            })
+            .collect();
+        let path = tmp_path("lz-bitflip-sweep.bin");
+        let run = spill_lz(&path, &records);
+        let clean = std::fs::read(&path).unwrap();
+        // Byte ranges of every block's key stream and payload.
+        let mut sections = Vec::new();
+        let mut at = 0usize;
+        while at < clean.len() {
+            let field = |o: usize| {
+                u32::from_le_bytes(clean[at + o..at + o + 4].try_into().unwrap()) as usize
+            };
+            let body = at + BLOCK_HEADER_BYTES;
+            let end = body + field(4) + field(12);
+            assert_eq!(clean[at + 20], 1, "every block must be LZ-compressed");
+            sections.push(body..end);
+            at = end;
+        }
+        assert!(sections.len() >= 3, "{} blocks", sections.len());
+        for offset in sections.into_iter().flatten() {
+            let mut bytes = clean.clone();
+            bytes[offset] ^= 1 << (offset % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            let got = RunReader::<Vec<u8>>::open(&bio(), &run, 0, 4096)
+                .unwrap()
+                .read_all::<u64>();
+            match got {
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "offset {offset}: {e}"),
+                Ok(_) => panic!("a bit flip at offset {offset} read back as Ok"),
+            }
+        }
         std::fs::remove_file(path).ok();
     }
 

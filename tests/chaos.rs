@@ -358,32 +358,92 @@ fn torn_write_degrades_recovers_and_reports_probation() {
     }
 }
 
+/// Records of the drain-aimed mid-merge case, and its budget: about six
+/// runs of 160k `(u32, u32)` records, 20 compressed blocks each.  The
+/// merge's feeds decode at most about half of its 8 MiB read buffer ahead
+/// of the loser tree, so most of the 16 MB of decoded records is read
+/// after `finish()` returns.
+const DRAIN_N: usize = 1_000_000;
+const DRAIN_BUDGET: usize = 4 << 20;
+
 /// Mid-merge read faults on the *streaming* iterator keep the documented
 /// contract: loud (an error from `finish`, or a panic naming the
 /// injection mid-drain) — never silent truncation — and the spill
-/// directory is empty after unwinding.
+/// directory is empty after unwinding.  The small cases fault reads while
+/// `finish()` primes the cursors; one case per backend aims at a read of
+/// the streaming drain itself.
 #[test]
 fn mid_merge_read_faults_are_loud_and_clean_up() {
-    let input = generate_pairs_u32(&Distribution::Zipfian { s: 1.2 }, N, 0xC4A0_9000);
-    let mut want = input.clone();
-    want.sort_by_key(|r| r.0);
-    for backend in ["blocking", "batched"] {
-        for n in [0u64, 7, 31, 200] {
-            let ctx = format!("mid-merge-read backend={backend} nth={n}");
-            let base = case_dir("midread");
-            let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
+    let small = generate_pairs_u32(&Distribution::Zipfian { s: 1.2 }, N, 0xC4A0_9000);
+    let large = generate_pairs_u32(&Distribution::Zipfian { s: 1.2 }, DRAIN_N, 0xC4A0_9001);
+    // Runs a sort of `input` under `budget` with `plan` on `backend`;
+    // returns the drain's outcome and the read operations the plan had
+    // decided on when `finish()` returned.
+    let run =
+        |backend: &str, input: &[(u32, u32)], budget: usize, plan: &FaultPlan, base: &Path| {
             let io = make_io(backend).with_faults(plan.clone());
-            let mut sorter: StreamSorter<u32, u32> =
-                StreamSorter::with_config_and_io(cfg(&base, SpillCompression::DeltaLz), io);
+            let cfg = dtsort::StreamConfig {
+                memory_budget_bytes: budget,
+                ..cfg(base, SpillCompression::DeltaLz)
+            };
+            let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config_and_io(cfg, io);
             for chunk in input.chunks(CHUNK) {
                 sorter.push(chunk).unwrap();
             }
-            let outcome = catch_unwind(AssertUnwindSafe(move || -> io::Result<Vec<(u32, u32)>> {
-                Ok(sorter.finish()?.collect())
+            let primed = std::cell::Cell::new(None);
+            let outcome = catch_unwind(AssertUnwindSafe(|| -> io::Result<Vec<(u32, u32)>> {
+                let stream = sorter.finish()?;
+                primed.set(Some(plan.operations(FaultKind::ReadTransient)));
+                Ok(stream.collect())
             }));
+            (outcome, primed.get())
+        };
+    for backend in ["blocking", "batched"] {
+        // `None` is the drain-aimed case: its index is counted on a clean
+        // pass, halfway between the reads made by the time `finish()`
+        // returns and the reads of the whole merge.
+        for n in [Some(0u64), Some(7), Some(31), None] {
+            let (input, budget) = match n {
+                Some(_) => (&small, 16 << 10),
+                None => (&large, DRAIN_BUDGET),
+            };
+            let mut want = input.clone();
+            want.sort_by_key(|r| r.0);
+            let n = n.unwrap_or_else(|| {
+                let ctx = format!("mid-merge-read clean pass backend={backend}");
+                let base = case_dir("midread");
+                let counter = FaultPlan::nth(FaultKind::ReadTransient, u64::MAX);
+                let (outcome, primed) = run(backend, input, budget, &counter, &base);
+                let got = outcome.expect("clean pass").expect("clean pass");
+                assert_eq!(got, want, "clean pass [{ctx}]");
+                assert_empty_and_remove(&base, &ctx);
+                let primed = primed.expect("finish returned");
+                let total = counter.operations(FaultKind::ReadTransient);
+                assert!(
+                    total > 2 * primed,
+                    "most reads must come after finish() [{ctx}]: {primed} of {total}"
+                );
+                primed + (total - primed) / 2
+            });
+            let ctx = format!("mid-merge-read backend={backend} nth={n}");
+            let base = case_dir("midread");
+            let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
+            let (outcome, primed) = run(backend, input, budget, &plan, &base);
+            if input.len() == DRAIN_N {
+                assert_eq!(
+                    plan.injected_of(FaultKind::ReadTransient),
+                    1,
+                    "the drain read fault must fire [{ctx}]"
+                );
+                assert!(
+                    primed.is_some_and(|p| p <= n),
+                    "the fault fired before the drain [{ctx}]"
+                );
+            }
             match outcome {
-                // The fault landed on a retried path (cursor open) or
-                // never fired: the drain must then be exact.
+                // The fault landed on a retried path (cursor open, or a
+                // mid-run reopen) or never fired: the drain must then be
+                // exact.
                 Ok(Ok(got)) => assert_eq!(got, want, "absorbed read fault changed bytes [{ctx}]"),
                 Ok(Err(e)) => assert_attributable(&e, &ctx),
                 Err(panic) => {
