@@ -5,10 +5,11 @@
 //!
 //! * **CRC-32C** (Castagnoli, [`crc32c`]) — the per-block checksum.  On
 //!   x86_64 with SSE4.2 it runs the `crc32` instruction over 8-byte words
-//!   (about 5 GB/s against about 0.3 GB/s for a byte-at-a-time table);
-//!   elsewhere a slicing-by-8 table loop computes the same function.  The
-//!   CPU check is made on each call ([`std::arch::is_x86_feature_detected`]
-//!   caches it), so there is no setting.
+//!   (about 7 GB/s on a 2-CPU Xeon, against 0.35 GB/s for a byte-at-a-time
+//!   table); elsewhere a slicing-by-8 table loop computes the same
+//!   function.  The CPU check is made on each call
+//!   ([`std::arch::is_x86_feature_detected`] caches it), so there is no
+//!   setting.
 //! * **LEB128 varints** — the sorted `u64` keys of a run are monotone, so
 //!   each block stores the first key absolute and the rest as unsigned
 //!   deltas; small deltas encode in one byte.
@@ -492,9 +493,12 @@ mod tests {
 
     #[test]
     fn lz_handles_overlapping_matches() {
-        // Period-1 and period-3 repetitions force offset < match length.
-        roundtrip(&b"a".repeat(300));
-        roundtrip(&b"xyz".repeat(300));
+        // Period-1 and period-3 repetitions force offset < match length,
+        // at every length up to a few 8-byte extension steps and long.
+        for reps in (0..40).chain([300]) {
+            roundtrip(&b"a".repeat(reps));
+            roundtrip(&b"xyz".repeat(reps));
+        }
     }
 
     #[test]
@@ -516,12 +520,6 @@ mod tests {
                 enc_len < data.len(),
                 "the repeat must be matched (tail {tail})"
             );
-        }
-        // Period-1 and period-3 runs of every length up to a few extension
-        // steps, so matches overlap their own source.
-        for len in 0..40 {
-            roundtrip(&b"a".repeat(len));
-            roundtrip(&b"xyz".repeat(len));
         }
         // One compressor reused across blocks: an earlier block's table
         // entries never become matches in a later one.

@@ -403,9 +403,11 @@ fn mid_merge_read_faults_are_loud_and_clean_up() {
         // pass, halfway between the reads made by the time `finish()`
         // returns and the reads of the whole merge.
         for n in [Some(0u64), Some(7), Some(31), None] {
-            let (input, budget) = match n {
-                Some(_) => (&small, 16 << 10),
-                None => (&large, DRAIN_BUDGET),
+            let drain_case = n.is_none();
+            let (input, budget) = if drain_case {
+                (&large, DRAIN_BUDGET)
+            } else {
+                (&small, 16 << 10)
             };
             let mut want = input.clone();
             want.sort_by_key(|r| r.0);
@@ -429,7 +431,7 @@ fn mid_merge_read_faults_are_loud_and_clean_up() {
             let base = case_dir("midread");
             let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
             let (outcome, primed) = run(backend, input, budget, &plan, &base);
-            if input.len() == DRAIN_N {
+            if drain_case {
                 assert_eq!(
                     plan.injected_of(FaultKind::ReadTransient),
                     1,
