@@ -147,7 +147,15 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, mut x: u64) {
 }
 
 /// Read an unsigned LEB128 varint from the front of `src`, advancing it.
+#[inline]
 pub(crate) fn read_varint(src: &mut &[u8]) -> io::Result<u64> {
+    // Most key deltas of a sorted run fit in one byte.
+    if let [byte, rest @ ..] = *src {
+        if *byte < 0x80 {
+            *src = rest;
+            return Ok(u64::from(*byte));
+        }
+    }
     let mut x = 0u64;
     let mut shift = 0u32;
     loop {

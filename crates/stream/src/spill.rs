@@ -1141,14 +1141,7 @@ impl<V: SpillValue> RunDecoder<V> {
         let mut cursor: &[u8] = &self.scratch;
         let mut prev = 0u64;
         for i in 0..count {
-            // Most deltas of a sorted run fit in one byte.
-            let delta = match cursor {
-                [byte, rest @ ..] if *byte < 0x80 => {
-                    cursor = rest;
-                    u64::from(*byte)
-                }
-                _ => codec::read_varint(&mut cursor)?,
-            };
+            let delta = codec::read_varint(&mut cursor)?;
             let key = if i == 0 {
                 delta
             } else {
