@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dtsort::config::SortConfig;
-use parlay::kway::{ByKey, LoserTree, SliceSource};
+use parlay::kway::{ByKey, ByKey32, LoserTree, SliceSource};
 use parlay::random::Rng;
 use std::time::Duration;
 use workloads::dist::{generate_keys, Distribution};
@@ -224,14 +224,28 @@ fn bench_kway_merge(c: &mut Criterion) {
     // One output buffer for every sample, so page faults on a fresh
     // 64 MB buffer stay out of the merge's time.
     let mut out: Vec<(u64, u32)> = Vec::with_capacity(total);
+    let sources = || -> Vec<_> {
+        runs.iter()
+            .map(|r| SliceSource::new(r.as_slice()))
+            .collect()
+    };
+    // The same merge over 64-bit keys (`u128` head words) and over the
+    // keys as `u32` (narrow `u64` head words, as a `u32`-keyed engine
+    // merges them).
     group.bench_function(format!("stream_spill_{}_runs", runs.len()), |b| {
         b.iter(|| {
             out.clear();
-            let sources: Vec<_> = runs
-                .iter()
-                .map(|r| SliceSource::new(r.as_slice()))
-                .collect();
-            out.extend(LoserTree::new(sources, ByKey(|r: &(u64, u32)| r.0)));
+            out.extend(LoserTree::new(sources(), ByKey(|r: &(u64, u32)| r.0)));
+            out.len()
+        })
+    });
+    group.bench_function(format!("stream_spill_{}_runs_u32_keys", runs.len()), |b| {
+        b.iter(|| {
+            out.clear();
+            out.extend(LoserTree::new(
+                sources(),
+                ByKey32(|r: &(u64, u32)| r.0 as u32),
+            ));
             out.len()
         })
     });

@@ -482,7 +482,6 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
             merge,
             agg: builder.agg,
             pending: None,
-            _key: PhantomData,
         })
     }
 
@@ -501,11 +500,10 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
 /// Streaming output of a [`StreamGroupBy`]: `(key, aggregate)` pairs in
 /// increasing key order.  Holds the spill directory alive until dropped.
 pub struct GroupedStream<K: IntegerKey, G: Aggregator> {
-    merge: RunMerge<G::Acc>,
+    merge: RunMerge<K, G::Acc>,
     agg: G,
     /// The first partial of the *next* key, already popped from the tree.
     pending: Option<(u64, G::Acc)>,
-    _key: PhantomData<K>,
 }
 
 impl<K: IntegerKey, G: Aggregator> GroupedStream<K, G> {

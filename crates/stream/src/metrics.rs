@@ -39,6 +39,8 @@
 //! | `spillio.complete_ns` | histogram | per-job service time on the spill I/O pool workers |
 //! | `spill.retries` | counter | transient spill-I/O failures retried (writes and merge-side reads) |
 //! | `spill.degraded_syncs` | counter | synchronous spills performed while pipelining was on probation after a failure |
+//! | `merge.records` | counter | records popped from final merges, added once per merge when it drops |
+//! | `merge.replays` | counter | of those pops, the ones that replayed the loser tree's leaf-to-root path (the rest repeated the popped record's key in its run); added with `merge.records` |
 //! | `fault.injected` | counter | faults injected by an active [`crate::FaultPlan`] (zero outside chaos runs) |
 
 use std::sync::OnceLock;
@@ -68,6 +70,9 @@ pub(crate) struct StreamMetrics {
     pub blocks_prefetched: obs::Counter,
     pub blocks_consumed: obs::Counter,
     pub prefetch_disabled_merges: obs::Counter,
+
+    pub merge_records: obs::Counter,
+    pub merge_replays: obs::Counter,
 
     pub spillio_jobs: obs::Counter,
     pub spillio_queue_depth: obs::Gauge,
@@ -107,6 +112,8 @@ pub(crate) fn m() -> &'static StreamMetrics {
             blocks_prefetched: reg.counter("prefetch.blocks_prefetched"),
             blocks_consumed: reg.counter("prefetch.blocks_consumed"),
             prefetch_disabled_merges: reg.counter("prefetch.disabled_merges"),
+            merge_records: reg.counter("merge.records"),
+            merge_replays: reg.counter("merge.replays"),
             spillio_jobs: reg.counter("spillio.jobs"),
             spillio_queue_depth: reg.gauge("spillio.queue_depth"),
             spillio_inline_jobs: reg.counter("spillio.inline_jobs"),

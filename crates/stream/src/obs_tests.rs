@@ -384,3 +384,62 @@ fn blocking_read_ahead_decodes_on_the_pool_workers() {
         threads.len()
     );
 }
+
+/// Sorts `keys` through a spilling `StreamSorter<K, u32>` and drains the
+/// merge.  Returns the merge's own `(records, replays)`, the runs it
+/// merged (spilled or in memory), and the `(merge.records,
+/// merge.replays)` registry deltas its drop published.
+fn merge_counts<K: IntegerKey>(keys: impl Iterator<Item = K>) -> ((u64, u64), u64, (u64, u64)) {
+    let cfg = StreamConfig {
+        memory_budget_bytes: 32 << 10,
+        ..StreamConfig::default()
+    };
+    let before = obs::global().snapshot();
+    let mut sorter: StreamSorter<K, u32> = StreamSorter::with_config(cfg);
+    for (i, key) in keys.enumerate() {
+        sorter.push_record(key, i as u32).unwrap();
+    }
+    // Runs are the pushes cut every `run_capacity` records: the spilled
+    // ones and the in-memory tail.
+    let runs = sorter.len().div_ceil(sorter.core.run_capacity) as u64;
+    let mut stream = sorter.finish().unwrap();
+    let mut last = None;
+    while let Some((key, i)) = stream.try_next().unwrap() {
+        assert!(last <= Some((key, i)), "merge out of stable order");
+        last = Some((key, i));
+    }
+    let counts = stream.merge.counts();
+    drop(stream);
+    let after = obs::global().snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    (
+        counts,
+        runs,
+        (delta("merge.records"), delta("merge.replays")),
+    )
+}
+
+#[test]
+fn merge_replays_once_per_key_streak_and_publishes_on_drop() {
+    let _guard = obs_lock().lock().unwrap();
+    obs::enable();
+    let n = 20_000u32;
+    // All keys equal: each run is one streak, so the merge replays once
+    // per run (the pop that ends it), on narrow and on wide head words.
+    let equal_u32 = merge_counts(std::iter::repeat_n(7u32, n as usize));
+    let equal_u64 = merge_counts(std::iter::repeat_n(u64::MAX, n as usize));
+    // Distinct keys: no streaks, so every pop replays.
+    let distinct = merge_counts((0..n).map(|i| i.rotate_left(16)));
+    for ((records, replays), runs, _) in [equal_u32, equal_u64] {
+        assert!(runs > 1, "workload must spill several runs, got {runs}");
+        assert_eq!((records, replays), (u64::from(n), runs));
+    }
+    assert_eq!(distinct.0, (u64::from(n), u64::from(n)));
+    // Other tests in this binary may merge concurrently while tracing is
+    // on, so the published deltas are at least this merge's counts (the
+    // exact registry accounting is checked in the serialized integration
+    // tests).
+    for (counts, _, published) in [equal_u32, equal_u64, distinct] {
+        assert!(published.0 >= counts.0 && published.1 >= counts.1);
+    }
+}

@@ -304,11 +304,7 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     pub fn finish(self) -> io::Result<SortedStream<K, V>> {
         let remaining = self.len();
         let (merge, _) = self.core.into_merge(MERGE_READ_BUFFER_BYTES)?;
-        Ok(SortedStream {
-            merge,
-            remaining,
-            _key: PhantomData,
-        })
+        Ok(SortedStream { merge, remaining })
     }
 
     /// Finishes the sort into a vector: [`StreamSorter::finish`]'s merge,
@@ -371,9 +367,8 @@ pub(crate) fn var_sort_run<K: IntegerKey, V: VarValue>(
 /// prefix of the sorted output (the spill files live in a directory this
 /// process just wrote).
 pub struct SortedStream<K: IntegerKey, V: SpillValue> {
-    merge: RunMerge<V>,
+    pub(crate) merge: RunMerge<K, V>,
     remaining: usize,
-    _key: PhantomData<K>,
 }
 
 impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
@@ -990,11 +985,7 @@ mod tests {
     ) -> io::Result<Vec<(u32, V)>> {
         let remaining = sorter.len();
         let (merge, _) = sorter.core.into_merge(read_bytes)?;
-        let stream = SortedStream {
-            merge,
-            remaining,
-            _key: PhantomData,
-        };
+        let stream = SortedStream { merge, remaining };
         Ok(stream.collect())
     }
 

@@ -32,6 +32,7 @@ use dtsort::{IntegerKey, SpillCompression, StreamConfig};
 use parlay::kway::{LoserTree, MergeOrder};
 use std::collections::VecDeque;
 use std::io;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -600,10 +601,7 @@ impl<B: RunBuilder> Spiller<B> {
     /// splitting `read_bytes` of read buffering across the spilled runs
     /// (the engines pass [`crate::sorter::MERGE_READ_BUFFER_BYTES`]).
     /// Hands the builder back to the engine.
-    pub(crate) fn into_merge(
-        mut self,
-        read_bytes: usize,
-    ) -> io::Result<(RunMerge<B::RunValue>, B)> {
+    pub(crate) fn into_merge(mut self, read_bytes: usize) -> io::Result<(EngineMerge<B>, B)> {
         let tail = self.finish_spilling()?;
         let failed = Arc::<ReadErrorSlot>::default();
         let mut cursors =
@@ -625,7 +623,8 @@ impl<B: RunBuilder> Spiller<B> {
             cursors.push(RunCursor::new(Box::new(move || block.take())));
         }
         let merge = RunMerge {
-            tree: LoserTree::new(cursors, SpillOrder),
+            tree: LoserTree::new(cursors, SpillOrder(PhantomData)),
+            records: 0,
             failed,
             _merge_span: obs::enabled().then(|| obs::span!("merge")),
             _space: self.space.take(),
@@ -637,11 +636,14 @@ impl<B: RunBuilder> Spiller<B> {
 /// The final merge's record order: the ordered-`u64` key, then — for
 /// values whose equal keys are not equivalent
 /// ([`SpillValue::SPILL_TIE_BREAK`]) — the embedded full key, then run
-/// order (push order).
-struct SpillOrder;
+/// order (push order).  `K` is the engine's pushed key type: its ordered
+/// keys use `K::BITS` bits, so keys of at most 32 bits merge on the
+/// tree's narrow head words.
+struct SpillOrder<K>(PhantomData<fn() -> K>);
 
-impl<V: SpillValue> MergeOrder<(u64, V)> for SpillOrder {
+impl<K: IntegerKey, V: SpillValue> MergeOrder<(u64, V)> for SpillOrder<K> {
     const TIE_BREAK: bool = V::SPILL_TIE_BREAK;
+    const KEY_BITS: u32 = K::BITS;
 
     #[inline]
     fn key(&self, record: &(u64, V)) -> u64 {
@@ -653,7 +655,10 @@ impl<V: SpillValue> MergeOrder<(u64, V)> for SpillOrder {
     }
 }
 
-type MergeTree<V> = LoserTree<RunCursor<V>, SpillOrder>;
+type MergeTree<K, V> = LoserTree<RunCursor<V>, SpillOrder<K>>;
+
+/// The final merge of an engine built on `B`.
+type EngineMerge<B> = RunMerge<<B as RunBuilder>::Key, <B as RunBuilder>::RunValue>;
 
 /// The first read error any cursor of one merge hit.  A cursor whose
 /// spilled run fails records the error here and ends its run;
@@ -688,11 +693,14 @@ pub(crate) fn or_panic<T>(result: io::Result<T>) -> T {
     result.unwrap_or_else(|e| panic!("I/O error reading spilled run: {e}"))
 }
 
-/// The final k-way merge of a finished engine, plus what must outlive it.
-/// Field order matters: the cursors (and their read-ahead) drop before the
-/// spill directory is deleted.
-pub(crate) struct RunMerge<V: SpillValue> {
-    tree: MergeTree<V>,
+/// The final k-way merge of a finished engine (pushed keys `K`), plus what
+/// must outlive it.  Field order matters: the cursors (and their
+/// read-ahead) drop before the spill directory is deleted.  On drop it
+/// publishes the `merge.records` and `merge.replays` counters.
+pub(crate) struct RunMerge<K: IntegerKey, V: SpillValue> {
+    tree: MergeTree<K, V>,
+    /// Records popped so far.
+    records: u64,
     failed: Arc<ReadErrorSlot>,
     /// Open `merge` span over the stream's lifetime, so prefetch spans can
     /// be shown (and asserted) to overlap it; recorded when it drops.
@@ -700,15 +708,33 @@ pub(crate) struct RunMerge<V: SpillValue> {
     _space: Option<SpillSpace>,
 }
 
-impl<V: SpillValue> RunMerge<V> {
+impl<K: IntegerKey, V: SpillValue> RunMerge<K, V> {
     /// Pops the smallest record left, or the read error that ended one of
     /// the runs.  The check follows the pop, so no record past a failed
     /// run's last good one is ever returned.
     pub(crate) fn try_pop(&mut self) -> io::Result<Option<(u64, V)>> {
         let record = self.tree.pop();
+        self.records += u64::from(record.is_some());
         match self.failed.take() {
             Some(e) => Err(e),
             None => Ok(record),
+        }
+    }
+}
+
+#[cfg(test)]
+impl<K: IntegerKey, V: SpillValue> RunMerge<K, V> {
+    /// `(records, replays)` so far: what the drop publishes.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (self.records, self.tree.replays())
+    }
+}
+
+impl<K: IntegerKey, V: SpillValue> Drop for RunMerge<K, V> {
+    fn drop(&mut self) {
+        if obs::enabled() {
+            m().merge_records.add(self.records);
+            m().merge_replays.add(self.tree.replays());
         }
     }
 }

@@ -440,3 +440,111 @@ fn streaming_sorter_agrees_with_in_memory_sort() {
         assert_eq!(got, want, "stream/in-memory divergence [{ctx}]");
     }
 }
+
+/// The `n` keys of `dist` as keys of type `K`: the top `K::BITS` bits of
+/// the distribution's 32- or 64-bit keys, read through the type's order
+/// embedding (so signed types get negative and positive keys), with every
+/// 53rd record set to the type's smallest key and the one after it to
+/// its largest, so every spilled run holds both extremes.
+fn typed_keys<K: dtsort::IntegerKey>(dist: &Distribution, n: usize, seed: u64) -> Vec<K> {
+    let bits = if K::BITS > 32 { 64 } else { 32 };
+    let top = u64::MAX >> (64 - K::BITS);
+    workloads::dist::generate_keys(dist, n, bits, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| match i % 53 {
+            0 => K::from_ordered_u64(0),
+            1 => K::from_ordered_u64(top),
+            _ => K::from_ordered_u64(key >> (bits - K::BITS)),
+        })
+        .collect()
+}
+
+/// Sorts `typed_keys::<K>` (tagged with their input index) through a
+/// spilling `StreamSorter` under both spill encodings and compares each
+/// output with the stable sort of the input.
+fn spilling_sort_matches_stable_sort<K: dtsort::IntegerKey>(type_name: &str) {
+    use stream::StreamSorter;
+    let picks = [
+        Distribution::Zipfian { s: 1.2 },
+        Distribution::Uniform { distinct: 10 },
+    ];
+    for (di, dist) in picks.iter().enumerate() {
+        let seed = case_seed(3000 + di);
+        let input: Vec<(K, u32)> = typed_keys::<K>(dist, N, seed)
+            .into_iter()
+            .zip(0..)
+            .collect();
+        let mut want = input.clone();
+        want.sort_by_key(|r| r.0);
+        for compression in SPILL_ENCODINGS {
+            let ctx = format!(
+                "key={type_name} dist={} seed={seed} compression={compression:?}",
+                dist.label()
+            );
+            let mut sorter: StreamSorter<K, u32> =
+                StreamSorter::with_config(spill_cfg(16 << 10, compression));
+            for chunk in input.chunks(777) {
+                sorter.push(chunk).unwrap();
+            }
+            assert!(sorter.stats().spilled_runs > 1, "expected spills [{ctx}]");
+            let got: Vec<(K, u32)> = sorter.finish().unwrap().collect();
+            assert_eq!(got, want, "key-width divergence [{ctx}]");
+        }
+    }
+}
+
+#[test]
+fn spilling_sorter_agrees_with_stable_sort_at_every_key_width() {
+    // Keys of at most 32 bits merge on the loser tree's narrow head words,
+    // wider ones on the wide words; both must reproduce the stable sort,
+    // extremes and sign-flipped keys included.
+    spilling_sort_matches_stable_sort::<u8>("u8");
+    spilling_sort_matches_stable_sort::<u16>("u16");
+    spilling_sort_matches_stable_sort::<i32>("i32");
+    spilling_sort_matches_stable_sort::<u32>("u32");
+    spilling_sort_matches_stable_sort::<i64>("i64");
+    spilling_sort_matches_stable_sort::<u64>("u64");
+}
+
+#[test]
+fn spilling_group_by_on_signed_32_bit_keys_agrees_with_reference() {
+    use std::collections::BTreeMap;
+    use stream::{StreamGroupBy, SumAgg};
+    let picks = [
+        Distribution::Zipfian { s: 1.2 },
+        Distribution::Uniform { distinct: 10 },
+        Distribution::Uniform {
+            distinct: 1_000_000_000,
+        },
+    ];
+    for (di, dist) in picks.iter().enumerate() {
+        let seed = case_seed(4000 + di);
+        let input: Vec<(i32, u64)> = typed_keys::<i32>(dist, N, seed)
+            .into_iter()
+            .zip(1..)
+            .collect();
+        let mut want: BTreeMap<i32, u64> = BTreeMap::new();
+        for &(key, value) in &input {
+            *want.entry(key).or_default() += value;
+        }
+        let want: Vec<(i32, u64)> = want.into_iter().collect();
+        for compression in SPILL_ENCODINGS {
+            let ctx = format!(
+                "dist={} seed={seed} compression={compression:?}",
+                dist.label()
+            );
+            let mut gb: StreamGroupBy<i32, SumAgg> =
+                StreamGroupBy::with_config(SumAgg, spill_cfg(16 << 10, compression));
+            for chunk in input.chunks(777) {
+                gb.push(chunk).unwrap();
+            }
+            assert!(gb.stats().spilled_runs > 1, "expected spills [{ctx}]");
+            assert_eq!(
+                gb.finish_vec().unwrap(),
+                want,
+                "group-by divergence [{ctx}]"
+            );
+        }
+    }
+}

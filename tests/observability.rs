@@ -83,6 +83,12 @@ fn metrics_mirror_stream_sorter_stats_exactly() {
     let mut want = data;
     want.sort_by_key(|r| r.0);
     assert_eq!(got, want);
+    // The drained stream's drop publishes its merge counts.  The keys are
+    // distinct, so every pop replayed the loser tree's path.
+    let after = obs::global().snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("merge.records"), want.len() as u64);
+    assert_eq!(delta("merge.replays"), want.len() as u64);
     let bleed = moved(&before, &obs::global().snapshot(), "groupby.");
     assert!(bleed.is_empty(), "sorter moved {bleed:?}");
 }
